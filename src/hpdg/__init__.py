@@ -16,7 +16,8 @@ from .hpspace import (DiscreteField, HpSpace, build_space, constant_field,
                       evaluate, inject, load_field, locate_point, project,
                       save_field)
 from .mesh import Element, Face, GradedMesh, build_graded_mesh, enumerate_faces
-from .quadrature import ElementRule, element_rule, singular_rule, volume_rule
+from .quadrature import (ElementRule, element_rule, face_rule, singular_rule,
+                         volume_rule)
 from .refelem import QuadRule1D, RefBasis, gauss_rule, legendre_eval
 from .scf import ScfConfig, ScfReport, discrete_energy, solve_ground_state
 

@@ -1,37 +1,19 @@
-"""Hot numeric kernels, with numba-jitted and pure-numpy implementations.
-
-The jitted path is used when numba imports cleanly; setting the environment
-variable ``HPDG_PURE_NUMPY=1`` (before import) forces the numpy fallback.
-``benchmarks/bench_kernels.py`` compares the two paths.
-"""
+"""Hot numeric kernels: Legendre tables, row-wise Kronecker products, Gram sums."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("HPDG_PURE_NUMPY", "").strip() not in ("", "0")
 
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numpy path forced via HPDG_PURE_NUMPY")
-    from numba import njit
+def legendre_table(x, p):
+    """Values and first derivatives of P_0..P_p at the points ``x``.
 
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# Legendre recurrence tables
-# ---------------------------------------------------------------------------
-
-def _legendre_table_np(x, p):
+    Returns two (len(x), p+1) arrays.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    m = x.shape[0]
-    vals = np.empty((m, p + 1))
-    ders = np.empty((m, p + 1))
+    p = int(p)
+    vals = np.empty((x.shape[0], p + 1))
+    ders = np.empty((x.shape[0], p + 1))
     vals[:, 0] = 1.0
     ders[:, 0] = 0.0
     if p >= 1:
@@ -43,67 +25,9 @@ def _legendre_table_np(x, p):
     return vals, ders
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _legendre_table_nb(x, p):  # pragma: no cover - exercised via wrapper
-        m = x.shape[0]
-        vals = np.empty((m, p + 1))
-        ders = np.empty((m, p + 1))
-        for i in range(m):
-            xi = x[i]
-            vals[i, 0] = 1.0
-            ders[i, 0] = 0.0
-            if p >= 1:
-                vals[i, 1] = xi
-                ders[i, 1] = 1.0
-            for k in range(1, p):
-                vals[i, k + 1] = ((2 * k + 1) * xi * vals[i, k] - k * vals[i, k - 1]) / (k + 1)
-                ders[i, k + 1] = ders[i, k - 1] + (2 * k + 1) * vals[i, k]
-        return vals, ders
-
-
-def legendre_table(x, p):
-    """Values and first derivatives of P_0..P_p at the points ``x``.
-
-    Returns two (len(x), p+1) arrays.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _legendre_table_nb(x, int(p))
-    return _legendre_table_np(x, int(p))
-
-
-# ---------------------------------------------------------------------------
-# Row-wise Kronecker products (tensor-basis expansion at scattered points)
-# ---------------------------------------------------------------------------
-
-def _row_kron_np(a, b):
-    m = a.shape[0]
-    return (a[:, :, None] * b[:, None, :]).reshape(m, -1)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _row_kron_nb(a, b):  # pragma: no cover - exercised via wrapper
-        m, na = a.shape
-        nb = b.shape[1]
-        out = np.empty((m, na * nb))
-        for i in range(m):
-            for j in range(na):
-                aij = a[i, j]
-                base = j * nb
-                for k in range(nb):
-                    out[i, base + k] = aij * b[i, k]
-        return out
-
-
 def row_kron(a, b):
     """Row-wise Kronecker product: out[i] = kron(a[i], b[i])."""
-    if HAVE_NUMBA:
-        return _row_kron_nb(np.ascontiguousarray(a), np.ascontiguousarray(b))
-    return _row_kron_np(a, b)
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
 def tensor_rows(tables):
@@ -114,37 +38,6 @@ def tensor_rows(tables):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Weighted Gram accumulation  phi^T diag(w) phi
-# ---------------------------------------------------------------------------
-
-def _weighted_gram_np(phi, w):
-    return (phi * w[:, None]).T @ phi
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _weighted_gram_nb(phi, w):  # pragma: no cover - exercised via wrapper
-        m, n = phi.shape
-        out = np.zeros((n, n))
-        for q in range(m):
-            wq = w[q]
-            for i in range(n):
-                pi = wq * phi[q, i]
-                for j in range(i, n):
-                    out[i, j] += pi * phi[q, j]
-        for i in range(n):
-            for j in range(i):
-                out[i, j] = out[j, i]
-        return out
-
-
 def weighted_gram(phi, w):
-    """Accumulate phi^T diag(w) phi (symmetric n x n).
-
-    Always dispatches to the BLAS-backed numpy form: the benchmark shows the
-    jitted loop losing to the GEMM by 2-6x at assembly-relevant sizes.  The
-    numba variant stays available for the comparison.
-    """
-    return _weighted_gram_np(phi, w)
+    """Accumulate phi^T diag(w) phi (symmetric n x n) with one BLAS product."""
+    return (phi * w[:, None]).T @ phi

@@ -17,7 +17,7 @@ import numpy as np
 
 from .hpspace import DiscreteField, basis_matrices, locate_point
 from .mesh import INTERIOR, GradedMesh
-from .refelem import gauss_rule
+from .quadrature import element_rule, face_rule
 
 ERROR_FLOOR = 1e-12
 
@@ -62,18 +62,6 @@ def containing_map(coarse_mesh: GradedMesh, fine_mesh: GradedMesh) -> np.ndarray
     return out
 
 
-def _tensor_rule(element, n):
-    g = gauss_rule(n)
-    d = len(element.lo)
-    axes = [element.lo[m] + (g.points + 1.0) * (element.lengths[m] / 2.0) for m in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gr.ravel() for gr in grids], axis=1)
-    w = np.ones(1)
-    for m in range(d):
-        w = np.multiply.outer(w, g.weights * (element.lengths[m] / 2.0)).ravel()
-    return pts, w
-
-
 def _values_grads(field: DiscreteField, eid: int, pts):
     e = field.space.mesh.elements[eid]
     p = int(field.space.degrees[eid])
@@ -108,7 +96,8 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
     for e in fine_mesh.elements:
         cid = int(cmap[e.id])
         n = max(int(ref_space.degrees[e.id]), int(coarse.space.degrees[cid])) + 2
-        pts, w = _tensor_rule(e, n)
+        rule = element_rule(e, n)
+        pts, w = rule.points, rule.weights
         cv, cg = _values_grads(coarse, cid, pts)
         rv, rg = _values_grads(reference, e.id, pts)
         diff = cv - rv
@@ -128,7 +117,8 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
         ea, eb = f.owners
         degs = [int(ref_space.degrees[ea]), int(ref_space.degrees[eb]),
                 int(coarse.space.degrees[cmap[ea]]), int(coarse.space.degrees[cmap[eb]])]
-        pts, w = _face_rule_pts(f, max(degs) + 2)
+        rule = face_rule(f, max(degs) + 2)
+        pts, w = rule.points, rule.weights
         ca, _ = _values_grads(coarse, int(cmap[ea]), pts)
         ra, _ = _values_grads(reference, ea, pts)
         cb, _ = _values_grads(coarse, int(cmap[eb]), pts)
@@ -142,22 +132,6 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
         "dg": math.sqrt(l2_sq + h1_sq + jump_sq),
         "linf": linf,
     }
-
-
-def _face_rule_pts(face, n):
-    g = gauss_rule(n)
-    d = len(face.lo)
-    tdims = [m for m in range(d) if m != face.axis]
-    axes, w = [], np.ones(1)
-    for m in tdims:
-        axes.append(face.lo[m] + (g.points + 1.0) * (face.lengths[m] / 2.0))
-        w = np.multiply.outer(w, g.weights * (face.lengths[m] / 2.0)).ravel()
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.empty((w.size, d))
-    pts[:, face.axis] = face.lo[face.axis]
-    for m, gr in zip(tdims, grids):
-        pts[:, m] = gr.ravel()
-    return pts, w
 
 
 def full_dg_norm(field: DiscreteField) -> float:
@@ -178,12 +152,14 @@ def full_dg_norm(field: DiscreteField) -> float:
     total = 0.0
     for e in mesh.elements:
         n = int(space.degrees[e.id]) + 2
-        pts, w = _tensor_rule(e, n)
+        rule = element_rule(e, n)
+        pts, w = rule.points, rule.weights
         v, g = _values_grads(field, e.id, pts)
         total += float(w @ (v * v)) + sum(float(w @ (gm * gm)) for gm in g)
     for f in mesh.faces:
         p_e = space.face_degree(f)
-        pts, w = _face_rule_pts(f, p_e + 2)
+        rule = face_rule(f, p_e + 2)
+        pts, w = rule.points, rule.weights
         r = np.sqrt(np.sum(pts * pts, axis=1))
         if f.kind == INTERIOR:
             va, ga = _values_grads(field, f.owners[0], pts)

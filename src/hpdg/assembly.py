@@ -21,10 +21,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import weighted_gram
-from .hpspace import DiscreteField, HpSpace, basis_matrices, basis_matrix
-from .mesh import BOUNDARY, Face
-from .quadrature import element_rule, volume_rule
-from .refelem import gauss_rule, legendre_l2_norms_sq
+from .hpspace import DiscreteField, HpSpace, _local_mass_diag, basis_matrices, basis_matrix
+from .mesh import BOUNDARY
+from .quadrature import element_rule, face_rule, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
 
@@ -68,21 +67,26 @@ def _sym(b: np.ndarray) -> np.ndarray:
     return 0.5 * (b + b.T)
 
 
-def _face_rule(face: Face, n: int):
-    """Tensor Gauss points/weights on a face extent (pts are d-dimensional)."""
-    d = len(face.lo)
-    g = gauss_rule(n)
-    tdims = [m for m in range(d) if m != face.axis]
-    axes, w = [], np.ones(1)
-    for m in tdims:
-        axes.append(face.lo[m] + (g.points + 1.0) * (face.lengths[m] / 2.0))
-        w = np.multiply.outer(w, g.weights * (face.lengths[m] / 2.0)).ravel()
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.empty((w.size, d))
-    pts[:, face.axis] = face.lo[face.axis]
-    for m, gr in zip(tdims, grids):
-        pts[:, m] = gr.ravel()
-    return pts, w
+def _csr_from_blocks(space: HpSpace, blocks, what: str) -> sp.csr_matrix:
+    """Scatter symmetrized element-local blocks into an N x N CSR matrix.
+
+    ``blocks`` yields ``(eids, block)``: the block couples the local dofs of
+    the elements ``eids``, concatenated in that order.  Duplicate entries are
+    summed in the order the blocks come.
+    """
+    rows, cols, data = [], [], []
+    for eids, block in blocks:
+        gd = np.concatenate([space.offsets[e] + np.arange(space.ndofs_el[e]) for e in eids])
+        rows.append(np.repeat(gd, len(gd)))
+        cols.append(np.tile(gd, len(gd)))
+        data.append(_sym(block).ravel())
+    a = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.N, space.N),
+    ).tocsr()
+    if not np.isfinite(a.data).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    return a
 
 
 class SipAssembler:
@@ -113,34 +117,22 @@ class SipAssembler:
         if self._mass is None:
             sp_ = self.space
             diag = np.empty(sp_.N)
-            for eid in range(sp_.mesh.n_elements):
-                e = sp_.mesh.elements[eid]
-                p = int(sp_.degrees[eid])
-                norms = legendre_l2_norms_sq(p)
-                modes = sp_.modes(e.id)
-                d_loc = np.ones(modes.shape[0])
-                for m in range(sp_.mesh.d):
-                    d_loc *= norms[modes[:, m]] * (e.lengths[m] / 2.0)
-                diag[sp_.local_slice(e.id)] = d_loc
+            for e in sp_.mesh.elements:
+                p = int(sp_.degrees[e.id])
+                diag[sp_.local_slice(e.id)] = _local_mass_diag(e, p, sp_.mesh.d)
             self._mass = sp.diags(diag, format="csr")
         return self._mass
 
     def sip(self) -> sp.csr_matrix:
-        if self._sip is not None:
-            return self._sip
+        if self._sip is None:
+            self._sip = _csr_from_blocks(self.space, self._sip_blocks(),
+                                         "assembled SIP matrix")
+        return self._sip
+
+    def _sip_blocks(self):
+        """Element blocks by element id, then face blocks by face id."""
         space, pot, pen = self.space, self.potential, self.penalty
         mesh = space.mesh
-        rows, cols, data = [], [], []
-
-        def gdofs(eid):
-            off = int(space.offsets[eid])
-            return off + np.arange(int(space.ndofs_el[eid]))
-
-        def scatter(gd, block):
-            rows.append(np.repeat(gd, len(gd)))
-            cols.append(np.tile(gd, len(gd)))
-            data.append(block.ravel())
-
         for eid in range(mesh.n_elements):
             e = mesh.elements[eid]
             p = int(space.degrees[eid])
@@ -151,39 +143,28 @@ class SipAssembler:
                 block += weighted_gram(g, rule.weights)
             if pot.alpha is not None:
                 block += weighted_gram(phi, rule.weights * pot(rule.points))
-            scatter(gdofs(e.id), _sym(block))
+            yield (e.id,), block
 
         for f in sorted(mesh.faces, key=lambda fc: fc.id):
             p_e = space.face_degree(f)
             gamma = pen.alpha0 * p_e**2 / f.h_e
-            pts, w = _face_rule(f, p_e + 4)
+            rule = face_rule(f, p_e + 4)
+            pts, w = rule.points, rule.weights
             if f.kind == BOUNDARY:
                 eid = f.owners[0]
                 e = mesh.elements[eid]
                 phi, grads = basis_matrices(e, int(space.degrees[eid]), pts)
                 dn = f.sign * grads[f.axis]
                 c = (dn * w[:, None]).T @ phi
-                block = -c - c.T + weighted_gram(phi, gamma * w)
-                scatter(gdofs(eid), _sym(block))
+                yield (eid,), -c - c.T + weighted_gram(phi, gamma * w)
             else:
                 ea, eb = (mesh.elements[i] for i in f.owners)
                 phi_a, gr_a = basis_matrices(ea, int(space.degrees[ea.id]), pts)
                 phi_b, gr_b = basis_matrices(eb, int(space.degrees[eb.id]), pts)
                 jmp = np.hstack([phi_a, -phi_b])
                 dn = 0.5 * np.hstack([gr_a[f.axis], gr_b[f.axis]])
-                gd = np.concatenate([gdofs(ea.id), gdofs(eb.id)])
                 c = (dn * w[:, None]).T @ jmp
-                block = -c - c.T + weighted_gram(jmp, gamma * w)
-                scatter(gd, _sym(block))
-
-        a = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(space.N, space.N),
-        ).tocsr()
-        if not np.isfinite(a.data).all():
-            raise ValueError("assembled SIP matrix contains non-finite entries")
-        self._sip = a
-        return a
+                yield (ea.id, eb.id), -c - c.T + weighted_gram(jmp, gamma * w)
 
     def nonlinear_mass(self, u: DiscreteField, delta: int,
                        scale: float = 1.0) -> sp.csr_matrix:
@@ -192,25 +173,14 @@ class SipAssembler:
         space = self.space
         if u.space is not space:
             raise ValueError("state field does not belong to the assembler's space")
-        rows, cols, data = [], [], []
-        for eid in range(space.mesh.n_elements):
-            e = space.mesh.elements[eid]
-            phi, w = self._plain_tables(eid)
-            uvals = phi @ u.local(eid)
-            coef = scale * np.abs(uvals) ** (delta - 1)
-            block = weighted_gram(phi, w * coef)
-            off = int(space.offsets[e.id])
-            gd = off + np.arange(int(space.ndofs_el[e.id]))
-            rows.append(np.repeat(gd, len(gd)))
-            cols.append(np.tile(gd, len(gd)))
-            data.append(_sym(block).ravel())
-        a = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(space.N, space.N),
-        ).tocsr()
-        if not np.isfinite(a.data).all():
-            raise ValueError("nonlinear mass matrix contains non-finite entries")
-        return a
+
+        def blocks():
+            for eid in range(space.mesh.n_elements):
+                phi, w = self._plain_tables(eid)
+                coef = scale * np.abs(phi @ u.local(eid)) ** (delta - 1)
+                yield (eid,), weighted_gram(phi, w * coef)
+
+        return _csr_from_blocks(space, blocks(), "nonlinear mass matrix")
 
 
 def assemble_sip(space: HpSpace, potential: Potential,

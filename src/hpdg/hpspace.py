@@ -15,9 +15,15 @@ import numpy as np
 
 from . import mesh as meshmod
 from ._kernels import legendre_table, tensor_rows
-from .refelem import gauss_rule, legendre_l2_norms_sq
+from .quadrature import element_rule
+from .refelem import legendre_l2_norms_sq
 
 ROUNDINGS = ("half_up", "floor", "ceil")
+
+# Field files start with this tag and format version; version 1 was an
+# untagged header that did not record the rounding mode.
+FIELD_TAG = "hpdg-field"
+FIELD_VERSION = 2
 
 
 def _round_degree(x: float, mode: str) -> int:
@@ -35,6 +41,7 @@ class HpSpace:
     mesh: meshmod.GradedMesh
     p0: int
     slope: float
+    rounding: str  # one of ROUNDINGS
     degrees: np.ndarray  # (n_elements,)
     offsets: np.ndarray  # (n_elements,)
     ndofs_el: np.ndarray  # (n_elements,)
@@ -81,7 +88,8 @@ def build_space(mesh: meshmod.GradedMesh, p0: int, slope: float,
     )
     ndofs = (degs + 1) ** mesh.d
     offsets = np.concatenate([[0], np.cumsum(ndofs)[:-1]])
-    return HpSpace(mesh, int(p0), float(slope), degs, offsets, ndofs, int(ndofs.sum()))
+    return HpSpace(mesh, int(p0), float(slope), rounding, degs, offsets, ndofs,
+                   int(ndofs.sum()))
 
 
 @dataclass
@@ -163,26 +171,26 @@ def evaluate(field: DiscreteField, x) -> float:
     return float(evaluate_in_element(field, eid, x[None, :])[0])
 
 
-def project(space: HpSpace, f) -> DiscreteField:
-    """Element-local L2 projection of a callable f(points) -> values."""
+def _l2_project(space: HpSpace, values) -> DiscreteField:
+    """Element-local L2 projection; ``values(element, pts)`` gives the target
+    at the points of the element's n = p + 4 tensor Gauss rule."""
     coeffs = np.zeros(space.N)
-    d = space.mesh.d
     for e in space.mesh.elements:
         p = int(space.degrees[e.id])
-        rule = gauss_rule(p + 4)
-        axes = [e.lo[m] + (rule.points + 1.0) * (e.lengths[m] / 2.0) for m in range(d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        w = np.ones(1)
-        for m in range(d):
-            w = np.multiply.outer(w, rule.weights * (e.lengths[m] / 2.0)).ravel()
-        phi = basis_matrix(e, p, pts)
-        mass_diag = _local_mass_diag(e, p, d)
-        coeffs[space.local_slice(e.id)] = (phi.T @ (w * np.asarray(f(pts)))) / mass_diag
+        rule = element_rule(e, p + 4)
+        phi = basis_matrix(e, p, rule.points)
+        rhs = phi.T @ (rule.weights * values(e, rule.points))
+        coeffs[space.local_slice(e.id)] = rhs / _local_mass_diag(e, p, space.mesh.d)
     return DiscreteField(space, coeffs)
 
 
+def project(space: HpSpace, f) -> DiscreteField:
+    """Element-local L2 projection of a callable f(points) -> values."""
+    return _l2_project(space, lambda e, pts: np.asarray(f(pts)))
+
+
 def _local_mass_diag(element: meshmod.Element, p: int, d: int) -> np.ndarray:
+    """Diagonal of the modal tensor-Legendre mass matrix on one element."""
     norms = legendre_l2_norms_sq(p)
     modes = _modes(p, d)
     diag = np.ones(modes.shape[0])
@@ -197,31 +205,21 @@ def inject(field: DiscreteField, fine_space: HpSpace) -> DiscreteField:
     Exact whenever each fine element is contained in a coarse element of
     degree at most the fine one (the situation along a refinement chain).
     """
-    coarse = field.space
-    coeffs = np.zeros(fine_space.N)
-    d = fine_space.mesh.d
-    for e in fine_space.mesh.elements:
-        p = int(fine_space.degrees[e.id])
-        cid = locate_point(coarse.mesh, e.center)
-        nq = p + 4
-        rule = gauss_rule(nq)
-        axes = [e.lo[m] + (rule.points + 1.0) * (e.lengths[m] / 2.0) for m in range(d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        w = np.ones(1)
-        for m in range(d):
-            w = np.multiply.outer(w, rule.weights * (e.lengths[m] / 2.0)).ravel()
-        vals = evaluate_in_element(field, cid, pts)
-        phi = basis_matrix(e, p, pts)
-        coeffs[fine_space.local_slice(e.id)] = (phi.T @ (w * vals)) / _local_mass_diag(e, p, d)
-    return DiscreteField(fine_space, coeffs)
+    def values(e, pts):
+        return evaluate_in_element(field, locate_point(field.space.mesh, e.center), pts)
+
+    return _l2_project(fine_space, values)
 
 
 def save_field(field: DiscreteField, path) -> None:
-    """Text serialization: header (d sigma ell p0 slope), then N coefficients."""
+    """Text serialization: one header line, then the N coefficients.
+
+    The header reads ``hpdg-field <version> d sigma ell p0 slope rounding``.
+    """
     sp = field.space
     with open(path, "w") as fh:
-        fh.write(f"{sp.mesh.d} {sp.mesh.sigma!r} {sp.mesh.ell} {sp.p0} {sp.slope!r}\n")
+        fh.write(f"{FIELD_TAG} {FIELD_VERSION} {sp.mesh.d} {sp.mesh.sigma!r} {sp.mesh.ell} "
+                 f"{sp.p0} {sp.slope!r} {sp.rounding}\n")
         for c in field.coeffs:
             fh.write(f"{float(c)!r}\n")
 
@@ -230,8 +228,20 @@ def load_field(path) -> DiscreteField:
     """Rebuild the space from the header and read the coefficients back."""
     with open(path) as fh:
         head = fh.readline().split()
-        d, sigma, ell, p0, slope = int(head[0]), float(head[1]), int(head[2]), int(head[3]), float(head[4])
         coeffs = np.array([float(line) for line in fh if line.strip()])
-    m = meshmod.build_graded_mesh(d, sigma, ell)
-    space = build_space(m, p0, slope)
+    if not head or head[0] != FIELD_TAG:
+        raise ValueError(f"{path}: first header field is not {FIELD_TAG!r}")
+    version = head[1] if len(head) > 1 else "missing"
+    if version != str(FIELD_VERSION):
+        raise ValueError(f"{path}: header field 'version' is {version!r}, "
+                         f"this reader knows version {FIELD_VERSION}")
+    if len(head) != 8:
+        raise ValueError(f"{path}: header needs 8 fields "
+                         f"({FIELD_TAG} version d sigma ell p0 slope rounding), got {len(head)}")
+    d, sigma, ell, p0, slope, rounding = head[2:]
+    if rounding not in ROUNDINGS:
+        raise ValueError(f"{path}: header field 'rounding' is {rounding!r}, "
+                         f"expected one of {ROUNDINGS}")
+    m = meshmod.build_graded_mesh(int(d), float(sigma), int(ell))
+    space = build_space(m, int(p0), float(slope), rounding)
     return DiscreteField(space, coeffs)

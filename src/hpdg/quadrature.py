@@ -1,4 +1,8 @@
-"""Physical-element quadrature rules.
+"""Physical-element and face quadrature rules.
+
+This is the one place where Gauss points are mapped to an axis-parallel box:
+volume rules, face rules and the composite singular rule all come from
+:func:`_box_rule`.
 
 Smooth elements get affinely mapped tensor Gauss rules.  Elements touching
 the singular point get a composite rule built from a geometric subdivision
@@ -16,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .mesh import Element
+from .mesh import Element, Face
 from .refelem import gauss_rule
 
 # Shells needed so the innermost-box error (~ (2^-depth)^(d-alpha)) clears the
@@ -30,23 +34,39 @@ class ElementRule:
     weights: np.ndarray  # (nq,) includes the affine Jacobian
 
 
-def _box_rule(lo, hi, n: int) -> ElementRule:
-    d = len(lo)
+def _box_rule(lo, lengths, n: int) -> ElementRule:
+    """n^k-point tensor Gauss rule on the box lo + [0, lengths] (first axis slowest)."""
     g = gauss_rule(n)
-    axes = [lo[m] + (g.points + 1.0) * ((hi[m] - lo[m]) / 2.0) for m in range(d)]
+    axes = [lo[m] + (g.points + 1.0) * (lengths[m] / 2.0) for m in range(len(lo))]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([gr.ravel() for gr in grids], axis=1)
     w = np.ones(1)
-    for m in range(d):
-        w = np.multiply.outer(w, g.weights * ((hi[m] - lo[m]) / 2.0)).ravel()
+    for m in range(len(lo)):
+        w = np.multiply.outer(w, g.weights * (lengths[m] / 2.0)).ravel()
     return ElementRule(pts, w)
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1 points per dimension, got {n}")
 
 
 def element_rule(element: Element, n: int) -> ElementRule:
     """Tensor Gauss rule with n points per dimension, mapped to the element."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 points per dimension, got {n}")
-    return _box_rule(element.lo, element.hi, n)
+    _check_n(n)
+    return _box_rule(element.lo, element.lengths, n)
+
+
+def face_rule(face: Face, n: int) -> ElementRule:
+    """Tensor Gauss rule with n points per tangential dimension on a face.
+
+    The points are d-dimensional and lie on the face plane.
+    """
+    _check_n(n)
+    tdims = [m for m in range(len(face.lo)) if m != face.axis]
+    r = _box_rule(face.lo[tdims], face.lengths[tdims], n)
+    pts = np.insert(r.points, face.axis, face.lo[face.axis], axis=1)
+    return ElementRule(pts, r.weights)
 
 
 def singular_rule(element: Element, n: int, depth: int) -> ElementRule:
@@ -57,8 +77,7 @@ def singular_rule(element: Element, n: int, depth: int) -> ElementRule:
     innermost box is included with its own tensor Gauss rule, so the weights
     sum exactly to |K| and no point hits c.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 points per dimension, got {n}")
+    _check_n(n)
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
     d = len(element.lo)
@@ -73,8 +92,8 @@ def singular_rule(element: Element, n: int, depth: int) -> ElementRule:
         else:
             raise ValueError("element does not have the singular point as a vertex")
 
-    def sub_box(frac_lo, frac_hi):
-        """Box at per-dim distance fractions [frac_lo[m], frac_hi[m]] from c."""
+    def sub_rule(frac_lo, frac_hi):
+        """Rule on the box at per-dim distance fractions [frac_lo, frac_hi] from c."""
         blo, bhi = np.empty(d), np.empty(d)
         for m in range(d):
             L = element.lengths[m]
@@ -82,22 +101,18 @@ def singular_rule(element: Element, n: int, depth: int) -> ElementRule:
                 blo[m], bhi[m] = lo[m] + frac_lo[m] * L, lo[m] + frac_hi[m] * L
             else:
                 blo[m], bhi[m] = hi[m] - frac_hi[m] * L, hi[m] - frac_lo[m] * L
-        return blo, bhi
+        return _box_rule(blo, bhi - blo, n)
 
     patterns = [s for s in product((0, 1), repeat=d) if any(s)]
-    pts, wts = [], []
+    rules = []
     for k in range(1, depth + 1):
         fin, fout = 0.5**k, 0.5 ** (k - 1)
         for s in patterns:
-            frac_lo = [fin if sm else 0.0 for sm in s]
-            frac_hi = [fout if sm else fin for sm in s]
-            r = _box_rule(*sub_box(frac_lo, frac_hi), n)
-            pts.append(r.points)
-            wts.append(r.weights)
-    r = _box_rule(*sub_box([0.0] * d, [0.5**depth] * d), n)
-    pts.append(r.points)
-    wts.append(r.weights)
-    return ElementRule(np.vstack(pts), np.concatenate(wts))
+            rules.append(sub_rule([fin if sm else 0.0 for sm in s],
+                                  [fout if sm else fin for sm in s]))
+    rules.append(sub_rule([0.0] * d, [0.5**depth] * d))
+    return ElementRule(np.vstack([r.points for r in rules]),
+                       np.concatenate([r.weights for r in rules]))
 
 
 def volume_rule(element: Element, p: int, singular: bool = False,

@@ -1,7 +1,8 @@
 """Reference-element machinery: Gauss-Legendre rules and modal Legendre bases.
 
 Everything lives on the reference interval [-1, 1]; tensorization to the
-d-cube happens in :mod:`hpdg.quadrature` and :mod:`hpdg.assembly`.
+d-cube happens in :mod:`hpdg.quadrature` (rules) and :mod:`hpdg.hpspace`
+(bases).
 """
 
 from __future__ import annotations

@@ -54,19 +54,14 @@ def discrete_energy(space: HpSpace, potential: Potential, penalty: PenaltyConfig
     At the ground state this equals lambda/2 - (1/2 - 1/(delta+1)) times the
     nonlinear integral.
     """
-    from .quadrature import element_rule
-    from .hpspace import basis_matrix
-
     asm = SipAssembler(space, potential, penalty)
     a = asm.sip()
     val = 0.5 * float(u.coeffs @ (a @ u.coeffs))
     if delta is not None:
         nl = 0.0
         for e in space.mesh.elements:
-            p = int(space.degrees[e.id])
-            rule = element_rule(e, p + 4)
-            phi = basis_matrix(e, p, rule.points)
-            nl += float(rule.weights @ np.abs(phi @ u.local(e.id)) ** (delta + 1))
+            phi, w = asm._plain_tables(e.id)
+            nl += float(w @ np.abs(phi @ u.local(e.id)) ** (delta + 1))
         val += nl / (delta + 1)
     return val
 

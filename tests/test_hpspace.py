@@ -160,15 +160,29 @@ def test_injection_is_exact_on_chain():
 
 
 def test_field_serialization_round_trip(tmp_path):
-    space = build_space(build_graded_mesh(2, 0.5, 2), 2, 0.125)
     rng = np.random.default_rng(9)
-    f = DiscreteField(space, rng.standard_normal(space.N))
     path = tmp_path / "field.txt"
-    save_field(f, path)
-    g = load_field(path)
-    assert g.space.N == space.N
-    assert g.space.p0 == space.p0 and g.space.mesh.ell == space.mesh.ell
-    assert np.array_equal(g.coeffs, f.coeffs)
+    spaces = [build_space(build_graded_mesh(2, 0.5, 2), 2, 0.125)]
+    # floor and ceil give other degrees (and N) than half_up at slope 1/4
+    spaces += [build_space(build_graded_mesh(2, 0.5, 3), 2, 0.25, rounding)
+               for rounding in ("half_up", "floor", "ceil")]
+    for space in spaces:
+        f = DiscreteField(space, rng.standard_normal(space.N))
+        save_field(f, path)
+        g = load_field(path)
+        assert g.space.N == space.N
+        assert g.space.p0 == space.p0 and g.space.mesh.ell == space.mesh.ell
+        assert g.space.rounding == space.rounding
+        assert np.array_equal(g.space.degrees, space.degrees)
+        assert np.array_equal(g.coeffs, f.coeffs)
+    # an unknown format version or rounding mode is rejected by name
+    head, *body = path.read_text().splitlines(keepends=True)
+    tag, version, *params, rounding = head.split()
+    for bad, name in ((f"{tag} 99 {' '.join(params)} {rounding}\n", "version"),
+                      (f"{tag} {version} {' '.join(params)} nearest\n", "rounding")):
+        path.write_text(bad + "".join(body))
+        with pytest.raises(ValueError, match=name):
+            load_field(path)
 
 
 def test_coefficient_length_checked():

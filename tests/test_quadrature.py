@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hpdg.mesh import Element, build_graded_mesh
-from hpdg.quadrature import element_rule, singular_rule, volume_rule
+from hpdg.quadrature import element_rule, face_rule, singular_rule, volume_rule
 from oracles import checked_integral, radial_power
 
 
@@ -21,6 +21,19 @@ def test_integrates_constant_to_measure():
     for e in m.elements:
         r = element_rule(e, 3)
         assert r.weights.sum() == pytest.approx(e.measure, rel=1e-14)
+    # face rules: boundary faces, full interior faces and hanging sub-faces
+    for d in (2, 3):
+        seen = set()
+        for f in build_graded_mesh(d, 0.5, 2).faces:
+            r = face_rule(f, 3)
+            assert r.points.shape == (3 ** (d - 1), d)
+            assert r.weights.sum() == pytest.approx(f.measure, rel=1e-14)
+            assert np.all(r.points[:, f.axis] == f.lo[f.axis])
+            tang = np.arange(d) != f.axis
+            assert np.all(r.points[:, tang] > f.lo[tang])
+            assert np.all(r.points[:, tang] < f.lo[tang] + f.lengths[tang])
+            seen.add((f.kind, f.is_subface))
+        assert seen == {("boundary", False), ("interior", False), ("interior", True)}
 
 
 def test_integrates_x_squared():
