@@ -136,8 +136,11 @@ class SipAssembler:
         for eid in range(mesh.n_elements):
             e = mesh.elements[eid]
             p = int(space.degrees[eid])
-            rule = volume_rule(e, p, singular=(e.touches_c and pot.alpha is not None))
+            singular = e.touches_c and pot.alpha is not None
+            rule = volume_rule(e, p, singular=singular)
             phi, grads = basis_matrices(e, p, rule.points)
+            if not singular:  # the plain rule: the nonlinear mass needs this table too
+                self._el_phi.setdefault(eid, (phi, rule.weights))
             block = np.zeros((phi.shape[1],) * 2)
             for g in grads:
                 block += weighted_gram(g, rule.weights)

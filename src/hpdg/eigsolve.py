@@ -1,12 +1,22 @@
 """Smallest eigenpair of the symmetric generalized problem A x = lambda M x.
 
-Small problems (N <= 2000) go through a dense LAPACK solve; larger ones use
-shift-and-invert inverse iteration with a sparse LU factorization, refreshing
-the shift from the Rayleigh quotient when convergence stalls.  Both paths are
-deterministic given the start vector.  The sparse path converges to the
-eigenvalue nearest the shift; with the warm starts used by the SCF driver and
-the coarse-level chains this is the ground state, but a cold sparse call
-relies on the Rayleigh-quotient heuristic.
+Small problems go through a dense LAPACK solve.  Larger ones factor
+A - tau M once (sparse LU) and use that factorization as the preconditioner of
+a single-vector LOBPCG iteration (Knyazev 2001, SIAM J. Sci. Comput. 23:517):
+each step is a Rayleigh-Ritz projection onto the M-orthonormal span of the
+iterate, its preconditioned residual and the previous search direction.  The
+factorization comes back on the result and may be passed in again, so the SCF
+loop factors once per solve and reuses the LU on every later sweep, where the
+linearized operator has moved only a little.
+
+The preconditioner is symmetric positive definite only when tau lies below
+lambda_1 of the factored pencil; only then is the descent to the ground state
+guaranteed.  The default tau = rho(x0) - 10 meets this for the warm starts
+used by the SCF loop and the coarse-to-fine chains.  A cold sparse start far
+above the ground state gives an indefinite preconditioner, and nothing is
+guaranteed: on the cold starts of the test suite the iteration stalls and
+raises EigenSolveError instead of returning an excited pair.  Both paths are
+deterministic given the start vector.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ class EigResult:
     x: np.ndarray  # M-normalized eigenvector
     residual: float  # ||Ax - lam Mx|| / (||Ax|| + |lam| ||Mx||)
     iterations: int
+    precond: object = None  # LU of A - tau M on the sparse path, None when dense
 
 
 def _m_norm(m, x):
@@ -57,14 +68,17 @@ def _residual(a, m, lam, x):
 
 
 def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None, shift=None,
-                       orient=None, max_iter: int = 200, cold: bool = False) -> EigResult:
+                       orient=None, max_iter: int = 200, cold: bool = False,
+                       precond=None) -> EigResult:
     """Minimal eigenvalue and M-normalized eigenvector of (A, M).
 
-    ``shift`` seeds the inverse iteration (default: Rayleigh quotient of the
-    start vector minus 10); ``orient`` fixes the sign so x.M.orient >= 0.
-    ``cold`` marks a start vector that is not already close to the ground
-    state: such solves go through the dense path whenever the size allows,
-    since inverse iteration homes in on the eigenvalue nearest the shift.
+    ``shift`` is the tau of the factored A - tau M (default: Rayleigh
+    quotient of the start vector minus 10).  ``precond`` is the factorization
+    returned by an earlier sparse solve of a nearby pencil of the same size;
+    when given, nothing is factored and ``shift`` is ignored.  ``orient``
+    fixes the sign so x.M.orient >= 0.  ``cold`` marks a start vector that is
+    not already close to the ground state: such solves go through the dense
+    path whenever the size allows.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -96,38 +110,60 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None, shift=None,
     if nrm == 0:
         raise ValueError("start vector is M-orthogonal to itself (zero)")
     x /= nrm
-    rho = float(x @ (a @ x))
-    tau = float(shift) if shift is not None else rho - 10.0
+    if precond is None:
+        tau = float(shift) if shift is not None else float(x @ (a @ x)) - 10.0
+        try:
+            precond = sla.splu((a - tau * m).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise EigenSolveError(f"A - tau M is singular at tau={tau!r}: {exc}") from exc
+    elif precond.shape != a.shape:
+        raise ValueError(f"preconditioner has shape {precond.shape}, matrix {a.shape}")
+    return _lobpcg(a, m, x, precond, tol, orient, max_iter)
 
-    fact = None
+
+def _m_orthonormal(m, vectors):
+    """M-orthonormal basis of the span of ``vectors``, in order.
+
+    Classical Gram-Schmidt, run twice; a vector that lies numerically in the
+    span of those before it is dropped.
+    """
+    q = []
+    for v in vectors:
+        nv = _m_norm(m, v)
+        if not nv > 0:
+            continue
+        v = v / nv
+        if q:
+            qa = np.column_stack(q)
+            for _ in range(2):
+                v = v - qa @ (qa.T @ (m @ v))
+        nv = _m_norm(m, v)
+        if nv > 1e-10:
+            q.append(v / nv)
+    return np.column_stack(q)
+
+
+def _lobpcg(a, m, x, lu, tol, orient, max_iter) -> EigResult:
+    """Single-vector LOBPCG from the M-normalized ``x``, preconditioned by ``lu``."""
+    rho = float(x @ (a @ x))
     best = EigResult(rho, x, _residual(a, m, rho, x), 0)
+    p = None
     for it in range(1, max_iter + 1):
-        if fact is None:
-            shifted = (a - tau * m).tocsc()
-            try:
-                fact = sla.splu(shifted)
-            except RuntimeError:
-                tau -= max(1e-8, 1e-8 * abs(tau))  # nudge off the spectrum
-                shifted = (a - tau * m).tocsc()
-                fact = sla.splu(shifted)
-        y = fact.solve(m @ x)
-        ny = _m_norm(m, y)
-        if not np.isfinite(ny) or ny == 0:
-            raise EigenSolveError("inverse iteration produced a degenerate vector", best)
-        x = y / ny
+        w = lu.solve(a @ x - rho * (m @ x))
+        if not np.isfinite(w).all():
+            raise EigenSolveError("preconditioner produced a non-finite vector", best)
+        q = _m_orthonormal(m, [x, w] if p is None else [x, w, p])
+        h = q.T @ (a @ q)
+        c = np.linalg.eigh(0.5 * (h + h.T))[1][:, 0]
+        p = q[:, 1:] @ c[1:]  # the step, without its component along x
+        x = q @ c
+        x /= _m_norm(m, x)
         rho = float(x @ (a @ x))
         res = _residual(a, m, rho, x)
         if res < best.residual:
             best = EigResult(rho, x.copy(), res, it)
         if res <= tol:
-            x = _orient(x, m, orient)
-            return EigResult(rho, x, res, it)
-        # Rayleigh refresh, but only once the iterate sits in the basin of its
-        # eigenpair (small residual): refreshing earlier can retarget the
-        # iteration at an interior eigenvalue.
-        if it >= 2 and res <= 1e-3 and abs(rho - tau) > 1e-8 * max(1.0, abs(rho)):
-            tau = rho
-            fact = None
+            return EigResult(rho, _orient(x, m, orient), res, it, lu)
     raise EigenSolveError(
         f"no convergence to tol={tol} after {max_iter} iterations "
         f"(best residual {best.residual:.3e})",

@@ -5,7 +5,9 @@ eigenproblem (A_sip + N(u_k), M), aligns the sign of the new eigenvector with
 the old iterate, damps, renormalizes, and evaluates the self-consistency
 residual |<(A(u) - lambda) u, u>| with the nonlinearity reassembled at the new
 state.  The residual of the frozen linearization is identically zero, so this
-is the only reading under which the stopping rule bites.
+is the only reading under which the stopping rule bites.  The sparse
+eigensolver factors on the first sparse sweep only; that LU preconditions
+every later sweep of the solve.
 """
 
 from __future__ import annotations
@@ -108,13 +110,12 @@ def solve_ground_state(space: HpSpace, potential: Potential,
         return u, report
 
     n_mat = asm.nonlinear_mass(u, cfg.delta, cfg.nonlinear_scale)
-    lam_prev = None
+    precond = None
     for k in range(1, cfg.max_iter + 1):
-        a_k = a_sip + n_mat
-        shift = None if lam_prev is None else lam_prev - 1.0
-        eig = smallest_eigenpair(a_k, m, tol=eig_tol, x0=u.coeffs, shift=shift,
-                                 orient=u.coeffs, cold=(cold and k == 1))
-        lam_prev = eig.lam
+        eig = smallest_eigenpair(a_sip + n_mat, m, tol=eig_tol, x0=u.coeffs,
+                                 orient=u.coeffs, cold=(cold and k == 1),
+                                 precond=precond)
+        precond = eig.precond
         new = m_normalize((1.0 - cfg.theta) * u.coeffs + cfg.theta * eig.x)
         align = float(new @ (m @ u.coeffs))
         u = DiscreteField(space, new)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as dla
 import scipy.sparse as sp
 
 from hpdg.eigsolve import EigenSolveError, smallest_eigenpair
@@ -94,3 +95,58 @@ def test_rejects_bad_tolerance():
     a = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
         smallest_eigenpair(a, a, tol=0.0)
+
+
+def test_cold_sparse_start_never_returns_an_excited_state():
+    # the smallest eigenvalue is pi^2 up to O(h^2); the default start (ones)
+    # and random starts have their Rayleigh quotients deep inside the
+    # spectrum, so the default shift lies far above lambda_1 and the
+    # preconditioner is indefinite
+    n = 3000
+    a = tridiag(n, scale=(n + 1) ** 2)
+    m = sp.identity(n, format="csr")
+    lam1 = 2.0 * (n + 1) ** 2 * (1.0 - np.cos(np.pi / (n + 1)))
+    assert lam1 == pytest.approx(np.pi**2, rel=1e-6)
+    rng = np.random.default_rng(0)
+    for x0 in [None] + [rng.standard_normal(n) for _ in range(3)]:
+        try:
+            res = smallest_eigenpair(a, m, x0=x0)
+        except EigenSolveError:
+            continue
+        assert res.lam == pytest.approx(lam1, rel=1e-8)
+
+
+def sine(n):
+    return np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+
+
+def perturbed_pencils(n=600):
+    rng = np.random.default_rng(3)
+    a = tridiag(n, scale=(n + 1) ** 2) + sp.diags(rng.uniform(-1.0, 1.0, n))
+    m = sp.diags(rng.uniform(0.5, 1.5, n)).tocsr()
+    return a.tocsr(), (a + sp.diags(rng.uniform(0.0, 0.1, n))).tocsr(), m
+
+
+def test_factorization_reused_on_perturbed_pencil():
+    a, b, m = perturbed_pencils()
+    first = smallest_eigenpair(a, m, x0=sine(a.shape[0]))
+    assert first.precond is not None
+    res = smallest_eigenpair(b, m, x0=first.x, precond=first.precond)
+    assert res.precond is first.precond
+    vals, vecs = dla.eigh(b.toarray(), m.toarray(), subset_by_index=[0, 0])
+    assert res.lam == pytest.approx(vals[0], rel=1e-10)
+    assert res.residual <= 1e-10
+    assert abs(res.x @ (m @ vecs[:, 0])) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_dense_path_returns_no_factorization():
+    a, _, m = perturbed_pencils(n=300)
+    assert smallest_eigenpair(a, m).precond is None
+
+
+def test_rejects_factorization_of_another_size():
+    a, _, m = perturbed_pencils()
+    lu = smallest_eigenpair(a, m, x0=sine(a.shape[0])).precond
+    b, _, m2 = perturbed_pencils(n=700)
+    with pytest.raises(ValueError):
+        smallest_eigenpair(b, m2, x0=sine(700), precond=lu)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as dla
+import scipy.sparse.linalg as sla
 
 from hpdg.assembly import (PenaltyConfig, Potential, assemble_mass,
                            assemble_nonlinear_mass, assemble_sip)
-from hpdg.eigsolve import smallest_eigenpair
-from hpdg.hpspace import build_space, constant_field
+from hpdg.eigsolve import DENSE_ALWAYS, smallest_eigenpair
+from hpdg.hpspace import build_space, constant_field, inject
 from hpdg.mesh import build_graded_mesh
 from hpdg.scf import ScfConfig, ScfReport, solve_ground_state
 
@@ -154,3 +156,23 @@ def test_repulsive_potential_converges():
     _, rep0 = solve_ground_state(space, Potential(None), PEN,
                                  ScfConfig(eps_tol=1e-10, delta=3))
     assert rep.lam > rep0.lam  # repulsive potential raises the ground level
+
+
+def test_warm_sparse_solve_factors_once(monkeypatch):
+    """Every sweep after the first reuses the first sweep's LU."""
+    pot = Potential(0.5, -1)
+    cfg = ScfConfig(eps_tol=1e-10, delta=3)
+    coarse = build_space(build_graded_mesh(3, 0.5, 1), 1, 0.25)
+    u1, _ = solve_ground_state(coarse, pot, PEN, cfg)
+    space = build_space(build_graded_mesh(3, 0.5, 2), 1, 0.25)
+    assert space.N > DENSE_ALWAYS
+    factorizations = []
+    splu = sla.splu
+    monkeypatch.setattr(sla, "splu", lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+    u, rep = solve_ground_state(space, pot, PEN, cfg, u0=inject(u1, space))
+    assert rep.converged and rep.iterations > 1
+    assert len(factorizations) == 1
+    a = assemble_sip(space, pot, PEN) + assemble_nonlinear_mass(space, u, 3)
+    lam = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
+                   subset_by_index=[0, 0])[0]
+    assert rep.lam == pytest.approx(lam, abs=1e-10)

@@ -1,13 +1,16 @@
 """The per-layer benchmark (studybench/layers.py) times hpdg by rebinding its
 module-level functions from outside.  A solver path that stops calling them
-through a module attribute would silently zero that layer's counts; this test
-keeps the hooks the assembly relies on visible."""
+through a module attribute would silently zero that layer's counts; these
+tests keep the hooks the assembly and the eigensolver rely on visible."""
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from hpdg import eigsolve
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler
 from hpdg.hpspace import build_space, constant_field
 from hpdg.mesh import build_graded_mesh
@@ -37,3 +40,17 @@ def test_layer_hooks_see_assembly_calls(layers):
     for kind in ("kernels.gram", "quadrature.rule", "hpspace.basis",
                  "assembly.sip", "assembly.nonlinear"):
         assert tracer.calls[kind] > 0, kind
+
+
+def test_layer_hooks_see_the_sparse_factorization(layers):
+    n = 600  # above eigsolve.DENSE_ALWAYS: the sparse path
+    a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+    tracer = layers.Tracer()
+    uninstall = layers.install(tracer)
+    try:
+        eigsolve.smallest_eigenpair(a.tocsr(), sp.identity(n, format="csr"),
+                                    x0=np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
+    finally:
+        uninstall()
+    assert tracer.calls["eigsolve.factor"] == 1
+    assert tracer.maxima["eigsolve.lu_fill"] > 0
