@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -71,12 +72,8 @@ def _values_grads(field: DiscreteField, eid: int, pts):
 
 
 def _corners(element):
-    d = len(element.lo)
-    out = np.empty((2**d, d))
-    for i in range(2**d):
-        for m in range(d):
-            out[i, m] = element.lo[m] + element.lengths[m] * ((i >> m) & 1)
-    return out
+    cube = np.array(list(product((0, 1), repeat=len(element.lo))))
+    return element.lo + cube * element.lengths
 
 
 def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:

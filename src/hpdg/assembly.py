@@ -136,15 +136,16 @@ class SipAssembler:
         for eid in range(mesh.n_elements):
             e = mesh.elements[eid]
             p = int(space.degrees[eid])
-            singular = e.touches_c and pot.alpha is not None
-            rule = volume_rule(e, p, singular=singular)
+            rule = element_rule(e, p + 4)
             phi, grads = basis_matrices(e, p, rule.points)
-            if not singular:  # the plain rule: the nonlinear mass needs this table too
-                self._el_phi.setdefault(eid, (phi, rule.weights))
+            self._el_phi.setdefault(eid, (phi, rule.weights))  # for the nonlinear mass
             block = np.zeros((phi.shape[1],) * 2)
             for g in grads:
                 block += weighted_gram(g, rule.weights)
             if pot.alpha is not None:
+                if e.touches_c:
+                    rule = volume_rule(e, p, singular=True)
+                    phi = basis_matrix(e, p, rule.points)
                 block += weighted_gram(phi, rule.weights * pot(rule.points))
             yield (e.id,), block
 

@@ -15,6 +15,7 @@ alpha < 2, in d = 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -69,58 +70,49 @@ def face_rule(face: Face, n: int) -> ElementRule:
     return ElementRule(pts, r.weights)
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_singular_rule(d: int, n: int, depth: int) -> ElementRule:
+    """The composite rule on [0, 1]^d graded toward the origin, read-only."""
+    patterns = [np.array(s, dtype=bool) for s in product((0, 1), repeat=d) if any(s)]
+    rules = []
+    for k in range(1, depth + 1):
+        fin, fout = 0.5**k, 0.5 ** (k - 1)
+        for s in patterns:
+            blo = np.where(s, fin, 0.0)
+            rules.append(_box_rule(blo, np.where(s, fout, fin) - blo, n))
+    rules.append(_box_rule(np.zeros(d), np.full(d, 0.5**depth), n))
+    pts = np.vstack([r.points for r in rules])
+    w = np.concatenate([r.weights for r in rules])
+    pts.flags.writeable = False
+    w.flags.writeable = False
+    return ElementRule(pts, w)
+
+
 def singular_rule(element: Element, n: int, depth: int) -> ElementRule:
     """Composite geometrically graded rule for an element cornered at c = 0.
 
     Shell k (k = 1..depth) covers the region between corner-distance fractions
     2^-k and 2^-(k+1) of the element with 2^d - 1 tensor Gauss boxes; the
     innermost box is included with its own tensor Gauss rule, so the weights
-    sum exactly to |K| and no point hits c.
+    sum exactly to |K| and no point hits c.  The rule is built once per
+    (d, n, depth) on the unit cube and reflected toward the element's corner.
     """
     _check_n(n)
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
-    d = len(element.lo)
-    lo, hi = element.lo, element.hi
-    # Locate the corner of the element at the singular point (the origin).
-    corner_at_lo = []
-    for m in range(d):
-        if abs(lo[m]) <= 1e-14:
-            corner_at_lo.append(True)
-        elif abs(hi[m]) <= 1e-14:
-            corner_at_lo.append(False)
-        else:
-            raise ValueError("element does not have the singular point as a vertex")
-
-    def sub_rule(frac_lo, frac_hi):
-        """Rule on the box at per-dim distance fractions [frac_lo, frac_hi] from c."""
-        blo, bhi = np.empty(d), np.empty(d)
-        for m in range(d):
-            L = element.lengths[m]
-            if corner_at_lo[m]:
-                blo[m], bhi[m] = lo[m] + frac_lo[m] * L, lo[m] + frac_hi[m] * L
-            else:
-                blo[m], bhi[m] = hi[m] - frac_hi[m] * L, hi[m] - frac_lo[m] * L
-        return _box_rule(blo, bhi - blo, n)
-
-    patterns = [s for s in product((0, 1), repeat=d) if any(s)]
-    rules = []
-    for k in range(1, depth + 1):
-        fin, fout = 0.5**k, 0.5 ** (k - 1)
-        for s in patterns:
-            rules.append(sub_rule([fin if sm else 0.0 for sm in s],
-                                  [fout if sm else fin for sm in s]))
-    rules.append(sub_rule([0.0] * d, [0.5**depth] * d))
-    return ElementRule(np.vstack([r.points for r in rules]),
-                       np.concatenate([r.weights for r in rules]))
+    lo, hi, lengths = element.lo, element.hi, element.lengths
+    at_lo = np.abs(lo) <= 1e-14
+    if not np.all(at_lo | (np.abs(hi) <= 1e-14)):
+        raise ValueError("element does not have the singular point as a vertex")
+    unit = _unit_singular_rule(len(lo), n, depth)
+    f = unit.points
+    return ElementRule(np.where(at_lo, lo + f * lengths, hi - f * lengths),
+                       unit.weights * element.measure)
 
 
-def volume_rule(element: Element, p: int, singular: bool = False,
-                depth: int | None = None) -> ElementRule:
+def volume_rule(element: Element, p: int, singular: bool = False) -> ElementRule:
     """Default volume rule: n = p + 4 tensor Gauss, composite when singular."""
     n = p + 4
     if singular:
-        if depth is None:
-            depth = max(DEFAULT_SINGULAR_DEPTH, 2 * p)
-        return singular_rule(element, n, depth)
+        return singular_rule(element, n, max(DEFAULT_SINGULAR_DEPTH, 2 * p))
     return element_rule(element, n)

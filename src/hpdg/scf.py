@@ -5,9 +5,10 @@ eigenproblem (A_sip + N(u_k), M), aligns the sign of the new eigenvector with
 the old iterate, damps, renormalizes, and evaluates the self-consistency
 residual |<(A(u) - lambda) u, u>| with the nonlinearity reassembled at the new
 state.  The residual of the frozen linearization is identically zero, so this
-is the only reading under which the stopping rule bites.  The sparse
-eigensolver factors on the first sparse sweep only; that LU preconditions
-every later sweep of the solve.
+is the only reading under which the stopping rule bites.  The linear problem
+(``delta=None``) runs the same loop on the frozen operator A_sip, undamped, and
+converges on the first sweep.  The sparse eigensolver factors on the first
+sparse sweep only; that LU preconditions every later sweep of the solve.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class ScfConfig:
     theta: float = 1.0  # damping; 1.0 is the plain fixed point
     delta: int | None = 3  # nonlinearity exponent; None solves the linear problem
     nonlinear_scale: float = 1.0  # test hook scaling the nonlinear coupling
-    eig_tol: float | None = None  # default: min(1e-10, eps_tol / 10)
 
     def __post_init__(self):
         if self.eps_tol <= 0:
@@ -80,7 +80,14 @@ def solve_ground_state(space: HpSpace, potential: Potential,
     asm = SipAssembler(space, potential, penalty)
     a_sip = asm.sip()
     m = asm.mass()
-    eig_tol = cfg.eig_tol if cfg.eig_tol is not None else min(1e-10, cfg.eps_tol / 10.0)
+    eig_tol = min(1e-10, cfg.eps_tol / 10.0)
+    theta = 1.0 if cfg.delta is None else cfg.theta
+
+    def linearized(u):
+        """A_sip + N(u), the SCF operator linearized at u."""
+        if cfg.delta is None:
+            return a_sip
+        return a_sip + asm.nonlinear_mass(u, cfg.delta, cfg.nonlinear_scale)
 
     def m_normalize(c):
         return c / np.sqrt(c @ (m @ c))
@@ -94,33 +101,18 @@ def solve_ground_state(space: HpSpace, potential: Potential,
 
     report = ScfReport(lam=np.nan, iterations=0)
 
-    if cfg.delta is None:
-        res = smallest_eigenpair(a_sip, m, tol=eig_tol, x0=u.coeffs,
-                                 orient=u.coeffs, cold=cold)
-        u = DiscreteField(space, res.x)
-        resid = abs(float(u.coeffs @ (a_sip @ u.coeffs)) - res.lam)
-        report.lam = float(u.coeffs @ (a_sip @ u.coeffs))
-        report.iterations = 1
-        report.residuals.append(resid)
-        report.lambdas.append(res.lam)
-        report.alignments.append(abs(float(u.coeffs @ (m @ u.coeffs))))
-        report.converged = resid <= cfg.eps_tol
-        if log is not None:
-            log(f"1 {report.lam!r} {resid!r}")
-        return u, report
-
-    n_mat = asm.nonlinear_mass(u, cfg.delta, cfg.nonlinear_scale)
+    a_u = linearized(u)
     precond = None
     for k in range(1, cfg.max_iter + 1):
-        eig = smallest_eigenpair(a_sip + n_mat, m, tol=eig_tol, x0=u.coeffs,
+        eig = smallest_eigenpair(a_u, m, tol=eig_tol, x0=u.coeffs,
                                  orient=u.coeffs, cold=(cold and k == 1),
                                  precond=precond)
         precond = eig.precond
-        new = m_normalize((1.0 - cfg.theta) * u.coeffs + cfg.theta * eig.x)
+        new = m_normalize((1.0 - theta) * u.coeffs + theta * eig.x)
         align = float(new @ (m @ u.coeffs))
         u = DiscreteField(space, new)
-        n_mat = asm.nonlinear_mass(u, cfg.delta, cfg.nonlinear_scale)
-        rayleigh = float(new @ ((a_sip + n_mat) @ new))
+        a_u = linearized(u)
+        rayleigh = float(new @ (a_u @ new))
         resid = abs(rayleigh - eig.lam * float(new @ (m @ new)))
         report.iterations = k
         report.residuals.append(resid)
@@ -132,6 +124,6 @@ def solve_ground_state(space: HpSpace, potential: Potential,
             report.lam = rayleigh
             report.converged = True
             return u, report
-    report.lam = float(u.coeffs @ ((a_sip + n_mat) @ u.coeffs))
+    report.lam = float(u.coeffs @ (a_u @ u.coeffs))
     report.converged = False
     return u, report

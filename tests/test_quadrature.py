@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hpdg import quadrature
 from hpdg.mesh import Element, build_graded_mesh
 from hpdg.quadrature import element_rule, face_rule, singular_rule, volume_rule
 from oracles import checked_integral, radial_power
@@ -78,6 +79,40 @@ def test_singular_rule_on_negative_quadrant_element():
     r = singular_rule(e, 8, 60)
     want = checked_integral(radial_power(1.0), [0.0, 0.0], [0.25, 0.25])
     assert r.weights @ radial_power(1.0)(r.points) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_singular_rule_on_every_corner_element(d):
+    """The rule is reflected per axis toward the corner at the origin, so
+    every one of the 2^d corner elements sees the same integral of r^-1."""
+    corners = [e for e in build_graded_mesh(d, 0.5, 2).elements if e.touches_c]
+    assert len(corners) == 2**d
+    f = radial_power(1.0)
+    want = next(singular_rule(e, 5, 60) for e in corners if np.all(e.lo == 0))
+    want = want.weights @ f(want.points)
+    for e in corners:
+        r = singular_rule(e, 5, 60)
+        assert np.all(r.points > e.lo) and np.all(r.points < e.hi), e.lo
+        assert r.weights.sum() == pytest.approx(e.measure, rel=1e-13)
+        assert r.weights @ f(r.points) == pytest.approx(want, rel=1e-13), e.lo
+
+
+def test_singular_rule_is_built_once_per_key(monkeypatch):
+    calls = []
+    box_rule = quadrature._box_rule
+    monkeypatch.setattr(quadrature, "_box_rule",
+                        lambda *args: calls.append(1) or box_rule(*args))
+    quadrature._unit_singular_rule.cache_clear()
+    e = unit_element(3)
+    first = singular_rule(e, 3, 7)
+    built = len(calls)
+    assert built == 7 * (2**3 - 1) + 1
+    pts, w = first.points.copy(), first.weights.copy()
+    first.points[:] = 0.0
+    first.weights[:] = 0.0
+    again = singular_rule(e, 3, 7)
+    assert len(calls) == built
+    assert np.array_equal(again.points, pts) and np.array_equal(again.weights, w)
 
 
 def test_singular_rule_requires_corner_at_origin():

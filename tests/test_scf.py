@@ -30,6 +30,10 @@ def test_linear_mode_matches_plain_eigensolve():
     assert rep.converged and rep.residuals[-1] <= 1e-12
     assert rep.lam == pytest.approx(direct.lam, abs=1e-12)
     assert np.max(np.abs(u.coeffs - direct.x)) < 1e-10
+    start = constant_field(space, 1.0).coeffs
+    start = start / np.sqrt(start @ (m @ start))
+    assert rep.alignments[0] == pytest.approx(float(u.coeffs @ (m @ start)), rel=1e-14)
+    assert rep.alignments[0] < 1.0 - 1e-6
 
 
 def test_converged_state_is_l2_normalized():
