@@ -6,8 +6,8 @@ singularity at the center, on geometrically graded meshes with linearly
 sloped polynomial degrees.
 """
 
-from .analysis import (ConvergenceRecord, FitResult, dg_error, error_norms,
-                       fit_exponential, full_dg_norm, l2_error, linf_error)
+from .analysis import (ConvergenceRecord, FitResult, error_norms,
+                       fit_exponential, full_dg_norm)
 from .assembly import (PenaltyConfig, Potential, assemble_mass,
                        assemble_nonlinear_mass, assemble_sip)
 from .cli import StudyConfig, run_study
@@ -18,7 +18,7 @@ from .hpspace import (DiscreteField, HpSpace, build_space, constant_field,
 from .mesh import Element, Face, GradedMesh, build_graded_mesh, enumerate_faces
 from .quadrature import (ElementRule, element_rule, face_rule, singular_rule,
                          volume_rule)
-from .refelem import QuadRule1D, RefBasis, gauss_rule, legendre_eval
+from .refelem import QuadRule1D, gauss_rule
 from .scf import ScfConfig, ScfReport, discrete_energy, solve_ground_state
 
 __version__ = "0.1.0"

@@ -172,18 +172,6 @@ def full_dg_norm(field: DiscreteField) -> float:
     return math.sqrt(total)
 
 
-def l2_error(coarse: DiscreteField, reference: DiscreteField) -> float:
-    return error_norms(coarse, reference)["l2"]
-
-
-def dg_error(coarse: DiscreteField, reference: DiscreteField) -> float:
-    return error_norms(coarse, reference)["dg"]
-
-
-def linf_error(coarse: DiscreteField, reference: DiscreteField) -> float:
-    return error_norms(coarse, reference)["linf"]
-
-
 def fit_exponential(records, column: str, abscissa: str = "ell",
                     dim: int | None = None, floor: float = ERROR_FLOOR) -> FitResult:
     """Least-squares fit of log(err) vs the abscissa; rows below floor drop out.

@@ -202,11 +202,3 @@ def assemble_nonlinear_mass(space: HpSpace, u: DiscreteField,
                             delta: int) -> sp.csr_matrix:
     """Mass matrix weighted by |u(x)|^(delta-1) at the quadrature points."""
     return SipAssembler(space, Potential(None), PenaltyConfig()).nonlinear_mass(u, delta)
-
-
-def dump_matrix(a: sp.spmatrix, stream) -> None:
-    """Coordinate text dump of the symmetric lower triangle: 'i j value'."""
-    low = sp.tril(a).tocoo()
-    order = np.lexsort((low.col, low.row))
-    for i, j, v in zip(low.row[order], low.col[order], low.data[order]):
-        stream.write(f"{i} {j} {float(v)!r}\n")

@@ -194,12 +194,21 @@ def _parse_delta(text: str):
     return int(t)
 
 
+def _parse_bool(text: str) -> bool:
+    t = text.strip().lower()
+    if t in ("1", "true", "yes"):
+        return True
+    if t in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text.strip()!r}")
+
+
 _PARSERS = {
     "dim": int, "sigma": float, "ell_min": int, "ell_max": int, "p0": int,
     "slope": float, "alpha": _parse_alpha, "pot_sign": int, "delta": _parse_delta,
     "penalty": float, "tol": float, "max_iter": int, "theta": float,
     "ref_extra_levels": int, "ref_extra_degree": int, "out": str,
-    "gnuplot": lambda t: t.strip().lower() in ("1", "true", "yes"),
+    "gnuplot": _parse_bool,
 }
 
 

@@ -11,11 +11,11 @@ linearized operator has moved only a little.
 
 The preconditioner is symmetric positive definite only when tau lies below
 lambda_1 of the factored pencil; only then is the descent to the ground state
-guaranteed.  The default tau = rho(x0) - 10 meets this for the warm starts
-used by the SCF loop and the coarse-to-fine chains.  A cold sparse start far
-above the ground state gives an indefinite preconditioner, and nothing is
-guaranteed: on the cold starts of the test suite the iteration stalls and
-raises EigenSolveError instead of returning an excited pair.  Both paths are
+guaranteed.  The default tau = rho(x0) - 10 meets this for start vectors close
+to the ground state: the SCF iterates, the injected coarse-to-fine starts and
+the coarse-subspace start of a cold SCF solve.  A start far above the ground
+state gives an indefinite preconditioner; the iteration then stalls and raises
+EigenSolveError instead of returning an excited pair.  Both paths are
 deterministic given the start vector.
 """
 
@@ -28,7 +28,7 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
-DENSE_CUTOFF = 2000  # cold starts below this size go through LAPACK
+DENSE_CUTOFF = 2000  # without a start vector, below this size go through LAPACK
 DENSE_ALWAYS = 400  # below this size the dense solve is cheapest regardless
 DEFAULT_TOL = 1e-10
 
@@ -68,17 +68,17 @@ def _residual(a, m, lam, x):
 
 
 def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None, shift=None,
-                       orient=None, max_iter: int = 200, cold: bool = False,
-                       precond=None) -> EigResult:
+                       orient=None, max_iter: int = 200, precond=None) -> EigResult:
     """Minimal eigenvalue and M-normalized eigenvector of (A, M).
 
     ``shift`` is the tau of the factored A - tau M (default: Rayleigh
     quotient of the start vector minus 10).  ``precond`` is the factorization
     returned by an earlier sparse solve of a nearby pencil of the same size;
     when given, nothing is factored and ``shift`` is ignored.  ``orient``
-    fixes the sign so x.M.orient >= 0.  ``cold`` marks a start vector that is
-    not already close to the ground state: such solves go through the dense
-    path whenever the size allows.
+    fixes the sign so x.M.orient >= 0.  The dense path serves n <= DENSE_ALWAYS,
+    and n <= DENSE_CUTOFF when no start vector ``x0`` is given; the sparse
+    path's default start, the all-ones vector, is often far above the ground
+    state.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -88,7 +88,7 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None, shift=None,
         if np.min(mdiag) <= 0:
             raise ValueError("mass matrix is not positive definite")
 
-    if n <= DENSE_ALWAYS or ((cold or x0 is None) and n <= DENSE_CUTOFF):
+    if n <= DENSE_ALWAYS or (x0 is None and n <= DENSE_CUTOFF):
         ad = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
         md = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
         try:

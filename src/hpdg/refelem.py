@@ -1,13 +1,13 @@
-"""Reference-element machinery: Gauss-Legendre rules and modal Legendre bases.
+"""Reference-element machinery: Gauss-Legendre rules and Legendre norms.
 
-Everything lives on the reference interval [-1, 1]; tensorization to the
-d-cube happens in :mod:`hpdg.quadrature` (rules) and :mod:`hpdg.hpspace`
-(bases).
+Everything lives on the reference interval [-1, 1]; the Legendre tables are
+:func:`hpdg._kernels.legendre_table`, and tensorization to the d-cube happens
+in :mod:`hpdg.quadrature` (rules) and :mod:`hpdg.hpspace` (bases).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,31 +58,6 @@ def gauss_rule(n: int) -> QuadRule1D:
     if n < 1:
         raise ValueError(f"gauss_rule needs n >= 1, got {n}")
     return _gauss_rule_cached(int(n))
-
-
-def legendre_eval(p: int, x: float):
-    """P_0..P_p and their derivatives at a single point x in [-1, 1]."""
-    if abs(x) > 1.0 + 1e-12:
-        raise ValueError(f"point {x} outside [-1, 1]")
-    vals, ders = legendre_table(np.array([x], dtype=float), p)
-    return vals[0], ders[0]
-
-
-@dataclass(frozen=True)
-class RefBasis:
-    """Tabulated Legendre basis P_0..P_p at a fixed set of 1D points."""
-
-    degree: int
-    points: np.ndarray
-    values: np.ndarray = field(init=False)  # (npts, p+1)
-    derivatives: np.ndarray = field(init=False)  # (npts, p+1)
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        vals, ders = legendre_table(np.asarray(self.points, dtype=float), self.degree)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "derivatives", ders)
 
 
 def legendre_l2_norms_sq(p: int) -> np.ndarray:

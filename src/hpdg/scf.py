@@ -8,7 +8,10 @@ state.  The residual of the frozen linearization is identically zero, so this
 is the only reading under which the stopping rule bites.  The linear problem
 (``delta=None``) runs the same loop on the frozen operator A_sip, undamped, and
 converges on the first sweep.  The sparse eigensolver factors on the first
-sparse sweep only; that LU preconditions every later sweep of the solve.
+sparse sweep only; that LU preconditions every later sweep of the solve.  A
+cold solve (no ``u0``) starts that first sweep's eigensolve from the ground
+state of the coarse Galerkin subspace spanned by the modes of degree <= 1 per
+axis; the SCF iterate itself starts as the normalized constant field.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as dla
 
 from .assembly import PenaltyConfig, Potential, SipAssembler
 from .eigsolve import smallest_eigenpair
@@ -68,6 +72,23 @@ def discrete_energy(space: HpSpace, potential: Potential, penalty: PenaltyConfig
     return val
 
 
+def _coarse_start(space: HpSpace, a, m) -> np.ndarray:
+    """Ground state of (A, M) on the modes whose indices are all <= 1, zero-padded.
+
+    The Legendre basis is hierarchical, so these modes span a Galerkin subspace
+    whose pencil is a principal submatrix of (A, M).
+    """
+    keep = np.concatenate([
+        space.offsets[e.id] + np.flatnonzero(space.modes(e.id).max(axis=1) <= 1)
+        for e in space.mesh.elements
+    ])
+    _, vecs = dla.eigh(a[keep][:, keep].toarray(), m[keep][:, keep].toarray(),
+                       subset_by_index=[0, 0])
+    x0 = np.zeros(space.N)
+    x0[keep] = vecs[:, 0]
+    return x0
+
+
 def solve_ground_state(space: HpSpace, potential: Potential,
                        penalty: PenaltyConfig, cfg: ScfConfig,
                        u0: DiscreteField | None = None, log=None):
@@ -92,8 +113,7 @@ def solve_ground_state(space: HpSpace, potential: Potential,
     def m_normalize(c):
         return c / np.sqrt(c @ (m @ c))
 
-    cold = u0 is None
-    if cold:
+    if u0 is None:
         coeffs = m_normalize(constant_field(space, 1.0).coeffs)
     else:
         coeffs = m_normalize(np.asarray(u0.coeffs, dtype=float).copy())
@@ -102,15 +122,16 @@ def solve_ground_state(space: HpSpace, potential: Potential,
     report = ScfReport(lam=np.nan, iterations=0)
 
     a_u = linearized(u)
+    start = _coarse_start(space, a_u, m) if u0 is None else u.coeffs
     precond = None
     for k in range(1, cfg.max_iter + 1):
-        eig = smallest_eigenpair(a_u, m, tol=eig_tol, x0=u.coeffs,
-                                 orient=u.coeffs, cold=(cold and k == 1),
+        eig = smallest_eigenpair(a_u, m, tol=eig_tol, x0=start, orient=u.coeffs,
                                  precond=precond)
         precond = eig.precond
         new = m_normalize((1.0 - theta) * u.coeffs + theta * eig.x)
         align = float(new @ (m @ u.coeffs))
         u = DiscreteField(space, new)
+        start = u.coeffs
         a_u = linearized(u)
         rayleigh = float(new @ (a_u @ new))
         resid = abs(rayleigh - eig.lam * float(new @ (m @ new)))

@@ -1,12 +1,10 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.linalg as dla
 
 from hpdg.assembly import (PenaltyConfig, Potential,
                            assemble_mass, assemble_nonlinear_mass,
-                           assemble_sip, dump_matrix)
+                           assemble_sip)
 from hpdg.hpspace import build_space, constant_field, project
 from hpdg.mesh import build_graded_mesh
 
@@ -168,15 +166,6 @@ def test_assembly_deterministic_under_face_order_and_rerun():
     assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
     c = assemble_sip(space, Potential(1.0, -1), PenaltyConfig(10.0))
     assert a.data.tobytes() == c.data.tobytes()
-
-
-def test_matrix_dump_format():
-    space, a = make(0, p0=1)
-    buf = io.StringIO()
-    dump_matrix(a, buf)
-    rows = [ln.split() for ln in buf.getvalue().strip().split("\n")]
-    assert all(len(r) == 3 for r in rows)
-    assert all(int(r[0]) >= int(r[1]) for r in rows)
 
 
 def test_laplace_dimer_smallest_eigenvalue():

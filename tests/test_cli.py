@@ -112,6 +112,22 @@ def test_config_file_parsing(tmp_path):
                       "slope": 0.25}
 
 
+@pytest.mark.parametrize("raw,value", [("1", True), ("Yes", True), ("0", False),
+                                       ("FALSE", False)])
+def test_config_file_gnuplot_values(tmp_path, raw, value):
+    path = tmp_path / "study.cfg"
+    path.write_text(f"gnuplot = {raw}\n")
+    assert load_config_file(path) == {"gnuplot": value}
+
+
+@pytest.mark.parametrize("raw", ["ture", "on", ""])
+def test_config_file_rejects_bad_gnuplot_value(tmp_path, raw):
+    path = tmp_path / "study.cfg"
+    path.write_text(f"dim = 2\ngnuplot = {raw}\n")
+    with pytest.raises(ConfigError, match=r"study\.cfg:2: bad value for gnuplot"):
+        load_config_file(path)
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text("sigmas = 0.5\n")

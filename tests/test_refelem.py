@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hpdg.refelem import RefBasis, gauss_rule, legendre_eval, legendre_l2_norms_sq
+from hpdg._kernels import legendre_table
+from hpdg.refelem import gauss_rule, legendre_l2_norms_sq
 
 
 def test_one_point_rule():
@@ -45,19 +46,18 @@ def test_monomial_exactness(n):
 
 
 def test_legendre_low_degrees():
-    vals, _ = legendre_eval(1, 0.7)
-    assert vals == pytest.approx([1.0, 0.7], abs=0)
-    vals, _ = legendre_eval(2, 0.5)
-    assert vals[2] == pytest.approx(-0.125, abs=1e-15)
-    vals, _ = legendre_eval(2, 1.0)
-    assert vals == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
+    vals, _ = legendre_table(np.array([0.7]), 1)
+    assert vals[0] == pytest.approx([1.0, 0.7], abs=0)
+    vals, _ = legendre_table(np.array([0.5, 1.0]), 2)
+    assert vals[0, 2] == pytest.approx(-0.125, abs=1e-15)
+    assert vals[1] == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
 
 
 @pytest.mark.parametrize("p", range(1, 13))
 def test_orthogonality(p):
     r = gauss_rule(p + 1)
-    basis = RefBasis(p, r.points)
-    gram = basis.values.T @ (r.weights[:, None] * basis.values)
+    vals, _ = legendre_table(r.points, p)
+    gram = vals.T @ (r.weights[:, None] * vals)
     expected = np.diag(legendre_l2_norms_sq(p))
     assert np.max(np.abs(gram - expected)) < 1e-12
 
@@ -66,13 +66,8 @@ def test_orthogonality(p):
 def test_derivative_matches_finite_differences(p):
     r = gauss_rule(p + 2)
     h = 1e-6
-    basis = RefBasis(p, r.points)
-    up = RefBasis(p, r.points + h)
-    dn = RefBasis(p, r.points - h)
-    fd = (up.values - dn.values) / (2 * h)
-    assert np.max(np.abs(basis.derivatives - fd)) < 1e-6
-
-
-def test_point_outside_interval_rejected():
-    with pytest.raises(ValueError):
-        legendre_eval(3, 1.5)
+    _, ders = legendre_table(r.points, p)
+    up, _ = legendre_table(r.points + h, p)
+    dn, _ = legendre_table(r.points - h, p)
+    fd = (up - dn) / (2 * h)
+    assert np.max(np.abs(ders - fd)) < 1e-6

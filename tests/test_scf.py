@@ -24,8 +24,7 @@ def test_linear_mode_matches_plain_eigensolve():
     u, rep = solve_ground_state(space, POT, PEN, cfg)
     a = assemble_sip(space, POT, PEN)
     m = assemble_mass(space)
-    direct = smallest_eigenpair(a, m, x0=constant_field(space, 1.0).coeffs,
-                                orient=constant_field(space, 1.0).coeffs, cold=True)
+    direct = smallest_eigenpair(a, m, orient=constant_field(space, 1.0).coeffs)
     assert rep.iterations == 1
     assert rep.converged and rep.residuals[-1] <= 1e-12
     assert rep.lam == pytest.approx(direct.lam, abs=1e-12)
@@ -180,3 +179,25 @@ def test_warm_sparse_solve_factors_once(monkeypatch):
     lam = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
                    subset_by_index=[0, 0])[0]
     assert rep.lam == pytest.approx(lam, abs=1e-10)
+
+
+@pytest.mark.parametrize("ell,p0,slope,delta", [(3, 1, 0.25, 3), (2, 2, 0.0, None)])
+def test_cold_3d_solve_reaches_the_ground_state(ell, p0, slope, delta):
+    """A cold sparse solve starts from the p <= 1 subspace and finds lambda_1."""
+    space = build_space(build_graded_mesh(3, 0.5, ell), p0, slope)
+    assert space.N > 2000
+    u, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-7, delta=delta))
+    assert rep.converged
+    a = assemble_sip(space, POT, PEN)
+    if delta is not None:
+        a = a + assemble_nonlinear_mass(space, u, delta)
+    lam = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
+                   subset_by_index=[0, 0])[0]
+    assert rep.lam == pytest.approx(lam, rel=1e-8)
+
+
+def test_readme_library_example_runs_in_3d():
+    space = build_space(build_graded_mesh(3, 0.5, 3), 2, 0.125)
+    _, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-10, delta=3))
+    assert rep.converged
+    assert rep.residuals[-1] <= 1e-10
