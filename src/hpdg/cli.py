@@ -5,13 +5,15 @@ command-line overrides.  A study solves the reference problem once (at
 ell_max + ref_extra_levels refinement steps and base degree p0 +
 ref_extra_degree), then sweeps ell, measuring all error norms against the
 reference and fitting exponential rates for every error column on both
-abscissae (ell and N^(1/(d+1))).
+abscissae (ell and N^(1/(d+1))).  With ref_extra_degree = 0 the study
+levels are the reference chain's own levels, so each is solved once.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -93,32 +95,33 @@ class StudyConfig:
         return 1e-10 if self.dim == 2 else 1e-7
 
 
-def _chain_solve(cfg: StudyConfig, p0: int, ell_last: int, outdir: Path, tag: str,
-                 keep_from: int | None = None):
+def _chain_solve(cfg: StudyConfig, p0: int, ell_last: int, outdir: Path):
     """Solve levels 1..ell_last with warm starts; return {ell: (u, report)}."""
     potential = Potential(cfg.alpha, cfg.pot_sign)
     penalty = PenaltyConfig(cfg.penalty)
     scf_cfg = ScfConfig(eps_tol=cfg.scf_tol, max_iter=cfg.max_iter,
                         theta=cfg.theta, delta=cfg.delta)
-    kept = {}
+    levels = {}
     prev = None
     for ell in range(1, ell_last + 1):
+        t0 = time.perf_counter()
         mesh = build_graded_mesh(cfg.dim, cfg.sigma, ell)
         space = build_space(mesh, p0, cfg.slope)
         u0 = inject(prev, space) if prev is not None else None
         lines = []
         u, rep = solve_ground_state(space, potential, penalty, scf_cfg,
                                     u0=u0, log=lines.append)
-        (outdir / f"iters_{tag}_ell{ell}.log").write_text("\n".join(lines) + "\n")
+        (outdir / f"iters_p{p0}_ell{ell}.log").write_text("\n".join(lines) + "\n")
         if not rep.converged:
             raise StudyError(
-                f"SCF did not converge at {tag} level ell={ell} "
+                f"SCF did not converge at p0={p0} ell={ell} "
                 f"(residual {rep.residuals[-1]:.3e} after {rep.iterations} sweeps)"
             )
+        print(f"level p0={p0} ell={ell} N={space.N} sweeps={rep.iterations} "
+              f"t={time.perf_counter() - t0:.2f}s", file=sys.stderr, flush=True)
+        levels[ell] = (u, rep)
         prev = u
-        if keep_from is None or ell >= keep_from:
-            kept[ell] = (u, rep)
-    return kept
+    return levels
 
 
 def run_study(cfg: StudyConfig):
@@ -131,12 +134,10 @@ def run_study(cfg: StudyConfig):
     outdir.mkdir(parents=True, exist_ok=True)
 
     ell_ref = cfg.ell_max + cfg.ref_extra_levels
-    ref = _chain_solve(cfg, cfg.p0 + cfg.ref_extra_degree, ell_ref, outdir,
-                       tag="ref", keep_from=ell_ref)
+    ref = _chain_solve(cfg, cfg.p0 + cfg.ref_extra_degree, ell_ref, outdir)
     u_ref, rep_ref = ref[ell_ref]
-
-    solves = _chain_solve(cfg, cfg.p0, cfg.ell_max, outdir,
-                          tag="study", keep_from=cfg.ell_min)
+    # Without an extra degree the study levels are the reference chain's own.
+    solves = ref if cfg.ref_extra_degree == 0 else _chain_solve(cfg, cfg.p0, cfg.ell_max, outdir)
 
     records = []
     for ell in range(cfg.ell_min, cfg.ell_max + 1):

@@ -43,10 +43,10 @@ def study4(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def study4_solves(tmp_path_factory):
-    """Per-level fields and SCF reports of the criterion-4 study levels."""
+    """Per-level fields and SCF reports of the criterion-4 study chain, ell 1..ell_max."""
     out = tmp_path_factory.mktemp("study4_solves")
     cfg = study4_config(out)
-    return _chain_solve(cfg, cfg.p0, cfg.ell_max, out, tag="study", keep_from=cfg.ell_min)
+    return _chain_solve(cfg, cfg.p0, cfg.ell_max, out)
 
 
 @pytest.fixture(scope="module")

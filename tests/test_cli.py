@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from hpdg import cli
 from hpdg.cli import (CSV_HEADER, ConfigError, StudyConfig, StudyError,
                       build_parser, load_config_file, main, run_study)
+from hpdg.scf import solve_ground_state
 
 
 def tiny_linear_config(out, **kw):
@@ -66,10 +68,36 @@ def test_csv_schema_and_fit_file(tmp_path):
 def test_iteration_logs_written(tmp_path):
     out = tmp_path / "out"
     run_study(tiny_linear_config(out))
-    logs = sorted(out.glob("iters_study_ell*.log"))
+    logs = sorted(out.glob("iters_p2_ell*.log"))
     assert len(logs) == 3
-    ref_logs = sorted(out.glob("iters_ref_ell*.log"))
+    ref_logs = sorted(out.glob("iters_p3_ell*.log"))
     assert len(ref_logs) == 4
+
+
+@pytest.mark.parametrize("extra_degree", [0, 1])
+def test_study_solves_each_level_once(tmp_path, monkeypatch, capsys, extra_degree):
+    solved = []
+
+    def counting_solve(space, *args, **kwargs):
+        solved.append((space.p0, space.mesh.ell))
+        return solve_ground_state(space, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_ground_state", counting_solve)
+    out = tmp_path / "out"
+    cfg = tiny_linear_config(out, ref_extra_degree=extra_degree)
+    records = run_study(cfg)
+    ell_ref = cfg.ell_max + cfg.ref_extra_levels
+    expected = [(cfg.p0 + extra_degree, ell) for ell in range(1, ell_ref + 1)]
+    if extra_degree:
+        expected += [(cfg.p0, ell) for ell in range(1, cfg.ell_max + 1)]
+    assert len(solved) == ell_ref + (cfg.ell_max if extra_degree else 0)
+    assert solved == expected
+    assert sorted(f.name for f in out.glob("iters_p*_ell*.log")) == sorted(
+        f"iters_p{p}_ell{ell}.log" for p, ell in expected)
+    progress = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("level ")]
+    assert [ln.split()[1:3] for ln in progress] == [[f"p0={p}", f"ell={ell}"]
+                                                    for p, ell in expected]
+    assert [r.ell for r in records] == list(range(cfg.ell_min, cfg.ell_max + 1))
 
 
 def test_rerun_is_byte_identical(tmp_path):
