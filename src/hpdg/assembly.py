@@ -1,28 +1,31 @@
 """Assembly of the SIP dG operator, mass matrix and nonlinear mass matrix.
 
-All matrices are scipy CSR, symmetric by construction.  Contributions are
-accumulated in a fixed global ordering (elements by id, then faces by id), so
-the assembled matrices are bitwise independent of the order in which the mesh
-lists happen to be stored.
+All matrices are scipy CSR in canonical format, symmetric by construction.
+Contributions are accumulated in a fixed global ordering (elements by id, then
+faces by id), so the assembled matrices are bitwise independent of the order
+in which the mesh lists happen to be stored.
 
 Volume terms use n = p + 4 Gauss points per dimension.  On elements touching
 the singular point the potential term is integrated with the composite graded
 rule of :func:`hpdg.quadrature.singular_rule`; gradient and mass terms are
 polynomial and therefore already exact with the plain rule.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
-controlled variational crime, see README).
+controlled variational crime, see README).  Blocks that depend only on relative
+geometry are computed once per key, the per-element Grams are batched per degree
+(see :class:`SipAssembler`), and all go straight into the CSR ``data`` array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import weighted_gram
-from .hpspace import DiscreteField, HpSpace, _local_mass_diag, basis_matrices, basis_matrix
-from .mesh import BOUNDARY
+from .hpspace import (DiscreteField, HpSpace, _local_mass_diag, basis_matrices, basis_matrix,
+                      reference_table)
+from .mesh import BOUNDARY, INTERIOR
 from .quadrature import element_rule, face_rule, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
@@ -67,108 +70,146 @@ def _sym(b: np.ndarray) -> np.ndarray:
     return 0.5 * (b + b.T)
 
 
-def _csr_from_blocks(space: HpSpace, blocks, what: str) -> sp.csr_matrix:
-    """Scatter symmetrized element-local blocks into an N x N CSR matrix.
+def _grams(phi: np.ndarray, wq: np.ndarray) -> np.ndarray:
+    """phi^T diag(wq[k]) phi for every row k of ``wq``, as one batched matmul."""
+    return np.matmul(phi.T * wq[:, None, :], phi)
 
-    ``blocks`` yields ``(eids, block)``: the block couples the local dofs of
-    the elements ``eids``, concatenated in that order.  Duplicate entries are
-    summed in the order the blocks come.
+
+def _csr_from_blocks(space: HpSpace, pairs, blocks, what: str) -> sp.csr_matrix:
+    """Add symmetrized element-local blocks, in the order they come, into an
+    N x N CSR matrix whose rows of element a hold the dofs of a and of its
+    partners in ``pairs``, in id order.  ``blocks`` yields ``(eids, block)``:
+    the block couples the local dofs of the elements ``eids``, in that order.
     """
-    rows, cols, data = [], [], []
+    nd, off = space.ndofs_el, space.offsets
+    coupled = [{a} for a in range(space.mesh.n_elements)]
+    for a, b in pairs:
+        coupled[a].add(b)
+        coupled[b].add(a)
+    coupled = [sorted(c) for c in coupled]
+    indptr = np.concatenate([[0], np.cumsum(np.repeat([nd[c].sum() for c in coupled], nd))])
+    itype = np.int32 if indptr[-1] < 2**31 else np.int64
+    indices = np.empty(indptr[-1], dtype=itype)
+    start = []  # start[a][b]: where element b's columns begin in a row of element a
+    for a, c in enumerate(coupled):
+        cols = np.concatenate([np.arange(off[b], off[b] + nd[b]) for b in c])
+        indices[indptr[off[a]]:indptr[off[a] + nd[a]]] = np.tile(cols, nd[a])
+        start.append(dict(zip(c, np.cumsum([0] + [nd[b] for b in c[:-1]]))))
+    data = np.zeros(indptr[-1])
     for eids, block in blocks:
-        gd = np.concatenate([space.offsets[e] + np.arange(space.ndofs_el[e]) for e in eids])
-        rows.append(np.repeat(gd, len(gd)))
-        cols.append(np.tile(gd, len(gd)))
-        data.append(_sym(block).ravel())
-    a = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.N, space.N),
-    ).tocsr()
-    if not np.isfinite(a.data).all():
+        pos = [indptr[off[a]:off[a] + nd[a], None]
+               + np.concatenate([start[a][b] + np.arange(nd[b]) for b in eids]) for a in eids]
+        data[np.concatenate(pos).ravel()] += _sym(block).ravel()
+    if not np.isfinite(data).all():
         raise ValueError(f"{what} contains non-finite entries")
-    return a
+    return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
 
 
 class SipAssembler:
-    """Caches per-element tables so repeated nonlinear assemblies are cheap."""
+    """Builds A_sip once per space and N(u) per state from reference data.
+
+    The basis lives on each element's reference cube, so ``sip()`` computes a
+    block once per key of relative geometry: an element's gradient block per
+    ``(p, lengths)``; a face block per kind, axis, sign, h_e and, per owner,
+    degree, lengths and the face's offset and size divided by the owner's
+    lengths (rounded there, never in absolute coordinates: elements near the
+    singular point may be 1e-9 wide); the corner potential block B per
+    ``(p, lengths)``, on the corner element moved to lo = 0.  V is radial and
+    P_i(-x) = (-1)^i P_i(x), so the corner element reflected along the axes
+    with s_m = -1 gets D B D, D = diag(prod_m s_m^{i_m}).  The other elements'
+    potential and the |u|^(delta-1) Grams of ``nonlinear_mass()`` are one
+    batched matmul per degree group on :func:`hpdg.hpspace.reference_table`.
+    """
 
     def __init__(self, space: HpSpace, potential: Potential, penalty: PenaltyConfig):
         self.space = space
         self.potential = potential
         self.penalty = penalty
-        self._el_phi = {}  # eid -> (phi, weights) of the plain volume rule
         self._mass = None
         self._sip = None
 
-    # -- volume tables -----------------------------------------------------
-
-    def _plain_tables(self, eid: int):
-        if eid not in self._el_phi:
-            e = self.space.mesh.elements[eid]
-            p = int(self.space.degrees[eid])
-            rule = element_rule(e, p + 4)
-            phi = basis_matrix(e, p, rule.points)
-            self._el_phi[eid] = (phi, rule.weights)
-        return self._el_phi[eid]
-
-    # -- matrices ------------------------------------------------------------
+    def _groups(self):
+        """Per degree: element ids, plain-rule points (k, nq, d) and weights
+        (k, nq), and the basis table those elements share."""
+        mesh, degs = self.space.mesh, self.space.degrees
+        for p in np.unique(degs):
+            ids = np.flatnonzero(degs == p)
+            ref_pts, ref_w, phi = reference_table(int(p), mesh.d)
+            half = np.array([mesh.elements[i].lengths for i in ids])[:, None, :] / 2.0
+            pts = mesh.el_lo[ids][:, None, :] + (ref_pts + 1.0) * half
+            yield ids, pts, ref_w * np.prod(half, axis=2), phi
 
     def mass(self) -> sp.csr_matrix:
         if self._mass is None:
             sp_ = self.space
-            diag = np.empty(sp_.N)
-            for e in sp_.mesh.elements:
-                p = int(sp_.degrees[e.id])
-                diag[sp_.local_slice(e.id)] = _local_mass_diag(e, p, sp_.mesh.d)
-            self._mass = sp.diags(diag, format="csr")
+            self._mass = sp.diags(np.concatenate([
+                _local_mass_diag(e, int(sp_.degrees[e.id]), sp_.mesh.d) for e in sp_.mesh.elements
+            ]), format="csr")
         return self._mass
 
     def sip(self) -> sp.csr_matrix:
         if self._sip is None:
-            self._sip = _csr_from_blocks(self.space, self._sip_blocks(),
+            pairs = [f.owners for f in self.space.mesh.faces if f.kind == INTERIOR]
+            self._sip = _csr_from_blocks(self.space, pairs, self._sip_blocks(),
                                          "assembled SIP matrix")
         return self._sip
 
     def _sip_blocks(self):
         """Element blocks by element id, then face blocks by face id."""
-        space, pot, pen = self.space, self.potential, self.penalty
+        space, pot = self.space, self.potential
         mesh = space.mesh
-        for eid in range(mesh.n_elements):
-            e = mesh.elements[eid]
-            p = int(space.degrees[eid])
-            rule = element_rule(e, p + 4)
-            phi, grads = basis_matrices(e, p, rule.points)
-            self._el_phi.setdefault(eid, (phi, rule.weights))  # for the nonlinear mass
-            block = np.zeros((phi.shape[1],) * 2)
-            for g in grads:
-                block += weighted_gram(g, rule.weights)
-            if pot.alpha is not None:
-                if e.touches_c:
-                    rule = volume_rule(e, p, singular=True)
-                    phi = basis_matrix(e, p, rule.points)
-                block += weighted_gram(phi, rule.weights * pot(rule.points))
-            yield (e.id,), block
+        cache = {}
+
+        def cached(key, make, *args):
+            if key not in cache:
+                cache[key] = make(*args)
+            return cache[key]
+
+        pot_blocks = {}  # plain-rule potential Grams, batched per degree
+        for ids, pts, w, phi in self._groups() if pot.alpha is not None else ():
+            vq = pot(pts.reshape(-1, mesh.d)).reshape(w.shape)
+            pot_blocks.update(zip(ids, _grams(phi, w * vq)))
+        for e in mesh.elements:
+            p = int(space.degrees[e.id])
+            block = cached(("grad", p, *e.lengths), self._grad_block, e, p)
+            if e.touches_c and pot.alpha is not None:
+                b = cached(("corner", p, *e.lengths), self._corner_block, e, p)
+                s = 1 - 2 * (space.modes(e.id)[:, np.abs(e.lo) > 1e-14].sum(axis=1) % 2)
+                yield (e.id,), block + b * np.outer(s, s)
+            else:
+                yield (e.id,), block + pot_blocks.get(e.id, 0.0)
 
         for f in sorted(mesh.faces, key=lambda fc: fc.id):
-            p_e = space.face_degree(f)
-            gamma = pen.alpha0 * p_e**2 / f.h_e
-            rule = face_rule(f, p_e + 4)
-            pts, w = rule.points, rule.weights
-            if f.kind == BOUNDARY:
-                eid = f.owners[0]
-                e = mesh.elements[eid]
-                phi, grads = basis_matrices(e, int(space.degrees[eid]), pts)
-                dn = f.sign * grads[f.axis]
-                c = (dn * w[:, None]).T @ phi
-                yield (eid,), -c - c.T + weighted_gram(phi, gamma * w)
-            else:
-                ea, eb = (mesh.elements[i] for i in f.owners)
-                phi_a, gr_a = basis_matrices(ea, int(space.degrees[ea.id]), pts)
-                phi_b, gr_b = basis_matrices(eb, int(space.degrees[eb.id]), pts)
-                jmp = np.hstack([phi_a, -phi_b])
-                dn = 0.5 * np.hstack([gr_a[f.axis], gr_b[f.axis]])
-                c = (dn * w[:, None]).T @ jmp
-                yield (ea.id, eb.id), -c - c.T + weighted_gram(jmp, gamma * w)
+            owners = tuple(o for o in f.owners if o is not None)
+            key = (f.kind, f.axis, f.sign, f.h_e)
+            for e in (mesh.elements[o] for o in owners):
+                rel = np.concatenate([f.lo - e.lo, f.lengths]) / np.tile(e.lengths, 2)
+                key += (int(space.degrees[e.id]), *e.lengths, *np.round(rel, 12))
+            yield owners, cached(key, self._face_block, f, owners)
+
+    def _grad_block(self, e, p: int) -> np.ndarray:
+        rule = element_rule(e, p + 4)
+        _, grads = basis_matrices(e, p, rule.points)
+        return sum(weighted_gram(g, rule.weights) for g in grads)
+
+    def _corner_block(self, e, p: int) -> np.ndarray:
+        ref = replace(e, lo=np.zeros_like(e.lo))
+        rule = volume_rule(ref, p, singular=True)
+        phi = basis_matrix(ref, p, rule.points)
+        return weighted_gram(phi, rule.weights * self.potential(rule.points))
+
+    def _face_block(self, f, owners) -> np.ndarray:
+        space = self.space
+        p_e = space.face_degree(f)
+        rule = face_rule(f, p_e + 4)
+        tabs = [basis_matrices(space.mesh.elements[o], int(space.degrees[o]), rule.points)
+                for o in owners]
+        jumps, means = ([1.0], [f.sign]) if f.kind == BOUNDARY else ([1.0, -1.0], [0.5, 0.5])
+        jmp = np.hstack([s * phi for s, (phi, _) in zip(jumps, tabs)])
+        dn = np.hstack([s * grads[f.axis] for s, (_, grads) in zip(means, tabs)])
+        c = (dn * rule.weights[:, None]).T @ jmp
+        gamma = self.penalty.alpha0 * p_e**2 / f.h_e
+        return -c - c.T + weighted_gram(jmp, gamma * rule.weights)
 
     def nonlinear_mass(self, u: DiscreteField, delta: int,
                        scale: float = 1.0) -> sp.csr_matrix:
@@ -179,12 +220,12 @@ class SipAssembler:
             raise ValueError("state field does not belong to the assembler's space")
 
         def blocks():
-            for eid in range(space.mesh.n_elements):
-                phi, w = self._plain_tables(eid)
-                coef = scale * np.abs(phi @ u.local(eid)) ** (delta - 1)
-                yield (eid,), weighted_gram(phi, w * coef)
+            for ids, _, w, phi in self._groups():
+                c = u.coeffs[space.offsets[ids][:, None] + np.arange(phi.shape[1])]
+                coef = scale * np.abs(c @ phi.T) ** (delta - 1)
+                yield from zip(((i,) for i in ids), _grams(phi, w * coef))
 
-        return _csr_from_blocks(space, blocks(), "nonlinear mass matrix")
+        return _csr_from_blocks(space, (), blocks(), "nonlinear mass matrix")
 
 
 def assemble_sip(space: HpSpace, potential: Potential,

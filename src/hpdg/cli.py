@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .analysis import ConvergenceRecord, error_norms, fit_exponential
 from .assembly import PenaltyConfig, Potential
+from .eigsolve import EigenSolveError
 from .hpspace import build_space, inject
 from .mesh import build_graded_mesh
 from .scf import ScfConfig, solve_ground_state
@@ -109,8 +110,13 @@ def _chain_solve(cfg: StudyConfig, p0: int, ell_last: int, outdir: Path):
         space = build_space(mesh, p0, cfg.slope)
         u0 = inject(prev, space) if prev is not None else None
         lines = []
-        u, rep = solve_ground_state(space, potential, penalty, scf_cfg,
-                                    u0=u0, log=lines.append)
+        try:
+            u, rep = solve_ground_state(space, potential, penalty, scf_cfg,
+                                        u0=u0, log=lines.append)
+        except EigenSolveError as exc:
+            best = exc.best.residual if exc.best is not None else float("nan")
+            raise StudyError(f"eigensolve failed at p0={p0} ell={ell} N={space.N} "
+                             f"(best residual {best:.3e}): {exc}") from exc
         (outdir / f"iters_p{p0}_ell{ell}.log").write_text("\n".join(lines) + "\n")
         if not rep.converged:
             raise StudyError(

@@ -8,6 +8,7 @@ dofs are laid out contiguously per element, in element-id order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import mesh as meshmod
 from ._kernels import legendre_table, tensor_rows
 from .quadrature import element_rule
-from .refelem import legendre_l2_norms_sq
+from .refelem import gauss_rule, legendre_l2_norms_sq
 
 ROUNDINGS = ("half_up", "floor", "ceil")
 
@@ -155,6 +156,21 @@ def basis_matrices(element: meshmod.Element, p: int, pts: np.ndarray):
         tabs = [ders[k] * (2.0 / element.lengths[k]) if k == m else vals[k] for k in range(d)]
         grads.append(tensor_rows(tabs))
     return phi, grads
+
+
+@functools.lru_cache(maxsize=None)
+def reference_table(p: int, d: int):
+    """Points (nq, d), weights (nq,) and basis values (nq, (p+1)^d) of the
+    n = p + 4 tensor Gauss rule on [-1, 1]^d, in the order of ``element_rule``
+    and :func:`basis_matrix`: the basis of every element of degree p at its
+    plain-rule points, shared and read-only."""
+    g = gauss_rule(p + 4)
+    pts = np.stack([x.ravel() for x in np.meshgrid(*[g.points] * d, indexing="ij")], axis=1)
+    tables = (pts, functools.reduce(np.multiply.outer, [g.weights] * d).ravel(),
+              functools.reduce(np.kron, [legendre_table(g.points, p)[0]] * d))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def evaluate_in_element(field: DiscreteField, eid: int, pts: np.ndarray) -> np.ndarray:

@@ -63,12 +63,8 @@ def discrete_energy(space: HpSpace, potential: Potential, penalty: PenaltyConfig
     asm = SipAssembler(space, potential, penalty)
     a = asm.sip()
     val = 0.5 * float(u.coeffs @ (a @ u.coeffs))
-    if delta is not None:
-        nl = 0.0
-        for e in space.mesh.elements:
-            phi, w = asm._plain_tables(e.id)
-            nl += float(w @ np.abs(phi @ u.local(e.id)) ** (delta + 1))
-        val += nl / (delta + 1)
+    if delta is not None:  # u^T N(u) u is the integral of |u|^(delta+1)
+        val += float(u.coeffs @ (asm.nonlinear_mass(u, delta) @ u.coeffs)) / (delta + 1)
     return val
 
 

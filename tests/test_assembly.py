@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg as dla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hpdg.assembly import (PenaltyConfig, Potential,
+from hpdg._kernels import weighted_gram
+from hpdg.assembly import (PenaltyConfig, Potential, SipAssembler,
                            assemble_mass, assemble_nonlinear_mass,
                            assemble_sip)
-from hpdg.hpspace import build_space, constant_field, project
-from hpdg.mesh import build_graded_mesh
+from hpdg.hpspace import basis_matrices, basis_matrix, build_space, constant_field, project
+from hpdg.mesh import BOUNDARY, build_graded_mesh
+from hpdg.quadrature import element_rule, face_rule, volume_rule
 
 
 def bubble(pts):
@@ -151,21 +155,118 @@ def test_refining_keeps_energy_of_continuous_field():
 def test_assembly_deterministic_under_face_order_and_rerun():
     """Contributions are accumulated in a fixed global ordering, so the result
     is bitwise identical across reruns and across storage order of the face
-    list (elements are visited by id, faces sorted by id)."""
-    space, a = make(2, alpha=1.0)
-    mesh = space.mesh
-    shuffled = list(mesh.faces)
-    rng = np.random.default_rng(0)
-    rng.shuffle(shuffled)
-    mesh.faces = shuffled
-    try:
-        b = assemble_sip(space, Potential(1.0, -1), PenaltyConfig(10.0))
-    finally:
-        mesh.faces = sorted(shuffled, key=lambda f: f.id)
-    assert a.data.tobytes() == b.data.tobytes()
-    assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
-    c = assemble_sip(space, Potential(1.0, -1), PenaltyConfig(10.0))
-    assert a.data.tobytes() == c.data.tobytes()
+    list (elements are visited by id, faces sorted by id); the hand-built CSR
+    pattern does not depend on that order either."""
+    for d in (2, 3):
+        space, a = make(2, alpha=1.0, d=d)
+        mesh = space.mesh
+        shuffled = list(mesh.faces)
+        rng = np.random.default_rng(0)
+        rng.shuffle(shuffled)
+        mesh.faces = shuffled
+        try:
+            b = assemble_sip(space, Potential(1.0, -1), PenaltyConfig(10.0))
+        finally:
+            mesh.faces = sorted(shuffled, key=lambda f: f.id)
+        assert a.data.tobytes() == b.data.tobytes()
+        assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
+        assert b.has_canonical_format
+        c = assemble_sip(space, Potential(1.0, -1), PenaltyConfig(10.0))
+        assert a.data.tobytes() == c.data.tobytes()
+
+
+def _assert_canonical_csr(a):
+    assert a.format == "csr" and a.has_canonical_format
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    keys = rows.astype(np.int64) * a.shape[1] + a.indices
+    assert np.all(np.diff(keys) > 0)  # sorted within rows, no duplicates
+
+
+@pytest.mark.parametrize("d,ell,p0,slope", [(2, 3, 2, 0.25), (3, 2, 1, 0.5)])
+def test_sip_and_nonlinear_mass_are_canonical_csr(d, ell, p0, slope):
+    space = build_space(build_graded_mesh(d, 0.5, ell), p0, slope)
+    asm = SipAssembler(space, Potential(1.0, -1), PenaltyConfig())
+    a = asm.sip()
+    n = asm.nonlinear_mass(project(space, lambda p: np.cos(np.pi * p[:, 0])), 3)
+    _assert_canonical_csr(a)
+    _assert_canonical_csr(n)
+    dof_el = np.repeat(np.arange(space.mesh.n_elements), space.ndofs_el)
+    rows = np.repeat(np.arange(space.N), np.diff(n.indptr))
+    assert np.array_equal(dof_el[rows], dof_el[n.indices])  # block diagonal only
+    assert n.nnz == int(np.sum(space.ndofs_el**2))
+
+
+# -- cached, reflected and batched blocks against fresh integration ------------
+
+def _fresh_element_block(space, pot, e):
+    p = int(space.degrees[e.id])
+    rule = element_rule(e, p + 4)
+    _, grads = basis_matrices(e, p, rule.points)
+    block = sum(weighted_gram(g, rule.weights) for g in grads)
+    rule = volume_rule(e, p, singular=e.touches_c)
+    return block + weighted_gram(basis_matrix(e, p, rule.points),
+                                 rule.weights * pot(rule.points))
+
+
+def _fresh_face_block(space, f, alpha0):
+    """Face block over the dofs of its owners, concatenated in owner order."""
+    p_e = space.face_degree(f)
+    rule = face_rule(f, p_e + 4)
+    tabs = [basis_matrices(space.mesh.elements[o], int(space.degrees[o]), rule.points)
+            for o in f.owners if o is not None]
+    if f.kind == BOUNDARY:
+        jmp, dn = tabs[0][0], f.sign * tabs[0][1][f.axis]
+    else:
+        jmp = np.hstack([tabs[0][0], -tabs[1][0]])
+        dn = 0.5 * np.hstack([tabs[0][1][f.axis], tabs[1][1][f.axis]])
+    c = (dn * rule.weights[:, None]).T @ jmp
+    return -c - c.T + weighted_gram(jmp, alpha0 * p_e**2 / f.h_e * rule.weights)
+
+
+def _close(got, want):
+    scale = max(np.abs(want).max(), 1e-300)
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+@settings(max_examples=12, deadline=None)
+@given(d=st.sampled_from([2, 3]), sigma=st.sampled_from([0.5, 0.3, 0.15]),
+       ell=st.integers(1, 4), p0=st.integers(1, 3), slope=st.sampled_from([0.0, 0.25, 0.5]),
+       alpha=st.sampled_from([0.5, 1.0, 1.5]), seed=st.integers(0, 2**16))
+@example(d=2, sigma=0.15, ell=10, p0=2, slope=0.5, alpha=1.5, seed=0)
+def test_cached_blocks_equal_fresh_integration(d, sigma, ell, p0, slope, alpha, seed):
+    """Each sampled element's diagonal block of A_sip equals its freshly
+    integrated volume block plus the fresh blocks of its faces; each sampled
+    interior face's off-diagonal block equals its fresh face block; the
+    nonlinear mass blocks equal fresh |u|^2-weighted Grams."""
+    if d == 3:
+        p0, ell = min(p0, 2), min(ell, 3)
+    space = build_space(build_graded_mesh(d, sigma, ell), p0, slope)
+    mesh, pot, pen = space.mesh, Potential(alpha, -1.0), PenaltyConfig(10.0)
+    asm = SipAssembler(space, pot, pen)
+    a = asm.sip()
+    u = project(space, lambda x: np.cos(np.pi * x[:, 0]) * (1.0 + x[:, -1]))
+    nl = asm.nonlinear_mass(u, 3)
+    rng = np.random.default_rng(seed)
+    corners = [e.id for e in mesh.elements if e.touches_c]
+    for eid in {*rng.choice(mesh.n_elements, 3), *rng.choice(corners, 2)}:
+        e, sl = mesh.elements[eid], space.local_slice(eid)
+        want = _fresh_element_block(space, pot, e)
+        for f in mesh.faces:
+            if eid in f.owners:
+                fb = _fresh_face_block(space, f, pen.alpha0)
+                k = space.ndofs_el[eid]
+                want = want + (fb[:k, :k] if f.owners[0] == eid else fb[-k:, -k:])
+        _close(a[sl, sl].toarray(), 0.5 * (want + want.T))
+        rule = element_rule(e, int(space.degrees[eid]) + 4)
+        phi = basis_matrix(e, int(space.degrees[eid]), rule.points)
+        _close(nl[sl, sl].toarray(), weighted_gram(phi, rule.weights * (phi @ u.local(eid)) ** 2))
+    interior = [f for f in mesh.faces if f.kind != BOUNDARY]
+    for i in rng.choice(len(interior), 4):
+        f = interior[i]
+        fb = _fresh_face_block(space, f, pen.alpha0)
+        k = space.ndofs_el[f.owners[0]]
+        _close(a[space.local_slice(f.owners[0]), space.local_slice(f.owners[1])].toarray(),
+               0.5 * (fb[:k, k:] + fb[k:, :k].T))
 
 
 def test_laplace_dimer_smallest_eigenvalue():

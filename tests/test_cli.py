@@ -125,6 +125,25 @@ def test_nonconvergence_aborts_with_level(tmp_path):
         run_study(cfg)
 
 
+def test_stalled_eigensolve_reports_the_level(tmp_path, monkeypatch, capsys):
+    from hpdg import scf
+    from hpdg.eigsolve import EigenSolveError, EigResult
+
+    def stalled(a, m, **kwargs):
+        best = EigResult(1.0, np.ones(a.shape[0]), 0.43, 200)
+        raise EigenSolveError("no convergence (best residual 4.300e-01)", best)
+
+    monkeypatch.setattr(scf, "smallest_eigenpair", stalled)
+    rc = main(["--dim", "2", "--levels", "2", "--p0", "2", "--slope", "0",
+               "--ref-extra-levels", "1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    line = err.strip().splitlines()[-1]
+    assert line.startswith("error: eigensolve failed at p0=3 ell=1 N=256")
+    assert "best residual 4.300e-01" in line
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text(
