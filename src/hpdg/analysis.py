@@ -16,18 +16,15 @@ from itertools import product
 
 import numpy as np
 
-from .hpspace import DiscreteField, basis_matrices, evaluate_in_element, locate_point
-from .mesh import INTERIOR, GradedMesh
+from .hpspace import (DiscreteField, MeshNestingError, basis_matrices,  # noqa: F401
+                      containing_map, evaluate_in_element)
+from .mesh import INTERIOR
 from .quadrature import element_rule, face_rule
 
 ERROR_FLOOR = 1e-12
 
 _COLUMNS = ("l2", "dg", "linf", "lambda")
 _ABSCISSAE = ("ell", "ndof_root")
-
-
-class MeshNestingError(ValueError):
-    pass
 
 
 @dataclass
@@ -47,20 +44,6 @@ class FitResult:
     C: float
     r2: float
     abscissa: str
-
-
-def containing_map(coarse_mesh: GradedMesh, fine_mesh: GradedMesh) -> np.ndarray:
-    """fine element id -> coarse element id; raises if the meshes do not nest."""
-    out = np.empty(fine_mesh.n_elements, dtype=np.int64)
-    for e in fine_mesh.elements:
-        cid = locate_point(coarse_mesh, e.center)
-        c = coarse_mesh.elements[cid]
-        if np.any(e.lo < c.lo - 1e-12) or np.any(e.hi > c.hi + 1e-12):
-            raise MeshNestingError(
-                f"fine element {e.id} is not contained in any coarse element"
-            )
-        out[e.id] = cid
-    return out
 
 
 def _values_grads(field: DiscreteField, eid: int, pts):

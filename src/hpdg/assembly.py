@@ -10,9 +10,9 @@ the singular point the potential term is integrated with the composite graded
 rule of :func:`hpdg.quadrature.singular_rule`; gradient and mass terms are
 polynomial and therefore already exact with the plain rule.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
-controlled variational crime, see README).  Blocks that depend only on relative
-geometry are computed once per key, the per-element Grams are batched per degree
-(see :class:`SipAssembler`), and all go straight into the CSR ``data`` array.
+controlled variational crime, see README).  Relative-geometry blocks are cached
+per key and per-element Grams batched per degree (see :class:`SipAssembler`);
+A_sip is scattered into its element-graph CSR, N(u) laid out as block-diagonal CSR.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class PenaltyConfig:
 
 
 def _sym(b: np.ndarray) -> np.ndarray:
-    return 0.5 * (b + b.T)
+    return 0.5 * (b + np.swapaxes(b, -1, -2))
 
 
 def _grams(phi: np.ndarray, wq: np.ndarray) -> np.ndarray:
@@ -75,15 +75,15 @@ def _grams(phi: np.ndarray, wq: np.ndarray) -> np.ndarray:
     return np.matmul(phi.T * wq[:, None, :], phi)
 
 
-def _csr_from_blocks(space: HpSpace, pairs, blocks, what: str) -> sp.csr_matrix:
+def _csr_from_blocks(space: HpSpace, blocks) -> sp.csr_matrix:
     """Add symmetrized element-local blocks, in the order they come, into an
     N x N CSR matrix whose rows of element a hold the dofs of a and of its
-    partners in ``pairs``, in id order.  ``blocks`` yields ``(eids, block)``:
-    the block couples the local dofs of the elements ``eids``, in that order.
+    face neighbours, in id order.  ``blocks`` yields ``(eids, block)``: the
+    block couples the local dofs of the elements ``eids``, in that order.
     """
     nd, off = space.ndofs_el, space.offsets
     coupled = [{a} for a in range(space.mesh.n_elements)]
-    for a, b in pairs:
+    for a, b in (f.owners for f in space.mesh.faces if f.kind == INTERIOR):
         coupled[a].add(b)
         coupled[b].add(a)
     coupled = [sorted(c) for c in coupled]
@@ -101,7 +101,7 @@ def _csr_from_blocks(space: HpSpace, pairs, blocks, what: str) -> sp.csr_matrix:
                + np.concatenate([start[a][b] + np.arange(nd[b]) for b in eids]) for a in eids]
         data[np.concatenate(pos).ravel()] += _sym(block).ravel()
     if not np.isfinite(data).all():
-        raise ValueError(f"{what} contains non-finite entries")
+        raise ValueError("assembled SIP matrix contains non-finite entries")
     return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
 
 
@@ -119,6 +119,8 @@ class SipAssembler:
     with s_m = -1 gets D B D, D = diag(prod_m s_m^{i_m}).  The other elements'
     potential and the |u|^(delta-1) Grams of ``nonlinear_mass()`` are one
     batched matmul per degree group on :func:`hpdg.hpspace.reference_table`.
+    ``nonlinear_mass()`` writes its Grams straight into a block-diagonal CSR:
+    element e's block, row-major, where the CSR row of its first dof starts.
     """
 
     def __init__(self, space: HpSpace, potential: Potential, penalty: PenaltyConfig):
@@ -149,9 +151,7 @@ class SipAssembler:
 
     def sip(self) -> sp.csr_matrix:
         if self._sip is None:
-            pairs = [f.owners for f in self.space.mesh.faces if f.kind == INTERIOR]
-            self._sip = _csr_from_blocks(self.space, pairs, self._sip_blocks(),
-                                         "assembled SIP matrix")
+            self._sip = _csr_from_blocks(self.space, self._sip_blocks())
         return self._sip
 
     def _sip_blocks(self):
@@ -219,13 +219,18 @@ class SipAssembler:
         if u.space is not space:
             raise ValueError("state field does not belong to the assembler's space")
 
-        def blocks():
-            for ids, _, w, phi in self._groups():
-                c = u.coeffs[space.offsets[ids][:, None] + np.arange(phi.shape[1])]
-                coef = scale * np.abs(c @ phi.T) ** (delta - 1)
-                yield from zip(((i,) for i in ids), _grams(phi, w * coef))
-
-        return _csr_from_blocks(space, (), blocks(), "nonlinear mass matrix")
+        nd, off = space.ndofs_el, space.offsets
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(nd, nd))])
+        itype = np.int32 if indptr[-1] < 2**31 else np.int64
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=itype)
+        for ids, _, w, phi in self._groups():
+            cols = off[ids][:, None] + np.arange(phi.shape[1])  # (k, n): each element's dofs
+            g = _grams(phi, w * (scale * np.abs(u.coeffs[cols] @ phi.T) ** (delta - 1)))
+            pos = indptr[cols][..., None] + np.arange(phi.shape[1])  # (k, n, n): row-major blocks
+            data[pos], indices[pos] = _sym(g), cols[:, None, :]
+        if not np.isfinite(data).all():
+            raise ValueError("nonlinear mass matrix contains non-finite entries")
+        return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
 
 
 def assemble_sip(space: HpSpace, potential: Potential,

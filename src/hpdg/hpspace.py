@@ -8,6 +8,7 @@ dofs are laid out contiguously per element, in element-id order.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -125,6 +126,22 @@ def locate_point(mesh: meshmod.GradedMesh, x) -> int:
     return int(ids[0])
 
 
+class MeshNestingError(ValueError):
+    pass
+
+
+def containing_map(coarse_mesh: meshmod.GradedMesh, fine_mesh: meshmod.GradedMesh) -> np.ndarray:
+    """fine element id -> coarse element id; raises if the meshes do not nest."""
+    out = np.empty(fine_mesh.n_elements, dtype=np.int64)
+    for e in fine_mesh.elements:
+        cid = locate_point(coarse_mesh, e.center)
+        c = coarse_mesh.elements[cid]
+        if np.any(e.lo < c.lo - 1e-12) or np.any(e.hi > c.hi + 1e-12):
+            raise MeshNestingError(f"fine element {e.id} is not contained in any coarse element")
+        out[e.id] = cid
+    return out
+
+
 def ref_coords(element: meshmod.Element, pts: np.ndarray) -> np.ndarray:
     """Map physical points into the element's [-1,1]^d reference coordinates."""
     return 2.0 * (pts - element.lo) / element.lengths - 1.0
@@ -221,8 +238,10 @@ def inject(field: DiscreteField, fine_space: HpSpace) -> DiscreteField:
     Exact whenever each fine element is contained in a coarse element of
     degree at most the fine one (the situation along a refinement chain).
     """
+    cmap = containing_map(field.space.mesh, fine_space.mesh)  # raises if they do not nest
+
     def values(e, pts):
-        return evaluate_in_element(field, locate_point(field.space.mesh, e.center), pts)
+        return evaluate_in_element(field, cmap[e.id], pts)
 
     return _l2_project(fine_space, values)
 
@@ -244,7 +263,7 @@ def load_field(path) -> DiscreteField:
     """Rebuild the space from the header and read the coefficients back."""
     with open(path) as fh:
         head = fh.readline().split()
-        coeffs = np.array([float(line) for line in fh if line.strip()])
+        lines = [(no, line) for no, line in enumerate(fh, start=2) if line.strip()]
     if not head or head[0] != FIELD_TAG:
         raise ValueError(f"{path}: first header field is not {FIELD_TAG!r}")
     version = head[1] if len(head) > 1 else "missing"
@@ -260,4 +279,12 @@ def load_field(path) -> DiscreteField:
                          f"expected one of {ROUNDINGS}")
     m = meshmod.build_graded_mesh(int(d), float(sigma), int(ell))
     space = build_space(m, int(p0), float(slope), rounding)
+    if len(lines) != space.N:
+        raise ValueError(f"{path}: {len(lines)} coefficient lines, the space has N={space.N}")
+    coeffs = np.full(space.N, np.nan)
+    for i, (no, line) in enumerate(lines):
+        with contextlib.suppress(ValueError):  # unparsable lines stay nan
+            coeffs[i] = float(line)
+        if not np.isfinite(coeffs[i]):
+            raise ValueError(f"{path}: line {no} is not a finite coefficient: {line.strip()!r}")
     return DiscreteField(space, coeffs)

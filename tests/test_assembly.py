@@ -115,6 +115,14 @@ def test_nonlinear_mass_rejects_bad_delta():
         assemble_nonlinear_mass(space, constant_field(space, 1.0), 5)
 
 
+def test_nonlinear_mass_rejects_non_finite_state():
+    space = build_space(build_graded_mesh(2, 0.5, 1), 2, 0.0)
+    u = constant_field(space, 1.0)
+    u.coeffs[space.offsets[1]] = np.nan
+    with pytest.raises(ValueError, match="nonlinear mass matrix"):
+        SipAssembler(space, Potential(None), PenaltyConfig()).nonlinear_mass(u, 3)
+
+
 @pytest.mark.parametrize("ell,p0,slope", [(0, 2, 0.0), (2, 3, 0.5), (4, 2, 0.25), (6, 3, 0.5)])
 def test_sip_coercivity_with_zero_potential(ell, p0, slope):
     space, a = make(ell, p0=p0, slope=slope)
@@ -182,7 +190,7 @@ def _assert_canonical_csr(a):
     assert np.all(np.diff(keys) > 0)  # sorted within rows, no duplicates
 
 
-@pytest.mark.parametrize("d,ell,p0,slope", [(2, 3, 2, 0.25), (3, 2, 1, 0.5)])
+@pytest.mark.parametrize("d,ell,p0,slope", [(2, 3, 2, 0.25), (3, 2, 1, 0.5), (2, 5, 1, 0.5)])
 def test_sip_and_nonlinear_mass_are_canonical_csr(d, ell, p0, slope):
     space = build_space(build_graded_mesh(d, 0.5, ell), p0, slope)
     asm = SipAssembler(space, Potential(1.0, -1), PenaltyConfig())

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hpdg.hpspace import (DiscreteField, build_space, constant_field, evaluate,
-                          evaluate_in_element, inject, load_field, locate_point,
+from hpdg.hpspace import (DiscreteField, MeshNestingError, build_space, constant_field,
+                          evaluate, evaluate_in_element, inject, load_field, locate_point,
                           project, save_field)
 from hpdg.mesh import build_graded_mesh
 from hpdg.quadrature import element_rule
@@ -159,6 +159,13 @@ def test_injection_is_exact_on_chain():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_inject_rejects_meshes_that_do_not_nest():
+    coarse = project(build_space(build_graded_mesh(2, 0.5, 2), 2, 0.0), lambda p: p[:, 0])
+    fine_space = build_space(build_graded_mesh(2, 0.3, 3), 2, 0.0)
+    with pytest.raises(MeshNestingError):
+        inject(coarse, fine_space)
+
+
 def test_field_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     path = tmp_path / "field.txt"
@@ -189,3 +196,21 @@ def test_coefficient_length_checked():
     space = build_space(build_graded_mesh(2, 0.5, 1), 1, 0.0)
     with pytest.raises(ValueError):
         DiscreteField(space, np.zeros(space.N + 1))
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda lines: lines[:4] + ["abc\n"] + lines[5:], r"line 5 .*'abc'"),
+    (lambda lines: lines[:-1], r"63 coefficient lines, the space has N=64"),
+    (lambda lines: lines[:4] + ["nan\n"] + lines[5:], r"line 5 .*'nan'"),
+], ids=["unparsable", "short", "non-finite"])
+def test_load_field_names_bad_input(tmp_path, edit, match):
+    """An unparsable, missing or non-finite coefficient is reported with the
+    path and the line number or the counts."""
+    space = build_space(build_graded_mesh(2, 0.5, 1), 1, 0.0)
+    assert space.N == 64
+    path = tmp_path / "field.txt"
+    save_field(DiscreteField(space, np.arange(space.N, dtype=float)), path)
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    with pytest.raises(ValueError, match=match) as err:
+        load_field(path)
+    assert str(path) in str(err.value)
