@@ -1,4 +1,4 @@
-"""Hot numeric kernels: Legendre tables, row-wise Kronecker products, Gram sums."""
+"""Hot numeric kernels: Legendre tables and Gram sums."""
 
 from __future__ import annotations
 
@@ -23,19 +23,6 @@ def legendre_table(x, p):
         vals[:, k + 1] = ((2 * k + 1) * x * vals[:, k] - k * vals[:, k - 1]) / (k + 1)
         ders[:, k + 1] = ders[:, k - 1] + (2 * k + 1) * vals[:, k]
     return vals, ders
-
-
-def row_kron(a, b):
-    """Row-wise Kronecker product: out[i] = kron(a[i], b[i])."""
-    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
-
-
-def tensor_rows(tables):
-    """Chain row_kron over per-dimension tables (first dimension slowest)."""
-    out = tables[0]
-    for t in tables[1:]:
-        out = row_kron(out, t)
-    return out
 
 
 def weighted_gram(phi, w):

@@ -5,21 +5,21 @@ field is evaluated inside the reference elements through its containing coarse
 element (gradients by analytic differentiation of the local expansion), so no
 numerical differentiation or face nudging is needed.  The DG norm combines the
 broken H1 norm with the interior-face jump penalty p_e^2 / h_e of the
-reference space.
+reference space.  Both fields are evaluated per group of elements (or faces,
+or corners) with :func:`hpdg.hpspace.evaluate_grid`, and each element's sums
+are reduced before they are accumulated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .hpspace import (DiscreteField, MeshNestingError, basis_matrices,  # noqa: F401
-                      containing_map, evaluate_in_element)
+from .hpspace import DiscreteField, MeshNestingError, containing_map, evaluate_grid  # noqa: F401
 from .mesh import INTERIOR
-from .quadrature import element_rule, face_rule
+from .quadrature import element_rules, face_rules
 
 ERROR_FLOOR = 1e-12
 
@@ -46,68 +46,41 @@ class FitResult:
     abscissa: str
 
 
-def _values_grads(field: DiscreteField, eid: int, pts):
-    e = field.space.mesh.elements[eid]
-    p = int(field.space.degrees[eid])
-    phi, grads = basis_matrices(e, p, pts)
-    c = field.local(eid)
-    return phi @ c, [g @ c for g in grads]
-
-
-def _corners(element):
-    cube = np.array(list(product((0, 1), repeat=len(element.lo))))
-    return element.lo + cube * element.lengths
-
-
 def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
-    """All error norms of coarse - reference in one pass over the fine mesh.
+    """All error norms of coarse - reference on the fine mesh.
 
     Returns a dict with keys 'l2', 'dg', 'linf'.
     """
-    ref_space = reference.space
-    fine_mesh = ref_space.mesh
-    cmap = containing_map(coarse.space.mesh, fine_mesh)
+    space, mesh = reference.space, reference.space.mesh
+    cmap = containing_map(coarse.space.mesh, mesh)
+    p_c = coarse.space.degrees[cmap]  # per fine element
 
-    def value_diff(cid, eid, pts):
-        return evaluate_in_element(coarse, cid, pts) - evaluate_in_element(reference, eid, pts)
+    def diff(eids, pts, shape, grads=False):
+        (cv, cg), (rv, rg) = (evaluate_grid(coarse, cmap[eids], pts, shape, grads),
+                              evaluate_grid(reference, eids, pts, shape, grads))
+        return cv - rv, (cg - rg if grads else None)
 
-    l2_sq = 0.0
-    h1_sq = 0.0
-    jump_sq = 0.0
-    linf = 0.0
+    l2_sq, h1_sq = np.zeros(mesh.n_elements), np.zeros(mesh.n_elements)
+    cube = np.indices((2,) * mesh.d).reshape(mesh.d, -1).T  # corner offsets, first axis slowest
+    corners = mesh.el_lo[:, None, :] + cube * mesh.el_len[:, None, :]
+    linf = float(np.max(np.abs(diff(np.arange(mesh.n_elements), corners, (2,) * mesh.d)[0])))
+    for ids, rule, shape in element_rules(mesh, np.maximum(space.degrees, p_c) + 2):
+        dv, dg = diff(ids, rule.points, shape, grads=True)
+        l2_sq[ids] = np.einsum("eq,eq->e", rule.weights, dv * dv)
+        h1_sq[ids] = np.einsum("eq,meq->e", rule.weights, dg * dg)
+        linf = max(linf, float(np.max(np.abs(dv))))
 
-    for e in fine_mesh.elements:
-        cid = int(cmap[e.id])
-        n = max(int(ref_space.degrees[e.id]), int(coarse.space.degrees[cid])) + 2
-        rule = element_rule(e, n)
-        pts, w = rule.points, rule.weights
-        cv, cg = _values_grads(coarse, cid, pts)
-        rv, rg = _values_grads(reference, e.id, pts)
-        diff = cv - rv
-        l2_sq += float(w @ (diff * diff))
-        for m in range(fine_mesh.d):
-            gm = cg[m] - rg[m]
-            h1_sq += float(w @ (gm * gm))
-        linf = max(linf, float(np.max(np.abs(diff))))
-        linf = max(linf, float(np.max(np.abs(value_diff(cid, e.id, _corners(e))))))
+    faces = mesh.interior_faces()
+    a, b = np.array([f.owners for f in faces], dtype=np.int64).reshape(-1, 2).T
+    p_e = np.maximum(space.degrees[a], space.degrees[b])
+    jump_sq = np.zeros(len(faces))
+    for idx, rule, shape in face_rules(faces, np.maximum(p_e, np.maximum(p_c[a], p_c[b])) + 2):
+        jump = diff(a[idx], rule.points, shape)[0] - diff(b[idx], rule.points, shape)[0]
+        jump_sq[idx] = np.einsum("eq,eq->e", rule.weights, jump * jump)
+    jump_sq *= p_e**2 / np.array([f.h_e for f in faces])
 
-    for f in fine_mesh.faces:
-        if f.kind != INTERIOR:
-            continue
-        ea, eb = f.owners
-        degs = [int(ref_space.degrees[ea]), int(ref_space.degrees[eb]),
-                int(coarse.space.degrees[cmap[ea]]), int(coarse.space.degrees[cmap[eb]])]
-        rule = face_rule(f, max(degs) + 2)
-        pts, w = rule.points, rule.weights
-        jump = value_diff(int(cmap[ea]), ea, pts) - value_diff(int(cmap[eb]), eb, pts)
-        p_e = ref_space.face_degree(f)
-        jump_sq += p_e**2 / f.h_e * float(w @ (jump * jump))
-
-    return {
-        "l2": math.sqrt(l2_sq),
-        "dg": math.sqrt(l2_sq + h1_sq + jump_sq),
-        "linf": linf,
-    }
+    l2_sq, h1_sq, jump_sq = float(np.sum(l2_sq)), float(np.sum(h1_sq)), float(np.sum(jump_sq))
+    return {"l2": math.sqrt(l2_sq), "dg": math.sqrt(l2_sq + h1_sq + jump_sq), "linf": linf}
 
 
 def full_dg_norm(field: DiscreteField) -> float:
@@ -121,33 +94,26 @@ def full_dg_norm(field: DiscreteField) -> float:
     implemented here; the 2D variant with L^q corner-edge terms is not
     provided.
     """
-    space = field.space
-    mesh = space.mesh
+    space, mesh = field.space, field.space.mesh
     if mesh.d != 3:
         raise ValueError("the full DG norm diagnostic is implemented for d = 3 only")
     total = 0.0
-    for e in mesh.elements:
-        n = int(space.degrees[e.id]) + 2
-        rule = element_rule(e, n)
-        pts, w = rule.points, rule.weights
-        v, g = _values_grads(field, e.id, pts)
-        total += float(w @ (v * v)) + sum(float(w @ (gm * gm)) for gm in g)
-    for f in mesh.faces:
-        p_e = space.face_degree(f)
-        rule = face_rule(f, p_e + 2)
-        pts, w = rule.points, rule.weights
-        r = np.sqrt(np.sum(pts * pts, axis=1))
-        if f.kind == INTERIOR:
-            va, ga = _values_grads(field, f.owners[0], pts)
-            vb, gb = _values_grads(field, f.owners[1], pts)
-            jump = va - vb
-            flux = 0.5 * (ga[f.axis] + gb[f.axis])
+    for ids, rule, shape in element_rules(mesh, space.degrees + 2):
+        v, g = evaluate_grid(field, ids, rule.points, shape, grads=True)
+        total += float(np.einsum("eq,eq->", rule.weights, v * v) + np.einsum("eq,meq->", rule.weights, g * g))
+    p_e = np.array([space.face_degree(f) for f in mesh.faces])
+    for idx, rule, shape in face_rules(mesh.faces, p_e + 2):
+        group, pts, w = [mesh.faces[i] for i in idx], rule.points, rule.weights
+        axis = group[0].axis
+        va, ga = evaluate_grid(field, [f.owners[0] for f in group], pts, shape, grads=True)
+        if group[0].kind == INTERIOR:
+            vb, gb = evaluate_grid(field, [f.owners[1] for f in group], pts, shape, grads=True)
+            jump, flux = va - vb, 0.5 * (ga[axis] + gb[axis])
         else:
-            va, ga = _values_grads(field, f.owners[0], pts)
-            jump = va
-            flux = f.sign * ga[f.axis]
-        total += p_e**2 / f.h_e * float(w @ (jump * jump))
-        total += p_e**-2 * float(w @ (r * flux * flux))
+            jump, flux = va, np.array([f.sign for f in group])[:, None] * ga[axis]
+        r, h_e = np.sqrt(np.sum(pts * pts, axis=2)), np.array([f.h_e for f in group])
+        total += float(np.sum(p_e[idx]**2 / h_e * np.einsum("eq,eq->e", w, jump * jump)
+                              + p_e[idx]**-2.0 * np.einsum("eq,eq->e", w, r * flux * flux)))
     return math.sqrt(total)
 
 

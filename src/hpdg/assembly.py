@@ -129,23 +129,17 @@ class SipAssembler:
         self.penalty = penalty
         self._mass = None
         self._sip = None
-
-    def _groups(self):
-        """Per degree: element ids, plain-rule points (k, nq, d) and weights
-        (k, nq), and the basis table those elements share."""
-        mesh, degs = self.space.mesh, self.space.degrees
-        for p in np.unique(degs):
-            ids = np.flatnonzero(degs == p)
-            ref_pts, ref_w, phi = reference_table(int(p), mesh.d)
-            half = np.array([mesh.elements[i].lengths for i in ids])[:, None, :] / 2.0
-            pts = mesh.el_lo[ids][:, None, :] + (ref_pts + 1.0) * half
-            yield ids, pts, ref_w * np.prod(half, axis=2), phi
+        self._groups = []  # per degree: p, element ids, plain-rule weights (k, nq), shared table
+        for p in np.unique(space.degrees).tolist():
+            ids = np.flatnonzero(space.degrees == p)
+            _, ref_w, phi = reference_table(p, space.mesh.d)
+            self._groups.append((p, ids, ref_w * np.prod(space.mesh.el_len[ids][:, None, :] / 2.0, axis=2), phi))
 
     def mass(self) -> sp.csr_matrix:
         if self._mass is None:
             sp_ = self.space
             self._mass = sp.diags(np.concatenate([
-                _local_mass_diag(e, int(sp_.degrees[e.id]), sp_.mesh.d) for e in sp_.mesh.elements
+                _local_mass_diag(e.lengths, int(sp_.degrees[e.id])) for e in sp_.mesh.elements
             ]), format="csr")
         return self._mass
 
@@ -166,8 +160,10 @@ class SipAssembler:
             return cache[key]
 
         pot_blocks = {}  # plain-rule potential Grams, batched per degree
-        for ids, pts, w, phi in self._groups() if pot.alpha is not None else ():
-            vq = pot(pts.reshape(-1, mesh.d)).reshape(w.shape)
+        for p, ids, w, phi in self._groups if pot.alpha is not None else ():
+            half = mesh.el_len[ids][:, None, :] / 2.0
+            vq = pot((mesh.el_lo[ids][:, None, :] + (reference_table(p, mesh.d)[0] + 1.0) * half)
+                     .reshape(-1, mesh.d)).reshape(w.shape)
             pot_blocks.update(zip(ids, _grams(phi, w * vq)))
         for e in mesh.elements:
             p = int(space.degrees[e.id])
@@ -223,7 +219,7 @@ class SipAssembler:
         indptr = np.concatenate([[0], np.cumsum(np.repeat(nd, nd))])
         itype = np.int32 if indptr[-1] < 2**31 else np.int64
         data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=itype)
-        for ids, _, w, phi in self._groups():
+        for _, ids, w, phi in self._groups:
             cols = off[ids][:, None] + np.arange(phi.shape[1])  # (k, n): each element's dofs
             g = _grams(phi, w * (scale * np.abs(u.coeffs[cols] @ phi.T) ** (delta - 1)))
             pos = indptr[cols][..., None] + np.arange(phi.shape[1])  # (k, n, n): row-major blocks

@@ -3,7 +3,10 @@
 Per-element degrees follow the linear slope rule p_K = p0 + round(s * (ell - j))
 for an element in layer j, so the innermost layer carries p0 and degrees grow
 toward the boundary.  Local bases are tensor products of Legendre polynomials;
-dofs are laid out contiguously per element, in element-id order.
+dofs are laid out contiguously per element, in element-id order.  Fields are
+evaluated, projected and injected per degree group: one dense basis table per
+chunk of elements on their tensor grid of points, one batched matmul, with
+every entry computed as :func:`basis_matrix` computes it at that point.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mesh as meshmod
-from ._kernels import legendre_table, tensor_rows
-from .quadrature import element_rule
+from ._kernels import legendre_table
+from .quadrature import element_rules
 from .refelem import gauss_rule, legendre_l2_norms_sq
 
 ROUNDINGS = ("half_up", "floor", "ceil")
@@ -131,27 +134,48 @@ class MeshNestingError(ValueError):
 
 
 def containing_map(coarse_mesh: meshmod.GradedMesh, fine_mesh: meshmod.GradedMesh) -> np.ndarray:
-    """fine element id -> coarse element id; raises if the meshes do not nest."""
-    out = np.empty(fine_mesh.n_elements, dtype=np.int64)
-    for e in fine_mesh.elements:
-        cid = locate_point(coarse_mesh, e.center)
-        c = coarse_mesh.elements[cid]
-        if np.any(e.lo < c.lo - 1e-12) or np.any(e.hi > c.hi + 1e-12):
-            raise MeshNestingError(f"fine element {e.id} is not contained in any coarse element")
-        out[e.id] = cid
+    """fine element id -> the first coarse element id holding its center, as
+    :func:`locate_point` finds it; raises if the meshes do not nest."""
+    if coarse_mesh.d != fine_mesh.d:
+        raise ValueError(f"cannot nest a {fine_mesh.d}D mesh in a {coarse_mesh.d}D mesh")
+    x = (fine_mesh.el_lo + 0.5 * fine_mesh.el_len)[:, None, :]  # centers
+    inside = np.all((coarse_mesh.el_lo - meshmod.GEOM_TOL <= x) & (x <= coarse_mesh.el_hi + meshmod.GEOM_TOL), axis=2)
+    out = np.argmax(inside, axis=1)
+    bad = ~inside.any(axis=1) | np.any((fine_mesh.el_lo < coarse_mesh.el_lo[out] - 1e-12)
+                                       | (fine_mesh.el_hi > coarse_mesh.el_hi[out] + 1e-12), axis=1)
+    if bad.any():
+        raise MeshNestingError(f"fine element {np.argmax(bad)} is not contained in any coarse element")
     return out
 
 
-def ref_coords(element: meshmod.Element, pts: np.ndarray) -> np.ndarray:
-    """Map physical points into the element's [-1,1]^d reference coordinates."""
-    return 2.0 * (pts - element.lo) / element.lengths - 1.0
+# Most entries (elements x points x modes) in one dense table of the evaluator.
+TABLE_ENTRIES = 2**20
+
+
+def _basis_tables(lo, lengths, p: int, axes, grads=False):
+    """The (p+1)^d tensor-Legendre basis of the boxes lo + [0, lengths] (E, d)
+    on the tensor grids of per-axis physical coordinates ``axes[m]`` (E, n_m),
+    first axis slowest: values (E, nq, nd) and, with ``grads``, the d
+    physical-derivative tables.  Every entry is the same product of per-axis
+    Legendre values, (t_0 * t_1) * t_2, whatever the grid."""
+    vals, ders = [], []
+    for m, x in enumerate(axes):
+        v, dv = legendre_table((2.0 * (x - lo[:, m, None]) / lengths[:, m, None] - 1.0).ravel(), p)
+        vals.append(v.reshape(*x.shape, p + 1))
+        ders.append(dv.reshape(*x.shape, p + 1) * (2.0 / lengths[:, m, None, None]))
+
+    def product(tabs):
+        return functools.reduce(lambda a, t: (a[:, :, None, :, None] * t[:, None, :, None, :])
+                                .reshape(len(t), -1, a.shape[2] * t.shape[2]), tabs)
+
+    return product(vals), [product(vals[:m] + [ders[m]] + vals[m + 1:])
+                           for m in range(len(axes))] if grads else []
 
 
 def basis_matrix(element: meshmod.Element, p: int, pts: np.ndarray):
-    """Values of the (p+1)^d tensor-Legendre basis at physical points pts."""
-    xi = ref_coords(element, pts)
-    tabs = [legendre_table(np.ascontiguousarray(xi[:, m]), p)[0] for m in range(xi.shape[1])]
-    return tensor_rows(tabs)
+    """Values of the (p+1)^d tensor-Legendre basis at physical points pts,
+    each point a one-node grid of :func:`_basis_tables`."""
+    return _basis_tables(element.lo[None], element.lengths[None], p, list(pts.T[:, :, None]))[0][:, 0]
 
 
 def basis_matrices(element: meshmod.Element, p: int, pts: np.ndarray):
@@ -160,19 +184,41 @@ def basis_matrices(element: meshmod.Element, p: int, pts: np.ndarray):
     Returns (phi, grads) with phi of shape (npts, ndof) and grads a list of d
     arrays of the same shape (derivative along each physical axis).
     """
-    xi = ref_coords(element, pts)
-    d = xi.shape[1]
-    vals, ders = [], []
-    for m in range(d):
-        v, dv = legendre_table(np.ascontiguousarray(xi[:, m]), p)
-        vals.append(v)
-        ders.append(dv)
-    phi = tensor_rows(vals)
-    grads = []
-    for m in range(d):
-        tabs = [ders[k] * (2.0 / element.lengths[k]) if k == m else vals[k] for k in range(d)]
-        grads.append(tensor_rows(tabs))
-    return phi, grads
+    phi, grads = _basis_tables(element.lo[None], element.lengths[None], p, list(pts.T[:, :, None]), True)
+    return phi[:, 0], [g[:, 0] for g in grads]
+
+
+def _grid_tables(space: HpSpace, eids, pts, shape, grads=False):
+    """:func:`_basis_tables` of the elements ``eids`` at points (E, nq, d)
+    that form a tensor grid of ``shape`` in each element.  Yields
+    ``(rows, phi, dphi)`` per degree and chunk of at most ``TABLE_ENTRIES``
+    table entries, ``rows`` indexing ``eids``."""
+    strides = [math.prod(shape[m + 1:]) for m in range(len(shape))]
+    axes = [pts[:, :n * s:s, m] for m, (n, s) in enumerate(zip(shape, strides))]  # (E, n_m)
+    degs = space.degrees[eids]
+    for p in np.unique(degs).tolist():
+        idx = np.flatnonzero(degs == p)
+        step = max(1, TABLE_ENTRIES // (pts.shape[1] * (p + 1) ** len(shape)))
+        for rows in (idx[i:i + step] for i in range(0, idx.size, step)):
+            el = eids[rows]
+            yield rows, *_basis_tables(space.mesh.el_lo[el], space.mesh.el_len[el], p,
+                                       [x[rows] for x in axes], grads)
+
+
+def evaluate_grid(field: DiscreteField, eids, pts, shape, grads=False):
+    """``field`` in the elements ``eids`` at points (E, nq, d) on per-element
+    tensor grids of ``shape``: values (E, nq) and, with ``grads``, physical
+    gradients (d, E, nq), else None.  Each value is bitwise the one of
+    :func:`evaluate_in_element`, one batched matmul per degree and chunk."""
+    space, eids = field.space, np.asarray(eids)
+    vals = np.empty(pts.shape[:2])
+    dvals = np.empty((len(shape),) + pts.shape[:2]) if grads else None
+    for rows, phi, dphi in _grid_tables(space, eids, pts, shape, grads):
+        c = field.coeffs[space.offsets[eids[rows]][:, None] + np.arange(phi.shape[2])][..., None]
+        vals[rows] = np.matmul(phi, c)[..., 0]
+        for m, g in enumerate(dphi):
+            dvals[m, rows] = np.matmul(g, c)[..., 0]
+    return vals, dvals
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,30 +251,39 @@ def evaluate(field: DiscreteField, x) -> float:
 
 
 def _l2_project(space: HpSpace, values) -> DiscreteField:
-    """Element-local L2 projection; ``values(element, pts)`` gives the target
-    at the points of the element's n = p + 4 tensor Gauss rule."""
+    """Element-local L2 projection on the n = p + 4 tensor Gauss rule.
+
+    ``values(groups)`` gets the groups of :func:`hpdg.quadrature.element_rules`
+    and returns the target at each group's points.
+    """
+    groups = list(element_rules(space.mesh, space.degrees + 4))
     coeffs = np.zeros(space.N)
-    for e in space.mesh.elements:
-        p = int(space.degrees[e.id])
-        rule = element_rule(e, p + 4)
-        phi = basis_matrix(e, p, rule.points)
-        rhs = phi.T @ (rule.weights * values(e, rule.points))
-        coeffs[space.local_slice(e.id)] = rhs / _local_mass_diag(e, p, space.mesh.d)
+    for (ids, rule, shape), v in zip(groups, values(groups)):
+        wv = (rule.weights * v.reshape(rule.weights.shape))[..., None]
+        for rows, phi, _ in _grid_tables(space, ids, rule.points, shape):
+            cols = space.offsets[ids[rows]][:, None] + np.arange(phi.shape[2])
+            rhs = np.matmul(phi.transpose(0, 2, 1), wv[rows])[..., 0]
+            coeffs[cols] = rhs / _local_mass_diag(space.mesh.el_len[ids[rows]], int(space.degrees[ids[0]]))
     return DiscreteField(space, coeffs)
 
 
 def project(space: HpSpace, f) -> DiscreteField:
-    """Element-local L2 projection of a callable f(points) -> values."""
-    return _l2_project(space, lambda e, pts: np.asarray(f(pts)))
+    """Element-local L2 projection of a callable f(points) -> values, called
+    once on the points of all elements."""
+    def values(groups):
+        pts = [rule.points.reshape(-1, space.mesh.d) for _, rule, _ in groups]
+        return np.split(np.asarray(f(np.concatenate(pts))), np.cumsum([len(x) for x in pts])[:-1])
+
+    return _l2_project(space, values)
 
 
-def _local_mass_diag(element: meshmod.Element, p: int, d: int) -> np.ndarray:
-    """Diagonal of the modal tensor-Legendre mass matrix on one element."""
-    norms = legendre_l2_norms_sq(p)
-    modes = _modes(p, d)
-    diag = np.ones(modes.shape[0])
-    for m in range(d):
-        diag *= norms[modes[:, m]] * (element.lengths[m] / 2.0)
+def _local_mass_diag(lengths: np.ndarray, p: int) -> np.ndarray:
+    """Diagonal of the modal tensor-Legendre mass matrix on the elements with
+    edge lengths (d,) or (k, d)."""
+    norms, modes = legendre_l2_norms_sq(p), _modes(p, lengths.shape[-1])
+    diag = np.ones(lengths.shape[:-1] + modes.shape[:1])
+    for m, k in enumerate(modes.T):
+        diag *= norms[k] * (lengths[..., m, None] / 2.0)
     return diag
 
 
@@ -239,11 +294,8 @@ def inject(field: DiscreteField, fine_space: HpSpace) -> DiscreteField:
     degree at most the fine one (the situation along a refinement chain).
     """
     cmap = containing_map(field.space.mesh, fine_space.mesh)  # raises if they do not nest
-
-    def values(e, pts):
-        return evaluate_in_element(field, cmap[e.id], pts)
-
-    return _l2_project(fine_space, values)
+    return _l2_project(fine_space, lambda groups: [
+        evaluate_grid(field, cmap[ids], rule.points, shape)[0] for ids, rule, shape in groups])
 
 
 def save_field(field: DiscreteField, path) -> None:

@@ -94,6 +94,7 @@ class GradedMesh:
         # cached coordinate arrays for vectorized point location
         self.el_lo = np.array([e.lo for e in self.elements])
         self.el_hi = np.array([e.hi for e in self.elements])
+        self.el_len = np.array([e.lengths for e in self.elements])
 
     @property
     def n_elements(self) -> int:

@@ -2,7 +2,7 @@
 
 This is the one place where Gauss points are mapped to an axis-parallel box:
 volume rules, face rules and the composite singular rule all come from
-:func:`_box_rule`.
+:func:`_box_rule`, one box at a time or stacked over a group of boxes.
 
 Smooth elements get affinely mapped tensor Gauss rules.  Elements touching
 the singular point get a composite rule built from a geometric subdivision
@@ -36,15 +36,17 @@ class ElementRule:
 
 
 def _box_rule(lo, lengths, n: int) -> ElementRule:
-    """n^k-point tensor Gauss rule on the box lo + [0, lengths] (first axis slowest)."""
+    """n^k-point tensor Gauss rule on the box lo + [0, lengths] (first axis slowest).
+
+    ``lo`` and ``lengths`` are (k,) for one box or (E, k) for a stack of boxes;
+    a stack gets points (E, n^k, k) and weights (E, n^k).
+    """
     g = gauss_rule(n)
-    axes = [lo[m] + (g.points + 1.0) * (lengths[m] / 2.0) for m in range(len(lo))]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gr.ravel() for gr in grids], axis=1)
-    w = np.ones(1)
-    for m in range(len(lo)):
-        w = np.multiply.outer(w, g.weights * (lengths[m] / 2.0)).ravel()
-    return ElementRule(pts, w)
+    half = np.asarray(lengths)[..., None] / 2.0  # (..., k, 1)
+    k = half.shape[-2]
+    node = (..., np.arange(k)[:, None], np.indices((n,) * k).reshape(k, -1))  # (axis, point)
+    pts = (np.asarray(lo)[..., None] + (g.points + 1.0) * half)[node]
+    return ElementRule(np.swapaxes(pts, -1, -2), np.prod((g.weights * half)[node], axis=-2))
 
 
 def _check_n(n: int) -> None:
@@ -64,10 +66,33 @@ def face_rule(face: Face, n: int) -> ElementRule:
     The points are d-dimensional and lie on the face plane.
     """
     _check_n(n)
-    tdims = [m for m in range(len(face.lo)) if m != face.axis]
-    r = _box_rule(face.lo[tdims], face.lengths[tdims], n)
-    pts = np.insert(r.points, face.axis, face.lo[face.axis], axis=1)
-    return ElementRule(pts, r.weights)
+    rule = next(face_rules([face], [n]))[1]
+    return ElementRule(rule.points[0], rule.weights[0])
+
+
+def element_rules(mesh, n):
+    """The elements of ``mesh`` grouped by ``n`` (Gauss points per axis, one
+    entry per element).  Yields the ids, their stacked rule and its grid shape."""
+    for nk in np.unique(n).tolist():
+        ids = np.flatnonzero(n == nk)
+        yield ids, _box_rule(mesh.el_lo[ids], mesh.el_len[ids], nk), (nk,) * mesh.d
+
+
+def face_rules(faces, n):
+    """``faces`` grouped by kind, normal axis and ``n`` (Gauss points per
+    tangential axis, one entry per face).  Yields the positions in ``faces``,
+    their stacked rule on the face planes and its grid shape, which has one
+    node on the normal axis."""
+    keys = [(f.kind, f.axis, int(nf)) for f, nf in zip(faces, n)]
+    for key in sorted(set(keys)):
+        idx = np.array([i for i, k in enumerate(keys) if k == key])
+        lo = np.array([faces[i].lo for i in idx])
+        lengths = np.array([faces[i].lengths for i in idx])
+        _, axis, nf = key
+        t = [m for m in range(lo.shape[1]) if m != axis]
+        r = _box_rule(lo[:, t], lengths[:, t], nf)
+        yield (idx, ElementRule(np.insert(r.points, axis, lo[:, axis, None], axis=2), r.weights),
+               tuple(1 if m == axis else nf for m in range(lo.shape[1])))
 
 
 @functools.lru_cache(maxsize=16)

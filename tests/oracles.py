@@ -1,14 +1,22 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's own quadrature/assembly code paths:
-the adaptive integrator refines boxes wherever a coarse and a fine Gauss
-estimate disagree, and its results are accepted only after a Richardson-style
-agreement check between two tolerance levels.
+The integration oracles deliberately avoid the library's own
+quadrature/assembly code paths: the adaptive integrator refines boxes wherever
+a coarse and a fine Gauss estimate disagree, and its results are accepted only
+after a Richardson-style agreement check between two tolerance levels.  The
+per-element oracles restate a batched library routine as one loop over
+elements and faces, one rule and one basis table at a time.
 """
 
+import math
 from itertools import product
 
 import numpy as np
+
+from hpdg.hpspace import basis_matrices, basis_matrix, containing_map
+from hpdg.mesh import INTERIOR
+from hpdg.quadrature import element_rule, face_rule
+from hpdg.refelem import legendre_l2_norms_sq
 
 
 def _gauss(n):
@@ -72,3 +80,60 @@ def radial_power(alpha):
         return r ** (-alpha)
 
     return f
+
+
+def _values_grads(field, eid, pts):
+    phi, grads = basis_matrices(field.space.mesh.elements[eid], int(field.space.degrees[eid]), pts)
+    c = field.local(eid)
+    return phi @ c, [g @ c for g in grads]
+
+
+def error_norms_per_element(coarse, reference):
+    """``hpdg.analysis.error_norms`` as a loop over fine elements and faces."""
+    ref_space = reference.space
+    fine_mesh = ref_space.mesh
+    cmap = containing_map(coarse.space.mesh, fine_mesh)
+
+    def value_diff(cid, eid, pts):
+        return _values_grads(coarse, cid, pts)[0] - _values_grads(reference, eid, pts)[0]
+
+    l2_sq = h1_sq = jump_sq = linf = 0.0
+    for e in fine_mesh.elements:
+        cid = int(cmap[e.id])
+        n = max(int(ref_space.degrees[e.id]), int(coarse.space.degrees[cid])) + 2
+        rule = element_rule(e, n)
+        pts, w = rule.points, rule.weights
+        cv, cg = _values_grads(coarse, cid, pts)
+        rv, rg = _values_grads(reference, e.id, pts)
+        diff = cv - rv
+        l2_sq += float(w @ (diff * diff))
+        h1_sq += sum(float(w @ ((a - b) ** 2)) for a, b in zip(cg, rg))
+        corners = e.lo + np.array(list(product((0, 1), repeat=fine_mesh.d))) * e.lengths
+        linf = max(linf, float(np.max(np.abs(diff))),
+                   float(np.max(np.abs(value_diff(cid, e.id, corners)))))
+    for f in fine_mesh.faces:
+        if f.kind != INTERIOR:
+            continue
+        ea, eb = f.owners
+        degs = [int(ref_space.degrees[ea]), int(ref_space.degrees[eb]),
+                int(coarse.space.degrees[cmap[ea]]), int(coarse.space.degrees[cmap[eb]])]
+        rule = face_rule(f, max(degs) + 2)
+        jump = (value_diff(int(cmap[ea]), ea, rule.points)
+                - value_diff(int(cmap[eb]), eb, rule.points))
+        jump_sq += ref_space.face_degree(f) ** 2 / f.h_e * float(rule.weights @ (jump * jump))
+    return {"l2": math.sqrt(l2_sq), "dg": math.sqrt(l2_sq + h1_sq + jump_sq), "linf": linf}
+
+
+def project_per_element(space, values):
+    """Element-local L2 projection, one element at a time:
+    ``values(element, pts)`` is the target at the element's rule points."""
+    coeffs = np.zeros(space.N)
+    for e in space.mesh.elements:
+        p = int(space.degrees[e.id])
+        rule = element_rule(e, p + 4)
+        phi = basis_matrix(e, p, rule.points)
+        mass = np.ones(phi.shape[1])
+        for m, k in enumerate(space.modes(e.id).T):
+            mass *= legendre_l2_norms_sq(p)[k] * (e.lengths[m] / 2.0)
+        coeffs[space.local_slice(e.id)] = phi.T @ (rule.weights * values(e, rule.points)) / mass
+    return coeffs

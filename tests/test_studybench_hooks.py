@@ -12,6 +12,7 @@ import scipy.sparse as sp
 
 from hpdg import eigsolve
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler
+from hpdg.cli import StudyConfig, run_study
 from hpdg.hpspace import build_space, constant_field
 from hpdg.mesh import build_graded_mesh
 
@@ -54,3 +55,20 @@ def test_layer_hooks_see_the_sparse_factorization(layers):
         uninstall()
     assert tracer.calls["eigsolve.factor"] == 1
     assert tracer.maxima["eigsolve.lu_fill"] > 0
+
+
+def test_layer_hooks_see_error_norms_and_injection(layers, tmp_path):
+    """A tiny2d-sized study: one error_norms span per recorded level and one
+    inject span per warm-started level of both chains."""
+    cfg = StudyConfig(dim=2, ell_min=1, ell_max=2, p0=2, slope=0.125, alpha=1.0, pot_sign=-1,
+                      delta=3, tol=1e-10, ref_extra_levels=2, ref_extra_degree=1, out=str(tmp_path))
+    tracer = layers.Tracer()
+    uninstall = layers.install(tracer)
+    try:
+        records = run_study(cfg)
+    finally:
+        uninstall()
+    warm_started = (cfg.ell_max + cfg.ref_extra_levels - 1) + (cfg.ell_max - 1)
+    assert len(records) == cfg.ell_max - cfg.ell_min + 1
+    assert tracer.calls["analysis.error_norms"] == len(records)
+    assert tracer.calls["hpspace.inject"] == warm_started
