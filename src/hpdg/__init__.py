@@ -15,7 +15,7 @@ from .eigsolve import EigenSolveError, EigResult, smallest_eigenpair
 from .hpspace import (DiscreteField, HpSpace, build_space, constant_field,
                       evaluate, inject, load_field, locate_point, project,
                       save_field)
-from .mesh import Element, Face, GradedMesh, build_graded_mesh, enumerate_faces
+from .mesh import GradedMesh, build_graded_mesh
 from .quadrature import (ElementRule, element_rule, face_rule, singular_rule,
                          volume_rule)
 from .refelem import QuadRule1D, gauss_rule

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hpspace import DiscreteField, MeshNestingError, containing_map, evaluate_grid  # noqa: F401
-from .mesh import INTERIOR
 from .quadrature import element_rules, face_rules
 
 ERROR_FLOOR = 1e-12
@@ -62,7 +61,7 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
 
     l2_sq, h1_sq = np.zeros(mesh.n_elements), np.zeros(mesh.n_elements)
     cube = np.indices((2,) * mesh.d).reshape(mesh.d, -1).T  # corner offsets, first axis slowest
-    corners = mesh.el_lo[:, None, :] + cube * mesh.el_len[:, None, :]
+    corners = mesh.lo[:, None, :] + cube * mesh.lengths[:, None, :]
     linf = float(np.max(np.abs(diff(np.arange(mesh.n_elements), corners, (2,) * mesh.d)[0])))
     for ids, rule, shape in element_rules(mesh, np.maximum(space.degrees, p_c) + 2):
         dv, dg = diff(ids, rule.points, shape, grads=True)
@@ -70,14 +69,14 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
         h1_sq[ids] = np.einsum("eq,meq->e", rule.weights, dg * dg)
         linf = max(linf, float(np.max(np.abs(dv))))
 
-    faces = mesh.interior_faces()
-    a, b = np.array([f.owners for f in faces], dtype=np.int64).reshape(-1, 2).T
+    faces = mesh.faces[mesh.faces.interior]
+    a, b = faces.owners.T
     p_e = np.maximum(space.degrees[a], space.degrees[b])
     jump_sq = np.zeros(len(faces))
     for idx, rule, shape in face_rules(faces, np.maximum(p_e, np.maximum(p_c[a], p_c[b])) + 2):
         jump = diff(a[idx], rule.points, shape)[0] - diff(b[idx], rule.points, shape)[0]
         jump_sq[idx] = np.einsum("eq,eq->e", rule.weights, jump * jump)
-    jump_sq *= p_e**2 / np.array([f.h_e for f in faces])
+    jump_sq *= p_e**2 / faces.h_e
 
     l2_sq, h1_sq, jump_sq = float(np.sum(l2_sq)), float(np.sum(h1_sq)), float(np.sum(jump_sq))
     return {"l2": math.sqrt(l2_sq), "dg": math.sqrt(l2_sq + h1_sq + jump_sq), "linf": linf}
@@ -101,17 +100,16 @@ def full_dg_norm(field: DiscreteField) -> float:
     for ids, rule, shape in element_rules(mesh, space.degrees + 2):
         v, g = evaluate_grid(field, ids, rule.points, shape, grads=True)
         total += float(np.einsum("eq,eq->", rule.weights, v * v) + np.einsum("eq,meq->", rule.weights, g * g))
-    p_e = np.array([space.face_degree(f) for f in mesh.faces])
-    for idx, rule, shape in face_rules(mesh.faces, p_e + 2):
-        group, pts, w = [mesh.faces[i] for i in idx], rule.points, rule.weights
-        axis = group[0].axis
-        va, ga = evaluate_grid(field, [f.owners[0] for f in group], pts, shape, grads=True)
-        if group[0].kind == INTERIOR:
-            vb, gb = evaluate_grid(field, [f.owners[1] for f in group], pts, shape, grads=True)
+    faces, p_e = mesh.faces, space.face_degree
+    for idx, rule, shape in face_rules(faces, p_e + 2):
+        pts, w, axis = rule.points, rule.weights, faces.axis[idx[0]]
+        va, ga = evaluate_grid(field, faces.owners[idx, 0], pts, shape, grads=True)
+        if faces.interior[idx[0]]:
+            vb, gb = evaluate_grid(field, faces.owners[idx, 1], pts, shape, grads=True)
             jump, flux = va - vb, 0.5 * (ga[axis] + gb[axis])
         else:
-            jump, flux = va, np.array([f.sign for f in group])[:, None] * ga[axis]
-        r, h_e = np.sqrt(np.sum(pts * pts, axis=2)), np.array([f.h_e for f in group])
+            jump, flux = va, faces.sign[idx][:, None] * ga[axis]
+        r, h_e = np.sqrt(np.sum(pts * pts, axis=2)), faces.h_e[idx]
         total += float(np.sum(p_e[idx]**2 / h_e * np.einsum("eq,eq->e", w, jump * jump)
                               + p_e[idx]**-2.0 * np.einsum("eq,eq->e", w, r * flux * flux)))
     return math.sqrt(total)

@@ -2,33 +2,35 @@
 
 All matrices are scipy CSR in canonical format, symmetric by construction.
 Contributions are accumulated in a fixed global ordering (elements by id, then
-faces by id), so the assembled matrices are bitwise independent of the order
-in which the mesh lists happen to be stored.
+faces by id), so the assembled matrices are bitwise reproducible.
 
 Volume terms use n = p + 4 Gauss points per dimension.  On elements touching
 the singular point the potential term is integrated with the composite graded
 rule of :func:`hpdg.quadrature.singular_rule`; gradient and mass terms are
 polynomial and therefore already exact with the plain rule.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
-controlled variational crime, see README).  Relative-geometry blocks are cached
-per key and per-element Grams batched per degree (see :class:`SipAssembler`);
-A_sip is scattered into its element-graph CSR, N(u) laid out as block-diagonal CSR.
+controlled variational crime, see README).  The mesh is arrays, so blocks of
+equal relative geometry are found with one ``np.unique`` per key table and
+computed once, and per-element Grams are batched per degree (see
+:class:`SipAssembler`); A_sip is scattered into its element-graph CSR, with its
+block positions computed per group of blocks of one shape, and N(u) is laid
+out as block-diagonal CSR.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import weighted_gram
-from .hpspace import (DiscreteField, HpSpace, _local_mass_diag, basis_matrices, basis_matrix,
-                      reference_table)
-from .mesh import BOUNDARY, INTERIOR
+from .hpspace import (DiscreteField, HpSpace, _local_mass_diag, _modes, basis_matrices,
+                      basis_matrix, reference_table)
 from .quadrature import element_rule, face_rule, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
+ADD_CHUNK = 2**18  # about this many block entries are added to A_sip per np.add.at
 
 
 @dataclass(frozen=True)
@@ -75,50 +77,82 @@ def _grams(phi: np.ndarray, wq: np.ndarray) -> np.ndarray:
     return np.matmul(phi.T * wq[:, None, :], phi)
 
 
-def _csr_from_blocks(space: HpSpace, blocks) -> sp.csr_matrix:
-    """Add symmetrized element-local blocks, in the order they come, into an
-    N x N CSR matrix whose rows of element a hold the dofs of a and of its
-    face neighbours, in id order.  ``blocks`` yields ``(eids, block)``: the
-    block couples the local dofs of the elements ``eids``, in that order.
+def _csr_from_blocks(space: HpSpace, blocks: list) -> sp.csr_matrix:
+    """Add symmetric blocks into an N x N CSR matrix whose rows of element a
+    hold the dofs of a and of its face neighbours, in id order.
+
+    ``blocks`` holds the element blocks by element id, then the face blocks
+    by face id: element e's couples its local dofs with themselves, face f's
+    the local dofs of its owners, in owner order.  They are added in that
+    order, one ``np.add.at`` per chunk of about ``ADD_CHUNK`` entries.
     """
-    nd, off = space.ndofs_el, space.offsets
-    coupled = [{a} for a in range(space.mesh.n_elements)]
-    for a, b in (f.owners for f in space.mesh.faces if f.kind == INTERIOR):
-        coupled[a].add(b)
-        coupled[b].add(a)
-    coupled = [sorted(c) for c in coupled]
-    indptr = np.concatenate([[0], np.cumsum(np.repeat([nd[c].sum() for c in coupled], nd))])
+    mesh, nd, off = space.mesh, space.ndofs_el, space.offsets
+    n_el = mesh.n_elements
+    # Coupled pairs (a, b), sorted: a row of element a holds the dofs of its b in id order.
+    inner = mesh.faces.owners[mesh.faces.interior]
+    pairs = np.unique(np.vstack([np.repeat(np.arange(n_el), 2).reshape(-1, 2),
+                                 inner, inner[:, ::-1]]), axis=0)
+    pair_key = pairs[:, 0] * n_el + pairs[:, 1]
+    cum = np.concatenate([[0], np.cumsum(nd[pairs[:, 1]])])
+    bounds = np.searchsorted(pairs[:, 0], np.arange(n_el + 1))  # a's pairs: bounds[a]:bounds[a + 1]
+    row_len = np.diff(cum[bounds])
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(row_len, nd))])
     itype = np.int32 if indptr[-1] < 2**31 else np.int64
-    indices = np.empty(indptr[-1], dtype=itype)
-    start = []  # start[a][b]: where element b's columns begin in a row of element a
-    for a, c in enumerate(coupled):
-        cols = np.concatenate([np.arange(off[b], off[b] + nd[b]) for b in c])
-        indices[indptr[off[a]]:indptr[off[a] + nd[a]]] = np.tile(cols, nd[a])
-        start.append(dict(zip(c, np.cumsum([0] + [nd[b] for b in c[:-1]]))))
+    indptr = indptr.astype(itype)
+    col0 = (cum[:-1] - cum[bounds[pairs[:, 0]]]).astype(itype)  # where b begins in a row of a
+    # every row of element a holds the same columns: the dofs of a's pairs, in order
+    cols = (np.repeat(off[pairs[:, 1]] - cum[:-1], np.diff(cum)) + np.arange(cum[-1])).astype(itype)
+    row_el = np.repeat(np.arange(n_el), nd)
+    row_cols = (cum[bounds[row_el]] - indptr[:-1]).astype(itype)  # a's columns, less the row start
+    indices = cols[np.repeat(row_cols, row_len[row_el]) + np.arange(indptr[-1], dtype=itype)]
+
+    owners = np.vstack([np.column_stack([np.arange(n_el), np.full(n_el, -1)]),
+                        mesh.faces.owners])
+    n_own = np.where(owners >= 0, nd[owners], 0)
+    size = n_own.sum(axis=1) ** 2
+    start = np.cumsum(size) - size
     data = np.zeros(indptr[-1])
-    for eids, block in blocks:
-        pos = [indptr[off[a]:off[a] + nd[a], None]
-               + np.concatenate([start[a][b] + np.arange(nd[b]) for b in eids]) for a in eids]
-        data[np.concatenate(pos).ravel()] += _sym(block).ravel()
+    chunks = np.split(np.arange(len(blocks)), np.flatnonzero(np.diff(start // ADD_CHUNK)) + 1)
+    for chunk in chunks:
+        pos = np.empty(size[chunk].sum(), dtype=itype)  # the positions of the chunk's values
+        for n in np.unique(n_own[chunk], axis=0):
+            ids = chunk[np.all(n_own[chunk] == n, axis=1)]
+            own, n = owners[ids][:, n > 0], n[n > 0]
+            dofs = np.hstack([off[o][:, None] + np.arange(k) for o, k in zip(own.T, n)])
+            col_start = col0[np.searchsorted(pair_key, own[:, :, None] * n_el + own[:, None, :])]
+            # in a row of owner x, the position of each block column
+            col_pos = col_start.repeat(n, axis=2) + np.concatenate([np.arange(k) for k in n])
+            blk = indptr[dofs][:, :, None] + col_pos.repeat(n, axis=1)
+            at = start[ids] - start[chunk[0]]
+            pos[at[:, None] + np.arange(blk[0].size)] = blk.reshape(len(ids), -1)
+        np.add.at(data, pos, np.concatenate([blocks[i].ravel() for i in chunk]))
     if not np.isfinite(data).all():
         raise ValueError("assembled SIP matrix contains non-finite entries")
-    return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
+    return sp.csr_matrix((data, indices, indptr), shape=(space.N, space.N))
+
+
+def _first_and_inverse(keys):
+    """Index of the first row of each distinct row of ``keys`` and, per row,
+    the position of its distinct row among them."""
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inv
 
 
 class SipAssembler:
     """Builds A_sip once per space and N(u) per state from reference data.
 
     The basis lives on each element's reference cube, so ``sip()`` computes a
-    block once per key of relative geometry: an element's gradient block per
-    ``(p, lengths)``; a face block per kind, axis, sign, h_e and, per owner,
-    degree, lengths and the face's offset and size divided by the owner's
-    lengths (rounded there, never in absolute coordinates: elements near the
-    singular point may be 1e-9 wide); the corner potential block B per
-    ``(p, lengths)``, on the corner element moved to lo = 0.  V is radial and
-    P_i(-x) = (-1)^i P_i(x), so the corner element reflected along the axes
-    with s_m = -1 gets D B D, D = diag(prod_m s_m^{i_m}).  The other elements'
-    potential and the |u|^(delta-1) Grams of ``nonlinear_mass()`` are one
-    batched matmul per degree group on :func:`hpdg.hpspace.reference_table`.
+    block once per key of relative geometry, one ``np.unique`` per key table:
+    an element's gradient block per ``(p, lengths)``; a face block per kind,
+    axis, sign, h_e and, per owner, degree, lengths and the face's offset and
+    size divided by the owner's lengths (rounded there, never in absolute
+    coordinates: elements near the singular point may be 1e-9 wide); the
+    corner potential block B per ``(p, lengths)``, on the corner element moved
+    to lo = 0.  V is radial and P_i(-x) = (-1)^i P_i(x), so the corner element
+    reflected along the axes with s_m = -1 gets D B D,
+    D = diag(prod_m s_m^{i_m}).  The other elements' potential and the
+    |u|^(delta-1) Grams of ``nonlinear_mass()`` are one batched matmul per
+    degree group on :func:`hpdg.hpspace.reference_table`.
     ``nonlinear_mass()`` writes its Grams straight into a block-diagonal CSR:
     element e's block, row-major, where the CSR row of its first dof starts.
     """
@@ -129,18 +163,21 @@ class SipAssembler:
         self.penalty = penalty
         self._mass = None
         self._sip = None
-        self._groups = []  # per degree: p, element ids, plain-rule weights (k, nq), shared table
+        # per degree: p, element ids, plain-rule weights (k, nq), shared table, dofs (k, n)
+        self._groups = []
         for p in np.unique(space.degrees).tolist():
             ids = np.flatnonzero(space.degrees == p)
             _, ref_w, phi = reference_table(p, space.mesh.d)
-            self._groups.append((p, ids, ref_w * np.prod(space.mesh.el_len[ids][:, None, :] / 2.0, axis=2), phi))
+            w = ref_w * np.prod(space.mesh.lengths[ids][:, None, :] / 2.0, axis=2)
+            cols = space.offsets[ids][:, None] + np.arange(phi.shape[1])
+            self._groups.append((p, ids, w, phi, cols))
 
     def mass(self) -> sp.csr_matrix:
         if self._mass is None:
-            sp_ = self.space
-            self._mass = sp.diags(np.concatenate([
-                _local_mass_diag(e.lengths, int(sp_.degrees[e.id])) for e in sp_.mesh.elements
-            ]), format="csr")
+            diag = np.empty(self.space.N)
+            for p, ids, _, _, cols in self._groups:
+                diag[cols] = _local_mass_diag(self.space.mesh.lengths[ids], p)
+            self._mass = sp.diags(diag, format="csr")
         return self._mass
 
     def sip(self) -> sp.csr_matrix:
@@ -148,63 +185,66 @@ class SipAssembler:
             self._sip = _csr_from_blocks(self.space, self._sip_blocks())
         return self._sip
 
-    def _sip_blocks(self):
-        """Element blocks by element id, then face blocks by face id."""
+    def _sip_blocks(self) -> list:
+        """The symmetrized blocks of A_sip, element blocks by element id, then
+        face blocks by face id; blocks of equal key are one shared array."""
         space, pot = self.space, self.potential
         mesh = space.mesh
-        cache = {}
+        corner = mesh.corner & (pot.alpha is not None)
+        elements = [None] * mesh.n_elements
+        for p, ids, w, phi, _ in self._groups:
+            first, inv = _first_and_inverse(mesh.lengths[ids])
+            grad = np.stack([self._grad_block(e, p) for e in ids[first]])[inv]
+            block = grad
+            if pot.alpha is not None:
+                half = mesh.lengths[ids][:, None, :] / 2.0
+                vq = pot((mesh.lo[ids][:, None, :] + (reference_table(p, mesh.d)[0] + 1.0) * half)
+                         .reshape(-1, mesh.d)).reshape(w.shape)
+                block = grad + _grams(phi, w * vq)
+            c = np.flatnonzero(corner[ids])
+            if c.size:
+                first, inv = _first_and_inverse(mesh.lengths[ids[c]])
+                b = np.stack([self._corner_block(e, p) for e in ids[c[first]]])[inv]
+                flipped = np.abs(mesh.lo[ids[c]]) > 1e-14  # the axes with s_m = -1
+                s = 1 - 2 * ((_modes(p, mesh.d) * flipped[:, None, :]).sum(axis=2) % 2)
+                block[c] = grad[c] + b * (s[:, :, None] * s[:, None, :])
+            for e, b in zip(ids.tolist(), _sym(block)):
+                elements[e] = b
 
-        def cached(key, make, *args):
-            if key not in cache:
-                cache[key] = make(*args)
-            return cache[key]
+        faces, p_e = mesh.faces, space.face_degree
+        key = [faces.interior, faces.axis, faces.sign, faces.h_e]
+        for o in faces.owners.T:  # a boundary face's missing owner gets zeros
+            e = np.maximum(o, 0)
+            rel = (np.concatenate([faces.lo - mesh.lo[e], faces.lengths], axis=1)
+                   / np.tile(mesh.lengths[e], 2))
+            owner_key = np.column_stack([space.degrees[e], mesh.lengths[e], np.round(rel, 12)])
+            key.append(owner_key * (o >= 0)[:, None])
+        first, inv = _first_and_inverse(np.column_stack(key))
+        blocks = [_sym(self._face_block(f, int(p_e[f]))) for f in first]
+        return elements + [blocks[j] for j in inv]
 
-        pot_blocks = {}  # plain-rule potential Grams, batched per degree
-        for p, ids, w, phi in self._groups if pot.alpha is not None else ():
-            half = mesh.el_len[ids][:, None, :] / 2.0
-            vq = pot((mesh.el_lo[ids][:, None, :] + (reference_table(p, mesh.d)[0] + 1.0) * half)
-                     .reshape(-1, mesh.d)).reshape(w.shape)
-            pot_blocks.update(zip(ids, _grams(phi, w * vq)))
-        for e in mesh.elements:
-            p = int(space.degrees[e.id])
-            block = cached(("grad", p, *e.lengths), self._grad_block, e, p)
-            if e.touches_c and pot.alpha is not None:
-                b = cached(("corner", p, *e.lengths), self._corner_block, e, p)
-                s = 1 - 2 * (space.modes(e.id)[:, np.abs(e.lo) > 1e-14].sum(axis=1) % 2)
-                yield (e.id,), block + b * np.outer(s, s)
-            else:
-                yield (e.id,), block + pot_blocks.get(e.id, 0.0)
-
-        for f in sorted(mesh.faces, key=lambda fc: fc.id):
-            owners = tuple(o for o in f.owners if o is not None)
-            key = (f.kind, f.axis, f.sign, f.h_e)
-            for e in (mesh.elements[o] for o in owners):
-                rel = np.concatenate([f.lo - e.lo, f.lengths]) / np.tile(e.lengths, 2)
-                key += (int(space.degrees[e.id]), *e.lengths, *np.round(rel, 12))
-            yield owners, cached(key, self._face_block, f, owners)
-
-    def _grad_block(self, e, p: int) -> np.ndarray:
-        rule = element_rule(e, p + 4)
-        _, grads = basis_matrices(e, p, rule.points)
+    def _grad_block(self, e: int, p: int) -> np.ndarray:
+        lo, lengths = self.space.mesh.lo[e], self.space.mesh.lengths[e]
+        rule = element_rule(lo, lengths, p + 4)
+        _, grads = basis_matrices(lo, lengths, p, rule.points)
         return sum(weighted_gram(g, rule.weights) for g in grads)
 
-    def _corner_block(self, e, p: int) -> np.ndarray:
-        ref = replace(e, lo=np.zeros_like(e.lo))
-        rule = volume_rule(ref, p, singular=True)
-        phi = basis_matrix(ref, p, rule.points)
+    def _corner_block(self, e: int, p: int) -> np.ndarray:
+        lo, lengths = np.zeros(self.space.mesh.d), self.space.mesh.lengths[e]
+        rule = volume_rule(lo, lengths, p, singular=True)
+        phi = basis_matrix(lo, lengths, p, rule.points)
         return weighted_gram(phi, rule.weights * self.potential(rule.points))
 
-    def _face_block(self, f, owners) -> np.ndarray:
-        space = self.space
-        p_e = space.face_degree(f)
-        rule = face_rule(f, p_e + 4)
-        tabs = [basis_matrices(space.mesh.elements[o], int(space.degrees[o]), rule.points)
-                for o in owners]
-        jumps, means = ([1.0], [f.sign]) if f.kind == BOUNDARY else ([1.0, -1.0], [0.5, 0.5])
+    def _face_block(self, f: int, p_e: int) -> np.ndarray:
+        space, faces = self.space, self.space.mesh.faces
+        rule = face_rule(faces.lo[f], faces.lengths[f], p_e + 4)
+        tabs = [basis_matrices(space.mesh.lo[o], space.mesh.lengths[o], int(space.degrees[o]),
+                               rule.points) for o in faces.owners[f] if o >= 0]
+        jumps, means = ([1.0, -1.0], [0.5, 0.5]) if faces.interior[f] else ([1.0], [faces.sign[f]])
         jmp = np.hstack([s * phi for s, (phi, _) in zip(jumps, tabs)])
-        dn = np.hstack([s * grads[f.axis] for s, (_, grads) in zip(means, tabs)])
+        dn = np.hstack([s * grads[faces.axis[f]] for s, (_, grads) in zip(means, tabs)])
         c = (dn * rule.weights[:, None]).T @ jmp
-        gamma = self.penalty.alpha0 * p_e**2 / f.h_e
+        gamma = self.penalty.alpha0 * p_e**2 / faces.h_e[f]
         return -c - c.T + weighted_gram(jmp, gamma * rule.weights)
 
     def nonlinear_mass(self, u: DiscreteField, delta: int,
@@ -215,12 +255,11 @@ class SipAssembler:
         if u.space is not space:
             raise ValueError("state field does not belong to the assembler's space")
 
-        nd, off = space.ndofs_el, space.offsets
+        nd = space.ndofs_el
         indptr = np.concatenate([[0], np.cumsum(np.repeat(nd, nd))])
         itype = np.int32 if indptr[-1] < 2**31 else np.int64
         data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=itype)
-        for _, ids, w, phi in self._groups:
-            cols = off[ids][:, None] + np.arange(phi.shape[1])  # (k, n): each element's dofs
+        for _, _, w, phi, cols in self._groups:  # cols (k, n): each element's dofs
             g = _grams(phi, w * (scale * np.abs(u.coeffs[cols] @ phi.T) ** (delta - 1)))
             pos = indptr[cols][..., None] + np.arange(phi.shape[1])  # (k, n, n): row-major blocks
             data[pos], indices[pos] = _sym(g), cols[:, None, :]

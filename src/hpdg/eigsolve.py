@@ -67,6 +67,19 @@ def _residual(a, m, lam, x):
     return float(np.linalg.norm(ax - lam * mx)) / max(scale, 1e-300)
 
 
+def dense_result(a, m, v, orient=None) -> EigResult:
+    """The pair of an eigenvector ``v`` of (A, M) from a dense solve:
+    M-normalized, its sign fixed by ``orient``.
+
+    It reports the Rayleigh quotient of the returned vector, not LAPACK's
+    eigenvalue: the two differ at the eps * ||M^-1 A|| level, which the
+    self-consistency residual of the SCF loop would otherwise inherit.
+    """
+    x = _orient(v / _m_norm(m, v), m, orient)
+    lam = float(x @ (a @ x))
+    return EigResult(lam, x, _residual(a, m, lam, x), 1)
+
+
 def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None, shift=None,
                        orient=None, max_iter: int = 200, precond=None) -> EigResult:
     """Minimal eigenvalue and M-normalized eigenvector of (A, M).
@@ -95,13 +108,7 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None, shift=None,
             _, vecs = dla.eigh(ad, md, subset_by_index=[0, 0])
         except dla.LinAlgError as exc:
             raise ValueError(f"dense generalized eigensolve failed: {exc}") from exc
-        x = vecs[:, 0] / _m_norm(m, vecs[:, 0])
-        x = _orient(x, m, orient)
-        # Report the Rayleigh quotient of the returned vector, not LAPACK's
-        # eigenvalue: the two differ at the eps * ||M^-1 A|| level, which the
-        # self-consistency residual of the SCF loop would otherwise inherit.
-        lam = float(x @ (a @ x))
-        return EigResult(lam, x, _residual(a, m, lam, x), 1)
+        return dense_result(a, m, vecs[:, 0], orient)
 
     a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)
     m = m.tocsr() if sp.issparse(m) else sp.csr_matrix(m)

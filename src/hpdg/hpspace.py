@@ -23,22 +23,13 @@ from ._kernels import legendre_table
 from .quadrature import element_rules
 from .refelem import gauss_rule, legendre_l2_norms_sq
 
-ROUNDINGS = ("half_up", "floor", "ceil")
+_ROUND = {"half_up": lambda x: np.floor(x + 0.5), "floor": np.floor, "ceil": np.ceil}
+ROUNDINGS = tuple(_ROUND)
 
 # Field files start with this tag and format version; version 1 was an
 # untagged header that did not record the rounding mode.
 FIELD_TAG = "hpdg-field"
 FIELD_VERSION = 2
-
-
-def _round_degree(x: float, mode: str) -> int:
-    if mode == "half_up":
-        return int(math.floor(x + 0.5))
-    if mode == "floor":
-        return int(math.floor(x))
-    if mode == "ceil":
-        return int(math.ceil(x))
-    raise ValueError(f"unknown rounding mode {mode!r}")
 
 
 @dataclass
@@ -57,25 +48,23 @@ class HpSpace:
         p = int(self.degrees[eid])
         return _modes(p, self.mesh.d)
 
-    def face_degree(self, face: meshmod.Face) -> int:
-        """p_e = max of the adjacent element degrees."""
-        ps = [int(self.degrees[o]) for o in face.owners if o is not None]
-        return max(ps)
+    @property
+    def face_degree(self) -> np.ndarray:
+        """p_e = max of the adjacent element degrees, one entry per face."""
+        owners = self.mesh.faces.owners
+        return np.where(owners >= 0, self.degrees[owners], 0).max(axis=1)
 
     def local_slice(self, eid: int) -> slice:
         off = int(self.offsets[eid])
         return slice(off, off + int(self.ndofs_el[eid]))
 
 
-_MODE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _modes(p: int, d: int) -> np.ndarray:
-    key = (p, d)
-    if key not in _MODE_CACHE:
-        grids = np.indices((p + 1,) * d)
-        _MODE_CACHE[key] = grids.reshape(d, -1).T.copy()
-    return _MODE_CACHE[key]
+    """Tensor mode multi-indices of degree p, C-ordered, (n, d), shared and read-only."""
+    modes = np.indices((p + 1,) * d).reshape(d, -1).T.copy()
+    modes.flags.writeable = False
+    return modes
 
 
 def build_space(mesh: meshmod.GradedMesh, p0: int, slope: float,
@@ -87,10 +76,7 @@ def build_space(mesh: meshmod.GradedMesh, p0: int, slope: float,
         raise ValueError(f"slope must be >= 0, got {slope}")
     if rounding not in ROUNDINGS:
         raise ValueError(f"rounding must be one of {ROUNDINGS}")
-    degs = np.array(
-        [p0 + _round_degree(slope * (mesh.ell - e.layer), rounding) for e in mesh.elements],
-        dtype=np.int64,
-    )
+    degs = p0 + _ROUND[rounding](slope * (mesh.ell - mesh.layer)).astype(np.int64)
     ndofs = (degs + 1) ** mesh.d
     offsets = np.concatenate([[0], np.cumsum(ndofs)[:-1]])
     return HpSpace(mesh, int(p0), float(slope), rounding, degs, offsets, ndofs,
@@ -122,7 +108,7 @@ def constant_field(space: HpSpace, value: float = 1.0) -> DiscreteField:
 def locate_point(mesh: meshmod.GradedMesh, x) -> int:
     """Element whose closed box contains x; ties go to the smaller id."""
     x = np.asarray(x, dtype=float)
-    inside = np.all((mesh.el_lo - meshmod.GEOM_TOL <= x) & (x <= mesh.el_hi + meshmod.GEOM_TOL), axis=1)
+    inside = np.all((mesh.lo - meshmod.GEOM_TOL <= x) & (x <= mesh.hi + meshmod.GEOM_TOL), axis=1)
     ids = np.nonzero(inside)[0]
     if ids.size == 0:
         raise ValueError(f"point {x} lies outside the mesh domain")
@@ -138,11 +124,12 @@ def containing_map(coarse_mesh: meshmod.GradedMesh, fine_mesh: meshmod.GradedMes
     :func:`locate_point` finds it; raises if the meshes do not nest."""
     if coarse_mesh.d != fine_mesh.d:
         raise ValueError(f"cannot nest a {fine_mesh.d}D mesh in a {coarse_mesh.d}D mesh")
-    x = (fine_mesh.el_lo + 0.5 * fine_mesh.el_len)[:, None, :]  # centers
-    inside = np.all((coarse_mesh.el_lo - meshmod.GEOM_TOL <= x) & (x <= coarse_mesh.el_hi + meshmod.GEOM_TOL), axis=2)
+    c_lo, c_hi = coarse_mesh.lo, coarse_mesh.hi
+    x = (fine_mesh.lo + 0.5 * fine_mesh.lengths)[:, None, :]  # centers
+    inside = np.all((c_lo - meshmod.GEOM_TOL <= x) & (x <= c_hi + meshmod.GEOM_TOL), axis=2)
     out = np.argmax(inside, axis=1)
-    bad = ~inside.any(axis=1) | np.any((fine_mesh.el_lo < coarse_mesh.el_lo[out] - 1e-12)
-                                       | (fine_mesh.el_hi > coarse_mesh.el_hi[out] + 1e-12), axis=1)
+    bad = ~inside.any(axis=1) | np.any((fine_mesh.lo < c_lo[out] - 1e-12)
+                                       | (fine_mesh.hi > c_hi[out] + 1e-12), axis=1)
     if bad.any():
         raise MeshNestingError(f"fine element {np.argmax(bad)} is not contained in any coarse element")
     return out
@@ -172,19 +159,20 @@ def _basis_tables(lo, lengths, p: int, axes, grads=False):
                            for m in range(len(axes))] if grads else []
 
 
-def basis_matrix(element: meshmod.Element, p: int, pts: np.ndarray):
-    """Values of the (p+1)^d tensor-Legendre basis at physical points pts,
-    each point a one-node grid of :func:`_basis_tables`."""
-    return _basis_tables(element.lo[None], element.lengths[None], p, list(pts.T[:, :, None]))[0][:, 0]
+def basis_matrix(lo, lengths, p: int, pts: np.ndarray):
+    """Values of the (p+1)^d tensor-Legendre basis of the box lo + [0, lengths]
+    at physical points pts, each point a one-node grid of :func:`_basis_tables`."""
+    return _basis_tables(lo[None], lengths[None], p, list(pts.T[:, :, None]))[0][:, 0]
 
 
-def basis_matrices(element: meshmod.Element, p: int, pts: np.ndarray):
-    """Values and physical-gradient tables of the tensor basis at pts.
+def basis_matrices(lo, lengths, p: int, pts: np.ndarray):
+    """Values and physical-gradient tables of the tensor basis of the box
+    lo + [0, lengths] at pts.
 
     Returns (phi, grads) with phi of shape (npts, ndof) and grads a list of d
     arrays of the same shape (derivative along each physical axis).
     """
-    phi, grads = _basis_tables(element.lo[None], element.lengths[None], p, list(pts.T[:, :, None]), True)
+    phi, grads = _basis_tables(lo[None], lengths[None], p, list(pts.T[:, :, None]), True)
     return phi[:, 0], [g[:, 0] for g in grads]
 
 
@@ -201,7 +189,7 @@ def _grid_tables(space: HpSpace, eids, pts, shape, grads=False):
         step = max(1, TABLE_ENTRIES // (pts.shape[1] * (p + 1) ** len(shape)))
         for rows in (idx[i:i + step] for i in range(0, idx.size, step)):
             el = eids[rows]
-            yield rows, *_basis_tables(space.mesh.el_lo[el], space.mesh.el_len[el], p,
+            yield rows, *_basis_tables(space.mesh.lo[el], space.mesh.lengths[el], p,
                                        [x[rows] for x in axes], grads)
 
 
@@ -239,7 +227,8 @@ def reference_table(p: int, d: int):
 def evaluate_in_element(field: DiscreteField, eid: int, pts: np.ndarray) -> np.ndarray:
     """Evaluate the element-local expansion of ``field`` at physical points."""
     p = int(field.space.degrees[eid])
-    phi = basis_matrix(field.space.mesh.elements[eid], p, np.atleast_2d(pts))
+    mesh = field.space.mesh
+    phi = basis_matrix(mesh.lo[eid], mesh.lengths[eid], p, np.atleast_2d(pts))
     return phi @ field.local(eid)
 
 
@@ -263,7 +252,8 @@ def _l2_project(space: HpSpace, values) -> DiscreteField:
         for rows, phi, _ in _grid_tables(space, ids, rule.points, shape):
             cols = space.offsets[ids[rows]][:, None] + np.arange(phi.shape[2])
             rhs = np.matmul(phi.transpose(0, 2, 1), wv[rows])[..., 0]
-            coeffs[cols] = rhs / _local_mass_diag(space.mesh.el_len[ids[rows]], int(space.degrees[ids[0]]))
+            coeffs[cols] = rhs / _local_mass_diag(space.mesh.lengths[ids[rows]],
+                                                  int(space.degrees[ids[0]]))
     return DiscreteField(space, coeffs)
 
 

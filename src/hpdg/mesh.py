@@ -1,82 +1,60 @@
 """Geometrically graded axiparallel meshes of the unit cube (-1/2, 1/2)^d.
 
-The mesh is refined isotropically toward the singular point c at the origin:
-the initial mesh splits the cube into 2^d boxes sharing the vertex c, and each
-refinement step replaces the 2^d boxes touching c with a smaller inner box of
-edge ratio sigma plus the boxes tiling the remaining shell.  Elements created
-at step j and never refined again form layer j; the 2^d innermost boxes form
-layer ell.  Interfaces are 1-irregular: every interior face piece is an entire
-face of at least one of its two neighbours.
+The mesh is refined isotropically toward the singular point at the origin:
+the initial mesh splits the cube into 2^d boxes sharing the origin as a vertex,
+and each refinement step replaces the 2^d boxes touching it with a smaller
+inner box of edge ratio sigma plus the boxes tiling the remaining shell.
+Elements created at step j and never refined again form layer j; the 2^d
+innermost boxes form layer ell.  Interfaces are 1-irregular: every interior
+face piece is an entire face of at least one of its two neighbours.
+
+A mesh is arrays only.  Element e is the box ``lo[e] + [0, lengths[e]]`` of
+layer ``layer[e]``; face f is the flat box ``faces.lo[f] + [0, faces.lengths[f]]``
+normal to ``faces.axis[f]``.  :func:`build_faces` enumerates the faces of a
+tiling in numpy: it snaps each axis's planes, pairs the two sides of every
+plane by broadcasting and intersects their tangential intervals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
 
 GEOM_TOL = 1e-13
 
-INTERIOR = "interior"
-BOUNDARY = "boundary"
-
 
 class MeshError(ValueError):
     pass
 
 
-@dataclass
-class Element:
-    """An axis-aligned box element."""
+@dataclass(frozen=True)
+class Faces:
+    """The (d-1)-dimensional interface pieces of a mesh, one row per face.
 
-    id: int
-    lo: np.ndarray  # (d,) lower corner
-    lengths: np.ndarray  # (d,) edge lengths
-    layer: int
-    touches_c: bool
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self.lo + self.lengths
-
-    @property
-    def h(self) -> float:
-        """Element size h_K (largest edge; all edges equal for sigma = 1/2)."""
-        return float(np.max(self.lengths))
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.lo + 0.5 * self.lengths
-
-    @property
-    def measure(self) -> float:
-        return float(np.prod(self.lengths))
-
-
-@dataclass
-class Face:
-    """A (d-1)-dimensional interface piece, normal along a coordinate axis.
-
-    For interior faces ``owners = (minus, plus)`` with the normal +e_axis
-    pointing from the minus-side element into the plus-side one.  Boundary
-    faces have a single owner and ``sign`` gives the outward normal direction.
+    Interior faces have ``owners = (minus, plus)``, with the normal +e_axis
+    pointing from the minus-side element into the plus-side one, and sign +1.
+    Boundary faces have ``owners = (owner, -1)`` and ``sign`` gives the
+    outward normal direction.  ``lo[f, axis[f]]`` is the plane coordinate and
+    ``lengths[f, axis[f]] == 0``; ``h_e`` is the smaller owner size.
     """
 
-    id: int
-    kind: str
-    owners: tuple
-    axis: int
-    sign: int
-    lo: np.ndarray  # lo[axis] is the plane coordinate
-    lengths: np.ndarray  # lengths[axis] == 0
-    h_e: float
-    is_subface: bool = False
+    owners: np.ndarray  # (F, 2) element ids, -1 for none
+    axis: np.ndarray  # (F,)
+    sign: np.ndarray  # (F,)
+    lo: np.ndarray  # (F, d)
+    lengths: np.ndarray  # (F, d)
+    h_e: np.ndarray  # (F,)
+    interior: np.ndarray  # (F,) bool
+    is_subface: np.ndarray  # (F,) bool: an entire face of one owner only
 
-    @property
-    def measure(self) -> float:
-        t = [self.lengths[m] for m in range(len(self.lengths)) if m != self.axis]
-        return float(np.prod(t))
+    def __len__(self) -> int:
+        return len(self.axis)
+
+    def __getitem__(self, idx) -> Faces:
+        """The faces selected by an index array or a mask."""
+        return Faces(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 @dataclass
@@ -84,42 +62,38 @@ class GradedMesh:
     d: int
     sigma: float
     ell: int
-    elements: list
-    faces: list
-    c: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.c is None:
-            self.c = np.zeros(self.d)
-        # cached coordinate arrays for vectorized point location
-        self.el_lo = np.array([e.lo for e in self.elements])
-        self.el_hi = np.array([e.hi for e in self.elements])
-        self.el_len = np.array([e.lengths for e in self.elements])
+    lo: np.ndarray  # (E, d) lower corners
+    lengths: np.ndarray  # (E, d) edge lengths
+    layer: np.ndarray  # (E,)
+    faces: Faces
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return len(self.lo)
 
-    def interior_faces(self):
-        return [f for f in self.faces if f.kind == INTERIOR]
+    @property
+    def hi(self) -> np.ndarray:
+        return self.lo + self.lengths
 
-    def boundary_faces(self):
-        return [f for f in self.faces if f.kind == BOUNDARY]
+    @property
+    def h(self) -> np.ndarray:
+        """Element sizes h_K (largest edge; all edges equal for sigma = 1/2)."""
+        return self.lengths.max(axis=1)
 
-
-def _signed_interval(a: float, b: float, sign: int):
-    """Map the interval [a, b] (0 <= a < b) into the quadrant of given sign."""
-    if sign > 0:
-        return a, b - a
-    return -b, b - a
+    @property
+    def corner(self) -> np.ndarray:
+        """Which elements have the singular point, the origin, as a vertex."""
+        return np.all((np.abs(self.lo) <= 1e-14) | (np.abs(self.hi) <= 1e-14), axis=1)
 
 
 def build_graded_mesh(d: int, sigma: float, ell: int) -> GradedMesh:
     """Build the graded mesh with refinement ratio sigma and ell steps.
 
     The shell around each refined box is tiled by the boxes with per-dimension
-    extents [r_j, r_{j-1}] or [0, r_j] (r_j = sigma^j / 2); for sigma = 1/2
-    these are the 2^d - 1 congruent siblings of the inner child.
+    extents [r_j, r_{j-1}] or [0, r_j] (r_j = sigma^j / 2), reflected into
+    each quadrant; for sigma = 1/2 these are the 2^d - 1 congruent siblings of
+    the inner child.  Elements are numbered by layer, then quadrant, then
+    extent pattern; the 2^d innermost boxes come last.
     """
     if d not in (2, 3):
         raise MeshError(f"d must be 2 or 3, got {d}")
@@ -129,150 +103,92 @@ def build_graded_mesh(d: int, sigma: float, ell: int) -> GradedMesh:
         raise MeshError(f"ell must be a nonnegative integer, got {ell}")
     ell = int(ell)
 
-    h0 = 0.5
-    radii = [h0 * sigma**j for j in range(ell + 1)]
-    quadrants = list(product((-1, 1), repeat=d))
-    patterns = [s for s in product((0, 1), repeat=d) if any(s)]
-
-    elements = []
-
-    def add(layer, lo, lengths, touches):
-        elements.append(
-            Element(len(elements), np.array(lo), np.array(lengths), layer, touches)
-        )
-
-    for j in range(1, ell + 1):
-        for q in quadrants:
-            for s in patterns:
-                lo, lengths = [], []
-                for m in range(d):
-                    a, b = (radii[j], radii[j - 1]) if s[m] else (0.0, radii[j])
-                    x0, ln = _signed_interval(a, b, q[m])
-                    lo.append(x0)
-                    lengths.append(ln)
-                add(j, lo, lengths, False)
-    for q in quadrants:
-        lo, lengths = zip(*(_signed_interval(0.0, radii[ell], q[m]) for m in range(d)))
-        add(ell, lo, lengths, True)
-
-    faces = enumerate_faces_of(elements, d)
-    return GradedMesh(d, float(sigma), ell, elements, faces)
+    radii = np.array([0.5 * sigma**j for j in range(ell + 1)])
+    quadrants = np.array(list(product((-1, 1), repeat=d)))[:, None, :]  # (Q, 1, d)
+    patterns = np.array([s for s in product((0, 1), repeat=d) if any(s)], dtype=bool)
+    # per layer, the extents [a, b] of its boxes in the positive quadrant
+    a = [np.where(patterns, r, 0.0) for r in radii[1:]] + [np.zeros((1, d))]
+    b = [np.where(patterns, r0, r) for r0, r in zip(radii, radii[1:])]
+    b.append(np.full((1, d), radii[-1]))
+    lo = np.concatenate([np.where(quadrants > 0, x, -y).reshape(-1, d) for x, y in zip(a, b)])
+    lengths = np.concatenate([np.broadcast_to(y - x, quadrants.shape[:1] + x.shape).reshape(-1, d)
+                              for x, y in zip(a, b)])
+    layer = np.repeat(np.append(np.arange(1, ell + 1), ell), [len(x) * len(quadrants) for x in a])
+    return GradedMesh(d, float(sigma), ell, lo, lengths, layer, build_faces(lo, lengths))
 
 
-def enumerate_faces(mesh: GradedMesh):
-    """(Re)enumerate the faces of a mesh; see :func:`enumerate_faces_of`."""
-    return enumerate_faces_of(mesh.elements, mesh.d)
+def _snap(x: np.ndarray) -> np.ndarray:
+    """Each coordinate replaced by the smallest one of its chain of
+    coordinates less than ``GEOM_TOL`` apart."""
+    order = np.argsort(x, kind="stable")
+    new = np.concatenate([[True], np.diff(x[order]) > GEOM_TOL])
+    out = np.empty_like(x)
+    out[order] = x[order][new][np.cumsum(new) - 1]
+    return out
 
 
-def enumerate_faces_of(elements, d: int):
-    """Enumerate all interior and boundary faces of a list of box elements.
+def build_faces(lo: np.ndarray, lengths: np.ndarray) -> Faces:
+    """All interior and boundary faces of the boxes lo + [0, lengths] (E, d)
+    tiling the unit cube.
 
     Interfaces across a size jump are decomposed into the finer elements'
-    entire faces (flagged as sub-faces).  Raises :class:`MeshError` if some
-    interface piece is an entire face of neither neighbour (violating
-    1-irregularity).
+    entire faces (flagged as sub-faces).  Faces are ordered by normal axis,
+    plane, lower corner and kind (boundary first).  Raises :class:`MeshError`
+    if some interface piece is an entire face of neither neighbour (violating
+    1-irregularity) or some element face is not fully covered.
     """
-    # Collect element faces per axis: (plane, side, element id).
-    # side == +1: element lies on the plus side of the plane (its lower face),
-    # side == -1: element lies on the minus side (its upper face).
-    per_axis = {m: [] for m in range(d)}
-    for e in elements:
-        for m in range(d):
-            per_axis[m].append((float(e.lo[m]), +1, e.id))
-            per_axis[m].append((float(e.lo[m] + e.lengths[m]), -1, e.id))
-
-    el = {e.id: e for e in elements}
-    tdims = {m: [t for t in range(d) if t != m] for m in range(d)}
-    bound_lo, bound_hi = -0.5, 0.5
-
-    raw = []  # (axis, plane, kind, owners, sign, lo, lengths, h_e, is_subface)
-
+    n_el, d = lo.shape
+    hi, h = lo + lengths, lengths.max(axis=1)
+    parts = []  # per axis and kind: owners, sign, lo, lengths, h_e, is_subface
     for m in range(d):
-        recs = sorted(per_axis[m])
-        groups = []
-        for plane, side, eid in recs:
-            if groups and abs(plane - groups[-1][0]) <= GEOM_TOL:
-                groups[-1][1].append((side, eid))
-            else:
-                groups.append((plane, [(side, eid)]))
-        for plane, members in groups:
-            minus = [eid for side, eid in members if side == -1]
-            plus = [eid for side, eid in members if side == +1]
-            if abs(plane - bound_lo) <= GEOM_TOL or abs(plane - bound_hi) <= GEOM_TOL:
-                sign = -1 if abs(plane - bound_lo) <= GEOM_TOL else +1
-                for eid in minus + plus:
-                    e = el[eid]
-                    lo = e.lo.copy()
-                    lo[m] = plane
-                    lengths = e.lengths.copy()
-                    lengths[m] = 0.0
-                    raw.append((m, plane, BOUNDARY, (eid, None), sign, lo, lengths, e.h, False))
-                continue
-            matched_minus = {eid: 0.0 for eid in minus}
-            matched_plus = {eid: 0.0 for eid in plus}
-            for ea_id in minus:
-                ea = el[ea_id]
-                for eb_id in plus:
-                    eb = el[eb_id]
-                    lo, lengths = np.zeros(d), np.zeros(d)
-                    lo[m] = plane
-                    area = 1.0
-                    for t in tdims[m]:
-                        a0, a1 = ea.lo[t], ea.lo[t] + ea.lengths[t]
-                        b0, b1 = eb.lo[t], eb.lo[t] + eb.lengths[t]
-                        c0, c1 = max(a0, b0), min(a1, b1)
-                        if c1 - c0 <= GEOM_TOL:
-                            area = 0.0
-                            break
-                        lo[t], lengths[t] = c0, c1 - c0
-                        area *= c1 - c0
-                    if area == 0.0:
-                        continue
-                    full_a = all(
-                        abs(lo[t] - ea.lo[t]) <= GEOM_TOL
-                        and abs(lengths[t] - ea.lengths[t]) <= GEOM_TOL
-                        for t in tdims[m]
-                    )
-                    full_b = all(
-                        abs(lo[t] - eb.lo[t]) <= GEOM_TOL
-                        and abs(lengths[t] - eb.lengths[t]) <= GEOM_TOL
-                        for t in tdims[m]
-                    )
-                    if not (full_a or full_b):
-                        raise MeshError(
-                            f"interface at axis {m}, plane {plane} between elements "
-                            f"{ea_id} and {eb_id} is an entire face of neither"
-                        )
-                    h_e = min(ea.h, eb.h)
-                    raw.append(
-                        (m, plane, INTERIOR, (ea_id, eb_id), +1, lo, lengths,
-                         h_e, full_a != full_b)
-                    )
-                    matched_minus[ea_id] += area
-                    matched_plus[eb_id] += area
-            # every non-boundary element face must be fully covered
-            for eid, covered in list(matched_minus.items()) + list(matched_plus.items()):
-                e = el[eid]
-                expect = np.prod([e.lengths[t] for t in tdims[m]])
-                if abs(covered - expect) > 1e-12 * max(expect, 1.0):
-                    raise MeshError(
-                        f"element {eid} face on axis {m}, plane {plane} not fully "
-                        f"matched: covered {covered} of {expect}"
-                    )
+        t = [k for k in range(d) if k != m]
+        planes = _snap(np.concatenate([hi[:, m], lo[:, m]]))  # minus side, then plus side
+        sign = np.where(np.abs(planes + 0.5) <= GEOM_TOL, -1,
+                        np.where(np.abs(planes - 0.5) <= GEOM_TOL, 1, 0))
 
-    raw.sort(key=lambda r: (r[0], r[1], tuple(r[5]), r[2]))
-    faces = []
-    for (m, plane, kind, owners, sign, lo, lengths, h_e, sub) in raw:
-        faces.append(Face(len(faces), kind, owners, m, sign, lo, lengths, h_e, sub))
-    return faces
+        # boundary faces: one per element face on the cube's boundary
+        on = np.flatnonzero(sign != 0)
+        owner = on % n_el
+        flo, flen = lo[owner].copy(), lengths[owner].copy()
+        flo[:, m], flen[:, m] = planes[on], 0.0
+        parts.append((np.column_stack([owner, np.full(len(on), -1)]), sign[on], flo, flen,
+                      h[owner], np.zeros(len(on), dtype=bool)))
 
+        # interior faces: the overlaps of minus- and plus-side faces on one plane
+        minus = np.flatnonzero(sign[:n_el] == 0)
+        plus = np.flatnonzero(sign[n_el:] == 0)
+        i, j = np.nonzero(planes[minus][:, None] == planes[n_el + plus][None, :])
+        i, j = minus[i], plus[j]
+        c0 = np.maximum(lo[i][:, t], lo[j][:, t])
+        width = np.minimum(hi[i][:, t], hi[j][:, t]) - c0
+        keep = np.all(width > GEOM_TOL, axis=1)
+        i, j, c0, width = i[keep], j[keep], c0[keep], width[keep]
+        full_a = np.all((np.abs(c0 - lo[i][:, t]) <= GEOM_TOL)
+                        & (np.abs(width - lengths[i][:, t]) <= GEOM_TOL), axis=1)
+        full_b = np.all((np.abs(c0 - lo[j][:, t]) <= GEOM_TOL)
+                        & (np.abs(width - lengths[j][:, t]) <= GEOM_TOL), axis=1)
+        bad = np.flatnonzero(~(full_a | full_b))
+        if bad.size:
+            k = bad[0]
+            raise MeshError(f"interface at axis {m}, plane {planes[i[k]]} between elements "
+                            f"{i[k]} and {j[k]} is an entire face of neither")
+        area = np.prod(width, axis=1)
+        covered = np.bincount(np.concatenate([i, n_el + j]), np.tile(area, 2), minlength=2 * n_el)
+        expect = np.tile(np.prod(lengths[:, t], axis=1), 2)
+        gap = np.abs(covered - expect) > 1e-12 * np.maximum(expect, 1.0)
+        short = np.flatnonzero((sign == 0) & gap)
+        if short.size:
+            k = short[0]
+            raise MeshError(f"element {k % n_el} face on axis {m}, plane {planes[k]} not "
+                            f"fully matched: covered {covered[k]} of {expect[k]}")
+        flo, flen = np.zeros((len(i), d)), np.zeros((len(i), d))
+        flo[:, m], flo[:, t], flen[:, t] = planes[i], c0, width
+        parts.append((np.column_stack([i, j]), np.ones(len(i), dtype=int), flo, flen,
+                      np.minimum(h[i], h[j]), full_a != full_b))
 
-def dump_mesh(mesh: GradedMesh, stream) -> None:
-    """Plain-text debug dump: one element per line, then one face per line."""
-    for e in mesh.elements:
-        coords = " ".join(f"{x:.17g}" for x in e.lo)
-        stream.write(f"{e.id} {e.layer} {coords} {e.h:.17g}\n")
-    for f in mesh.faces:
-        b = -1 if f.owners[1] is None else f.owners[1]
-        ext = " ".join(f"{x:.17g}" for x in np.concatenate([f.lo, f.lengths]))
-        stream.write(f"{f.kind} {f.owners[0]} {b} {f.axis} {ext}\n")
+    owners, sign, flo, flen, h_e, sub = (np.concatenate(x) for x in zip(*parts))
+    axis = np.repeat(np.arange(d).repeat(2), [len(p[1]) for p in parts])  # two parts per axis
+    interior = owners[:, 1] >= 0
+    order = np.lexsort((interior, *flo.T[::-1], flo[np.arange(len(axis)), axis], axis))
+    return Faces(owners[order], axis[order], sign[order], flo[order], flen[order], h_e[order],
+                 interior[order], sub[order])

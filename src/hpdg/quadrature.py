@@ -2,7 +2,9 @@
 
 This is the one place where Gauss points are mapped to an axis-parallel box:
 volume rules, face rules and the composite singular rule all come from
-:func:`_box_rule`, one box at a time or stacked over a group of boxes.
+:func:`_box_rule`, one box at a time or stacked over a group of boxes.  A box
+is given by its arrays ``(lo, lengths)``: an element's, or a face's, whose
+length along its normal axis is zero.
 
 Smooth elements get affinely mapped tensor Gauss rules.  Elements touching
 the singular point get a composite rule built from a geometric subdivision
@@ -21,7 +23,6 @@ from itertools import product
 
 import numpy as np
 
-from .mesh import Element, Face
 from .refelem import gauss_rule
 
 # Shells needed so the innermost-box error (~ (2^-depth)^(d-alpha)) clears the
@@ -54,19 +55,29 @@ def _check_n(n: int) -> None:
         raise ValueError(f"need n >= 1 points per dimension, got {n}")
 
 
-def element_rule(element: Element, n: int) -> ElementRule:
-    """Tensor Gauss rule with n points per dimension, mapped to the element."""
+def _plane_rule(lo, lengths, axis: int, n: int) -> ElementRule:
+    """:func:`_box_rule` on the tangential axes of the faces lo + [0, lengths]
+    (E, d) normal to ``axis``, its points lifted onto the face planes."""
+    t = [m for m in range(lo.shape[-1]) if m != axis]
+    r = _box_rule(lo[:, t], lengths[:, t], n)
+    return ElementRule(np.insert(r.points, axis, lo[:, axis, None], axis=2), r.weights)
+
+
+def element_rule(lo, lengths, n: int) -> ElementRule:
+    """Tensor Gauss rule with n points per dimension on the box lo + [0, lengths]."""
     _check_n(n)
-    return _box_rule(element.lo, element.lengths, n)
+    return _box_rule(lo, lengths, n)
 
 
-def face_rule(face: Face, n: int) -> ElementRule:
-    """Tensor Gauss rule with n points per tangential dimension on a face.
+def face_rule(lo, lengths, n: int) -> ElementRule:
+    """Tensor Gauss rule with n points per tangential dimension on the face
+    lo + [0, lengths]; its normal axis is the one of zero length.
 
     The points are d-dimensional and lie on the face plane.
     """
     _check_n(n)
-    rule = next(face_rules([face], [n]))[1]
+    lo, lengths = np.asarray(lo, dtype=float), np.asarray(lengths, dtype=float)
+    rule = _plane_rule(lo[None], lengths[None], int(np.flatnonzero(lengths == 0)[0]), n)
     return ElementRule(rule.points[0], rule.weights[0])
 
 
@@ -75,24 +86,20 @@ def element_rules(mesh, n):
     entry per element).  Yields the ids, their stacked rule and its grid shape."""
     for nk in np.unique(n).tolist():
         ids = np.flatnonzero(n == nk)
-        yield ids, _box_rule(mesh.el_lo[ids], mesh.el_len[ids], nk), (nk,) * mesh.d
+        yield ids, _box_rule(mesh.lo[ids], mesh.lengths[ids], nk), (nk,) * mesh.d
 
 
 def face_rules(faces, n):
-    """``faces`` grouped by kind, normal axis and ``n`` (Gauss points per
-    tangential axis, one entry per face).  Yields the positions in ``faces``,
-    their stacked rule on the face planes and its grid shape, which has one
-    node on the normal axis."""
-    keys = [(f.kind, f.axis, int(nf)) for f, nf in zip(faces, n)]
-    for key in sorted(set(keys)):
-        idx = np.array([i for i, k in enumerate(keys) if k == key])
-        lo = np.array([faces[i].lo for i in idx])
-        lengths = np.array([faces[i].lengths for i in idx])
-        _, axis, nf = key
-        t = [m for m in range(lo.shape[1]) if m != axis]
-        r = _box_rule(lo[:, t], lengths[:, t], nf)
-        yield (idx, ElementRule(np.insert(r.points, axis, lo[:, axis, None], axis=2), r.weights),
-               tuple(1 if m == axis else nf for m in range(lo.shape[1])))
+    """The :class:`hpdg.mesh.Faces` ``faces`` grouped by kind (boundary
+    first), normal axis and ``n`` (Gauss points per tangential axis, one entry
+    per face).  Yields the positions in ``faces``, their stacked rule on the
+    face planes and its grid shape, which has one node on the normal axis."""
+    keys = np.column_stack([faces.interior, faces.axis, n]).astype(np.int64)
+    for key in np.unique(keys, axis=0):
+        idx = np.flatnonzero(np.all(keys == key, axis=1))
+        _, axis, nf = key.tolist()
+        yield (idx, _plane_rule(faces.lo[idx], faces.lengths[idx], axis, nf),
+               tuple(1 if m == axis else nf for m in range(faces.lo.shape[1])))
 
 
 @functools.lru_cache(maxsize=16)
@@ -113,8 +120,9 @@ def _unit_singular_rule(d: int, n: int, depth: int) -> ElementRule:
     return ElementRule(pts, w)
 
 
-def singular_rule(element: Element, n: int, depth: int) -> ElementRule:
-    """Composite geometrically graded rule for an element cornered at c = 0.
+def singular_rule(lo, lengths, n: int, depth: int) -> ElementRule:
+    """Composite geometrically graded rule on the box lo + [0, lengths], which
+    has the origin as a vertex.
 
     Shell k (k = 1..depth) covers the region between corner-distance fractions
     2^-k and 2^-(k+1) of the element with 2^d - 1 tensor Gauss boxes; the
@@ -125,19 +133,21 @@ def singular_rule(element: Element, n: int, depth: int) -> ElementRule:
     _check_n(n)
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
-    lo, hi, lengths = element.lo, element.hi, element.lengths
+    lo, lengths = np.asarray(lo, dtype=float), np.asarray(lengths, dtype=float)
+    hi = lo + lengths
     at_lo = np.abs(lo) <= 1e-14
     if not np.all(at_lo | (np.abs(hi) <= 1e-14)):
         raise ValueError("element does not have the singular point as a vertex")
     unit = _unit_singular_rule(len(lo), n, depth)
     f = unit.points
     return ElementRule(np.where(at_lo, lo + f * lengths, hi - f * lengths),
-                       unit.weights * element.measure)
+                       unit.weights * float(np.prod(lengths)))
 
 
-def volume_rule(element: Element, p: int, singular: bool = False) -> ElementRule:
-    """Default volume rule: n = p + 4 tensor Gauss, composite when singular."""
+def volume_rule(lo, lengths, p: int, singular: bool = False) -> ElementRule:
+    """Default volume rule on the box lo + [0, lengths]: n = p + 4 tensor
+    Gauss, composite when singular."""
     n = p + 4
     if singular:
-        return singular_rule(element, n, max(DEFAULT_SINGULAR_DEPTH, 2 * p))
-    return element_rule(element, n)
+        return singular_rule(lo, lengths, n, max(DEFAULT_SINGULAR_DEPTH, 2 * p))
+    return element_rule(lo, lengths, n)

@@ -11,7 +11,9 @@ converges on the first sweep.  The sparse eigensolver factors on the first
 sparse sweep only; that LU preconditions every later sweep of the solve.  A
 cold solve (no ``u0``) starts that first sweep's eigensolve from the ground
 state of the coarse Galerkin subspace spanned by the modes of degree <= 1 per
-axis; the SCF iterate itself starts as the normalized constant field.
+axis; the SCF iterate itself starts as the normalized constant field.  When
+every element has degree 1 that subspace is the whole space, and its dense
+ground state is the first sweep's eigenpair.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.linalg as dla
 
 from .assembly import PenaltyConfig, Potential, SipAssembler
-from .eigsolve import smallest_eigenpair
+from .eigsolve import dense_result, smallest_eigenpair
 from .hpspace import DiscreteField, HpSpace, constant_field
 
 
@@ -68,21 +70,23 @@ def discrete_energy(space: HpSpace, potential: Potential, penalty: PenaltyConfig
     return val
 
 
-def _coarse_start(space: HpSpace, a, m) -> np.ndarray:
-    """Ground state of (A, M) on the modes whose indices are all <= 1, zero-padded.
+def _coarse_start(space: HpSpace, a, m):
+    """Ground state of (A, M) on the modes whose indices are all <= 1,
+    zero-padded, and whether those modes are all of the space's.
 
     The Legendre basis is hierarchical, so these modes span a Galerkin subspace
-    whose pencil is a principal submatrix of (A, M).
+    whose pencil is a principal submatrix of (A, M).  A dof's mode indices are
+    the digits of its local index in base p + 1.
     """
-    keep = np.concatenate([
-        space.offsets[e.id] + np.flatnonzero(space.modes(e.id).max(axis=1) <= 1)
-        for e in space.mesh.elements
-    ])
+    el = np.repeat(np.arange(space.mesh.n_elements), space.ndofs_el)
+    local, base = np.arange(space.N) - space.offsets[el], space.degrees[el] + 1
+    digits = [local // base**k % base for k in range(space.mesh.d)]
+    keep = np.flatnonzero(np.all(np.array(digits) <= 1, axis=0))
     _, vecs = dla.eigh(a[keep][:, keep].toarray(), m[keep][:, keep].toarray(),
                        subset_by_index=[0, 0])
     x0 = np.zeros(space.N)
     x0[keep] = vecs[:, 0]
-    return x0
+    return x0, len(keep) == space.N
 
 
 def solve_ground_state(space: HpSpace, potential: Potential,
@@ -118,11 +122,16 @@ def solve_ground_state(space: HpSpace, potential: Potential,
     report = ScfReport(lam=np.nan, iterations=0)
 
     a_u = linearized(u)
-    start = _coarse_start(space, a_u, m) if u0 is None else u.coeffs
+    start, eig = u.coeffs, None
+    if u0 is None:
+        start, whole = _coarse_start(space, a_u, m)
+        if whole:
+            eig = dense_result(a_u, m, start, u.coeffs)
     precond = None
     for k in range(1, cfg.max_iter + 1):
-        eig = smallest_eigenpair(a_u, m, tol=eig_tol, x0=start, orient=u.coeffs,
-                                 precond=precond)
+        if k > 1 or eig is None:
+            eig = smallest_eigenpair(a_u, m, tol=eig_tol, x0=start, orient=u.coeffs,
+                                     precond=precond)
         precond = eig.precond
         new = m_normalize((1.0 - theta) * u.coeffs + theta * eig.x)
         align = float(new @ (m @ u.coeffs))

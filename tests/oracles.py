@@ -5,7 +5,8 @@ quadrature/assembly code paths: the adaptive integrator refines boxes wherever
 a coarse and a fine Gauss estimate disagree, and its results are accepted only
 after a Richardson-style agreement check between two tolerance levels.  The
 per-element oracles restate a batched library routine as one loop over
-elements and faces, one rule and one basis table at a time.
+elements and faces, one rule and one basis table at a time; the face oracle
+restates the numpy face enumeration as the pairwise loop it replaced.
 """
 
 import math
@@ -14,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from hpdg.hpspace import basis_matrices, basis_matrix, containing_map
-from hpdg.mesh import INTERIOR
+from hpdg.mesh import GEOM_TOL, Faces, MeshError
 from hpdg.quadrature import element_rule, face_rule
 from hpdg.refelem import legendre_l2_norms_sq
 
@@ -83,7 +84,8 @@ def radial_power(alpha):
 
 
 def _values_grads(field, eid, pts):
-    phi, grads = basis_matrices(field.space.mesh.elements[eid], int(field.space.degrees[eid]), pts)
+    mesh = field.space.mesh
+    phi, grads = basis_matrices(mesh.lo[eid], mesh.lengths[eid], int(field.space.degrees[eid]), pts)
     c = field.local(eid)
     return phi @ c, [g @ c for g in grads]
 
@@ -98,42 +100,108 @@ def error_norms_per_element(coarse, reference):
         return _values_grads(coarse, cid, pts)[0] - _values_grads(reference, eid, pts)[0]
 
     l2_sq = h1_sq = jump_sq = linf = 0.0
-    for e in fine_mesh.elements:
-        cid = int(cmap[e.id])
-        n = max(int(ref_space.degrees[e.id]), int(coarse.space.degrees[cid])) + 2
-        rule = element_rule(e, n)
+    for e, (lo, lengths) in enumerate(zip(fine_mesh.lo, fine_mesh.lengths)):
+        cid = int(cmap[e])
+        n = max(int(ref_space.degrees[e]), int(coarse.space.degrees[cid])) + 2
+        rule = element_rule(lo, lengths, n)
         pts, w = rule.points, rule.weights
         cv, cg = _values_grads(coarse, cid, pts)
-        rv, rg = _values_grads(reference, e.id, pts)
+        rv, rg = _values_grads(reference, e, pts)
         diff = cv - rv
         l2_sq += float(w @ (diff * diff))
         h1_sq += sum(float(w @ ((a - b) ** 2)) for a, b in zip(cg, rg))
-        corners = e.lo + np.array(list(product((0, 1), repeat=fine_mesh.d))) * e.lengths
+        corners = lo + np.array(list(product((0, 1), repeat=fine_mesh.d))) * lengths
         linf = max(linf, float(np.max(np.abs(diff))),
-                   float(np.max(np.abs(value_diff(cid, e.id, corners)))))
-    for f in fine_mesh.faces:
-        if f.kind != INTERIOR:
-            continue
-        ea, eb = f.owners
+                   float(np.max(np.abs(value_diff(cid, e, corners)))))
+    faces = fine_mesh.faces
+    for f in np.flatnonzero(faces.interior):
+        ea, eb = faces.owners[f]
         degs = [int(ref_space.degrees[ea]), int(ref_space.degrees[eb]),
                 int(coarse.space.degrees[cmap[ea]]), int(coarse.space.degrees[cmap[eb]])]
-        rule = face_rule(f, max(degs) + 2)
+        rule = face_rule(faces.lo[f], faces.lengths[f], max(degs) + 2)
         jump = (value_diff(int(cmap[ea]), ea, rule.points)
                 - value_diff(int(cmap[eb]), eb, rule.points))
-        jump_sq += ref_space.face_degree(f) ** 2 / f.h_e * float(rule.weights @ (jump * jump))
+        jump_sq += (int(ref_space.face_degree[f]) ** 2 / faces.h_e[f]
+                    * float(rule.weights @ (jump * jump)))
     return {"l2": math.sqrt(l2_sq), "dg": math.sqrt(l2_sq + h1_sq + jump_sq), "linf": linf}
 
 
 def project_per_element(space, values):
     """Element-local L2 projection, one element at a time:
-    ``values(element, pts)`` is the target at the element's rule points."""
+    ``values(e, pts)`` is the target at element e's rule points."""
     coeffs = np.zeros(space.N)
-    for e in space.mesh.elements:
-        p = int(space.degrees[e.id])
-        rule = element_rule(e, p + 4)
-        phi = basis_matrix(e, p, rule.points)
+    for e, (lo, lengths) in enumerate(zip(space.mesh.lo, space.mesh.lengths)):
+        p = int(space.degrees[e])
+        rule = element_rule(lo, lengths, p + 4)
+        phi = basis_matrix(lo, lengths, p, rule.points)
         mass = np.ones(phi.shape[1])
-        for m, k in enumerate(space.modes(e.id).T):
-            mass *= legendre_l2_norms_sq(p)[k] * (e.lengths[m] / 2.0)
-        coeffs[space.local_slice(e.id)] = phi.T @ (rule.weights * values(e, rule.points)) / mass
+        for m, k in enumerate(space.modes(e).T):
+            mass *= legendre_l2_norms_sq(p)[k] * (lengths[m] / 2.0)
+        coeffs[space.local_slice(e)] = phi.T @ (rule.weights * values(e, rule.points)) / mass
     return coeffs
+
+
+def enumerate_faces_of(lo, lengths):
+    """``hpdg.mesh.build_faces`` as one pairwise loop: per axis, group the
+    element faces by plane, then intersect every minus-side face with every
+    plus-side face of the group, one pair at a time."""
+    lo, lengths = np.asarray(lo), np.asarray(lengths)
+    n_el, d = lo.shape
+    h = [float(np.max(x)) for x in lengths]
+    tdims = {m: [t for t in range(d) if t != m] for m in range(d)}
+    raw = []  # (axis, plane, interior, owners, sign, lo, lengths, h_e, is_subface)
+    for m in range(d):
+        # side +1: the element lies on the plus side of the plane (its lower face)
+        recs = sorted([(float(lo[e, m]), +1, e) for e in range(n_el)]
+                      + [(float(lo[e, m] + lengths[e, m]), -1, e) for e in range(n_el)])
+        groups = []
+        for plane, side, eid in recs:
+            if groups and abs(plane - groups[-1][0]) <= GEOM_TOL:
+                groups[-1][1].append((side, eid))
+            else:
+                groups.append((plane, [(side, eid)]))
+        for plane, members in groups:
+            minus = [eid for side, eid in members if side == -1]
+            plus = [eid for side, eid in members if side == +1]
+            if abs(plane + 0.5) <= GEOM_TOL or abs(plane - 0.5) <= GEOM_TOL:
+                sign = -1 if abs(plane + 0.5) <= GEOM_TOL else +1
+                for eid in minus + plus:
+                    flo, flen = lo[eid].copy(), lengths[eid].copy()
+                    flo[m], flen[m] = plane, 0.0
+                    raw.append((m, plane, False, (eid, -1), sign, flo, flen, h[eid], False))
+                continue
+            covered = {eid: 0.0 for eid in minus + plus}
+            for a in minus:
+                for b in plus:
+                    flo, flen = np.zeros(d), np.zeros(d)
+                    flo[m] = plane
+                    area = 1.0
+                    for t in tdims[m]:
+                        c0 = max(lo[a, t], lo[b, t])
+                        c1 = min(lo[a, t] + lengths[a, t], lo[b, t] + lengths[b, t])
+                        if c1 - c0 <= GEOM_TOL:
+                            area = 0.0
+                            break
+                        flo[t], flen[t] = c0, c1 - c0
+                        area *= c1 - c0
+                    if area == 0.0:
+                        continue
+                    full = [all(abs(flo[t] - lo[e, t]) <= GEOM_TOL
+                                and abs(flen[t] - lengths[e, t]) <= GEOM_TOL for t in tdims[m])
+                            for e in (a, b)]
+                    if not any(full):
+                        raise MeshError(f"interface at axis {m}, plane {plane} between elements "
+                                        f"{a} and {b} is an entire face of neither")
+                    raw.append((m, plane, True, (a, b), +1, flo, flen, min(h[a], h[b]),
+                                full[0] != full[1]))
+                    covered[a] += area
+                    covered[b] += area
+            for eid, area in covered.items():
+                expect = np.prod([lengths[eid, t] for t in tdims[m]])
+                if abs(area - expect) > 1e-12 * max(expect, 1.0):
+                    raise MeshError(f"element {eid} face on axis {m}, plane {plane} not fully "
+                                    f"matched: covered {area} of {expect}")
+    raw.sort(key=lambda r: (r[0], r[1], tuple(r[5]), r[2]))
+    m, _, interior, owners, sign, flo, flen, h_e, sub = zip(*raw)
+    return Faces(np.array(owners), np.array(m), np.array(sign), np.array(flo), np.array(flen),
+                 np.array(h_e), np.array(interior), np.array(sub))

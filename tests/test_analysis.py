@@ -4,20 +4,21 @@ import pytest
 from hpdg.analysis import (ConvergenceRecord, MeshNestingError, error_norms,
                            fit_exponential)
 from hpdg.hpspace import DiscreteField, build_space, constant_field, inject, project
-from hpdg.mesh import Element, GradedMesh, build_graded_mesh, enumerate_faces_of
+from hpdg.mesh import GradedMesh, build_faces, build_graded_mesh
+
+
+def box_mesh(lo, lengths):
+    lo, lengths = np.array(lo), np.array(lengths)
+    return GradedMesh(2, 0.5, 0, lo, lengths, np.zeros(len(lo), dtype=int), build_faces(lo, lengths))
 
 
 def two_element_mesh():
     """Two half-by-one boxes sharing the face x = 0."""
-    a = Element(0, np.array([-0.5, -0.5]), np.array([0.5, 1.0]), 0, False)
-    b = Element(1, np.array([0.0, -0.5]), np.array([0.5, 1.0]), 0, False)
-    els = [a, b]
-    return GradedMesh(2, 0.5, 0, els, enumerate_faces_of(els, 2))
+    return box_mesh([[-0.5, -0.5], [0.0, -0.5]], [[0.5, 1.0], [0.5, 1.0]])
 
 
 def one_element_mesh():
-    e = Element(0, np.array([-0.5, -0.5]), np.array([1.0, 1.0]), 0, False)
-    return GradedMesh(2, 0.5, 0, [e], enumerate_faces_of([e], 2))
+    return box_mesh([[-0.5, -0.5]], [[1.0, 1.0]])
 
 
 def test_identical_fields_have_zero_error():
@@ -58,10 +59,10 @@ def test_indicator_jump_penalty_is_exact():
     zero = DiscreteField(space, np.zeros(space.N))
     errs = error_norms(ind, zero)
     dg2, l22 = errs["dg"] ** 2, errs["l2"] ** 2
-    face = mesh.interior_faces()[0]
-    p_e, h_e = 1, face.h_e
+    (face,) = np.flatnonzero(mesh.faces.interior)
+    p_e, h_e, area = 1, mesh.faces.h_e[face], mesh.faces.lengths[face, 1]
     assert l22 == pytest.approx(0.5, abs=1e-14)  # measure of element 0
-    assert dg2 - l22 == pytest.approx(p_e**2 / h_e * face.measure, abs=1e-13)
+    assert dg2 - l22 == pytest.approx(p_e**2 / h_e * area, abs=1e-13)
 
 
 def test_zero_versus_one_on_unit_domain():

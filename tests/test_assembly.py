@@ -9,7 +9,7 @@ from hpdg.assembly import (PenaltyConfig, Potential, SipAssembler,
                            assemble_mass, assemble_nonlinear_mass,
                            assemble_sip)
 from hpdg.hpspace import basis_matrices, basis_matrix, build_space, constant_field, project
-from hpdg.mesh import BOUNDARY, build_graded_mesh
+from hpdg.mesh import build_graded_mesh
 from hpdg.quadrature import element_rule, face_rule, volume_rule
 
 
@@ -52,14 +52,14 @@ def test_rejects_strong_singularity():
 def test_sparsity_is_face_local():
     space, a = make(2)
     mesh = space.mesh
-    neighbors = {e.id: {e.id} for e in mesh.elements}
-    for f in mesh.interior_faces():
-        neighbors[f.owners[0]].add(f.owners[1])
-        neighbors[f.owners[1]].add(f.owners[0])
+    neighbors = {e: {e} for e in range(mesh.n_elements)}
+    for a_, b_ in mesh.faces.owners[mesh.faces.interior]:
+        neighbors[a_].add(b_)
+        neighbors[b_].add(a_)
     coo = a.tocoo()
     dof_el = np.empty(space.N, dtype=int)
-    for e in mesh.elements:
-        dof_el[space.local_slice(e.id)] = e.id
+    for e in range(mesh.n_elements):
+        dof_el[space.local_slice(e)] = e
     for i, j, v in zip(coo.row, coo.col, coo.data):
         if v != 0.0:
             assert dof_el[j] in neighbors[dof_el[i]]
@@ -82,9 +82,7 @@ def test_mass_positive_definite_and_diagonal():
 def test_mass_has_no_cross_element_coupling():
     space = build_space(build_graded_mesh(2, 0.5, 1), 2, 0.0)
     m = assemble_mass(space).tocoo()
-    dof_el = np.empty(space.N, dtype=int)
-    for e in space.mesh.elements:
-        dof_el[space.local_slice(e.id)] = e.id
+    dof_el = np.repeat(np.arange(space.mesh.n_elements), space.ndofs_el)
     assert np.all(dof_el[m.row] == dof_el[m.col])
 
 
@@ -140,11 +138,11 @@ def test_consistency_terms_vanish_for_continuous_fields():
     from hpdg.quadrature import element_rule
 
     vol = 0.0
-    for e in space.mesh.elements:
-        p = int(space.degrees[e.id])
-        rule = element_rule(e, p + 4)
-        _, grads = basis_matrices(e, p, rule.points)
-        loc = v[space.local_slice(e.id)]
+    for e, (lo, lengths) in enumerate(zip(space.mesh.lo, space.mesh.lengths)):
+        p = int(space.degrees[e])
+        rule = element_rule(lo, lengths, p + 4)
+        _, grads = basis_matrices(lo, lengths, p, rule.points)
+        loc = v[space.local_slice(e)]
         vol += sum(float(rule.weights @ (g @ loc) ** 2) for g in grads)
     assert float(v @ (a @ v)) - vol == pytest.approx(0.0, abs=1e-11)
 
@@ -161,26 +159,15 @@ def test_refining_keeps_energy_of_continuous_field():
 
 
 def test_assembly_deterministic_under_face_order_and_rerun():
-    """Contributions are accumulated in a fixed global ordering, so the result
-    is bitwise identical across reruns and across storage order of the face
-    list (elements are visited by id, faces sorted by id); the hand-built CSR
-    pattern does not depend on that order either."""
+    """Contributions are accumulated in a fixed global ordering (elements by
+    id, then faces by id), so the result is bitwise identical across reruns,
+    and so is the hand-built CSR pattern."""
     for d in (2, 3):
         space, a = make(2, alpha=1.0, d=d)
-        mesh = space.mesh
-        shuffled = list(mesh.faces)
-        rng = np.random.default_rng(0)
-        rng.shuffle(shuffled)
-        mesh.faces = shuffled
-        try:
-            b = assemble_sip(space, Potential(1.0, -1), PenaltyConfig(10.0))
-        finally:
-            mesh.faces = sorted(shuffled, key=lambda f: f.id)
+        b = assemble_sip(space, Potential(1.0, -1), PenaltyConfig(10.0))
         assert a.data.tobytes() == b.data.tobytes()
         assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
         assert b.has_canonical_format
-        c = assemble_sip(space, Potential(1.0, -1), PenaltyConfig(10.0))
-        assert a.data.tobytes() == c.data.tobytes()
 
 
 def _assert_canonical_csr(a):
@@ -207,28 +194,29 @@ def test_sip_and_nonlinear_mass_are_canonical_csr(d, ell, p0, slope):
 # -- cached, reflected and batched blocks against fresh integration ------------
 
 def _fresh_element_block(space, pot, e):
-    p = int(space.degrees[e.id])
-    rule = element_rule(e, p + 4)
-    _, grads = basis_matrices(e, p, rule.points)
+    p, lo, lengths = int(space.degrees[e]), space.mesh.lo[e], space.mesh.lengths[e]
+    rule = element_rule(lo, lengths, p + 4)
+    _, grads = basis_matrices(lo, lengths, p, rule.points)
     block = sum(weighted_gram(g, rule.weights) for g in grads)
-    rule = volume_rule(e, p, singular=e.touches_c)
-    return block + weighted_gram(basis_matrix(e, p, rule.points),
+    rule = volume_rule(lo, lengths, p, singular=space.mesh.corner[e])
+    return block + weighted_gram(basis_matrix(lo, lengths, p, rule.points),
                                  rule.weights * pot(rule.points))
 
 
 def _fresh_face_block(space, f, alpha0):
     """Face block over the dofs of its owners, concatenated in owner order."""
-    p_e = space.face_degree(f)
-    rule = face_rule(f, p_e + 4)
-    tabs = [basis_matrices(space.mesh.elements[o], int(space.degrees[o]), rule.points)
-            for o in f.owners if o is not None]
-    if f.kind == BOUNDARY:
-        jmp, dn = tabs[0][0], f.sign * tabs[0][1][f.axis]
+    mesh, faces = space.mesh, space.mesh.faces
+    p_e, axis = int(space.face_degree[f]), faces.axis[f]
+    rule = face_rule(faces.lo[f], faces.lengths[f], p_e + 4)
+    tabs = [basis_matrices(mesh.lo[o], mesh.lengths[o], int(space.degrees[o]), rule.points)
+            for o in faces.owners[f] if o >= 0]
+    if not faces.interior[f]:
+        jmp, dn = tabs[0][0], faces.sign[f] * tabs[0][1][axis]
     else:
         jmp = np.hstack([tabs[0][0], -tabs[1][0]])
-        dn = 0.5 * np.hstack([tabs[0][1][f.axis], tabs[1][1][f.axis]])
+        dn = 0.5 * np.hstack([tabs[0][1][axis], tabs[1][1][axis]])
     c = (dn * rule.weights[:, None]).T @ jmp
-    return -c - c.T + weighted_gram(jmp, alpha0 * p_e**2 / f.h_e * rule.weights)
+    return -c - c.T + weighted_gram(jmp, alpha0 * p_e**2 / faces.h_e[f] * rule.weights)
 
 
 def _close(got, want):
@@ -255,25 +243,23 @@ def test_cached_blocks_equal_fresh_integration(d, sigma, ell, p0, slope, alpha, 
     u = project(space, lambda x: np.cos(np.pi * x[:, 0]) * (1.0 + x[:, -1]))
     nl = asm.nonlinear_mass(u, 3)
     rng = np.random.default_rng(seed)
-    corners = [e.id for e in mesh.elements if e.touches_c]
-    for eid in {*rng.choice(mesh.n_elements, 3), *rng.choice(corners, 2)}:
-        e, sl = mesh.elements[eid], space.local_slice(eid)
-        want = _fresh_element_block(space, pot, e)
-        for f in mesh.faces:
-            if eid in f.owners:
-                fb = _fresh_face_block(space, f, pen.alpha0)
-                k = space.ndofs_el[eid]
-                want = want + (fb[:k, :k] if f.owners[0] == eid else fb[-k:, -k:])
+    owners = mesh.faces.owners
+    for eid in {*rng.choice(mesh.n_elements, 3), *rng.choice(np.flatnonzero(mesh.corner), 2)}:
+        sl = space.local_slice(eid)
+        want = _fresh_element_block(space, pot, eid)
+        for f in np.flatnonzero(np.any(owners == eid, axis=1)):
+            fb = _fresh_face_block(space, f, pen.alpha0)
+            k = space.ndofs_el[eid]
+            want = want + (fb[:k, :k] if owners[f, 0] == eid else fb[-k:, -k:])
         _close(a[sl, sl].toarray(), 0.5 * (want + want.T))
-        rule = element_rule(e, int(space.degrees[eid]) + 4)
-        phi = basis_matrix(e, int(space.degrees[eid]), rule.points)
+        lo, lengths, p = mesh.lo[eid], mesh.lengths[eid], int(space.degrees[eid])
+        rule = element_rule(lo, lengths, p + 4)
+        phi = basis_matrix(lo, lengths, p, rule.points)
         _close(nl[sl, sl].toarray(), weighted_gram(phi, rule.weights * (phi @ u.local(eid)) ** 2))
-    interior = [f for f in mesh.faces if f.kind != BOUNDARY]
-    for i in rng.choice(len(interior), 4):
-        f = interior[i]
+    for f in rng.choice(np.flatnonzero(mesh.faces.interior), 4):
         fb = _fresh_face_block(space, f, pen.alpha0)
-        k = space.ndofs_el[f.owners[0]]
-        _close(a[space.local_slice(f.owners[0]), space.local_slice(f.owners[1])].toarray(),
+        k = space.ndofs_el[owners[f, 0]]
+        _close(a[space.local_slice(owners[f, 0]), space.local_slice(owners[f, 1])].toarray(),
                0.5 * (fb[:k, k:] + fb[k:, :k].T))
 
 

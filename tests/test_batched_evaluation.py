@@ -53,7 +53,7 @@ def test_batched_evaluation_matches_per_element_loops(d, sigma, ell, p0, slope, 
         assert norms[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
     cmap = containing_map(coarse_space.mesh, fine_space.mesh)
     assert np.array_equal(injected, project_per_element(
-        fine_space, lambda e, pts: evaluate_in_element(coarse, cmap[e.id], pts)))
+        fine_space, lambda e, pts: evaluate_in_element(coarse, cmap[e], pts)))
     assert np.array_equal(projected, project_per_element(fine_space, lambda e, pts: _smooth(pts)))
 
 

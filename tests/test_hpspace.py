@@ -12,10 +12,10 @@ def test_degree_formula_with_slope():
     # p_K = p0 + round(s * (ell - j)), round half up
     mesh = build_graded_mesh(2, 0.5, 4)
     space = build_space(mesh, 2, 0.5)
-    for e in mesh.elements:
-        assert space.degrees[e.id] == 2 + int(np.floor(0.5 * (4 - e.layer) + 0.5))
+    for e, layer in enumerate(mesh.layer):
+        assert space.degrees[e] == 2 + int(np.floor(0.5 * (4 - layer) + 0.5))
     # an (ell=4, s=1/2) layer-0 element would get p0 + 2; layer 1 does here
-    assert space.degrees[[e.id for e in mesh.elements if e.layer == 1][0]] == 2 + 2
+    assert space.degrees[np.flatnonzero(mesh.layer == 1)[0]] == 2 + 2
 
 
 def test_zero_slope_is_uniform():
@@ -34,11 +34,7 @@ def test_degree_monotonicity():
     mesh = build_graded_mesh(2, 0.5, 6)
     for slope in (0.0, 0.125, 0.25, 0.5):
         space = build_space(mesh, 2, slope)
-        by_layer = {}
-        for e in mesh.elements:
-            by_layer.setdefault(e.layer, set()).add(int(space.degrees[e.id]))
-        layers = sorted(by_layer)
-        degs = [max(by_layer[j]) for j in layers]
+        degs = [space.degrees[mesh.layer == j].max() for j in np.unique(mesh.layer)]
         assert all(a >= b for a, b in zip(degs, degs[1:]))
 
 
@@ -49,6 +45,25 @@ def test_rounding_modes():
     assert np.all(up.degrees >= down.degrees)
     with pytest.raises(ValueError):
         build_space(mesh, 2, 0.25, rounding="banker")
+
+
+def test_mode_tables_are_shared_and_read_only():
+    """Every space of one degree and dimension shares one mode table; a
+    caller that tries to write to it fails instead of corrupting later spaces."""
+    space = build_space(build_graded_mesh(3, 0.5, 1), 2, 0.0)
+    modes = space.modes(0)
+    assert modes is space.modes(1) is build_space(build_graded_mesh(3, 0.5, 0), 2, 0.0).modes(0)
+    assert modes.shape == (27, 3) and modes[5].tolist() == [0, 1, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        modes[0, 0] = 1
+
+
+def test_face_degree_is_the_larger_owner_degree():
+    space = build_space(build_graded_mesh(2, 0.5, 3), 1, 1.0)
+    owners = space.mesh.faces.owners
+    for f, p_e in enumerate(space.face_degree):
+        assert p_e == max(space.degrees[o] for o in owners[f] if o >= 0)
+    assert len(set(space.face_degree.tolist())) > 1
 
 
 def test_build_space_validation():
@@ -62,25 +77,20 @@ def test_build_space_validation():
 def test_locate_quadrant():
     mesh = build_graded_mesh(2, 0.5, 0)
     eid = locate_point(mesh, [0.3, 0.3])
-    e = mesh.elements[eid]
-    assert np.all(e.lo >= 0) and np.all(e.hi > 0)
+    assert np.all(mesh.lo[eid] >= 0) and np.all(mesh.hi[eid] > 0)
 
 
 def test_locate_singular_point_tie_break():
     mesh = build_graded_mesh(2, 0.5, 2)
     eid = locate_point(mesh, [0.0, 0.0])
-    containing = [
-        e.id for e in mesh.elements
-        if np.all(e.lo <= 0) and np.all(e.hi >= 0)
-    ]
+    containing = np.flatnonzero(np.all(mesh.lo <= 0, axis=1) & np.all(mesh.hi >= 0, axis=1))
     assert eid == min(containing)
 
 
 def test_locate_boundary_corner():
     mesh = build_graded_mesh(2, 0.5, 1)
     eid = locate_point(mesh, [0.5, 0.5])
-    e = mesh.elements[eid]
-    assert np.all(np.abs(e.hi - 0.5) < 1e-15)
+    assert np.all(np.abs(mesh.hi[eid] - 0.5) < 1e-15)
 
 
 def test_locate_outside_raises():
@@ -105,8 +115,7 @@ def test_single_mode_vanishes_at_center():
     # mode (1, 0) of element 0: P_1 in x, P_0 in y
     c[space.offsets[0] + 2] = 1.0  # C-order modes: (0,0),(0,1),(1,0),(1,1)
     f = DiscreteField(space, c)
-    e = mesh.elements[0]
-    assert evaluate(f, e.center) == pytest.approx(0.0, abs=1e-15)
+    assert evaluate(f, mesh.lo[0] + 0.5 * mesh.lengths[0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_field_minus_itself():
@@ -121,11 +130,11 @@ def test_field_minus_itself():
 
 def test_round_trip_locate_gauss_points():
     mesh = build_graded_mesh(2, 0.5, 2)
-    for e in mesh.elements:
-        rule = element_rule(e, 3)
+    for lo, lengths in zip(mesh.lo, mesh.lengths):
+        rule = element_rule(lo, lengths, 3)
         for x in rule.points:
-            located = mesh.elements[locate_point(mesh, x)]
-            assert np.all(located.lo <= x + 1e-14) and np.all(x <= located.hi + 1e-14)
+            located = locate_point(mesh, x)
+            assert np.all(mesh.lo[located] <= x + 1e-14) and np.all(x <= mesh.hi[located] + 1e-14)
 
 
 def test_projection_reproduces_polynomials():
@@ -153,7 +162,8 @@ def test_injection_is_exact_on_chain():
     for x in rng.uniform(-0.49, 0.49, size=(50, 2)):
         # compare one-sided element evaluations: pick the fine element first
         eid = locate_point(fine_space.mesh, x)
-        cid = locate_point(coarse_space.mesh, fine_space.mesh.elements[eid].center)
+        fine = fine_space.mesh
+        cid = locate_point(coarse_space.mesh, fine.lo[eid] + 0.5 * fine.lengths[eid])
         got = evaluate_in_element(g, eid, x[None, :])[0]
         want = evaluate_in_element(f, cid, x[None, :])[0]
         assert got == pytest.approx(want, abs=1e-12)

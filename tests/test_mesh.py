@@ -1,18 +1,26 @@
-import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hpdg.mesh import (BOUNDARY, INTERIOR, Element, MeshError,
-                       build_graded_mesh, dump_mesh, enumerate_faces,
-                       enumerate_faces_of)
+from hpdg.mesh import MeshError, build_faces, build_graded_mesh
+from oracles import enumerate_faces_of
+
+
+def _covered(m):
+    """Total face measure per element, summed over the faces it owns."""
+    f = m.faces
+    t = np.arange(m.d) != f.axis[:, None]
+    measure = np.prod(np.where(t, f.lengths, 1.0), axis=1)
+    own = f.owners.ravel()
+    return np.bincount(own[own >= 0], np.repeat(measure, 2)[own >= 0], minlength=m.n_elements)
 
 
 def test_initial_split_2d():
     m = build_graded_mesh(2, 0.5, 0)
     assert m.n_elements == 4
-    assert all(e.layer == 0 for e in m.elements)
-    assert all(e.touches_c for e in m.elements)
+    assert np.all(m.layer == 0)
+    assert np.all(m.corner)
 
 
 def test_hand_counted_refinements():
@@ -25,10 +33,9 @@ def test_hand_counted_refinements():
 def test_count_law_and_tiling(d, ell):
     m = build_graded_mesh(d, 0.5, ell)
     assert m.n_elements == 2**d + (4**d - 2**d) * ell
-    assert abs(sum(e.measure for e in m.elements) - 1.0) < 1e-13
+    assert abs(np.prod(m.lengths, axis=1).sum() - 1.0) < 1e-13
     # pairwise-disjoint interiors, checked by brute-force box intersection
-    los = np.array([e.lo for e in m.elements])
-    his = np.array([e.hi for e in m.elements])
+    los, his = m.lo, m.hi
     overlap = np.minimum(his[:, None, :], his[None, :, :]) - np.maximum(
         los[:, None, :], los[None, :, :]
     )
@@ -40,82 +47,66 @@ def test_count_law_and_tiling(d, ell):
 @pytest.mark.parametrize("d,ell", [(2, 0), (2, 1), (2, 4), (3, 2)])
 def test_touching_elements(d, ell):
     m = build_graded_mesh(d, 0.5, ell)
-    touching = [e for e in m.elements if e.touches_c]
+    touching = np.flatnonzero(m.corner)
     assert len(touching) == 2**d
-    assert all(e.layer == ell for e in touching)
+    assert np.all(m.layer[touching] == ell)
     for e in touching:
-        assert np.min(np.abs(np.concatenate([e.lo, e.hi]))) < 1e-15
+        assert np.min(np.abs(np.concatenate([m.lo[e], m.hi[e]]))) < 1e-15
 
 
 @pytest.mark.parametrize("ell", [1, 3, 6, 10])
 def test_sizes_and_grading_constants(ell):
     m = build_graded_mesh(2, 0.5, ell)
-    for e in m.elements:
-        assert e.h == pytest.approx(0.5**(e.layer + 1), abs=0)
-        if not e.touches_c:
-            dist = np.linalg.norm(np.maximum(np.maximum(e.lo, -e.hi), 0.0))
-            assert 0.5 * e.h <= dist <= 2.0 * e.h
+    for e in range(m.n_elements):
+        assert m.h[e] == pytest.approx(0.5**(m.layer[e] + 1), abs=0)
+        if not m.corner[e]:
+            dist = np.linalg.norm(np.maximum(np.maximum(m.lo[e], -m.hi[e]), 0.0))
+            assert 0.5 * m.h[e] <= dist <= 2.0 * m.h[e]
 
 
 def test_layer_widths_decrease_geometrically():
     m = build_graded_mesh(2, 0.5, 5)
-    widths = {}
-    for e in m.elements:
-        widths.setdefault(e.layer, 0.0)
-        widths[e.layer] = max(widths[e.layer], e.h)
-    layers = sorted(widths)
-    for a, b in zip(layers, layers[1:]):
-        assert widths[b] == pytest.approx(0.5 * widths[a], abs=0)
+    widths = [np.max(m.h[m.layer == j]) for j in range(1, 6)]
+    for a, b in zip(widths, widths[1:]):
+        assert b == pytest.approx(0.5 * a, abs=0)
 
 
 def test_face_counts_ell0():
     m = build_graded_mesh(2, 0.5, 0)
-    assert len(m.interior_faces()) == 4
-    assert len(m.boundary_faces()) == 8
+    assert np.count_nonzero(m.faces.interior) == 4
+    assert np.count_nonzero(~m.faces.interior) == 8
+    assert np.all(m.faces.owners[~m.faces.interior, 1] == -1)
 
 
 def test_conforming_face_h_e():
     m = build_graded_mesh(2, 0.5, 0)
-    for f in m.interior_faces():
-        assert f.h_e == pytest.approx(0.5, abs=0)
-        assert not f.is_subface
+    inner = m.faces[m.faces.interior]
+    assert np.all(inner.h_e == 0.5)
+    assert not inner.is_subface.any()
 
 
 def test_hanging_faces_across_level_jump():
     m = build_graded_mesh(2, 0.5, 2)
-    el = {e.id: e for e in m.elements}
-    jumps = [
-        f for f in m.interior_faces()
-        if el[f.owners[0]].layer != el[f.owners[1]].layer
-        and abs(el[f.owners[0]].layer - el[f.owners[1]].layer) == 1
-    ]
-    assert jumps, "expected level-jump interfaces on a graded mesh"
+    inner = m.faces[m.faces.interior]
+    layers = m.layer[inner.owners]
+    jumps = np.flatnonzero(np.abs(layers[:, 0] - layers[:, 1]) == 1)
+    assert jumps.size, "expected level-jump interfaces on a graded mesh"
     for f in jumps:
-        fine = max((el[f.owners[0]], el[f.owners[1]]), key=lambda e: e.layer)
-        assert f.is_subface
-        assert f.h_e == pytest.approx(fine.h, abs=0)
+        fine = inner.owners[f, np.argmax(layers[f])]
+        assert inner.is_subface[f]
+        assert inner.h_e[f] == pytest.approx(m.h[fine], abs=0)
         # the face piece is an entire face of the finer element
-        tdims = [m_ for m_ in range(2) if m_ != f.axis]
-        for t in tdims:
-            assert f.lo[t] == pytest.approx(fine.lo[t], abs=1e-15)
-            assert f.lengths[t] == pytest.approx(fine.lengths[t], abs=1e-15)
+        t = np.arange(2) != inner.axis[f]
+        assert inner.lo[f, t] == pytest.approx(m.lo[fine, t], abs=1e-15)
+        assert inner.lengths[f, t] == pytest.approx(m.lengths[fine, t], abs=1e-15)
 
 
 @pytest.mark.parametrize("d,ell", [(2, 3), (3, 2)])
 def test_face_partition_covers_element_boundaries(d, ell):
     """Union of face extents per element face equals it exactly (no slivers)."""
     m = build_graded_mesh(d, 0.5, ell)
-    covered = {e.id: 0.0 for e in m.elements}
-    for f in m.faces:
-        for o in f.owners:
-            if o is not None:
-                covered[o] += f.measure
-    for e in m.elements:
-        expect = sum(
-            2.0 * np.prod([e.lengths[t] for t in range(d) if t != ax])
-            for ax in range(d)
-        )
-        assert covered[e.id] == pytest.approx(expect, rel=1e-14)
+    expect = sum(2.0 * np.prod(np.delete(m.lengths, ax, axis=1), axis=1) for ax in range(d))
+    assert _covered(m) == pytest.approx(expect, rel=1e-14)
 
 
 def test_rejects_bad_parameters():
@@ -130,32 +121,34 @@ def test_rejects_bad_parameters():
 
 
 def test_irregularity_violation_detected():
-    # two unit boxes offset by half an edge: their interface is an entire
-    # face of neither element
-    a = Element(0, np.array([0.0, 0.0]), np.array([1.0, 1.0]), 0, False)
-    b = Element(1, np.array([1.0, 0.5]), np.array([1.0, 1.0]), 0, False)
-    with pytest.raises(MeshError):
-        enumerate_faces_of([a, b], 2)
+    # the unit square tiled by a left column cut at y = 1/4 and a right column
+    # cut at y = 0: the interface piece on x = 0 between y = 0 and y = 1/4 is
+    # an entire face of neither neighbour
+    lo = np.array([[-0.5, -0.5], [-0.5, 0.25], [0.0, -0.5], [0.0, 0.0]])
+    lengths = np.array([[0.5, 0.75], [0.5, 0.25], [0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(MeshError, match="entire face of neither"):
+        build_faces(lo, lengths)
 
 
-def test_reenumeration_matches(tmp_path):
-    m = build_graded_mesh(2, 0.5, 2)
-    again = enumerate_faces(m)
-    assert len(again) == len(m.faces)
-    for f, g in zip(m.faces, again):
-        assert f.kind == g.kind and f.owners == g.owners and f.axis == g.axis
+def test_uncovered_element_face_detected():
+    # the right half of the square is missing: the left element's face on
+    # x = 0 has no neighbour and does not lie on the boundary
+    with pytest.raises(MeshError, match="not fully matched"):
+        build_faces(np.array([[-0.5, -0.5]]), np.array([[0.5, 1.0]]))
 
 
-def test_dump_format():
-    m = build_graded_mesh(2, 0.5, 1)
-    buf = io.StringIO()
-    dump_mesh(m, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == m.n_elements + len(m.faces)
-    first = lines[0].split()
-    assert len(first) == 5  # id j x_lo y_lo h
-    kinds = {ln.split()[0] for ln in lines[m.n_elements:]}
-    assert kinds <= {INTERIOR, BOUNDARY}
+@pytest.mark.parametrize("sigma", [0.5, 0.4, 0.3])
+@pytest.mark.parametrize("d,ell", [(d, ell) for d in (2, 3) for ell in range(7)])
+def test_faces_match_pairwise_oracle(d, ell, sigma):
+    """The numpy enumeration equals the pairwise loop field by field, bitwise
+    and in the same order (the assembly order, and so every fingerprint,
+    follows the face order)."""
+    m = build_graded_mesh(d, sigma, ell)
+    want = enumerate_faces_of(m.lo, m.lengths)
+    for field in fields(want):
+        got, ref = getattr(m.faces, field.name), getattr(want, field.name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, field.name
+        assert got.tobytes() == ref.tobytes(), field.name
 
 
 @pytest.mark.parametrize("sigma", [0.4, 0.3])
@@ -163,20 +156,13 @@ def test_generic_sigma_mesh(sigma):
     """For sigma < 1/2 each shell is tiled by boxes of aspect (1-sigma)/sigma."""
     m = build_graded_mesh(2, sigma, 3)
     assert m.n_elements == 4 + 12 * 3
-    assert abs(sum(e.measure for e in m.elements) - 1.0) < 1e-13
-    for e in m.elements:
-        if e.touches_c:
-            assert np.max(e.lengths) == pytest.approx(0.5 * sigma**3, rel=1e-14)
+    assert abs(np.prod(m.lengths, axis=1).sum() - 1.0) < 1e-13
+    for e in range(m.n_elements):
+        if m.corner[e]:
+            assert np.max(m.lengths[e]) == pytest.approx(0.5 * sigma**3, rel=1e-14)
         else:
-            aspect = np.max(e.lengths) / np.min(e.lengths)
+            aspect = np.max(m.lengths[e]) / np.min(m.lengths[e])
             assert aspect <= (1 - sigma) / sigma + 1e-12
-            dist = np.linalg.norm(np.maximum(np.maximum(e.lo, -e.hi), 0.0))
-            assert dist >= sigma / (1 - sigma) * e.h - 1e-14
-    covered = {e.id: 0.0 for e in m.elements}
-    for f in m.faces:
-        for o in f.owners:
-            if o is not None:
-                covered[o] += f.measure
-    for e in m.elements:
-        expect = 2.0 * (e.lengths[0] + e.lengths[1])
-        assert covered[e.id] == pytest.approx(expect, rel=1e-12)
+            dist = np.linalg.norm(np.maximum(np.maximum(m.lo[e], -m.hi[e]), 0.0))
+            assert dist >= sigma / (1 - sigma) * m.h[e] - 1e-14
+    assert _covered(m) == pytest.approx(2.0 * m.lengths.sum(axis=1), rel=1e-12)

@@ -2,43 +2,46 @@ import numpy as np
 import pytest
 
 from hpdg import quadrature
-from hpdg.mesh import Element, build_graded_mesh
+from hpdg.mesh import build_graded_mesh
 from hpdg.quadrature import element_rule, face_rule, singular_rule, volume_rule
 from oracles import checked_integral, radial_power
 
 
 def unit_element(d=2):
-    return Element(0, np.zeros(d), np.ones(d), 0, True)
+    """(lo, lengths) of the unit cube [0, 1]^d."""
+    return np.zeros(d), np.ones(d)
 
 
 def test_two_point_rule_on_unit_square():
-    r = element_rule(unit_element(), 2)
+    r = element_rule(*unit_element(), 2)
     assert len(r.weights) == 4
     assert r.weights == pytest.approx([0.25] * 4, abs=1e-15)
 
 
 def test_integrates_constant_to_measure():
     m = build_graded_mesh(2, 0.5, 2)
-    for e in m.elements:
-        r = element_rule(e, 3)
-        assert r.weights.sum() == pytest.approx(e.measure, rel=1e-14)
+    for lo, lengths in zip(m.lo, m.lengths):
+        r = element_rule(lo, lengths, 3)
+        assert r.weights.sum() == pytest.approx(np.prod(lengths), rel=1e-14)
     # face rules: boundary faces, full interior faces and hanging sub-faces
     for d in (2, 3):
         seen = set()
-        for f in build_graded_mesh(d, 0.5, 2).faces:
-            r = face_rule(f, 3)
+        faces = build_graded_mesh(d, 0.5, 2).faces
+        for f in range(len(faces)):
+            lo, lengths, axis = faces.lo[f], faces.lengths[f], faces.axis[f]
+            tang = np.arange(d) != axis
+            r = face_rule(lo, lengths, 3)
             assert r.points.shape == (3 ** (d - 1), d)
-            assert r.weights.sum() == pytest.approx(f.measure, rel=1e-14)
-            assert np.all(r.points[:, f.axis] == f.lo[f.axis])
-            tang = np.arange(d) != f.axis
-            assert np.all(r.points[:, tang] > f.lo[tang])
-            assert np.all(r.points[:, tang] < f.lo[tang] + f.lengths[tang])
-            seen.add((f.kind, f.is_subface))
-        assert seen == {("boundary", False), ("interior", False), ("interior", True)}
+            assert r.weights.sum() == pytest.approx(np.prod(lengths[tang]), rel=1e-14)
+            assert np.all(r.points[:, axis] == lo[axis])
+            assert np.all(r.points[:, tang] > lo[tang])
+            assert np.all(r.points[:, tang] < lo[tang] + lengths[tang])
+            seen.add((bool(faces.interior[f]), bool(faces.is_subface[f])))
+        assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_integrates_x_squared():
-    r = element_rule(unit_element(), 2)
+    r = element_rule(*unit_element(), 2)
     assert r.weights @ r.points[:, 0] ** 2 == pytest.approx(1 / 3, abs=1e-14)
 
 
@@ -67,16 +70,14 @@ def test_composite_1d_harness():
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_composite_matches_adaptive_oracle(d, alpha):
-    e = unit_element(d)
-    r = singular_rule(e, 10, 60)
+    r = singular_rule(*unit_element(d), 10, 60)
     got = r.weights @ radial_power(alpha)(r.points)
     want = checked_integral(radial_power(alpha), [0.0] * d, [1.0] * d)
     assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_singular_rule_on_negative_quadrant_element():
-    e = Element(0, np.array([-0.25, -0.25]), np.array([0.25, 0.25]), 0, True)
-    r = singular_rule(e, 8, 60)
+    r = singular_rule(np.array([-0.25, -0.25]), np.array([0.25, 0.25]), 8, 60)
     want = checked_integral(radial_power(1.0), [0.0, 0.0], [0.25, 0.25])
     assert r.weights @ radial_power(1.0)(r.points) == pytest.approx(want, rel=1e-8)
 
@@ -85,16 +86,17 @@ def test_singular_rule_on_negative_quadrant_element():
 def test_singular_rule_on_every_corner_element(d):
     """The rule is reflected per axis toward the corner at the origin, so
     every one of the 2^d corner elements sees the same integral of r^-1."""
-    corners = [e for e in build_graded_mesh(d, 0.5, 2).elements if e.touches_c]
+    m = build_graded_mesh(d, 0.5, 2)
+    corners = [(m.lo[e], m.lengths[e]) for e in np.flatnonzero(m.corner)]
     assert len(corners) == 2**d
     f = radial_power(1.0)
-    want = next(singular_rule(e, 5, 60) for e in corners if np.all(e.lo == 0))
+    want = next(singular_rule(lo, lengths, 5, 60) for lo, lengths in corners if np.all(lo == 0))
     want = want.weights @ f(want.points)
-    for e in corners:
-        r = singular_rule(e, 5, 60)
-        assert np.all(r.points > e.lo) and np.all(r.points < e.hi), e.lo
-        assert r.weights.sum() == pytest.approx(e.measure, rel=1e-13)
-        assert r.weights @ f(r.points) == pytest.approx(want, rel=1e-13), e.lo
+    for lo, lengths in corners:
+        r = singular_rule(lo, lengths, 5, 60)
+        assert np.all(r.points > lo) and np.all(r.points < lo + lengths), lo
+        assert r.weights.sum() == pytest.approx(np.prod(lengths), rel=1e-13)
+        assert r.weights @ f(r.points) == pytest.approx(want, rel=1e-13), lo
 
 
 def test_singular_rule_is_built_once_per_key(monkeypatch):
@@ -104,26 +106,24 @@ def test_singular_rule_is_built_once_per_key(monkeypatch):
                         lambda *args: calls.append(1) or box_rule(*args))
     quadrature._unit_singular_rule.cache_clear()
     e = unit_element(3)
-    first = singular_rule(e, 3, 7)
+    first = singular_rule(*e, 3, 7)
     built = len(calls)
     assert built == 7 * (2**3 - 1) + 1
     pts, w = first.points.copy(), first.weights.copy()
     first.points[:] = 0.0
     first.weights[:] = 0.0
-    again = singular_rule(e, 3, 7)
+    again = singular_rule(*e, 3, 7)
     assert len(calls) == built
     assert np.array_equal(again.points, pts) and np.array_equal(again.weights, w)
 
 
 def test_singular_rule_requires_corner_at_origin():
-    e = Element(0, np.array([0.5, 0.5]), np.array([0.25, 0.25]), 1, False)
     with pytest.raises(ValueError):
-        singular_rule(e, 4, 10)
+        singular_rule(np.array([0.5, 0.5]), np.array([0.25, 0.25]), 4, 10)
 
 
 def test_all_weights_positive_and_sum_to_measure():
-    e = unit_element(3)
-    r = singular_rule(e, 5, 30)
+    r = singular_rule(*unit_element(3), 5, 30)
     assert np.all(r.weights > 0)
     assert r.weights.sum() == pytest.approx(1.0, rel=1e-13)
     assert np.min(np.linalg.norm(r.points, axis=1)) > 0
@@ -133,11 +133,10 @@ def test_all_weights_positive_and_sum_to_measure():
 def test_cauchy_in_depth(alpha):
     """|I(depth) - I(depth+4)| <= 1e-9 |I(depth+4)| once the leftover box is
     small enough; for the worst case d - alpha = 1/2 this needs depth ~ 60."""
-    e = unit_element(2)
     f = radial_power(alpha)
     vals = {}
     for depth in (60, 64):
-        r = singular_rule(e, 8, depth)
+        r = singular_rule(*unit_element(2), 8, depth)
         vals[depth] = r.weights @ f(r.points)
     assert abs(vals[60] - vals[64]) <= 1e-9 * abs(vals[64])
 
@@ -151,21 +150,19 @@ def test_smooth_fallback_accuracy():
     """
     m = build_graded_mesh(2, 0.5, 3)
     f = radial_power(1.0)
-    for e in m.elements:
-        if e.touches_c:
-            continue
-        want = checked_integral(f, e.lo, e.hi)
+    for e in np.flatnonzero(~m.corner):
+        want = checked_integral(f, m.lo[e], m.hi[e])
         for p, rel in ((2, 5e-10), (3, 1e-10)):
-            r = element_rule(e, p + 4)
+            r = element_rule(m.lo[e], m.lengths[e], p + 4)
             got = r.weights @ f(r.points)
-            assert got == pytest.approx(want, rel=rel), (e.id, p)
+            assert got == pytest.approx(want, rel=rel), (e, p)
 
 
 def test_volume_rule_dispatch():
     m = build_graded_mesh(2, 0.5, 1)
-    for e in m.elements:
-        r = volume_rule(e, 2, singular=e.touches_c)
-        if e.touches_c:
+    for lo, lengths, corner in zip(m.lo, m.lengths, m.corner):
+        r = volume_rule(lo, lengths, 2, singular=corner)
+        if corner:
             assert len(r.weights) > 6**2
         else:
             assert len(r.weights) == 6**2

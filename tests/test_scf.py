@@ -141,11 +141,11 @@ def test_energy_identity_at_ground_state():
     delta = 3
     u, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-10, delta=delta))
     nl = 0.0
-    for e in space.mesh.elements:
-        p = int(space.degrees[e.id])
-        rule = element_rule(e, p + 4)
-        phi = basis_matrix(e, p, rule.points)
-        nl += float(rule.weights @ np.abs(phi @ u.local(e.id)) ** (delta + 1))
+    for e, (lo, lengths) in enumerate(zip(space.mesh.lo, space.mesh.lengths)):
+        p = int(space.degrees[e])
+        rule = element_rule(lo, lengths, p + 4)
+        phi = basis_matrix(lo, lengths, p, rule.points)
+        nl += float(rule.weights @ np.abs(phi @ u.local(e)) ** (delta + 1))
     energy = discrete_energy(space, POT, PEN, u, delta)
     assert energy == pytest.approx(rep.lam / 2 - (0.5 - 1 / (delta + 1)) * nl, abs=1e-9)
     assert energy < rep.lam / 2
@@ -194,6 +194,35 @@ def test_cold_3d_solve_reaches_the_ground_state(ell, p0, slope, delta):
     lam = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
                    subset_by_index=[0, 0])[0]
     assert rep.lam == pytest.approx(lam, rel=1e-8)
+
+
+@pytest.mark.parametrize("delta,lam,cutoff", [(3, 32.4337448841267, None),
+                                               (None, 29.12325064308372, None),
+                                               (3, 32.4337448841267, 100)])
+def test_cold_degree_one_solve_solves_the_first_pencil_once(monkeypatch, delta, lam, cutoff):
+    """When every element has degree 1 the p <= 1 subspace is the whole space:
+    its one dense eigh is the first sweep's eigenpair, and no sweep factors or
+    iterates on that pencil again.  The eigenvalue is the one recorded when
+    the first sweep still did (a sparse solve from the coarse start).  Above
+    DENSE_CUTOFF (patched down to 100 here) no solve starts from all-ones."""
+    from hpdg import eigsolve, scf
+
+    if cutoff is not None:
+        monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", cutoff)
+        monkeypatch.setattr(eigsolve, "DENSE_ALWAYS", cutoff)
+    calls = {"eigh": 0, "splu": 0}
+    eigh, splu, solve = dla.eigh, sla.splu, scf.smallest_eigenpair
+    monkeypatch.setattr(dla, "eigh", lambda *a, **k: calls.update(eigh=calls["eigh"] + 1) or eigh(*a, **k))
+    monkeypatch.setattr(sla, "splu", lambda *a, **k: calls.update(splu=calls["splu"] + 1) or splu(*a, **k))
+    starts = []
+    monkeypatch.setattr(scf, "smallest_eigenpair", lambda *a, **k: starts.append(k["x0"]) or solve(*a, **k))
+    space = build_space(build_graded_mesh(3, 0.5, 1), 1, 0.0)
+    assert space.N == 512 > DENSE_ALWAYS
+    _, rep = solve_ground_state(space, Potential(0.5, -1), PEN, ScfConfig(eps_tol=1e-10, delta=delta))
+    assert rep.converged
+    assert rep.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
+    assert calls == {"eigh": 1, "splu": 0 if delta is None else 1}
+    assert len(starts) == rep.iterations - 1 and all(x is not None for x in starts)
 
 
 def test_readme_library_example_runs_in_3d():
