@@ -1,12 +1,13 @@
 """Batch driver: level sweeps, CSV tables, fitted rate coefficients.
 
 Configuration comes from an optional plain-text ``key = value`` file plus
-command-line overrides.  A study solves the reference problem once (at
-ell_max + ref_extra_levels refinement steps and base degree p0 +
-ref_extra_degree), then sweeps ell, measuring all error norms against the
-reference and fitting exponential rates for every error column on both
-abscissae (ell and N^(1/(d+1))).  With ref_extra_degree = 0 the study
-levels are the reference chain's own levels, so each is solved once.
+command-line overrides.  A study solves levels 1..ell_max at base degree p0,
+each warm-started from the previous one, then solves the reference problem
+once (at ell_max + ref_extra_levels refinement steps and base degree p0 +
+ref_extra_degree), warm-started from the finest study level injected into the
+reference space.  It measures all error norms against the reference and fits
+exponential rates for every error column on both abscissae (ell and
+N^(1/(d+1))).
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import ConvergenceRecord, error_norms, fit_exponential
-from .assembly import PenaltyConfig, Potential
+from .assembly import PenaltyConfig, Potential, assemble_mass
 from .eigsolve import EigenSolveError
 from .hpspace import build_space, inject
 from .mesh import build_graded_mesh
@@ -96,37 +99,57 @@ class StudyConfig:
         return 1e-10 if self.dim == 2 else 1e-7
 
 
-def _chain_solve(cfg: StudyConfig, p0: int, ell_last: int, outdir: Path):
-    """Solve levels 1..ell_last with warm starts; return {ell: (u, report)}."""
-    potential = Potential(cfg.alpha, cfg.pot_sign)
-    penalty = PenaltyConfig(cfg.penalty)
+# A warm-started level whose ground state keeps less M-overlap than this with
+# its injected start has landed on an M-orthogonal (excited) state: along a
+# nested chain, and for the reference's jump, the overlap stays above 0.999.
+MIN_START_OVERLAP = 0.5
+
+
+def _m_overlap(u, v) -> float:
+    """|(u, v)_M| of the two fields on one space, after normalizing both."""
+    m, a, b = assemble_mass(u.space), u.coeffs, v.coeffs
+    return float(abs(a @ (m @ b)) / np.sqrt((a @ (m @ a)) * (b @ (m @ b))))
+
+
+def _level_solve(cfg: StudyConfig, p0: int, ell: int, prev, outdir: Path):
+    """Solve level ell at base degree p0, warm-started from ``prev`` injected
+    into its space (cold when ``prev`` is None); return (u, report)."""
+    t0 = time.perf_counter()
+    mesh = build_graded_mesh(cfg.dim, cfg.sigma, ell)
+    space = build_space(mesh, p0, cfg.slope)
+    u0 = inject(prev, space) if prev is not None else None
     scf_cfg = ScfConfig(eps_tol=cfg.scf_tol, max_iter=cfg.max_iter,
                         theta=cfg.theta, delta=cfg.delta)
-    levels = {}
-    prev = None
+    where = f"p0={p0} ell={ell} N={space.N}"
+    lines = []
+    try:
+        u, rep = solve_ground_state(space, Potential(cfg.alpha, cfg.pot_sign),
+                                    PenaltyConfig(cfg.penalty), scf_cfg,
+                                    u0=u0, log=lines.append)
+    except EigenSolveError as exc:
+        best = exc.best.residual if exc.best is not None else float("nan")
+        raise StudyError(f"eigensolve failed at {where} "
+                         f"(best residual {best:.3e}): {exc}") from exc
+    (outdir / f"iters_p{p0}_ell{ell}.log").write_text("\n".join(lines) + "\n")
+    if not rep.converged:
+        raise StudyError(
+            f"SCF did not converge at {where} "
+            f"(residual {rep.residuals[-1]:.3e} after {rep.iterations} sweeps)"
+        )
+    if u0 is not None and (overlap := _m_overlap(u, u0)) < MIN_START_OVERLAP:
+        raise StudyError(f"excited state at {where}: M-overlap {overlap:.3e} with the "
+                         f"warm start is below {MIN_START_OVERLAP}")
+    print(f"level p0={p0} ell={ell} N={space.N} sweeps={rep.iterations} "
+          f"t={time.perf_counter() - t0:.2f}s", file=sys.stderr, flush=True)
+    return u, rep
+
+
+def _chain_solve(cfg: StudyConfig, p0: int, ell_last: int, outdir: Path):
+    """Solve levels 1..ell_last with warm starts; return {ell: (u, report)}."""
+    levels, prev = {}, None
     for ell in range(1, ell_last + 1):
-        t0 = time.perf_counter()
-        mesh = build_graded_mesh(cfg.dim, cfg.sigma, ell)
-        space = build_space(mesh, p0, cfg.slope)
-        u0 = inject(prev, space) if prev is not None else None
-        lines = []
-        try:
-            u, rep = solve_ground_state(space, potential, penalty, scf_cfg,
-                                        u0=u0, log=lines.append)
-        except EigenSolveError as exc:
-            best = exc.best.residual if exc.best is not None else float("nan")
-            raise StudyError(f"eigensolve failed at p0={p0} ell={ell} N={space.N} "
-                             f"(best residual {best:.3e}): {exc}") from exc
-        (outdir / f"iters_p{p0}_ell{ell}.log").write_text("\n".join(lines) + "\n")
-        if not rep.converged:
-            raise StudyError(
-                f"SCF did not converge at p0={p0} ell={ell} "
-                f"(residual {rep.residuals[-1]:.3e} after {rep.iterations} sweeps)"
-            )
-        print(f"level p0={p0} ell={ell} N={space.N} sweeps={rep.iterations} "
-              f"t={time.perf_counter() - t0:.2f}s", file=sys.stderr, flush=True)
-        levels[ell] = (u, rep)
-        prev = u
+        levels[ell] = _level_solve(cfg, p0, ell, prev, outdir)
+        prev = levels[ell][0]
     return levels
 
 
@@ -137,13 +160,18 @@ def run_study(cfg: StudyConfig):
     """
     cfg.validate()
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create directory {str(outdir)!r}: "
+                          f"{exc.strerror}") from exc
 
-    ell_ref = cfg.ell_max + cfg.ref_extra_levels
-    ref = _chain_solve(cfg, cfg.p0 + cfg.ref_extra_degree, ell_ref, outdir)
-    u_ref, rep_ref = ref[ell_ref]
-    # Without an extra degree the study levels are the reference chain's own.
-    solves = ref if cfg.ref_extra_degree == 0 else _chain_solve(cfg, cfg.p0, cfg.ell_max, outdir)
+    solves = _chain_solve(cfg, cfg.p0, cfg.ell_max, outdir)
+    # The meshes nest and each reference degree is at least the study degree,
+    # so the finest study level injects exactly into the reference space.
+    u_ref, rep_ref = _level_solve(cfg, cfg.p0 + cfg.ref_extra_degree,
+                                  cfg.ell_max + cfg.ref_extra_levels,
+                                  solves[cfg.ell_max][0], outdir)
 
     records = []
     for ell in range(cfg.ell_min, cfg.ell_max + 1):

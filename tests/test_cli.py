@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from hpdg import cli
+from hpdg.assembly import PenaltyConfig, Potential, SipAssembler, assemble_mass
 from hpdg.cli import (CSV_HEADER, ConfigError, StudyConfig, StudyError,
                       build_parser, load_config_file, main, run_study)
+from hpdg.eigsolve import EigenSolveError
+from hpdg.hpspace import DiscreteField
 from hpdg.scf import solve_ground_state
 
 
@@ -70,12 +74,12 @@ def test_iteration_logs_written(tmp_path):
     run_study(tiny_linear_config(out))
     logs = sorted(out.glob("iters_p2_ell*.log"))
     assert len(logs) == 3
-    ref_logs = sorted(out.glob("iters_p3_ell*.log"))
-    assert len(ref_logs) == 4
+    ref_logs = sorted(f.name for f in out.glob("iters_p3_ell*.log"))
+    assert ref_logs == ["iters_p3_ell4.log"]  # the reference is one solve
 
 
-@pytest.mark.parametrize("extra_degree", [0, 1])
-def test_study_solves_each_level_once(tmp_path, monkeypatch, capsys, extra_degree):
+def check_solves_study_chain_then_reference(tmp_path, monkeypatch, capsys, **kw):
+    """The study chain ell = 1..ell_max at p0, then one reference solve."""
     solved = []
 
     def counting_solve(space, *args, **kwargs):
@@ -84,13 +88,12 @@ def test_study_solves_each_level_once(tmp_path, monkeypatch, capsys, extra_degre
 
     monkeypatch.setattr(cli, "solve_ground_state", counting_solve)
     out = tmp_path / "out"
-    cfg = tiny_linear_config(out, ref_extra_degree=extra_degree)
+    cfg = tiny_linear_config(out, **kw)
     records = run_study(cfg)
     ell_ref = cfg.ell_max + cfg.ref_extra_levels
-    expected = [(cfg.p0 + extra_degree, ell) for ell in range(1, ell_ref + 1)]
-    if extra_degree:
-        expected += [(cfg.p0, ell) for ell in range(1, cfg.ell_max + 1)]
-    assert len(solved) == ell_ref + (cfg.ell_max if extra_degree else 0)
+    expected = [(cfg.p0, ell) for ell in range(1, cfg.ell_max + 1)]
+    expected += [(cfg.p0 + cfg.ref_extra_degree, ell_ref)]
+    assert len(solved) == cfg.ell_max + 1
     assert solved == expected
     assert sorted(f.name for f in out.glob("iters_p*_ell*.log")) == sorted(
         f"iters_p{p}_ell{ell}.log" for p, ell in expected)
@@ -98,6 +101,74 @@ def test_study_solves_each_level_once(tmp_path, monkeypatch, capsys, extra_degre
     assert [ln.split()[1:3] for ln in progress] == [[f"p0={p}", f"ell={ell}"]
                                                     for p, ell in expected]
     assert [r.ell for r in records] == list(range(cfg.ell_min, cfg.ell_max + 1))
+
+
+@pytest.mark.parametrize("extra_degree", [0, 1])
+def test_study_solves_each_level_once(tmp_path, monkeypatch, capsys, extra_degree):
+    check_solves_study_chain_then_reference(tmp_path, monkeypatch, capsys,
+                                            ref_extra_degree=extra_degree)
+
+
+def test_reference_jumps_two_levels_at_the_same_degree(tmp_path, monkeypatch, capsys):
+    # ell_max = 3: no solve at ell = 4, the reference at ell = 5 starts from ell = 3
+    check_solves_study_chain_then_reference(tmp_path, monkeypatch, capsys,
+                                            ref_extra_levels=2, ref_extra_degree=0)
+
+
+def _fail_the_reference(how):
+    """A solve_ground_state that fails as ``how`` says on the reference level
+    (base degree 3) of a tiny_linear_config study, and solves the others."""
+    def solve(space, *args, **kwargs):
+        if space.p0 != 3:
+            return solve_ground_state(space, *args, **kwargs)
+        if how == "stall":
+            raise EigenSolveError("no convergence (best residual 4.300e-01)", None)
+        u, rep = solve_ground_state(space, *args, **kwargs)
+        if how == "no convergence":
+            rep.converged = False
+            return u, rep
+        # "excited": a field M-orthogonal to the injected start
+        start, m = kwargs["u0"].coeffs, assemble_mass(space)
+        c = np.cos(np.arange(space.N))
+        c -= (c @ (m @ start)) / (start @ (m @ start)) * start
+        return DiscreteField(space, c / np.sqrt(c @ (m @ c))), rep
+    return solve
+
+
+@pytest.mark.parametrize("how,message", [
+    ("stall", "eigensolve failed at p0=3 ell=4 N=832"),
+    ("no convergence", "SCF did not converge at p0=3 ell=4 N=832"),
+    ("excited", "excited state at p0=3 ell=4 N=832: M-overlap"),
+])
+def test_failed_reference_names_its_level(tmp_path, monkeypatch, how, message):
+    monkeypatch.setattr(cli, "solve_ground_state", _fail_the_reference(how))
+    with pytest.raises(StudyError, match=message):
+        run_study(tiny_linear_config(tmp_path / "out"))
+
+
+def test_jumped_reference_is_the_ground_state(tmp_path, monkeypatch):
+    """Sylvester's law of inertia: at the reference, jumped from ell_max to
+    ell_max + 2 and one degree up, A_sip + N(u) - (lambda + 1e-6) M has
+    exactly one negative eigenvalue, so lambda is the smallest."""
+    solved = []
+
+    def keep(space, *args, **kwargs):
+        solved.append(solve_ground_state(space, *args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_ground_state", keep)
+    cfg = StudyConfig(dim=2, ell_min=1, ell_max=3, p0=2, slope=0.125, alpha=1.0,
+                      pot_sign=-1, delta=3, ref_extra_levels=2, ref_extra_degree=1,
+                      out=str(tmp_path / "out"))
+    run_study(cfg)
+    u, rep = solved[-1]
+    assert (u.space.p0, u.space.mesh.ell) == (3, 5)
+    asm = SipAssembler(u.space, Potential(cfg.alpha, cfg.pot_sign), PenaltyConfig(cfg.penalty))
+    shifted = asm.sip() + asm.nonlinear_mass(u, cfg.delta) - (rep.lam + 1e-6) * asm.mass()
+    lu = splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+              options=dict(SymmetricMode=True))
+    assert np.array_equal(lu.perm_r, lu.perm_c)  # a symmetric permutation: U = D L^T
+    assert np.count_nonzero(lu.U.diagonal() < 0) == 1
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -140,7 +211,7 @@ def test_stalled_eigensolve_reports_the_level(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     line = err.strip().splitlines()[-1]
-    assert line.startswith("error: eigensolve failed at p0=3 ell=1 N=256")
+    assert line.startswith("error: eigensolve failed at p0=2 ell=1 N=144")
     assert "best residual 4.300e-01" in line
 
 
@@ -198,6 +269,20 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     rc = main(["--sigma", "0.9", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("child", [False, True])
+def test_unusable_out_names_the_key(tmp_path, capsys, child):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    out = blocker / "x" if child else blocker
+    rc = main(["--levels", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: out: cannot create directory {str(out)!r}")
+    with pytest.raises(ConfigError, match="out"):
+        run_study(tiny_linear_config(out))
 
 
 def test_parser_flags_cover_spec():
