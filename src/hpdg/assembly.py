@@ -12,9 +12,8 @@ coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
 controlled variational crime, see README).  The mesh is arrays, so blocks of
 equal relative geometry are found with one ``np.unique`` per key table and
 computed once, and per-element Grams are batched per degree (see
-:class:`SipAssembler`); A_sip is scattered into its element-graph CSR, with its
-block positions computed per group of blocks of one shape, and N(u) is laid
-out as block-diagonal CSR.
+:class:`SipAssembler`); A_sip's blocks are added into per-pair views of its
+element-graph CSR data, and N(u) is laid out as block-diagonal CSR.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .hpspace import (DiscreteField, HpSpace, _local_mass_diag, _modes, basis_ma
 from .quadrature import element_rule, face_rule, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
-ADD_CHUNK = 2**18  # about this many block entries are added to A_sip per np.add.at
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,8 @@ class PenaltyConfig:
     alpha0: float = 10.0
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError(f"penalty constant must be positive, got {self.alpha0}")
+        if not (0 < self.alpha0 < np.inf):
+            raise ValueError(f"penalty constant must be finite and positive, got {self.alpha0}")
 
 
 def _sym(b: np.ndarray) -> np.ndarray:
@@ -83,8 +81,10 @@ def _csr_from_blocks(space: HpSpace, blocks: list) -> sp.csr_matrix:
 
     ``blocks`` holds the element blocks by element id, then the face blocks
     by face id: element e's couples its local dofs with themselves, face f's
-    the local dofs of its owners, in owner order.  They are added in that
-    order, one ``np.add.at`` per chunk of about ``ADD_CHUNK`` entries.
+    the local dofs of its owners, in owner order.  Each coupled pair (a, b)
+    is a view of ``data``, the (nd[a], nd[b]) columns of b in a's rows, and
+    the blocks are added into the views in that order: a boundary face's into
+    (a, a), an interior face's by quarters into (a, a), (a, b), (b, a), (b, b).
     """
     mesh, nd, off = space.mesh, space.ndofs_el, space.offsets
     n_el = mesh.n_elements
@@ -92,43 +92,35 @@ def _csr_from_blocks(space: HpSpace, blocks: list) -> sp.csr_matrix:
     inner = mesh.faces.owners[mesh.faces.interior]
     pairs = np.unique(np.vstack([np.repeat(np.arange(n_el), 2).reshape(-1, 2),
                                  inner, inner[:, ::-1]]), axis=0)
-    pair_key = pairs[:, 0] * n_el + pairs[:, 1]
     cum = np.concatenate([[0], np.cumsum(nd[pairs[:, 1]])])
     bounds = np.searchsorted(pairs[:, 0], np.arange(n_el + 1))  # a's pairs: bounds[a]:bounds[a + 1]
     row_len = np.diff(cum[bounds])
     indptr = np.concatenate([[0], np.cumsum(np.repeat(row_len, nd))])
     itype = np.int32 if indptr[-1] < 2**31 else np.int64
-    indptr = indptr.astype(itype)
-    col0 = (cum[:-1] - cum[bounds[pairs[:, 0]]]).astype(itype)  # where b begins in a row of a
-    # every row of element a holds the same columns: the dofs of a's pairs, in order
-    cols = (np.repeat(off[pairs[:, 1]] - cum[:-1], np.diff(cum)) + np.arange(cum[-1])).astype(itype)
-    row_el = np.repeat(np.arange(n_el), nd)
-    row_cols = (cum[bounds[row_el]] - indptr[:-1]).astype(itype)  # a's columns, less the row start
-    indices = cols[np.repeat(row_cols, row_len[row_el]) + np.arange(indptr[-1], dtype=itype)]
+    cols = np.repeat(off[pairs[:, 1]] - cum[:-1], np.diff(cum)) + np.arange(cum[-1])
+    data, indices = np.zeros(indptr[-1]), np.empty(indptr[-1], dtype=itype)
+    rows = []  # element a's rows of data, (nd[a], row_len[a])
+    for a in range(n_el):
+        span = slice(indptr[off[a]], indptr[off[a] + nd[a]])
+        indices[span].reshape(nd[a], -1)[:] = cols[cum[bounds[a]]:cum[bounds[a + 1]]]
+        rows.append(data[span].reshape(nd[a], -1))
+    col = cum[:-1] - cum[bounds[pairs[:, 0]]]  # where b begins in a row of a
+    view = {(a, b): rows[a][:, c:c + nd[b]] for (a, b), c in zip(pairs.tolist(), col.tolist())}
 
-    owners = np.vstack([np.column_stack([np.arange(n_el), np.full(n_el, -1)]),
-                        mesh.faces.owners])
-    n_own = np.where(owners >= 0, nd[owners], 0)
-    size = n_own.sum(axis=1) ** 2
-    start = np.cumsum(size) - size
-    data = np.zeros(indptr[-1])
-    chunks = np.split(np.arange(len(blocks)), np.flatnonzero(np.diff(start // ADD_CHUNK)) + 1)
-    for chunk in chunks:
-        pos = np.empty(size[chunk].sum(), dtype=itype)  # the positions of the chunk's values
-        for n in np.unique(n_own[chunk], axis=0):
-            ids = chunk[np.all(n_own[chunk] == n, axis=1)]
-            own, n = owners[ids][:, n > 0], n[n > 0]
-            dofs = np.hstack([off[o][:, None] + np.arange(k) for o, k in zip(own.T, n)])
-            col_start = col0[np.searchsorted(pair_key, own[:, :, None] * n_el + own[:, None, :])]
-            # in a row of owner x, the position of each block column
-            col_pos = col_start.repeat(n, axis=2) + np.concatenate([np.arange(k) for k in n])
-            blk = indptr[dofs][:, :, None] + col_pos.repeat(n, axis=1)
-            at = start[ids] - start[chunk[0]]
-            pos[at[:, None] + np.arange(blk[0].size)] = blk.reshape(len(ids), -1)
-        np.add.at(data, pos, np.concatenate([blocks[i].ravel() for i in chunk]))
+    for e in range(n_el):
+        view[e, e] += blocks[e]
+    for (a, b), blk in zip(mesh.faces.owners.tolist(), blocks[n_el:]):
+        if b < 0:
+            view[a, a] += blk
+            continue
+        n = nd[a]
+        view[a, a] += blk[:n, :n]
+        view[a, b] += blk[:n, n:]
+        view[b, a] += blk[n:, :n]
+        view[b, b] += blk[n:, n:]
     if not np.isfinite(data).all():
         raise ValueError("assembled SIP matrix contains non-finite entries")
-    return sp.csr_matrix((data, indices, indptr), shape=(space.N, space.N))
+    return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
 
 
 def _first_and_inverse(keys):
@@ -152,7 +144,9 @@ class SipAssembler:
     reflected along the axes with s_m = -1 gets D B D,
     D = diag(prod_m s_m^{i_m}).  The other elements' potential and the
     |u|^(delta-1) Grams of ``nonlinear_mass()`` are one batched matmul per
-    degree group on :func:`hpdg.hpspace.reference_table`.
+    degree group on :func:`hpdg.hpspace.reference_table`.  ``sip()`` adds
+    the blocks, in that order, into views of the CSR data: one (nd[a], nd[b])
+    view per coupled pair of elements (a, b), the columns of b in a's rows.
     ``nonlinear_mass()`` writes its Grams straight into a block-diagonal CSR:
     element e's block, row-major, where the CSR row of its first dof starts.
     """

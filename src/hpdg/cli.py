@@ -71,18 +71,18 @@ class StudyConfig:
             )
         if self.p0 < 1:
             raise ConfigError(f"p0 must be >= 1, got {self.p0}")
-        if self.slope < 0:
-            raise ConfigError(f"slope must be >= 0, got {self.slope}")
+        if not (0 <= self.slope < np.inf):
+            raise ConfigError(f"slope must be finite and >= 0, got {self.slope}")
         if self.alpha is not None and self.alpha not in ALPHAS:
             raise ConfigError(f"alpha must be one of {ALPHAS} or none, got {self.alpha}")
         if self.pot_sign not in (-1, 1):
             raise ConfigError(f"pot_sign must be -1 or +1, got {self.pot_sign}")
         if self.delta is not None and self.delta not in (2, 3, 4):
             raise ConfigError(f"delta must be 2, 3, 4 or linear, got {self.delta}")
-        if self.penalty <= 0:
-            raise ConfigError(f"penalty must be positive, got {self.penalty}")
-        if self.tol is not None and self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (0 < self.penalty < np.inf):
+            raise ConfigError(f"penalty must be finite and positive, got {self.penalty}")
+        if self.tol is not None and not (0 < self.tol < np.inf):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (0.0 < self.theta <= 1.0):
@@ -260,6 +260,8 @@ def load_config_file(path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice")
         try:
             values[key] = _PARSERS[key](raw.strip())
         except ValueError as exc:

@@ -72,8 +72,8 @@ def build_space(mesh: meshmod.GradedMesh, p0: int, slope: float,
     """Assign layer-based degrees and build the dG dof map."""
     if p0 < 1:
         raise ValueError(f"p0 must be >= 1, got {p0}")
-    if slope < 0:
-        raise ValueError(f"slope must be >= 0, got {slope}")
+    if not (0 <= slope < np.inf):
+        raise ValueError(f"slope must be finite and >= 0, got {slope}")
     if rounding not in ROUNDINGS:
         raise ValueError(f"rounding must be one of {ROUNDINGS}")
     degs = p0 + _ROUND[rounding](slope * (mesh.ell - mesh.layer)).astype(np.int64)
@@ -315,12 +315,23 @@ def load_field(path) -> DiscreteField:
     if len(head) != 8:
         raise ValueError(f"{path}: header needs 8 fields "
                          f"({FIELD_TAG} version d sigma ell p0 slope rounding), got {len(head)}")
-    d, sigma, ell, p0, slope, rounding = head[2:]
+    rounding = head[7]
     if rounding not in ROUNDINGS:
         raise ValueError(f"{path}: header field 'rounding' is {rounding!r}, "
                          f"expected one of {ROUNDINGS}")
-    m = meshmod.build_graded_mesh(int(d), float(sigma), int(ell))
-    space = build_space(m, int(p0), float(slope), rounding)
+    values = []
+    for name, kind, raw in zip(("d", "sigma", "ell", "p0", "slope"),
+                               (int, float, int, int, float), head[2:7]):
+        try:
+            values.append(kind(raw))
+        except ValueError:
+            raise ValueError(f"{path}: header field {name!r} is {raw!r}, "
+                             f"not {kind.__name__}") from None
+    d, sigma, ell, p0, slope = values
+    try:  # every message names its header field: "sigma must lie in ..."
+        space = build_space(meshmod.build_graded_mesh(d, sigma, ell), p0, slope, rounding)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header: {exc}") from exc
     if len(lines) != space.N:
         raise ValueError(f"{path}: {len(lines)} coefficient lines, the space has N={space.N}")
     coeffs = np.full(space.N, np.nan)

@@ -37,8 +37,8 @@ class ScfConfig:
     nonlinear_scale: float = 1.0  # test hook scaling the nonlinear coupling
 
     def __post_init__(self):
-        if self.eps_tol <= 0:
-            raise ValueError(f"eps_tol must be positive, got {self.eps_tol}")
+        if not (0 < self.eps_tol < np.inf):
+            raise ValueError(f"eps_tol must be finite and positive, got {self.eps_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (0.0 < self.theta <= 1.0):

@@ -170,6 +170,26 @@ def test_assembly_deterministic_under_face_order_and_rerun():
         assert b.has_canonical_format
 
 
+@pytest.mark.parametrize("d,sigma,ell", [(2, 0.5, 3), (2, 0.3, 3), (3, 0.5, 2), (3, 0.3, 2)])
+def test_sip_sums_blocks_in_element_then_face_order(d, sigma, ell):
+    """Every entry of A_sip is 0 plus its element block, then its face blocks
+    in face-id order: bitwise the dense sum of ``_sip_blocks()`` in that order.
+    sigma < 1/2 gives non-cubic elements and their sub-faces, slope > 0 mixed
+    degrees, alpha the reflected corner blocks."""
+    space = build_space(build_graded_mesh(d, sigma, ell), 1, 0.5)
+    asm = SipAssembler(space, Potential(1.0, -1), PenaltyConfig())
+    owners = [[e, -1] for e in range(space.mesh.n_elements)] + space.mesh.faces.owners.tolist()
+    dense = np.zeros((space.N, space.N))
+    for own, blk in zip(owners, asm._sip_blocks()):
+        dofs = np.concatenate([space.offsets[o] + np.arange(space.ndofs_el[o])
+                               for o in own if o >= 0])
+        dense[np.ix_(dofs, dofs)] += blk
+    a = asm.sip()
+    assert len(set(space.degrees.tolist())) > 1
+    assert np.array_equal(a.toarray(), dense)
+    _assert_canonical_csr(a)
+
+
 def _assert_canonical_csr(a):
     assert a.format == "csr" and a.has_canonical_format
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))

@@ -29,10 +29,16 @@ def test_sigma_validation_names_the_key():
     ("dim", 4, "dim"),
     ("p0", 0, "p0"),
     ("slope", -1.0, "slope"),
+    ("slope", float("nan"), "slope"),
+    ("slope", float("inf"), "slope"),
     ("alpha", 0.7, "alpha"),
     ("pot_sign", 2, "pot_sign"),
     ("delta", 7, "delta"),
     ("penalty", 0.0, "penalty"),
+    ("penalty", float("nan"), "penalty"),
+    ("penalty", float("inf"), "penalty"),
+    ("tol", float("nan"), "tol"),
+    ("tol", float("inf"), "tol"),
     ("theta", 0.0, "theta"),
     ("max_iter", 0, "max_iter"),
 ])
@@ -250,6 +256,13 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text("sigmas = 0.5\n")
     with pytest.raises(ConfigError, match="sigmas"):
+        load_config_file(path)
+
+
+def test_config_file_rejects_repeated_keys(tmp_path):
+    path = tmp_path / "study.cfg"
+    path.write_text("ell_max = 2\n# finer\nell-max = 3\n")
+    with pytest.raises(ConfigError, match=r"study\.cfg:3: key 'ell_max' is set twice"):
         load_config_file(path)
 
 

@@ -72,6 +72,9 @@ def test_build_space_validation():
         build_space(mesh, 0, 0.0)
     with pytest.raises(ValueError):
         build_space(mesh, 2, -0.5)
+    for slope in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="slope"):
+            build_space(mesh, 2, slope)
 
 
 def test_locate_quadrant():
@@ -192,14 +195,20 @@ def test_field_serialization_round_trip(tmp_path):
         assert g.space.rounding == space.rounding
         assert np.array_equal(g.space.degrees, space.degrees)
         assert np.array_equal(g.coeffs, f.coeffs)
-    # an unknown format version or rounding mode is rejected by name
+    # a bad format version, rounding mode or space parameter is rejected by
+    # the file's path and the header field's name
     head, *body = path.read_text().splitlines(keepends=True)
-    tag, version, *params, rounding = head.split()
-    for bad, name in ((f"{tag} 99 {' '.join(params)} {rounding}\n", "version"),
-                      (f"{tag} {version} {' '.join(params)} nearest\n", "rounding")):
-        path.write_text(bad + "".join(body))
-        with pytest.raises(ValueError, match=name):
+    tag, version, d, sigma, ell, p0, slope, rounding = head.split()
+    for bad, name in ((f"99 {d} {sigma} {ell} {p0} {slope} {rounding}", "version"),
+                      (f"{version} {d} {sigma} {ell} {p0} {slope} nearest", "rounding"),
+                      (f"{version} x {sigma} {ell} {p0} {slope} {rounding}", "'d' is 'x'"),
+                      (f"{version} {d} 0.7 {ell} {p0} {slope} {rounding}", "sigma must"),
+                      (f"{version} {d} {sigma} {ell} 0 {slope} {rounding}", "p0 must"),
+                      (f"{version} {d} {sigma} {ell} {p0} nan {rounding}", "slope must")):
+        path.write_text(f"{tag} {bad}\n" + "".join(body))
+        with pytest.raises(ValueError, match=name) as err:
             load_field(path)
+        assert str(path) in str(err.value)
 
 
 def test_coefficient_length_checked():

@@ -129,6 +129,11 @@ def test_config_validation():
         ScfConfig(theta=0.0)
     with pytest.raises(ValueError):
         ScfConfig(theta=1.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps_tol"):
+            ScfConfig(eps_tol=bad)
+        with pytest.raises(ValueError, match="penalty"):
+            PenaltyConfig(bad)
 
 
 def test_energy_identity_at_ground_state():
