@@ -16,9 +16,8 @@ from .hpspace import (DiscreteField, HpSpace, build_space, constant_field,
                       evaluate, inject, load_field, locate_point, project,
                       save_field)
 from .mesh import GradedMesh, build_graded_mesh
-from .quadrature import (ElementRule, element_rule, face_rule, singular_rule,
-                         volume_rule)
-from .refelem import QuadRule1D, gauss_rule
+from .quadrature import (ElementRule, QuadRule1D, element_rule, face_rule,
+                         gauss_rule, singular_rule, volume_rule)
 from .scf import ScfConfig, ScfReport, discrete_energy, solve_ground_state
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: Legendre tables and Gram sums."""
+"""Hot numeric kernels: Legendre tables, norms and Gram sums."""
 
 from __future__ import annotations
 
@@ -23,6 +23,11 @@ def legendre_table(x, p):
         vals[:, k + 1] = ((2 * k + 1) * x * vals[:, k] - k * vals[:, k - 1]) / (k + 1)
         ders[:, k + 1] = ders[:, k - 1] + (2 * k + 1) * vals[:, k]
     return vals, ders
+
+
+def legendre_l2_norms_sq(p: int) -> np.ndarray:
+    """Squared L2([-1,1]) norms of P_0..P_p, i.e. 2/(2k+1)."""
+    return 2.0 / (2.0 * np.arange(p + 1) + 1.0)
 
 
 def weighted_gram(phi, w):

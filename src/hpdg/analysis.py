@@ -116,8 +116,9 @@ def full_dg_norm(field: DiscreteField) -> float:
 
 
 def fit_exponential(records, column: str, abscissa: str = "ell",
-                    dim: int | None = None, floor: float = ERROR_FLOOR) -> FitResult:
-    """Least-squares fit of log(err) vs the abscissa; rows below floor drop out.
+                    dim: int | None = None) -> FitResult:
+    """Least-squares fit of log(err) vs the abscissa; rows with err at or
+    below ERROR_FLOOR drop out.
 
     ``column`` is one of 'l2', 'dg', 'linf', 'lambda'; ``abscissa`` is 'ell'
     or 'ndof_root' (N^(1/(d+1)), which needs ``dim``).
@@ -133,11 +134,10 @@ def fit_exponential(records, column: str, abscissa: str = "ell",
         if dim is None:
             raise ValueError("abscissa 'ndof_root' needs the dimension d")
         xs = np.array([r.N ** (1.0 / (dim + 1)) for r in records], dtype=float)
-    usable = errs > floor
+    usable = errs > ERROR_FLOOR
     if int(usable.sum()) < 3:
-        raise ValueError(
-            f"need at least 3 records with err > {floor} to fit, have {int(usable.sum())}"
-        )
+        raise ValueError(f"need at least 3 records with err > {ERROR_FLOOR} to fit, "
+                         f"have {int(usable.sum())}")
     x, y = xs[usable], np.log(errs[usable])
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept

@@ -4,10 +4,11 @@ All matrices are scipy CSR in canonical format, symmetric by construction.
 Contributions are accumulated in a fixed global ordering (elements by id, then
 faces by id), so the assembled matrices are bitwise reproducible.
 
-Volume terms use n = p + 4 Gauss points per dimension.  On elements touching
-the singular point the potential term is integrated with the composite graded
-rule of :func:`hpdg.quadrature.singular_rule`; gradient and mass terms are
-polynomial and therefore already exact with the plain rule.  The nonlinear
+Volume and face terms use the plain rule, :func:`hpdg.quadrature.plain_order`
+Gauss points per axis.  On elements touching the singular point the potential
+term is integrated with the composite graded rule of
+:func:`hpdg.quadrature.singular_rule`; gradient and mass terms are polynomial
+and therefore already exact with the plain rule.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
 controlled variational crime, see README).  The mesh is arrays, so blocks of
 equal relative geometry are found with one ``np.unique`` per key table and
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 from ._kernels import weighted_gram
 from .hpspace import (DiscreteField, HpSpace, _local_mass_diag, _modes, basis_matrices,
                       basis_matrix, reference_table)
-from .quadrature import element_rule, face_rule, volume_rule
+from .quadrature import face_rule, plain_order, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
 
@@ -192,7 +193,7 @@ class SipAssembler:
             block = grad
             if pot.alpha is not None:
                 half = mesh.lengths[ids][:, None, :] / 2.0
-                vq = pot((mesh.lo[ids][:, None, :] + (reference_table(p, mesh.d)[0] + 1.0) * half)
+                vq = pot((mesh.lo[ids][:, None, :] + reference_table(p, mesh.d)[0] * half)
                          .reshape(-1, mesh.d)).reshape(w.shape)
                 block = grad + _grams(phi, w * vq)
             c = np.flatnonzero(corner[ids])
@@ -219,7 +220,7 @@ class SipAssembler:
 
     def _grad_block(self, e: int, p: int) -> np.ndarray:
         lo, lengths = self.space.mesh.lo[e], self.space.mesh.lengths[e]
-        rule = element_rule(lo, lengths, p + 4)
+        rule = volume_rule(lo, lengths, p)
         _, grads = basis_matrices(lo, lengths, p, rule.points)
         return sum(weighted_gram(g, rule.weights) for g in grads)
 
@@ -231,7 +232,7 @@ class SipAssembler:
 
     def _face_block(self, f: int, p_e: int) -> np.ndarray:
         space, faces = self.space, self.space.mesh.faces
-        rule = face_rule(faces.lo[f], faces.lengths[f], p_e + 4)
+        rule = face_rule(faces.lo[f], faces.lengths[f], plain_order(p_e))
         tabs = [basis_matrices(space.mesh.lo[o], space.mesh.lengths[o], int(space.degrees[o]),
                                rule.points) for o in faces.owners[f] if o >= 0]
         jumps, means = ([1.0, -1.0], [0.5, 0.5]) if faces.interior[f] else ([1.0], [faces.sign[f]])

@@ -239,7 +239,7 @@ def _parse_bool(text: str) -> bool:
 
 
 _PARSERS = {
-    "dim": int, "sigma": float, "ell_min": int, "ell_max": int, "p0": int,
+    "dim": int, "sigma": float, "ell_max": int, "ell_min": int, "p0": int,
     "slope": float, "alpha": _parse_alpha, "pot_sign": int, "delta": _parse_delta,
     "penalty": float, "tol": float, "max_iter": int, "theta": float,
     "ref_extra_levels": int, "ref_extra_degree": int, "out": str,
@@ -276,25 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "operators with the hp dG (SIP) method.",
     )
     p.add_argument("config", nargs="?", help="key = value configuration file")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--levels", type=int, dest="ell_max", help="finest study level")
-    p.add_argument("--ell-min", type=int, dest="ell_min", help="coarsest recorded level")
-    p.add_argument("--p0", type=int)
-    p.add_argument("--slope", type=float)
-    p.add_argument("--alpha", type=_parse_alpha,
-                   help="potential exponent (0.5, 1, 1.5) or 'none'")
-    p.add_argument("--pot-sign", type=int, dest="pot_sign", choices=(-1, 1))
-    p.add_argument("--delta", type=_parse_delta,
-                   help="nonlinearity exponent (2, 3, 4) or 'linear'")
-    p.add_argument("--penalty", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--ref-extra-levels", type=int, dest="ref_extra_levels")
-    p.add_argument("--ref-extra-degree", type=int, dest="ref_extra_degree")
-    p.add_argument("--out", type=str)
-    p.add_argument("--gnuplot", action="store_true", default=None)
+    helps = {"ell_max": "finest study level", "ell_min": "coarsest recorded level",
+             "alpha": "potential exponent (0.5, 1, 1.5) or 'none'",
+             "delta": "nonlinearity exponent (2, 3, 4) or 'linear'"}
+    for key, parse in _PARSERS.items():
+        flag = "--levels" if key == "ell_max" else "--" + key.replace("_", "-")
+        if key == "gnuplot":
+            p.add_argument(flag, action="store_true", default=None)
+        else:
+            p.add_argument(flag, type=parse, dest=key, help=helps.get(key))
     return p
 
 

@@ -1,22 +1,24 @@
 """Smallest eigenpair of the symmetric generalized problem A x = lambda M x.
 
-Small problems go through a dense LAPACK solve.  Larger ones factor
-A - tau M once (sparse LU) and use that factorization as the preconditioner of
-a single-vector LOBPCG iteration (Knyazev 2001, SIAM J. Sci. Comput. 23:517):
-each step is a Rayleigh-Ritz projection onto the M-orthonormal span of the
-iterate, its preconditioned residual and the previous search direction.  The
-factorization comes back on the result and may be passed in again, so the SCF
-loop factors once per solve and reuses the LU on every later sweep, where the
-linearized operator has moved only a little.
+Small problems go through a dense LAPACK solve.  Larger ones need a start
+vector x0: they factor A - tau M once (sparse LU), tau = rho(x0) - 10, and use
+that factorization as the preconditioner of a single-vector LOBPCG iteration
+(Knyazev 2001, SIAM J. Sci. Comput. 23:517): each step is a Rayleigh-Ritz
+projection onto the M-orthonormal span of the iterate, its preconditioned
+residual and the previous search direction.  The factorization comes back on
+the result and may be passed in again, so the SCF loop factors once per solve
+and reuses the LU on every later sweep, where the linearized operator has
+moved only a little.
 
 The preconditioner is symmetric positive definite only when tau lies below
 lambda_1 of the factored pencil; only then is the descent to the ground state
-guaranteed.  The default tau = rho(x0) - 10 meets this for start vectors close
-to the ground state: the SCF iterates, the injected coarse-to-fine starts and
-the coarse-subspace start of a cold SCF solve.  A start far above the ground
-state gives an indefinite preconditioner; the iteration then stalls and raises
-EigenSolveError instead of returning an excited pair.  Both paths are
-deterministic given the start vector.
+guaranteed.  tau = rho(x0) - 10 meets this for start vectors close to the
+ground state: the SCF iterates, the injected coarse-to-fine starts and the
+coarse-subspace start of a cold SCF solve.  A start far above the ground state
+gives an indefinite preconditioner; the iteration then stalls and raises
+EigenSolveError instead of returning an excited pair.  There is no default
+start: without x0, a problem too large for the dense path raises ValueError.
+Both paths are deterministic given the start vector.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
-DENSE_CUTOFF = 2000  # without a start vector, below this size go through LAPACK
-DENSE_ALWAYS = 400  # below this size the dense solve is cheapest regardless
+DENSE_CUTOFF = 2000  # without a start vector, up to this size go through LAPACK
+DENSE_ALWAYS = 400  # up to this size the dense solve is cheapest regardless
 DEFAULT_TOL = 1e-10
+MAX_ITER = 200  # LOBPCG steps before EigenSolveError
 
 
 class EigenSolveError(RuntimeError):
@@ -80,18 +83,17 @@ def dense_result(a, m, v, orient=None) -> EigResult:
     return EigResult(lam, x, _residual(a, m, lam, x), 1)
 
 
-def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None, shift=None,
-                       orient=None, max_iter: int = 200, precond=None) -> EigResult:
+def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
+                       orient=None, precond=None) -> EigResult:
     """Minimal eigenvalue and M-normalized eigenvector of (A, M).
 
-    ``shift`` is the tau of the factored A - tau M (default: Rayleigh
-    quotient of the start vector minus 10).  ``precond`` is the factorization
-    returned by an earlier sparse solve of a nearby pencil of the same size;
-    when given, nothing is factored and ``shift`` is ignored.  ``orient``
-    fixes the sign so x.M.orient >= 0.  The dense path serves n <= DENSE_ALWAYS,
-    and n <= DENSE_CUTOFF when no start vector ``x0`` is given; the sparse
-    path's default start, the all-ones vector, is often far above the ground
-    state.
+    The dense path serves n <= DENSE_ALWAYS, and n <= DENSE_CUTOFF when no
+    start vector ``x0`` is given; a larger problem without ``x0`` raises
+    ValueError.  The sparse path runs LOBPCG from ``x0``, preconditioned by
+    the LU of A - tau M with tau = rho(x0) - 10, for at most MAX_ITER steps.
+    ``precond`` is the factorization returned by an earlier sparse solve of a
+    nearby pencil of the same size; when given, nothing is factored.
+    ``orient`` fixes the sign so x.M.orient >= 0.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -101,7 +103,10 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None, shift=None,
         if np.min(mdiag) <= 0:
             raise ValueError("mass matrix is not positive definite")
 
-    if n <= DENSE_ALWAYS or (x0 is None and n <= DENSE_CUTOFF):
+    if x0 is None and n > DENSE_CUTOFF:
+        raise ValueError(f"a pencil of size {n} > DENSE_CUTOFF={DENSE_CUTOFF} "
+                         "needs a start vector x0")
+    if n <= DENSE_ALWAYS or x0 is None:
         ad = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
         md = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
         try:
@@ -112,20 +117,20 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None, shift=None,
 
     a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)
     m = m.tocsr() if sp.issparse(m) else sp.csr_matrix(m)
-    x = np.ones(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).copy()
     nrm = _m_norm(m, x)
     if nrm == 0:
         raise ValueError("start vector is M-orthogonal to itself (zero)")
     x /= nrm
     if precond is None:
-        tau = float(shift) if shift is not None else float(x @ (a @ x)) - 10.0
+        tau = float(x @ (a @ x)) - 10.0
         try:
             precond = sla.splu((a - tau * m).tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise EigenSolveError(f"A - tau M is singular at tau={tau!r}: {exc}") from exc
     elif precond.shape != a.shape:
         raise ValueError(f"preconditioner has shape {precond.shape}, matrix {a.shape}")
-    return _lobpcg(a, m, x, precond, tol, orient, max_iter)
+    return _lobpcg(a, m, x, precond, tol, orient)
 
 
 def _m_orthonormal(m, vectors):
@@ -150,12 +155,12 @@ def _m_orthonormal(m, vectors):
     return np.column_stack(q)
 
 
-def _lobpcg(a, m, x, lu, tol, orient, max_iter) -> EigResult:
+def _lobpcg(a, m, x, lu, tol, orient) -> EigResult:
     """Single-vector LOBPCG from the M-normalized ``x``, preconditioned by ``lu``."""
     rho = float(x @ (a @ x))
     best = EigResult(rho, x, _residual(a, m, rho, x), 0)
     p = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         w = lu.solve(a @ x - rho * (m @ x))
         if not np.isfinite(w).all():
             raise EigenSolveError("preconditioner produced a non-finite vector", best)
@@ -172,7 +177,7 @@ def _lobpcg(a, m, x, lu, tol, orient, max_iter) -> EigResult:
         if res <= tol:
             return EigResult(rho, _orient(x, m, orient), res, it, lu)
     raise EigenSolveError(
-        f"no convergence to tol={tol} after {max_iter} iterations "
+        f"no convergence to tol={tol} after {MAX_ITER} iterations "
         f"(best residual {best.residual:.3e})",
         best,
     )

@@ -1,12 +1,13 @@
 """hp degree distribution, dG dof maps, point location and field evaluation.
 
-Per-element degrees follow the linear slope rule p_K = p0 + round(s * (ell - j))
-for an element in layer j, so the innermost layer carries p0 and degrees grow
-toward the boundary.  Local bases are tensor products of Legendre polynomials;
-dofs are laid out contiguously per element, in element-id order.  Fields are
-evaluated, projected and injected per degree group: one dense basis table per
-chunk of elements on their tensor grid of points, one batched matmul, with
-every entry computed as :func:`basis_matrix` computes it at that point.
+Per-element degrees follow the linear slope rule
+p_K = p0 + floor(s * (ell - j) + 1/2) for an element in layer j (rounded half
+up), so the innermost layer carries p0 and degrees grow toward the boundary.
+Local bases are tensor products of Legendre polynomials; dofs are laid out
+contiguously per element, in element-id order.  Fields are evaluated,
+projected and injected per degree group: one dense basis table per chunk of
+elements on their tensor grid of points, one batched matmul, with every entry
+computed as :func:`basis_matrix` computes it at that point.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mesh as meshmod
-from ._kernels import legendre_table
-from .quadrature import element_rules
-from .refelem import gauss_rule, legendre_l2_norms_sq
+from ._kernels import legendre_l2_norms_sq, legendre_table
+from .quadrature import _box_rule, element_rules, gauss_rule, plain_order
 
-_ROUND = {"half_up": lambda x: np.floor(x + 0.5), "floor": np.floor, "ceil": np.ceil}
-ROUNDINGS = tuple(_ROUND)
-
-# Field files start with this tag and format version; version 1 was an
-# untagged header that did not record the rounding mode.
+# Field files start with this tag and format version; the reader accepts only
+# this version, whose header has the seven fields written by save_field.
 FIELD_TAG = "hpdg-field"
-FIELD_VERSION = 2
+FIELD_VERSION = 3
 
 
 @dataclass
@@ -37,7 +34,6 @@ class HpSpace:
     mesh: meshmod.GradedMesh
     p0: int
     slope: float
-    rounding: str  # one of ROUNDINGS
     degrees: np.ndarray  # (n_elements,)
     offsets: np.ndarray  # (n_elements,)
     ndofs_el: np.ndarray  # (n_elements,)
@@ -67,20 +63,16 @@ def _modes(p: int, d: int) -> np.ndarray:
     return modes
 
 
-def build_space(mesh: meshmod.GradedMesh, p0: int, slope: float,
-                rounding: str = "half_up") -> HpSpace:
+def build_space(mesh: meshmod.GradedMesh, p0: int, slope: float) -> HpSpace:
     """Assign layer-based degrees and build the dG dof map."""
     if p0 < 1:
         raise ValueError(f"p0 must be >= 1, got {p0}")
     if not (0 <= slope < np.inf):
         raise ValueError(f"slope must be finite and >= 0, got {slope}")
-    if rounding not in ROUNDINGS:
-        raise ValueError(f"rounding must be one of {ROUNDINGS}")
-    degs = p0 + _ROUND[rounding](slope * (mesh.ell - mesh.layer)).astype(np.int64)
+    degs = p0 + np.floor(slope * (mesh.ell - mesh.layer) + 0.5).astype(np.int64)
     ndofs = (degs + 1) ** mesh.d
     offsets = np.concatenate([[0], np.cumsum(ndofs)[:-1]])
-    return HpSpace(mesh, int(p0), float(slope), rounding, degs, offsets, ndofs,
-                   int(ndofs.sum()))
+    return HpSpace(mesh, int(p0), float(slope), degs, offsets, ndofs, int(ndofs.sum()))
 
 
 @dataclass
@@ -212,13 +204,14 @@ def evaluate_grid(field: DiscreteField, eids, pts, shape, grads=False):
 @functools.lru_cache(maxsize=None)
 def reference_table(p: int, d: int):
     """Points (nq, d), weights (nq,) and basis values (nq, (p+1)^d) of the
-    n = p + 4 tensor Gauss rule on [-1, 1]^d, in the order of ``element_rule``
-    and :func:`basis_matrix`: the basis of every element of degree p at its
-    plain-rule points, shared and read-only."""
-    g = gauss_rule(p + 4)
-    pts = np.stack([x.ravel() for x in np.meshgrid(*[g.points] * d, indexing="ij")], axis=1)
-    tables = (pts, functools.reduce(np.multiply.outer, [g.weights] * d).ravel(),
-              functools.reduce(np.kron, [legendre_table(g.points, p)[0]] * d))
+    :func:`~hpdg.quadrature.plain_order` tensor Gauss rule on [0, 2]^d, in the
+    order of ``element_rule`` and :func:`basis_matrix`: the basis of every
+    element of degree p at its plain-rule points, shared and read-only.  An
+    element's points are lo + pts * lengths / 2."""
+    n = plain_order(p)
+    rule = _box_rule(np.zeros(d), np.full(d, 2.0), n)
+    tables = (rule.points, rule.weights,
+              functools.reduce(np.kron, [legendre_table(gauss_rule(n).points, p)[0]] * d))
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -240,12 +233,12 @@ def evaluate(field: DiscreteField, x) -> float:
 
 
 def _l2_project(space: HpSpace, values) -> DiscreteField:
-    """Element-local L2 projection on the n = p + 4 tensor Gauss rule.
+    """Element-local L2 projection on the plain tensor Gauss rule.
 
     ``values(groups)`` gets the groups of :func:`hpdg.quadrature.element_rules`
     and returns the target at each group's points.
     """
-    groups = list(element_rules(space.mesh, space.degrees + 4))
+    groups = list(element_rules(space.mesh, plain_order(space.degrees)))
     coeffs = np.zeros(space.N)
     for (ids, rule, shape), v in zip(groups, values(groups)):
         wv = (rule.weights * v.reshape(rule.weights.shape))[..., None]
@@ -291,18 +284,20 @@ def inject(field: DiscreteField, fine_space: HpSpace) -> DiscreteField:
 def save_field(field: DiscreteField, path) -> None:
     """Text serialization: one header line, then the N coefficients.
 
-    The header reads ``hpdg-field <version> d sigma ell p0 slope rounding``.
+    The header reads ``hpdg-field <version> d sigma ell p0 slope``.
     """
     sp = field.space
     with open(path, "w") as fh:
         fh.write(f"{FIELD_TAG} {FIELD_VERSION} {sp.mesh.d} {sp.mesh.sigma!r} {sp.mesh.ell} "
-                 f"{sp.p0} {sp.slope!r} {sp.rounding}\n")
+                 f"{sp.p0} {sp.slope!r}\n")
         for c in field.coeffs:
             fh.write(f"{float(c)!r}\n")
 
 
 def load_field(path) -> DiscreteField:
-    """Rebuild the space from the header and read the coefficients back."""
+    """Rebuild the space from the header and read the coefficients back.
+
+    A header of another format version is rejected, naming the file."""
     with open(path) as fh:
         head = fh.readline().split()
         lines = [(no, line) for no, line in enumerate(fh, start=2) if line.strip()]
@@ -312,16 +307,12 @@ def load_field(path) -> DiscreteField:
     if version != str(FIELD_VERSION):
         raise ValueError(f"{path}: header field 'version' is {version!r}, "
                          f"this reader knows version {FIELD_VERSION}")
-    if len(head) != 8:
-        raise ValueError(f"{path}: header needs 8 fields "
-                         f"({FIELD_TAG} version d sigma ell p0 slope rounding), got {len(head)}")
-    rounding = head[7]
-    if rounding not in ROUNDINGS:
-        raise ValueError(f"{path}: header field 'rounding' is {rounding!r}, "
-                         f"expected one of {ROUNDINGS}")
+    if len(head) != 7:
+        raise ValueError(f"{path}: header needs 7 fields "
+                         f"({FIELD_TAG} version d sigma ell p0 slope), got {len(head)}")
     values = []
     for name, kind, raw in zip(("d", "sigma", "ell", "p0", "slope"),
-                               (int, float, int, int, float), head[2:7]):
+                               (int, float, int, int, float), head[2:]):
         try:
             values.append(kind(raw))
         except ValueError:
@@ -329,7 +320,7 @@ def load_field(path) -> DiscreteField:
                              f"not {kind.__name__}") from None
     d, sigma, ell, p0, slope = values
     try:  # every message names its header field: "sigma must lie in ..."
-        space = build_space(meshmod.build_graded_mesh(d, sigma, ell), p0, slope, rounding)
+        space = build_space(meshmod.build_graded_mesh(d, sigma, ell), p0, slope)
     except ValueError as exc:
         raise ValueError(f"{path}: bad header: {exc}") from exc
     if len(lines) != space.N:

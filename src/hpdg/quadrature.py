@@ -1,10 +1,11 @@
-"""Physical-element and face quadrature rules.
+"""Gauss-Legendre rules on [-1, 1] and on physical elements and faces.
 
-This is the one place where Gauss points are mapped to an axis-parallel box:
-volume rules, face rules and the composite singular rule all come from
-:func:`_box_rule`, one box at a time or stacked over a group of boxes.  A box
-is given by its arrays ``(lo, lengths)``: an element's, or a face's, whose
-length along its normal axis is zero.
+This is the one home of every Gauss rule and the one place where Gauss points
+are mapped to an axis-parallel box: volume rules, face rules and the composite
+singular rule all come from :func:`_box_rule`, one box at a time or stacked
+over a group of boxes.  A box is given by its arrays ``(lo, lengths)``: an
+element's, or a face's, whose length along its normal axis is zero.  The plain
+volume and face rules of degree p have :func:`plain_order` points per axis.
 
 Smooth elements get affinely mapped tensor Gauss rules.  Elements touching
 the singular point get a composite rule built from a geometric subdivision
@@ -23,11 +24,62 @@ from itertools import product
 
 import numpy as np
 
-from .refelem import gauss_rule
+from ._kernels import legendre_table
+
+_NEWTON_TOL = 1e-15
+_NEWTON_MAXIT = 100
 
 # Shells needed so the innermost-box error (~ (2^-depth)^(d-alpha)) clears the
 # 1e-9 target for the worst case d - alpha = 1/2; cost is linear in depth.
 DEFAULT_SINGULAR_DEPTH = 60
+
+
+def plain_order(p):
+    """Gauss points per axis of the plain volume and face rules for degree p
+    (an int or an array of degrees): n = p + 4."""
+    return p + 4
+
+
+@dataclass(frozen=True)
+class QuadRule1D:
+    """An n-point Gauss-Legendre rule on [-1, 1]."""
+
+    points: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_rule_cached(n: int) -> QuadRule1D:
+    if n == 1:
+        return QuadRule1D(np.zeros(1), np.full(1, 2.0))
+    # Newton iteration on P_n from Chebyshev initial guesses.
+    i = np.arange(n)
+    x = -np.cos(np.pi * (4 * i + 3) / (4 * n + 2))
+    for _ in range(_NEWTON_MAXIT):
+        vals, ders = legendre_table(x, n)
+        dx = vals[:, n] / ders[:, n]
+        x -= dx
+        if np.max(np.abs(dx)) < _NEWTON_TOL:
+            break
+    # Enforce exact symmetry about 0.
+    x = 0.5 * (x - x[::-1])
+    _, ders = legendre_table(x, n)
+    w = 2.0 / ((1.0 - x * x) * ders[:, n] ** 2)
+    w = 0.5 * (w + w[::-1])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return QuadRule1D(x, w)
+
+
+def gauss_rule(n: int) -> QuadRule1D:
+    """n-point Gauss-Legendre rule, exact for polynomials of degree 2n-1."""
+    if n < 1:
+        raise ValueError(f"gauss_rule needs n >= 1, got {n}")
+    return _gauss_rule_cached(int(n))
 
 
 @dataclass(frozen=True)
@@ -145,9 +197,9 @@ def singular_rule(lo, lengths, n: int, depth: int) -> ElementRule:
 
 
 def volume_rule(lo, lengths, p: int, singular: bool = False) -> ElementRule:
-    """Default volume rule on the box lo + [0, lengths]: n = p + 4 tensor
-    Gauss, composite when singular."""
-    n = p + 4
+    """Default volume rule on the box lo + [0, lengths]: the :func:`plain_order`
+    tensor Gauss rule, composite when singular."""
+    n = plain_order(p)
     if singular:
         return singular_rule(lo, lengths, n, max(DEFAULT_SINGULAR_DEPTH, 2 * p))
     return element_rule(lo, lengths, n)

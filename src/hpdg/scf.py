@@ -50,7 +50,6 @@ class ScfReport:
     lam: float
     iterations: int
     residuals: list = field(default_factory=list)
-    lambdas: list = field(default_factory=list)
     alignments: list = field(default_factory=list)  # (u_{k+1}, u_k)_M per sweep
     converged: bool = False
 
@@ -142,7 +141,6 @@ def solve_ground_state(space: HpSpace, potential: Potential,
         resid = abs(rayleigh - eig.lam * float(new @ (m @ new)))
         report.iterations = k
         report.residuals.append(resid)
-        report.lambdas.append(eig.lam)
         report.alignments.append(align)
         if log is not None:
             log(f"{k} {eig.lam!r} {resid!r}")

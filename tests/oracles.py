@@ -14,10 +14,10 @@ from itertools import product
 
 import numpy as np
 
+from hpdg._kernels import legendre_l2_norms_sq
 from hpdg.hpspace import basis_matrices, basis_matrix, containing_map
 from hpdg.mesh import GEOM_TOL, Faces, MeshError
 from hpdg.quadrature import element_rule, face_rule
-from hpdg.refelem import legendre_l2_norms_sq
 
 
 def _gauss(n):

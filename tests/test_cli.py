@@ -284,6 +284,12 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+def test_main_rejects_bad_pot_sign_like_any_bad_key(tmp_path, capsys):
+    rc = main(["--pot-sign", "2", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: pot_sign must be -1 or +1")
+
+
 @pytest.mark.parametrize("child", [False, True])
 def test_unusable_out_names_the_key(tmp_path, capsys, child):
     blocker = tmp_path / "taken"
@@ -309,3 +315,19 @@ def test_parser_flags_cover_spec():
     ])
     assert args.dim == 3 and args.ell_max == 4 and args.pot_sign == -1
     assert args.alpha == 0.5 and args.delta == 3
+
+
+def test_every_config_key_has_a_flag():
+    """Each key of the configuration file is one flag that sets the key's
+    field: ``--levels`` for ell_max, ``--<key>`` with dashes otherwise."""
+    raw = {"dim": "3", "sigma": "0.25", "ell_min": "2", "ell_max": "4", "p0": "1",
+           "slope": "0.25", "alpha": "1.5", "pot_sign": "1", "delta": "2",
+           "penalty": "12", "tol": "1e-7", "max_iter": "50", "theta": "0.8",
+           "ref_extra_levels": "3", "ref_extra_degree": "0", "out": "x", "gnuplot": None}
+    assert set(raw) == set(cli._PARSERS)
+    parser = build_parser()
+    for key, text in raw.items():
+        flag = "--levels" if key == "ell_max" else "--" + key.replace("_", "-")
+        args = parser.parse_args([flag] if text is None else [flag, text])
+        expected = True if text is None else cli._PARSERS[key](text)
+        assert {k: v for k, v in vars(args).items() if v is not None} == {key: expected}

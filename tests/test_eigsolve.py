@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg as dla
 import scipy.sparse as sp
 
-from hpdg.eigsolve import EigenSolveError, smallest_eigenpair
+from hpdg import eigsolve
+from hpdg.eigsolve import DENSE_CUTOFF, EigenSolveError, smallest_eigenpair
 
 
 def tridiag(n, scale=1.0):
@@ -44,7 +45,7 @@ def test_sparse_path_matches_analytic():
     m = sp.identity(n, format="csr")
     i = np.arange(1, n + 1)
     x0 = np.sin(np.pi * i / (n + 1))
-    res = smallest_eigenpair(a, m, x0=x0, shift=0.0)
+    res = smallest_eigenpair(a, m, x0=x0)
     lam_exact = 2.0 * (1.0 - np.cos(np.pi / (n + 1)))
     assert res.lam == pytest.approx(lam_exact, rel=1e-10)
     assert res.residual <= 1e-10
@@ -74,12 +75,13 @@ def test_shift_invariance():
     assert np.max(np.abs(res5.x - res.x)) < 1e-10
 
 
-def test_nonconvergence_carries_best_iterate():
+def test_nonconvergence_carries_best_iterate(monkeypatch):
     n = 2500
     a = tridiag(n)
     m = sp.identity(n, format="csr")
-    with pytest.raises(EigenSolveError) as err:
-        smallest_eigenpair(a, m, tol=1e-14, x0=np.ones(n), shift=-1.0, max_iter=1)
+    monkeypatch.setattr(eigsolve, "MAX_ITER", 1)
+    with pytest.raises(EigenSolveError, match="after 1 iterations") as err:
+        smallest_eigenpair(a, m, tol=1e-14, x0=np.ones(n))
     assert err.value.best is not None
     assert err.value.best.x.shape == (n,)
 
@@ -98,22 +100,34 @@ def test_rejects_bad_tolerance():
 
 
 def test_cold_sparse_start_never_returns_an_excited_state():
-    # the smallest eigenvalue is pi^2 up to O(h^2); the default start (ones)
-    # and random starts have their Rayleigh quotients deep inside the
-    # spectrum, so the default shift lies far above lambda_1 and the
-    # preconditioner is indefinite
+    # the smallest eigenvalue is pi^2 up to O(h^2); random starts have their
+    # Rayleigh quotients deep inside the spectrum, so the shift lies far above
+    # lambda_1 and the preconditioner is indefinite; with no start at all the
+    # solve is refused
     n = 3000
     a = tridiag(n, scale=(n + 1) ** 2)
     m = sp.identity(n, format="csr")
     lam1 = 2.0 * (n + 1) ** 2 * (1.0 - np.cos(np.pi / (n + 1)))
     assert lam1 == pytest.approx(np.pi**2, rel=1e-6)
+    with pytest.raises(ValueError, match="x0"):
+        smallest_eigenpair(a, m)
     rng = np.random.default_rng(0)
-    for x0 in [None] + [rng.standard_normal(n) for _ in range(3)]:
+    for x0 in [rng.standard_normal(n) for _ in range(3)]:
         try:
             res = smallest_eigenpair(a, m, x0=x0)
         except EigenSolveError:
             continue
         assert res.lam == pytest.approx(lam1, rel=1e-8)
+
+
+def test_large_pencil_without_start_is_refused_before_any_dense_solve(monkeypatch):
+    def eigh(*args, **kwargs):
+        raise AssertionError("dense solve ran")
+
+    monkeypatch.setattr(eigsolve.dla, "eigh", eigh)
+    n = DENSE_CUTOFF + 1
+    with pytest.raises(ValueError, match="x0"):
+        smallest_eigenpair(tridiag(n), sp.identity(n, format="csr"))
 
 
 def sine(n):

@@ -38,15 +38,6 @@ def test_degree_monotonicity():
         assert all(a >= b for a, b in zip(degs, degs[1:]))
 
 
-def test_rounding_modes():
-    mesh = build_graded_mesh(2, 0.5, 3)
-    up = build_space(mesh, 2, 0.25, rounding="ceil")
-    down = build_space(mesh, 2, 0.25, rounding="floor")
-    assert np.all(up.degrees >= down.degrees)
-    with pytest.raises(ValueError):
-        build_space(mesh, 2, 0.25, rounding="banker")
-
-
 def test_mode_tables_are_shared_and_read_only():
     """Every space of one degree and dimension shares one mode table; a
     caller that tries to write to it fails instead of corrupting later spaces."""
@@ -182,33 +173,40 @@ def test_inject_rejects_meshes_that_do_not_nest():
 def test_field_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     path = tmp_path / "field.txt"
-    spaces = [build_space(build_graded_mesh(2, 0.5, 2), 2, 0.125)]
-    # floor and ceil give other degrees (and N) than half_up at slope 1/4
-    spaces += [build_space(build_graded_mesh(2, 0.5, 3), 2, 0.25, rounding)
-               for rounding in ("half_up", "floor", "ceil")]
+    spaces = [build_space(build_graded_mesh(2, 0.5, 2), 2, 0.125),
+              build_space(build_graded_mesh(2, 0.5, 3), 2, 0.25)]
     for space in spaces:
         f = DiscreteField(space, rng.standard_normal(space.N))
         save_field(f, path)
         g = load_field(path)
         assert g.space.N == space.N
         assert g.space.p0 == space.p0 and g.space.mesh.ell == space.mesh.ell
-        assert g.space.rounding == space.rounding
         assert np.array_equal(g.space.degrees, space.degrees)
         assert np.array_equal(g.coeffs, f.coeffs)
-    # a bad format version, rounding mode or space parameter is rejected by
-    # the file's path and the header field's name
+    # a bad format version or space parameter is rejected by the file's path
+    # and the header field's name
     head, *body = path.read_text().splitlines(keepends=True)
-    tag, version, d, sigma, ell, p0, slope, rounding = head.split()
-    for bad, name in ((f"99 {d} {sigma} {ell} {p0} {slope} {rounding}", "version"),
-                      (f"{version} {d} {sigma} {ell} {p0} {slope} nearest", "rounding"),
-                      (f"{version} x {sigma} {ell} {p0} {slope} {rounding}", "'d' is 'x'"),
-                      (f"{version} {d} 0.7 {ell} {p0} {slope} {rounding}", "sigma must"),
-                      (f"{version} {d} {sigma} {ell} 0 {slope} {rounding}", "p0 must"),
-                      (f"{version} {d} {sigma} {ell} {p0} nan {rounding}", "slope must")):
+    tag, version, d, sigma, ell, p0, slope = head.split()
+    for bad, name in ((f"99 {d} {sigma} {ell} {p0} {slope}", "version"),
+                      (f"{version} x {sigma} {ell} {p0} {slope}", "'d' is 'x'"),
+                      (f"{version} {d} 0.7 {ell} {p0} {slope}", "sigma must"),
+                      (f"{version} {d} {sigma} {ell} 0 {slope}", "p0 must"),
+                      (f"{version} {d} {sigma} {ell} {p0} nan", "slope must")):
         path.write_text(f"{tag} {bad}\n" + "".join(body))
         with pytest.raises(ValueError, match=name) as err:
             load_field(path)
         assert str(path) in str(err.value)
+
+
+def test_version_2_field_file_is_rejected(tmp_path):
+    """A version-2 file (its header ends in a rounding mode) is refused by
+    the version check, which names the file."""
+    space = build_space(build_graded_mesh(2, 0.5, 1), 1, 0.0)
+    path = tmp_path / "old.txt"
+    path.write_text("hpdg-field 2 2 0.5 1 1 0.0 half_up\n" + "0.0\n" * space.N)
+    with pytest.raises(ValueError, match="'version' is '2'") as err:
+        load_field(path)
+    assert str(path) in str(err.value)
 
 
 def test_coefficient_length_checked():

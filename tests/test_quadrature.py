@@ -51,7 +51,7 @@ def test_composite_1d_harness():
     The innermost box is included with its own Gauss panel, so the leftover
     error decays like 2^(-depth/2); depth 40 clears 1e-6.
     """
-    from hpdg.refelem import gauss_rule
+    from hpdg.quadrature import gauss_rule
 
     def composite_1d(depth, n):
         g = gauss_rule(n)

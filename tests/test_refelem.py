@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hpdg._kernels import legendre_table
-from hpdg.refelem import gauss_rule, legendre_l2_norms_sq
+from hpdg._kernels import legendre_l2_norms_sq, legendre_table
+from hpdg.quadrature import gauss_rule
 
 
 def test_one_point_rule():
