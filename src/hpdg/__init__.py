@@ -10,7 +10,6 @@ from .analysis import (ConvergenceRecord, FitResult, error_norms,
                        fit_exponential, full_dg_norm)
 from .assembly import (PenaltyConfig, Potential, assemble_mass,
                        assemble_nonlinear_mass, assemble_sip)
-from .cli import StudyConfig, run_study
 from .eigsolve import EigenSolveError, EigResult, smallest_eigenpair
 from .hpspace import (DiscreteField, HpSpace, build_space, constant_field,
                       evaluate, inject, load_field, locate_point, project,
@@ -21,3 +20,13 @@ from .quadrature import (ElementRule, QuadRule1D, element_rule, face_rule,
 from .scf import ScfConfig, ScfReport, discrete_energy, solve_ground_state
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # hpdg.cli is imported on first use, not with the package: ``python -m
+    # hpdg.cli`` would otherwise find it in sys.modules before running it
+    if name in ("StudyConfig", "run_study"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,6 +10,18 @@ the result and may be passed in again, so the SCF loop factors once per solve
 and reuses the LU on every later sweep, where the linearized operator has
 moved only a little.
 
+The LU is computed and applied in single precision.  A preconditioner's
+accuracy sets how fast LOBPCG converges, not the accuracy it reaches, so a
+float32 factor (half the bytes per value and about half the time of a
+float64 one) gives the same steps on the pencils of a study.  Everything else
+is double: the residual, its M-orthonormalization, the Rayleigh-Ritz
+projection and the stopping rule, so a converged pair meets the same
+criterion as with a double factor.  A - tau M and each residual are scaled
+by the power of two that puts their largest entry in [1/2, 1) before the
+cast; that is exact wherever the values are normal float32 numbers, so no
+pencil overflows in the cast, and one whose entries span more than about 1e45
+(some entry would round to zero) raises EigenSolveError.
+
 The preconditioner is symmetric positive definite only when tau lies below
 lambda_1 of the factored pencil; only then is the descent to the ground state
 guaranteed.  tau = rho(x0) - 10 meets this for start vectors close to the
@@ -50,7 +62,7 @@ class EigResult:
     x: np.ndarray  # M-normalized eigenvector
     residual: float  # ||Ax - lam Mx|| / (||Ax|| + |lam| ||Mx||)
     iterations: int
-    precond: object = None  # LU of A - tau M on the sparse path, None when dense
+    precond: object = None  # float32 LU of A - tau M (sparse path), None when dense
 
 
 def _m_norm(m, x):
@@ -62,6 +74,28 @@ def _orient(x, m, orient):
     if abs(s) < 1e-14:
         s = x[int(np.argmax(np.abs(x)))]
     return x if s >= 0 else -x
+
+
+def _single(v):
+    """``v`` in float32, scaled by the power of two that puts its largest
+    magnitude in [1/2, 1); the scaling is exact, and a zero ``v`` stays zero."""
+    return np.ldexp(v, -np.frexp(np.max(np.abs(v), initial=0.0))[1]).astype(np.float32)
+
+
+def _factor(a, m, tau):
+    """Single-precision LU of A - tau M, refused when an entry is lost in the cast."""
+    lhs = (a - tau * m).tocsc()
+    data = _single(lhs.data)
+    if not np.isfinite(data).all() or np.count_nonzero(data) < np.count_nonzero(lhs.data):
+        mags = np.abs(lhs.data[lhs.data != 0])
+        raise EigenSolveError(
+            f"A - tau M at tau={tau!r} has entries of magnitude {mags.min():.3e} "
+            f"to {mags.max():.3e}, beyond the range of a float32 factorization")
+    try:
+        return sla.splu(sp.csc_matrix((data, lhs.indices, lhs.indptr), shape=lhs.shape),
+                        permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise EigenSolveError(f"A - tau M is singular at tau={tau!r}: {exc}") from exc
 
 
 def _residual(a, m, lam, x):
@@ -123,11 +157,7 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
         raise ValueError("start vector is M-orthogonal to itself (zero)")
     x /= nrm
     if precond is None:
-        tau = float(x @ (a @ x)) - 10.0
-        try:
-            precond = sla.splu((a - tau * m).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise EigenSolveError(f"A - tau M is singular at tau={tau!r}: {exc}") from exc
+        precond = _factor(a, m, float(x @ (a @ x)) - 10.0)
     elif precond.shape != a.shape:
         raise ValueError(f"preconditioner has shape {precond.shape}, matrix {a.shape}")
     return _lobpcg(a, m, x, precond, tol, orient)
@@ -161,7 +191,7 @@ def _lobpcg(a, m, x, lu, tol, orient) -> EigResult:
     best = EigResult(rho, x, _residual(a, m, rho, x), 0)
     p = None
     for it in range(1, MAX_ITER + 1):
-        w = lu.solve(a @ x - rho * (m @ x))
+        w = lu.solve(_single(a @ x - rho * (m @ x))).astype(float)
         if not np.isfinite(w).all():
             raise EigenSolveError("preconditioner produced a non-finite vector", best)
         q = _m_orthonormal(m, [x, w] if p is None else [x, w, p])

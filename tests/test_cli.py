@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -288,6 +293,17 @@ def test_main_rejects_bad_pot_sign_like_any_bad_key(tmp_path, capsys):
     rc = main(["--pot-sign", "2", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: pot_sign must be -1 or +1")
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "hpdg.cli", "--penalty", "nan"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: penalty ")
+    assert "Warning" not in out.stderr
 
 
 @pytest.mark.parametrize("child", [False, True])

@@ -164,3 +164,54 @@ def test_rejects_factorization_of_another_size():
     b, _, m2 = perturbed_pencils(n=700)
     with pytest.raises(ValueError):
         smallest_eigenpair(b, m2, x0=sine(700), precond=lu)
+
+
+@pytest.mark.parametrize("scale", [1e45, 1e-45])
+def test_sparse_path_survives_pencils_outside_float32_range(scale):
+    # the pencil of test_sparse_path_matches_analytic with both matrices
+    # scaled: the same eigenvalues, but A - tau M overflows (1e45) or
+    # underflows (1e-45) float32 unless the factor is scaled before the cast
+    n = 3000
+    a = tridiag(n, scale=scale)
+    m = sp.identity(n, format="csr") * scale
+    res = smallest_eigenpair(a, m, x0=sine(n))
+    lam_exact = 2.0 * (1.0 - np.cos(np.pi / (n + 1)))
+    assert res.lam == pytest.approx(lam_exact, rel=1e-10)
+    assert res.residual <= 1e-10
+
+
+def test_pencil_beyond_float32_dynamic_range_is_refused():
+    n = 501
+    d = np.geomspace(1e-40, 1e40, n)
+    d[n // 2] = 10.0
+    x0 = np.zeros(n)
+    x0[n // 2] = 1.0  # rho(x0) = 10, so tau = 0 and A - tau M is A itself
+    with pytest.raises(EigenSolveError, match=r"tau=0\.0 .*1\.000e-40 to 1\.000e\+40"):
+        smallest_eigenpair(sp.diags(d).tocsr(), sp.identity(n, format="csr"), x0=x0)
+
+
+def test_exact_eigenvector_start_returns_at_the_first_step():
+    # the residual of the start is exactly zero: nothing to precondition
+    n = 500
+    a = sp.diags(np.arange(1.0, n + 1.0)).tocsr()
+    x0 = np.zeros(n)
+    x0[0] = 1.0
+    res = smallest_eigenpair(a, sp.identity(n, format="csr"), x0=x0)
+    assert res.iterations == 1
+    assert res.lam == 1.0 and res.residual == 0.0
+    assert np.array_equal(res.x, x0)  # no NaN from the zero residual
+
+
+def test_preconditioner_is_factored_in_single_precision(monkeypatch):
+    dtypes = []
+    raw_splu = eigsolve.sla.splu
+
+    def splu(matrix, **kwargs):
+        dtypes.append(matrix.dtype)
+        return raw_splu(matrix, **kwargs)
+
+    monkeypatch.setattr(eigsolve.sla, "splu", splu)
+    a, _, m = perturbed_pencils()
+    res = smallest_eigenpair(a, m, x0=sine(a.shape[0]))
+    assert dtypes == [np.float32]
+    assert res.residual <= 1e-10
