@@ -1,36 +1,34 @@
-"""Smallest eigenpair of the symmetric generalized problem A x = lambda M x.
+"""Smallest eigenpair of the symmetric pencil A x = lambda M x, M diagonal.
 
-Small problems go through a dense LAPACK solve.  Larger ones need a start
+The Legendre basis is L2-orthogonal on each box, so an hp space's mass matrix
+is M = diag(d), and every product with M is d * v; any other M raises
+ValueError.  Small problems are one LAPACK eigh of the standard problem
+D^-1/2 A D^-1/2 y = lambda y, with x = D^-1/2 y.  Larger ones need a start
 vector x0: they factor A - tau M once (sparse LU), tau = rho(x0) - 10, and use
-that factorization as the preconditioner of a single-vector LOBPCG iteration
-(Knyazev 2001, SIAM J. Sci. Comput. 23:517): each step is a Rayleigh-Ritz
-projection onto the M-orthonormal span of the iterate, its preconditioned
-residual and the previous search direction.  The factorization comes back on
-the result and may be passed in again, so the SCF loop factors once per solve
-and reuses the LU on every later sweep, where the linearized operator has
-moved only a little.
+it to precondition a single-vector LOBPCG (Knyazev 2001, SIAM J. Sci. Comput.
+23:517).  Each step is a Rayleigh-Ritz projection onto the M-orthonormal span
+Q of the iterate, its preconditioned residual and the previous direction, and
+multiplies by A once, as A Q: the new iterate's A x, Rayleigh quotient and
+residual all come from (A Q) c.  The factorization comes back on the result
+and may be passed in again, so the SCF loop factors once per solve and reuses
+the LU on every later sweep, where the operator has moved only a little.
 
-The LU is computed and applied in single precision.  A preconditioner's
-accuracy sets how fast LOBPCG converges, not the accuracy it reaches, so a
-float32 factor (half the bytes per value and about half the time of a
-float64 one) gives the same steps on the pencils of a study.  Everything else
-is double: the residual, its M-orthonormalization, the Rayleigh-Ritz
-projection and the stopping rule, so a converged pair meets the same
-criterion as with a double factor.  A - tau M and each residual are scaled
-by the power of two that puts their largest entry in [1/2, 1) before the
-cast; that is exact wherever the values are normal float32 numbers, so no
-pencil overflows in the cast, and one whose entries span more than about 1e45
-(some entry would round to zero) raises EigenSolveError.
+The LU is computed and applied in single precision: a preconditioner's
+accuracy sets how fast LOBPCG converges, not the accuracy it reaches.  The
+residual, the M-orthonormalization, the Rayleigh-Ritz projection and the
+stopping rule stay double.  A - tau M and each residual are scaled by the
+power of two that puts their largest entry in [1/2, 1) before the cast; that
+is exact for normal float32 values, so no pencil overflows, and one whose
+entries span more than about 1e45 raises EigenSolveError.
 
-The preconditioner is symmetric positive definite only when tau lies below
-lambda_1 of the factored pencil; only then is the descent to the ground state
-guaranteed.  tau = rho(x0) - 10 meets this for start vectors close to the
-ground state: the SCF iterates, the injected coarse-to-fine starts and the
+The preconditioner is symmetric positive definite, and the descent to the
+ground state guaranteed, only when tau lies below lambda_1 of the factored
+pencil.  tau = rho(x0) - 10 meets this for start vectors close to the ground
+state: the SCF iterates, the injected coarse-to-fine starts and the
 coarse-subspace start of a cold SCF solve.  A start far above the ground state
-gives an indefinite preconditioner; the iteration then stalls and raises
-EigenSolveError instead of returning an excited pair.  There is no default
-start: without x0, a problem too large for the dense path raises ValueError.
-Both paths are deterministic given the start vector.
+stalls the iteration, which raises EigenSolveError rather than return an
+excited pair.  Without x0, a problem too large for the dense path raises
+ValueError.  Both paths are deterministic given the start vector.
 """
 
 from __future__ import annotations
@@ -65,12 +63,12 @@ class EigResult:
     precond: object = None  # float32 LU of A - tau M (sparse path), None when dense
 
 
-def _m_norm(m, x):
-    return float(np.sqrt(x @ (m @ x)))
+def _m_norm(d, x):
+    return float(np.sqrt(x @ (d * x)))
 
 
-def _orient(x, m, orient):
-    s = float(x @ (m @ orient)) if orient is not None else 0.0
+def _orient(x, d, orient):
+    s = float(x @ (d * orient)) if orient is not None else 0.0
     if abs(s) < 1e-14:
         s = x[int(np.argmax(np.abs(x)))]
     return x if s >= 0 else -x
@@ -82,9 +80,9 @@ def _single(v):
     return np.ldexp(v, -np.frexp(np.max(np.abs(v), initial=0.0))[1]).astype(np.float32)
 
 
-def _factor(a, m, tau):
+def _factor(a, d, tau):
     """Single-precision LU of A - tau M, refused when an entry is lost in the cast."""
-    lhs = (a - tau * m).tocsc()
+    lhs = (a - sp.diags(tau * d)).tocsc()
     data = _single(lhs.data)
     if not np.isfinite(data).all() or np.count_nonzero(data) < np.count_nonzero(lhs.data):
         mags = np.abs(lhs.data[lhs.data != 0])
@@ -98,10 +96,18 @@ def _factor(a, m, tau):
         raise EigenSolveError(f"A - tau M is singular at tau={tau!r}: {exc}") from exc
 
 
-def _residual(a, m, lam, x):
-    ax, mx = a @ x, m @ x
+def _residual(ax, mx, lam):
     scale = float(np.linalg.norm(ax) + abs(lam) * np.linalg.norm(mx))
     return float(np.linalg.norm(ax - lam * mx)) / max(scale, 1e-300)
+
+
+def dense_ground_state(a, d):
+    """Eigenvector of the smallest eigenvalue of (A, diag(d)), M-normalized up
+    to sign: one standard dense eigh of D^-1/2 A D^-1/2, mapped back by D^-1/2."""
+    s = 1.0 / np.sqrt(d)
+    ad = np.asarray(a.toarray(), dtype=float) if sp.issparse(a) else np.array(a, dtype=float)
+    ad *= np.outer(s, s)
+    return s * dla.eigh(ad, subset_by_index=[0, 0], overwrite_a=True)[1][:, 0]
 
 
 def dense_result(a, m, v, orient=None) -> EigResult:
@@ -112,102 +118,96 @@ def dense_result(a, m, v, orient=None) -> EigResult:
     eigenvalue: the two differ at the eps * ||M^-1 A|| level, which the
     self-consistency residual of the SCF loop would otherwise inherit.
     """
-    x = _orient(v / _m_norm(m, v), m, orient)
-    lam = float(x @ (a @ x))
-    return EigResult(lam, x, _residual(a, m, lam, x), 1)
+    d = m.diagonal()
+    x = _orient(v / _m_norm(d, v), d, orient)
+    ax = a @ x
+    lam = float(x @ ax)
+    return EigResult(lam, x, _residual(ax, d * x, lam), 1)
 
 
 def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
                        orient=None, precond=None) -> EigResult:
     """Minimal eigenvalue and M-normalized eigenvector of (A, M).
 
-    The dense path serves n <= DENSE_ALWAYS, and n <= DENSE_CUTOFF when no
-    start vector ``x0`` is given; a larger problem without ``x0`` raises
-    ValueError.  The sparse path runs LOBPCG from ``x0``, preconditioned by
-    the LU of A - tau M with tau = rho(x0) - 10, for at most MAX_ITER steps.
-    ``precond`` is the factorization returned by an earlier sparse solve of a
-    nearby pencil of the same size; when given, nothing is factored.
-    ``orient`` fixes the sign so x.M.orient >= 0.
+    M must be diagonal and positive (else ValueError).  The dense path serves
+    n <= DENSE_ALWAYS, and n <= DENSE_CUTOFF when no start vector ``x0`` is
+    given; a larger problem without ``x0`` raises ValueError.  The sparse path
+    runs LOBPCG from ``x0``, preconditioned by the LU of A - tau M with
+    tau = rho(x0) - 10, for at most MAX_ITER steps.  ``precond`` is the
+    factorization returned by an earlier sparse solve of a nearby pencil of
+    the same size; when given, nothing is factored.  ``orient`` fixes the sign
+    so x.M.orient >= 0.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     n = a.shape[0]
-    mdiag = m.diagonal()
-    if sp.issparse(m) and m.nnz == np.count_nonzero(mdiag):
-        if np.min(mdiag) <= 0:
-            raise ValueError("mass matrix is not positive definite")
+    d = np.asarray(m.diagonal(), dtype=float)
+    nnz = m.count_nonzero() if sp.issparse(m) else np.count_nonzero(m)
+    if nnz > np.count_nonzero(d) or not np.all(d > 0):
+        raise ValueError("mass matrix M must be diagonal and positive definite")
 
     if x0 is None and n > DENSE_CUTOFF:
         raise ValueError(f"a pencil of size {n} > DENSE_CUTOFF={DENSE_CUTOFF} "
                          "needs a start vector x0")
     if n <= DENSE_ALWAYS or x0 is None:
-        ad = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
-        md = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
-        try:
-            _, vecs = dla.eigh(ad, md, subset_by_index=[0, 0])
-        except dla.LinAlgError as exc:
-            raise ValueError(f"dense generalized eigensolve failed: {exc}") from exc
-        return dense_result(a, m, vecs[:, 0], orient)
+        return dense_result(a, m, dense_ground_state(a, d), orient)
 
     a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)
-    m = m.tocsr() if sp.issparse(m) else sp.csr_matrix(m)
     x = np.asarray(x0, dtype=float).copy()
-    nrm = _m_norm(m, x)
+    nrm = _m_norm(d, x)
     if nrm == 0:
         raise ValueError("start vector is M-orthogonal to itself (zero)")
     x /= nrm
+    ax = a @ x
     if precond is None:
-        precond = _factor(a, m, float(x @ (a @ x)) - 10.0)
+        precond = _factor(a, d, float(x @ ax) - 10.0)
     elif precond.shape != a.shape:
         raise ValueError(f"preconditioner has shape {precond.shape}, matrix {a.shape}")
-    return _lobpcg(a, m, x, precond, tol, orient)
+    return _lobpcg(a, d, x, ax, precond, tol, orient)
 
 
-def _m_orthonormal(m, vectors):
-    """M-orthonormal basis of the span of ``vectors``, in order.
-
-    Classical Gram-Schmidt, run twice; a vector that lies numerically in the
-    span of those before it is dropped.
-    """
+def _m_orthonormal(d, vectors):
+    """M-orthonormal basis of the span of ``vectors``, in order, by classical
+    Gram-Schmidt run twice; a vector numerically in the span of those before
+    it is dropped."""
     q = []
     for v in vectors:
-        nv = _m_norm(m, v)
+        nv = _m_norm(d, v)
         if not nv > 0:
             continue
         v = v / nv
         if q:
             qa = np.column_stack(q)
             for _ in range(2):
-                v = v - qa @ (qa.T @ (m @ v))
-        nv = _m_norm(m, v)
+                v = v - qa @ (qa.T @ (d * v))
+        nv = _m_norm(d, v)
         if nv > 1e-10:
             q.append(v / nv)
     return np.column_stack(q)
 
 
-def _lobpcg(a, m, x, lu, tol, orient) -> EigResult:
-    """Single-vector LOBPCG from the M-normalized ``x``, preconditioned by ``lu``."""
-    rho = float(x @ (a @ x))
-    best = EigResult(rho, x, _residual(a, m, rho, x), 0)
+def _lobpcg(a, d, x, ax, lu, tol, orient) -> EigResult:
+    """Single-vector LOBPCG from the M-normalized ``x``, ``ax`` = A x, by ``lu``."""
+    rho = float(x @ ax)
+    best = EigResult(rho, x, _residual(ax, d * x, rho), 0)
     p = None
     for it in range(1, MAX_ITER + 1):
-        w = lu.solve(_single(a @ x - rho * (m @ x))).astype(float)
+        w = lu.solve(_single(ax - rho * (d * x))).astype(float)
         if not np.isfinite(w).all():
             raise EigenSolveError("preconditioner produced a non-finite vector", best)
-        q = _m_orthonormal(m, [x, w] if p is None else [x, w, p])
-        h = q.T @ (a @ q)
+        q = _m_orthonormal(d, [x, w] if p is None else [x, w, p])
+        aq = a @ q
+        h = q.T @ aq
         c = np.linalg.eigh(0.5 * (h + h.T))[1][:, 0]
         p = q[:, 1:] @ c[1:]  # the step, without its component along x
-        x = q @ c
-        x /= _m_norm(m, x)
-        rho = float(x @ (a @ x))
-        res = _residual(a, m, rho, x)
+        x, ax = q @ c, aq @ c
+        nrm = _m_norm(d, x)
+        x, ax = x / nrm, ax / nrm
+        rho = float(x @ ax)
+        res = _residual(ax, d * x, rho)
         if res < best.residual:
-            best = EigResult(rho, x.copy(), res, it)
+            best = EigResult(rho, x, res, it)
         if res <= tol:
-            return EigResult(rho, _orient(x, m, orient), res, it, lu)
-    raise EigenSolveError(
-        f"no convergence to tol={tol} after {MAX_ITER} iterations "
-        f"(best residual {best.residual:.3e})",
-        best,
-    )
+            return EigResult(rho, _orient(x, d, orient), res, it, lu)
+    raise EigenSolveError(f"no convergence to tol={tol} after {MAX_ITER} iterations "
+                          f"(best residual {best.residual:.3e})", best)

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as dla
 
 from .assembly import PenaltyConfig, Potential, SipAssembler
-from .eigsolve import dense_result, smallest_eigenpair
+from .eigsolve import dense_ground_state, dense_result, smallest_eigenpair
 from .hpspace import DiscreteField, HpSpace, constant_field
 
 
@@ -74,17 +73,15 @@ def _coarse_start(space: HpSpace, a, m):
     zero-padded, and whether those modes are all of the space's.
 
     The Legendre basis is hierarchical, so these modes span a Galerkin subspace
-    whose pencil is a principal submatrix of (A, M).  A dof's mode indices are
-    the digits of its local index in base p + 1.
+    whose pencil is a principal submatrix of (A, M), M diagonal.  A dof's mode
+    indices are the digits of its local index in base p + 1.
     """
     el = np.repeat(np.arange(space.mesh.n_elements), space.ndofs_el)
     local, base = np.arange(space.N) - space.offsets[el], space.degrees[el] + 1
     digits = [local // base**k % base for k in range(space.mesh.d)]
     keep = np.flatnonzero(np.all(np.array(digits) <= 1, axis=0))
-    _, vecs = dla.eigh(a[keep][:, keep].toarray(), m[keep][:, keep].toarray(),
-                       subset_by_index=[0, 0])
     x0 = np.zeros(space.N)
-    x0[keep] = vecs[:, 0]
+    x0[keep] = dense_ground_state(a[keep][:, keep], m.diagonal()[keep])
     return x0, len(keep) == space.N
 
 

@@ -22,11 +22,59 @@ def test_diagonal_example():
 
 
 def test_identity_pencil():
-    rng = np.random.default_rng(1)
-    b = rng.standard_normal((6, 6))
-    m = sp.csr_matrix(b @ b.T + 6 * np.eye(6))
+    m = sp.diags(np.random.default_rng(1).uniform(0.5, 6.0, 6)).tocsr()
     res = smallest_eigenpair(m, m)
     assert res.lam == pytest.approx(1.0, abs=1e-12)
+
+
+def test_non_diagonal_mass_is_refused():
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((6, 6))
+    m = b @ b.T + 6 * np.eye(6)
+    for mass in (sp.csr_matrix(m), m):
+        with pytest.raises(ValueError, match="mass matrix M must be diagonal"):
+            smallest_eigenpair(sp.identity(6, format="csr"), mass)
+
+
+def graded_pencil(n, seed, graded):
+    """A random SPD A and a diagonal M with entries from 1e-6 to 1e6, in random
+    order.  ``graded`` scales A by the same D^1/2 on both sides, as the
+    stiffness of a graded hp mesh scales with its mass: then the pencil is as
+    well conditioned as the random factor."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n))
+    d = np.geomspace(1e-6, 1e6, n)
+    rng.shuffle(d)
+    a = b @ b.T + n * np.eye(n)
+    if graded:
+        a = np.sqrt(d)[:, None] * a * np.sqrt(d)
+    return a, d
+
+
+@pytest.mark.parametrize("n,seed", [(40, 0), (300, 1)])
+def test_dense_path_matches_the_generalized_solve_on_a_graded_pencil(n, seed):
+    a, d = graded_pencil(n, seed, graded=True)
+    res = smallest_eigenpair(sp.csr_matrix(a), sp.diags(d))
+    vals, vecs = dla.eigh(a, np.diag(d), subset_by_index=[0, 0])
+    assert res.lam == pytest.approx(vals[0], rel=1e-12)
+    assert abs(res.x @ (d * vecs[:, 0])) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_dense_path_is_accurate_on_an_ungraded_pencil():
+    # A unscaled: D^-1/2 A D^-1/2 has a condition number near 1e12, so any
+    # LAPACK eigenvalue is off by about eps * ||D^-1/2 A D^-1/2|| (the
+    # generalized eigh's by 9e-5 relative here); the Rayleigh quotient of
+    # the scaled solve's vector is checked against 40-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    a, d = graded_pencil(40, 1, graded=False)
+    res = smallest_eigenpair(sp.csr_matrix(a), sp.diags(d))
+    with mpmath.workdps(40):
+        s = [1 / mpmath.sqrt(mpmath.mpf(v)) for v in d]
+        scaled = mpmath.matrix([[s[i] * mpmath.mpf(a[i, j]) * s[j] for j in range(40)]
+                                for i in range(40)])
+        exact = float(min(mpmath.eigsy(scaled, eigvals_only=True)))
+    assert res.lam == pytest.approx(exact, rel=1e-10, abs=0.0)
+    assert res.x @ (d * res.x) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rayleigh_consistency_and_normalization():
@@ -215,3 +263,52 @@ def test_preconditioner_is_factored_in_single_precision(monkeypatch):
     res = smallest_eigenpair(a, m, x0=sine(a.shape[0]))
     assert dtypes == [np.float32]
     assert res.residual <= 1e-10
+
+
+def counting(a):
+    """``a`` as a CSR matrix that records the shape of each right-hand side
+    it multiplies."""
+    shapes = []
+
+    class Counted(sp.csr_matrix):
+        def __matmul__(self, other):
+            shapes.append(np.shape(other))
+            return super().__matmul__(other)
+
+    return Counted(a), shapes
+
+
+def test_one_product_with_a_per_step():
+    a, _, m = perturbed_pencils()
+    n = a.shape[0]
+    counted, shapes = counting(a)
+    res = smallest_eigenpair(counted, m, x0=sine(n))
+    assert res.iterations > 2
+    assert len(shapes) == res.iterations + 1
+    assert shapes[0] == (n,)  # the start's A x
+    assert shapes[1] == (n, 2) and set(shapes[2:]) == {(n, 3)}
+
+
+def fresh_residual(a, m, res):
+    ax, mx = a @ res.x, m @ res.x
+    return np.linalg.norm(ax - res.lam * mx) / (np.linalg.norm(ax) + abs(res.lam) * np.linalg.norm(mx))
+
+
+def sparse_path_pencils():
+    n = 3000
+    a, m = tridiag(n), sp.identity(n, format="csr")
+    yield a, m, sine(n)
+    yield tridiag(2500, scale=2501**2), sp.identity(2500, format="csr"), sine(2500)
+    pa, _, pm = perturbed_pencils()
+    yield pa, pm, sine(600)
+    for scale in (1e45, 1e-45):
+        yield tridiag(n, scale=scale), m * scale, sine(n)
+
+
+def test_reported_residual_holds_for_a_fresh_product():
+    # the residual is computed from (A Q) c, not from A x; the residual of a
+    # fresh product must still meet the tolerance
+    for a, m, x0 in sparse_path_pencils():
+        res = smallest_eigenpair(a, m, x0=x0)
+        assert res.precond is not None and res.residual <= eigsolve.DEFAULT_TOL
+        assert fresh_residual(a, m, res) <= eigsolve.DEFAULT_TOL

@@ -186,6 +186,27 @@ def test_warm_sparse_solve_factors_once(monkeypatch):
     assert rep.lam == pytest.approx(lam, abs=1e-10)
 
 
+def test_sparse_sweeps_report_the_residual_of_a_fresh_product(monkeypatch):
+    """Each sparse eigensolve of an SCF level meets eig_tol = eps_tol / 10 when
+    its residual is recomputed from a fresh A x, not the one LOBPCG kept."""
+    from hpdg import scf
+
+    pot = Potential(0.5, -1)
+    cfg = ScfConfig(eps_tol=1e-10, delta=3)
+    u1, _ = solve_ground_state(build_space(build_graded_mesh(3, 0.5, 1), 1, 0.25), pot, PEN, cfg)
+    space = build_space(build_graded_mesh(3, 0.5, 2), 1, 0.25)
+    solves, solve = [], scf.smallest_eigenpair
+    monkeypatch.setattr(scf, "smallest_eigenpair",
+                        lambda a, m, **k: solves.append((a, m, solve(a, m, **k))) or solves[-1][2])
+    _, rep = solve_ground_state(space, pot, PEN, cfg, u0=inject(u1, space))
+    assert rep.converged and len(solves) == rep.iterations > 1
+    for a, m, res in solves:
+        assert res.precond is not None
+        ax, mx = a @ res.x, m @ res.x
+        scale = np.linalg.norm(ax) + abs(res.lam) * np.linalg.norm(mx)
+        assert np.linalg.norm(ax - res.lam * mx) / scale <= 1e-11
+
+
 @pytest.mark.parametrize("ell,p0,slope,delta", [(3, 1, 0.25, 3), (2, 2, 0.0, None)])
 def test_cold_3d_solve_reaches_the_ground_state(ell, p0, slope, delta):
     """A cold sparse solve starts from the p <= 1 subspace and finds lambda_1."""
