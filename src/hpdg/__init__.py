@@ -12,8 +12,7 @@ from .assembly import (PenaltyConfig, Potential, assemble_mass,
                        assemble_nonlinear_mass, assemble_sip)
 from .eigsolve import EigenSolveError, EigResult, smallest_eigenpair
 from .hpspace import (DiscreteField, HpSpace, build_space, constant_field,
-                      evaluate, inject, load_field, locate_point, project,
-                      save_field)
+                      inject, project)
 from .mesh import GradedMesh, build_graded_mesh
 from .quadrature import (ElementRule, QuadRule1D, element_rule, face_rule,
                          gauss_rule, singular_rule, volume_rule)

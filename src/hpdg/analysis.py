@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hpspace import DiscreteField, MeshNestingError, containing_map, evaluate_grid  # noqa: F401
+from .hpspace import DiscreteField, containing_map, evaluate_grid
 from .quadrature import element_rules, face_rules
 
 ERROR_FLOOR = 1e-12

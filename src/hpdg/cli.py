@@ -57,7 +57,6 @@ class StudyConfig:
     ref_extra_levels: int = 2
     ref_extra_degree: int = 1
     out: str = "study_out"
-    gnuplot: bool = False
 
     def validate(self):
         if self.dim not in (2, 3):
@@ -203,11 +202,6 @@ def run_study(cfg: StudyConfig):
                 fit_lines.append(f"{column} {abscissa} nan nan nan")
     (outdir / "fits.txt").write_text("\n".join(fit_lines) + "\n")
 
-    if cfg.gnuplot:
-        for column in ("l2", "dg", "linf", "lambda"):
-            rows = [f"{r.ell} {getattr(r, 'err_' + column):.16e}" for r in records]
-            (outdir / f"err_{column}.dat").write_text("\n".join(rows) + "\n")
-
     return records
 
 
@@ -229,21 +223,11 @@ def _parse_delta(text: str):
     return int(t)
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes"):
-        return True
-    if t in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text.strip()!r}")
-
-
 _PARSERS = {
     "dim": int, "sigma": float, "ell_max": int, "ell_min": int, "p0": int,
     "slope": float, "alpha": _parse_alpha, "pot_sign": int, "delta": _parse_delta,
     "penalty": float, "tol": float, "max_iter": int, "theta": float,
     "ref_extra_levels": int, "ref_extra_degree": int, "out": str,
-    "gnuplot": _parse_bool,
 }
 
 
@@ -281,10 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
              "delta": "nonlinearity exponent (2, 3, 4) or 'linear'"}
     for key, parse in _PARSERS.items():
         flag = "--levels" if key == "ell_max" else "--" + key.replace("_", "-")
-        if key == "gnuplot":
-            p.add_argument(flag, action="store_true", default=None)
-        else:
-            p.add_argument(flag, type=parse, dest=key, help=helps.get(key))
+        p.add_argument(flag, type=parse, dest=key, help=helps.get(key))
     return p
 
 

@@ -1,4 +1,4 @@
-"""hp degree distribution, dG dof maps, point location and field evaluation.
+"""hp degree distribution, dG dof maps, and field evaluation on element grids.
 
 Per-element degrees follow the linear slope rule
 p_K = p0 + floor(s * (ell - j) + 1/2) for an element in layer j (rounded half
@@ -12,21 +12,15 @@ computed as :func:`basis_matrix` computes it at that point.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mesh as meshmod
 from ._kernels import legendre_l2_norms_sq, legendre_table
 from .quadrature import _box_rule, element_rules, gauss_rule, plain_order
-
-# Field files start with this tag and format version; the reader accepts only
-# this version, whose header has the seven fields written by save_field.
-FIELD_TAG = "hpdg-field"
-FIELD_VERSION = 3
 
 
 @dataclass
@@ -97,23 +91,13 @@ def constant_field(space: HpSpace, value: float = 1.0) -> DiscreteField:
     return DiscreteField(space, c)
 
 
-def locate_point(mesh: meshmod.GradedMesh, x) -> int:
-    """Element whose closed box contains x; ties go to the smaller id."""
-    x = np.asarray(x, dtype=float)
-    inside = np.all((mesh.lo - meshmod.GEOM_TOL <= x) & (x <= mesh.hi + meshmod.GEOM_TOL), axis=1)
-    ids = np.nonzero(inside)[0]
-    if ids.size == 0:
-        raise ValueError(f"point {x} lies outside the mesh domain")
-    return int(ids[0])
-
-
 class MeshNestingError(ValueError):
     pass
 
 
 def containing_map(coarse_mesh: meshmod.GradedMesh, fine_mesh: meshmod.GradedMesh) -> np.ndarray:
-    """fine element id -> the first coarse element id holding its center, as
-    :func:`locate_point` finds it; raises if the meshes do not nest."""
+    """fine element id -> the smallest coarse element id whose closed box
+    holds its center; raises if the meshes do not nest."""
     if coarse_mesh.d != fine_mesh.d:
         raise ValueError(f"cannot nest a {fine_mesh.d}D mesh in a {coarse_mesh.d}D mesh")
     c_lo, c_hi = coarse_mesh.lo, coarse_mesh.hi
@@ -188,8 +172,9 @@ def _grid_tables(space: HpSpace, eids, pts, shape, grads=False):
 def evaluate_grid(field: DiscreteField, eids, pts, shape, grads=False):
     """``field`` in the elements ``eids`` at points (E, nq, d) on per-element
     tensor grids of ``shape``: values (E, nq) and, with ``grads``, physical
-    gradients (d, E, nq), else None.  Each value is bitwise the one of
-    :func:`evaluate_in_element`, one batched matmul per degree and chunk."""
+    gradients (d, E, nq), else None.  Each value is bitwise the element's
+    :func:`basis_matrix` at that point times its coefficients, one batched
+    matmul per degree and chunk."""
     space, eids = field.space, np.asarray(eids)
     vals = np.empty(pts.shape[:2])
     dvals = np.empty((len(shape),) + pts.shape[:2]) if grads else None
@@ -215,21 +200,6 @@ def reference_table(p: int, d: int):
     for a in tables:
         a.flags.writeable = False
     return tables
-
-
-def evaluate_in_element(field: DiscreteField, eid: int, pts: np.ndarray) -> np.ndarray:
-    """Evaluate the element-local expansion of ``field`` at physical points."""
-    p = int(field.space.degrees[eid])
-    mesh = field.space.mesh
-    phi = basis_matrix(mesh.lo[eid], mesh.lengths[eid], p, np.atleast_2d(pts))
-    return phi @ field.local(eid)
-
-
-def evaluate(field: DiscreteField, x) -> float:
-    """Point value of the field; on faces, the smaller-id element's trace."""
-    x = np.asarray(x, dtype=float)
-    eid = locate_point(field.space.mesh, x)
-    return float(evaluate_in_element(field, eid, x[None, :])[0])
 
 
 def _l2_project(space: HpSpace, values) -> DiscreteField:
@@ -279,56 +249,3 @@ def inject(field: DiscreteField, fine_space: HpSpace) -> DiscreteField:
     cmap = containing_map(field.space.mesh, fine_space.mesh)  # raises if they do not nest
     return _l2_project(fine_space, lambda groups: [
         evaluate_grid(field, cmap[ids], rule.points, shape)[0] for ids, rule, shape in groups])
-
-
-def save_field(field: DiscreteField, path) -> None:
-    """Text serialization: one header line, then the N coefficients.
-
-    The header reads ``hpdg-field <version> d sigma ell p0 slope``.
-    """
-    sp = field.space
-    with open(path, "w") as fh:
-        fh.write(f"{FIELD_TAG} {FIELD_VERSION} {sp.mesh.d} {sp.mesh.sigma!r} {sp.mesh.ell} "
-                 f"{sp.p0} {sp.slope!r}\n")
-        for c in field.coeffs:
-            fh.write(f"{float(c)!r}\n")
-
-
-def load_field(path) -> DiscreteField:
-    """Rebuild the space from the header and read the coefficients back.
-
-    A header of another format version is rejected, naming the file."""
-    with open(path) as fh:
-        head = fh.readline().split()
-        lines = [(no, line) for no, line in enumerate(fh, start=2) if line.strip()]
-    if not head or head[0] != FIELD_TAG:
-        raise ValueError(f"{path}: first header field is not {FIELD_TAG!r}")
-    version = head[1] if len(head) > 1 else "missing"
-    if version != str(FIELD_VERSION):
-        raise ValueError(f"{path}: header field 'version' is {version!r}, "
-                         f"this reader knows version {FIELD_VERSION}")
-    if len(head) != 7:
-        raise ValueError(f"{path}: header needs 7 fields "
-                         f"({FIELD_TAG} version d sigma ell p0 slope), got {len(head)}")
-    values = []
-    for name, kind, raw in zip(("d", "sigma", "ell", "p0", "slope"),
-                               (int, float, int, int, float), head[2:]):
-        try:
-            values.append(kind(raw))
-        except ValueError:
-            raise ValueError(f"{path}: header field {name!r} is {raw!r}, "
-                             f"not {kind.__name__}") from None
-    d, sigma, ell, p0, slope = values
-    try:  # every message names its header field: "sigma must lie in ..."
-        space = build_space(meshmod.build_graded_mesh(d, sigma, ell), p0, slope)
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad header: {exc}") from exc
-    if len(lines) != space.N:
-        raise ValueError(f"{path}: {len(lines)} coefficient lines, the space has N={space.N}")
-    coeffs = np.full(space.N, np.nan)
-    for i, (no, line) in enumerate(lines):
-        with contextlib.suppress(ValueError):  # unparsable lines stay nan
-            coeffs[i] = float(line)
-        if not np.isfinite(coeffs[i]):
-            raise ValueError(f"{path}: line {no} is not a finite coefficient: {line.strip()!r}")
-    return DiscreteField(space, coeffs)

@@ -47,10 +47,6 @@ class QuadRule1D:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
 
 @functools.lru_cache(maxsize=None)
 def _gauss_rule_cached(n: int) -> QuadRule1D:

@@ -49,7 +49,6 @@ class ScfReport:
     lam: float
     iterations: int
     residuals: list = field(default_factory=list)
-    alignments: list = field(default_factory=list)  # (u_{k+1}, u_k)_M per sweep
     converged: bool = False
 
 
@@ -130,7 +129,6 @@ def solve_ground_state(space: HpSpace, potential: Potential,
                                      precond=precond)
         precond = eig.precond
         new = m_normalize((1.0 - theta) * u.coeffs + theta * eig.x)
-        align = float(new @ (m @ u.coeffs))
         u = DiscreteField(space, new)
         start = u.coeffs
         a_u = linearized(u)
@@ -138,7 +136,6 @@ def solve_ground_state(space: HpSpace, potential: Potential,
         resid = abs(rayleigh - eig.lam * float(new @ (m @ new)))
         report.iterations = k
         report.residuals.append(resid)
-        report.alignments.append(align)
         if log is not None:
             log(f"{k} {eig.lam!r} {resid!r}")
         if resid <= cfg.eps_tol:

@@ -5,8 +5,10 @@ quadrature/assembly code paths: the adaptive integrator refines boxes wherever
 a coarse and a fine Gauss estimate disagree, and its results are accepted only
 after a Richardson-style agreement check between two tolerance levels.  The
 per-element oracles restate a batched library routine as one loop over
-elements and faces, one rule and one basis table at a time; the face oracle
-restates the numpy face enumeration as the pairwise loop it replaced.
+elements and faces, one rule and one basis table at a time;
+:func:`evaluate_in_element` evaluates one element's expansion at given
+points, the value that the batched evaluation must reproduce.  The face
+oracle restates the numpy face enumeration as the pairwise loop it replaced.
 """
 
 import math
@@ -15,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from hpdg._kernels import legendre_l2_norms_sq
-from hpdg.hpspace import basis_matrices, basis_matrix, containing_map
+from hpdg.hpspace import DiscreteField, basis_matrices, basis_matrix, containing_map
 from hpdg.mesh import GEOM_TOL, Faces, MeshError
 from hpdg.quadrature import element_rule, face_rule
 
@@ -81,6 +83,14 @@ def radial_power(alpha):
         return r ** (-alpha)
 
     return f
+
+
+def evaluate_in_element(field: DiscreteField, eid: int, pts: np.ndarray) -> np.ndarray:
+    """Evaluate the element-local expansion of ``field`` at physical points."""
+    p = int(field.space.degrees[eid])
+    mesh = field.space.mesh
+    phi = basis_matrix(mesh.lo[eid], mesh.lengths[eid], p, np.atleast_2d(pts))
+    return phi @ field.local(eid)
 
 
 def _values_grads(field, eid, pts):

@@ -105,7 +105,7 @@ def test_criterion_3_singular_quadrature_oracle():
 def test_criterion_4_exponential_convergence_2d(study4):
     # Known red: at slope 1/8 the outer-layer degree increments once per ~8
     # levels, so the smooth-region error is a staircase over this 6-level
-    # window and the fits cannot reach R^2 = 0.98 (README, decisions ledger).
+    # window and the fits cannot reach R^2 = 0.98 (ROADMAP item 4).
     _, _, records = study4
     fit_dg = fit_exponential(records, "dg", "ell")
     fit_l2 = fit_exponential(records, "l2", "ell")
@@ -130,7 +130,7 @@ def test_criterion_6_slope_degradation(study4, study6):
     # Known red: both slopes keep full eigenvalue doubling here because the
     # quadrature is accurate to ~1e-9 while every eigenvalue error in this
     # window stays above 5e-6, so the degradation mechanism (quadrature error
-    # surfacing at high degree) cannot appear (README, decisions ledger).
+    # surfacing at high degree) cannot appear (ROADMAP item 4).
     _, _, rec4 = study4
     ratio4 = (fit_exponential(rec4, "lambda", "ell").b
               / fit_exponential(rec4, "dg", "ell").b)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hpdg.analysis import (ConvergenceRecord, MeshNestingError, error_norms,
-                           fit_exponential)
-from hpdg.hpspace import DiscreteField, build_space, constant_field, inject, project
+from hpdg.analysis import ConvergenceRecord, error_norms, fit_exponential
+from hpdg.hpspace import (DiscreteField, MeshNestingError, build_space, constant_field,
+                          inject, project)
 from hpdg.mesh import GradedMesh, build_faces, build_graded_mesh
 
 

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from hpdg import hpspace
 from hpdg.analysis import error_norms
-from hpdg.hpspace import (DiscreteField, build_space, constant_field, containing_map,
-                          evaluate_in_element, inject, project)
+from hpdg.hpspace import (DiscreteField, build_space, constant_field, containing_map, inject,
+                          project)
 from hpdg.mesh import build_graded_mesh
-from oracles import error_norms_per_element, project_per_element
+from oracles import error_norms_per_element, evaluate_in_element, project_per_element
 
 
 def _smooth(pts):

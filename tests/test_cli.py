@@ -190,15 +190,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out1 / "fits.txt").read_bytes() == (out2 / "fits.txt").read_bytes()
 
 
-def test_gnuplot_files(tmp_path):
-    out = tmp_path / "out"
-    run_study(tiny_linear_config(out, gnuplot=True))
-    for col in ("l2", "dg", "linf", "lambda"):
-        rows = (out / f"err_{col}.dat").read_text().splitlines()
-        assert len(rows) == 3
-        assert all(len(r.split()) == 2 for r in rows)
-
-
 def test_nonconvergence_aborts_with_level(tmp_path):
     cfg = StudyConfig(dim=2, ell_max=2, p0=2, slope=0.0, alpha=1.0, delta=3,
                       max_iter=1, ref_extra_levels=1, ref_extra_degree=0,
@@ -241,27 +232,13 @@ def test_config_file_parsing(tmp_path):
                       "slope": 0.25}
 
 
-@pytest.mark.parametrize("raw,value", [("1", True), ("Yes", True), ("0", False),
-                                       ("FALSE", False)])
-def test_config_file_gnuplot_values(tmp_path, raw, value):
-    path = tmp_path / "study.cfg"
-    path.write_text(f"gnuplot = {raw}\n")
-    assert load_config_file(path) == {"gnuplot": value}
-
-
-@pytest.mark.parametrize("raw", ["ture", "on", ""])
-def test_config_file_rejects_bad_gnuplot_value(tmp_path, raw):
-    path = tmp_path / "study.cfg"
-    path.write_text(f"dim = 2\ngnuplot = {raw}\n")
-    with pytest.raises(ConfigError, match=r"study\.cfg:2: bad value for gnuplot"):
-        load_config_file(path)
-
-
 def test_config_file_rejects_unknown_keys(tmp_path):
+    """A misspelt key, and ``gnuplot`` (a removed option), are named."""
     path = tmp_path / "study.cfg"
-    path.write_text("sigmas = 0.5\n")
-    with pytest.raises(ConfigError, match="sigmas"):
-        load_config_file(path)
+    for text, key in (("sigmas = 0.5\n", "sigmas"), ("gnuplot = 1\n", "gnuplot")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config_file(path)
 
 
 def test_config_file_rejects_repeated_keys(tmp_path):
@@ -339,11 +316,10 @@ def test_every_config_key_has_a_flag():
     raw = {"dim": "3", "sigma": "0.25", "ell_min": "2", "ell_max": "4", "p0": "1",
            "slope": "0.25", "alpha": "1.5", "pot_sign": "1", "delta": "2",
            "penalty": "12", "tol": "1e-7", "max_iter": "50", "theta": "0.8",
-           "ref_extra_levels": "3", "ref_extra_degree": "0", "out": "x", "gnuplot": None}
+           "ref_extra_levels": "3", "ref_extra_degree": "0", "out": "x"}
     assert set(raw) == set(cli._PARSERS)
     parser = build_parser()
     for key, text in raw.items():
         flag = "--levels" if key == "ell_max" else "--" + key.replace("_", "-")
-        args = parser.parse_args([flag] if text is None else [flag, text])
-        expected = True if text is None else cli._PARSERS[key](text)
-        assert {k: v for k, v in vars(args).items() if v is not None} == {key: expected}
+        args = vars(parser.parse_args([flag, text]))
+        assert {k: v for k, v in args.items() if v is not None} == {key: cli._PARSERS[key](text)}

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from hpdg.hpspace import (DiscreteField, MeshNestingError, build_space, constant_field,
-                          evaluate, evaluate_in_element, inject, load_field, locate_point,
-                          project, save_field)
+                          containing_map, evaluate_grid, inject, project)
 from hpdg.mesh import build_graded_mesh
-from hpdg.quadrature import element_rule
+from oracles import evaluate_in_element
 
 
 def test_degree_formula_with_slope():
@@ -68,29 +67,20 @@ def test_build_space_validation():
             build_space(mesh, 2, slope)
 
 
-def test_locate_quadrant():
-    mesh = build_graded_mesh(2, 0.5, 0)
-    eid = locate_point(mesh, [0.3, 0.3])
-    assert np.all(mesh.lo[eid] >= 0) and np.all(mesh.hi[eid] > 0)
+def _random_grids(mesh, rng, n):
+    """n uniform random coordinates per axis in every element, as the
+    per-element tensor grids of :func:`evaluate_grid`: points (E, n^d, d)
+    with the first axis slowest, and the grid shape."""
+    e, d = mesh.lo.shape
+    axes = mesh.lo[:, :, None] + rng.uniform(size=(e, d, n)) * mesh.lengths[:, :, None]
+    grid = np.meshgrid(*[np.arange(n)] * d, indexing="ij")
+    pts = np.stack([axes[:, m, grid[m].ravel()] for m in range(d)], axis=-1)
+    return pts, (n,) * d
 
 
-def test_locate_singular_point_tie_break():
-    mesh = build_graded_mesh(2, 0.5, 2)
-    eid = locate_point(mesh, [0.0, 0.0])
-    containing = np.flatnonzero(np.all(mesh.lo <= 0, axis=1) & np.all(mesh.hi >= 0, axis=1))
-    assert eid == min(containing)
-
-
-def test_locate_boundary_corner():
-    mesh = build_graded_mesh(2, 0.5, 1)
-    eid = locate_point(mesh, [0.5, 0.5])
-    assert np.all(np.abs(mesh.hi[eid] - 0.5) < 1e-15)
-
-
-def test_locate_outside_raises():
-    mesh = build_graded_mesh(2, 0.5, 1)
-    with pytest.raises(ValueError):
-        locate_point(mesh, [0.7, 0.0])
+def _values(field, pts, shape):
+    """``field`` at every element's grid of points, (E, nq)."""
+    return evaluate_grid(field, np.arange(field.space.mesh.n_elements), pts, shape)[0]
 
 
 def test_evaluate_constant_field():
@@ -98,8 +88,8 @@ def test_evaluate_constant_field():
     space = build_space(mesh, 2, 0.5)
     one = constant_field(space, 1.0)
     rng = np.random.default_rng(7)
-    for x in rng.uniform(-0.5, 0.5, size=(20, 2)):
-        assert evaluate(one, x) == pytest.approx(1.0, abs=1e-14)
+    vals = _values(one, *_random_grids(mesh, rng, 3))
+    assert vals == pytest.approx(np.ones_like(vals), abs=1e-14)
 
 
 def test_single_mode_vanishes_at_center():
@@ -109,7 +99,9 @@ def test_single_mode_vanishes_at_center():
     # mode (1, 0) of element 0: P_1 in x, P_0 in y
     c[space.offsets[0] + 2] = 1.0  # C-order modes: (0,0),(0,1),(1,0),(1,1)
     f = DiscreteField(space, c)
-    assert evaluate(f, mesh.lo[0] + 0.5 * mesh.lengths[0]) == pytest.approx(0.0, abs=1e-15)
+    center = mesh.lo[0] + 0.5 * mesh.lengths[0]
+    vals, _ = evaluate_grid(f, [0], center[None, None, :], (1, 1))
+    assert vals[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_field_minus_itself():
@@ -118,17 +110,7 @@ def test_field_minus_itself():
     rng = np.random.default_rng(3)
     f = DiscreteField(space, rng.standard_normal(space.N))
     g = DiscreteField(space, f.coeffs - f.coeffs)
-    for x in rng.uniform(-0.5, 0.5, size=(10, 2)):
-        assert evaluate(g, x) == 0.0
-
-
-def test_round_trip_locate_gauss_points():
-    mesh = build_graded_mesh(2, 0.5, 2)
-    for lo, lengths in zip(mesh.lo, mesh.lengths):
-        rule = element_rule(lo, lengths, 3)
-        for x in rule.points:
-            located = locate_point(mesh, x)
-            assert np.all(mesh.lo[located] <= x + 1e-14) and np.all(x <= mesh.hi[located] + 1e-14)
+    assert np.all(_values(g, *_random_grids(mesh, rng, 3)) == 0.0)
 
 
 def test_projection_reproduces_polynomials():
@@ -138,13 +120,12 @@ def test_projection_reproduces_polynomials():
     coef = rng.standard_normal((3, 3))
 
     def q(pts):
-        x, y = pts[:, 0], pts[:, 1]
+        x, y = pts[..., 0], pts[..., 1]
         return sum(coef[i, j] * x**i * y**j for i in range(3) for j in range(3))
 
     f = project(space, q)
-    pts = rng.uniform(-0.5, 0.5, size=(100, 2))
-    for x in pts:
-        assert evaluate(f, x) == pytest.approx(float(q(x[None, :])[0]), abs=1e-11)
+    pts, shape = _random_grids(mesh, rng, 3)
+    assert _values(f, pts, shape) == pytest.approx(q(pts), abs=1e-11)
 
 
 def test_injection_is_exact_on_chain():
@@ -153,14 +134,12 @@ def test_injection_is_exact_on_chain():
     rng = np.random.default_rng(5)
     f = DiscreteField(coarse_space, rng.standard_normal(coarse_space.N))
     g = inject(f, fine_space)
-    for x in rng.uniform(-0.49, 0.49, size=(50, 2)):
-        # compare one-sided element evaluations: pick the fine element first
-        eid = locate_point(fine_space.mesh, x)
-        fine = fine_space.mesh
-        cid = locate_point(coarse_space.mesh, fine.lo[eid] + 0.5 * fine.lengths[eid])
-        got = evaluate_in_element(g, eid, x[None, :])[0]
-        want = evaluate_in_element(f, cid, x[None, :])[0]
-        assert got == pytest.approx(want, abs=1e-12)
+    # compare one-sided element evaluations: each fine element against the
+    # coarse element that contains it, at the same points
+    pts, shape = _random_grids(fine_space.mesh, rng, 3)
+    cmap = containing_map(coarse_space.mesh, fine_space.mesh)
+    want = [evaluate_in_element(f, cid, x) for cid, x in zip(cmap, pts)]
+    assert _values(g, pts, shape) == pytest.approx(np.array(want), abs=1e-12)
 
 
 def test_inject_rejects_meshes_that_do_not_nest():
@@ -170,64 +149,7 @@ def test_inject_rejects_meshes_that_do_not_nest():
         inject(coarse, fine_space)
 
 
-def test_field_serialization_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    path = tmp_path / "field.txt"
-    spaces = [build_space(build_graded_mesh(2, 0.5, 2), 2, 0.125),
-              build_space(build_graded_mesh(2, 0.5, 3), 2, 0.25)]
-    for space in spaces:
-        f = DiscreteField(space, rng.standard_normal(space.N))
-        save_field(f, path)
-        g = load_field(path)
-        assert g.space.N == space.N
-        assert g.space.p0 == space.p0 and g.space.mesh.ell == space.mesh.ell
-        assert np.array_equal(g.space.degrees, space.degrees)
-        assert np.array_equal(g.coeffs, f.coeffs)
-    # a bad format version or space parameter is rejected by the file's path
-    # and the header field's name
-    head, *body = path.read_text().splitlines(keepends=True)
-    tag, version, d, sigma, ell, p0, slope = head.split()
-    for bad, name in ((f"99 {d} {sigma} {ell} {p0} {slope}", "version"),
-                      (f"{version} x {sigma} {ell} {p0} {slope}", "'d' is 'x'"),
-                      (f"{version} {d} 0.7 {ell} {p0} {slope}", "sigma must"),
-                      (f"{version} {d} {sigma} {ell} 0 {slope}", "p0 must"),
-                      (f"{version} {d} {sigma} {ell} {p0} nan", "slope must")):
-        path.write_text(f"{tag} {bad}\n" + "".join(body))
-        with pytest.raises(ValueError, match=name) as err:
-            load_field(path)
-        assert str(path) in str(err.value)
-
-
-def test_version_2_field_file_is_rejected(tmp_path):
-    """A version-2 file (its header ends in a rounding mode) is refused by
-    the version check, which names the file."""
-    space = build_space(build_graded_mesh(2, 0.5, 1), 1, 0.0)
-    path = tmp_path / "old.txt"
-    path.write_text("hpdg-field 2 2 0.5 1 1 0.0 half_up\n" + "0.0\n" * space.N)
-    with pytest.raises(ValueError, match="'version' is '2'") as err:
-        load_field(path)
-    assert str(path) in str(err.value)
-
-
 def test_coefficient_length_checked():
     space = build_space(build_graded_mesh(2, 0.5, 1), 1, 0.0)
     with pytest.raises(ValueError):
         DiscreteField(space, np.zeros(space.N + 1))
-
-
-@pytest.mark.parametrize("edit,match", [
-    (lambda lines: lines[:4] + ["abc\n"] + lines[5:], r"line 5 .*'abc'"),
-    (lambda lines: lines[:-1], r"63 coefficient lines, the space has N=64"),
-    (lambda lines: lines[:4] + ["nan\n"] + lines[5:], r"line 5 .*'nan'"),
-], ids=["unparsable", "short", "non-finite"])
-def test_load_field_names_bad_input(tmp_path, edit, match):
-    """An unparsable, missing or non-finite coefficient is reported with the
-    path and the line number or the counts."""
-    space = build_space(build_graded_mesh(2, 0.5, 1), 1, 0.0)
-    assert space.N == 64
-    path = tmp_path / "field.txt"
-    save_field(DiscreteField(space, np.arange(space.N, dtype=float)), path)
-    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
-    with pytest.raises(ValueError, match=match) as err:
-        load_field(path)
-    assert str(path) in str(err.value)
