@@ -6,8 +6,7 @@ singularity at the center, on geometrically graded meshes with linearly
 sloped polynomial degrees.
 """
 
-from .analysis import (ConvergenceRecord, FitResult, error_norms,
-                       fit_exponential, full_dg_norm)
+from .analysis import ConvergenceRecord, FitResult, error_norms, fit_exponential
 from .assembly import (PenaltyConfig, Potential, assemble_mass,
                        assemble_nonlinear_mass, assemble_sip)
 from .eigsolve import EigenSolveError, EigResult, smallest_eigenpair

@@ -71,7 +71,7 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
 
     faces = mesh.faces[mesh.faces.interior]
     a, b = faces.owners.T
-    p_e = np.maximum(space.degrees[a], space.degrees[b])
+    p_e = space.face_degree[mesh.faces.interior]
     jump_sq = np.zeros(len(faces))
     for idx, rule, shape in face_rules(faces, np.maximum(p_e, np.maximum(p_c[a], p_c[b])) + 2):
         jump = diff(a[idx], rule.points, shape)[0] - diff(b[idx], rule.points, shape)[0]
@@ -80,39 +80,6 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
 
     l2_sq, h1_sq, jump_sq = float(np.sum(l2_sq)), float(np.sum(h1_sq)), float(np.sum(jump_sq))
     return {"l2": math.sqrt(l2_sq), "dg": math.sqrt(l2_sq + h1_sq + jump_sq), "linf": linf}
-
-
-def full_dg_norm(field: DiscreteField) -> float:
-    """Diagnostic full DG norm (3D form) of a single field.
-
-    Broken H1 norm plus the face terms p_e^2/h_e ||[u]||^2 and
-    p_e^-2 ||r^(1/2) grad u . n||^2, with r the distance to the singular
-    point.  Boundary faces contribute one-sided traces (the jump term then
-    measures the Dirichlet violation); on interior faces the flux term uses
-    the average gradient.  Only defined for d = 3, matching the norm variant
-    implemented here; the 2D variant with L^q corner-edge terms is not
-    provided.
-    """
-    space, mesh = field.space, field.space.mesh
-    if mesh.d != 3:
-        raise ValueError("the full DG norm diagnostic is implemented for d = 3 only")
-    total = 0.0
-    for ids, rule, shape in element_rules(mesh, space.degrees + 2):
-        v, g = evaluate_grid(field, ids, rule.points, shape, grads=True)
-        total += float(np.einsum("eq,eq->", rule.weights, v * v) + np.einsum("eq,meq->", rule.weights, g * g))
-    faces, p_e = mesh.faces, space.face_degree
-    for idx, rule, shape in face_rules(faces, p_e + 2):
-        pts, w, axis = rule.points, rule.weights, faces.axis[idx[0]]
-        va, ga = evaluate_grid(field, faces.owners[idx, 0], pts, shape, grads=True)
-        if faces.interior[idx[0]]:
-            vb, gb = evaluate_grid(field, faces.owners[idx, 1], pts, shape, grads=True)
-            jump, flux = va - vb, 0.5 * (ga[axis] + gb[axis])
-        else:
-            jump, flux = va, faces.sign[idx][:, None] * ga[axis]
-        r, h_e = np.sqrt(np.sum(pts * pts, axis=2)), faces.h_e[idx]
-        total += float(np.sum(p_e[idx]**2 / h_e * np.einsum("eq,eq->e", w, jump * jump)
-                              + p_e[idx]**-2.0 * np.einsum("eq,eq->e", w, r * flux * flux)))
-    return math.sqrt(total)
 
 
 def fit_exponential(records, column: str, abscissa: str = "ell",

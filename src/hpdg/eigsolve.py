@@ -28,7 +28,8 @@ state: the SCF iterates, the injected coarse-to-fine starts and the
 coarse-subspace start of a cold SCF solve.  A start far above the ground state
 stalls the iteration, which raises EigenSolveError rather than return an
 excited pair.  Without x0, a problem too large for the dense path raises
-ValueError.  Both paths are deterministic given the start vector.
+ValueError before anything is solved.  Both paths are deterministic given the
+start vector.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
-DENSE_CUTOFF = 2000  # without a start vector, up to this size go through LAPACK
-DENSE_ALWAYS = 400  # up to this size the dense solve is cheapest regardless
+DENSE_ALWAYS = 400  # up to this size the dense solve is cheapest; above it x0 is needed
 DEFAULT_TOL = 1e-10
 MAX_ITER = 200  # LOBPCG steps before EigenSolveError
 
@@ -110,15 +110,14 @@ def dense_ground_state(a, d):
     return s * dla.eigh(ad, subset_by_index=[0, 0], overwrite_a=True)[1][:, 0]
 
 
-def dense_result(a, m, v, orient=None) -> EigResult:
-    """The pair of an eigenvector ``v`` of (A, M) from a dense solve:
+def dense_result(a, d, v, orient=None) -> EigResult:
+    """The pair of an eigenvector ``v`` of (A, diag(d)) from a dense solve:
     M-normalized, its sign fixed by ``orient``.
 
     It reports the Rayleigh quotient of the returned vector, not LAPACK's
     eigenvalue: the two differ at the eps * ||M^-1 A|| level, which the
     self-consistency residual of the SCF loop would otherwise inherit.
     """
-    d = m.diagonal()
     x = _orient(v / _m_norm(d, v), d, orient)
     ax = a @ x
     lam = float(x @ ax)
@@ -130,13 +129,12 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
     """Minimal eigenvalue and M-normalized eigenvector of (A, M).
 
     M must be diagonal and positive (else ValueError).  The dense path serves
-    n <= DENSE_ALWAYS, and n <= DENSE_CUTOFF when no start vector ``x0`` is
-    given; a larger problem without ``x0`` raises ValueError.  The sparse path
-    runs LOBPCG from ``x0``, preconditioned by the LU of A - tau M with
-    tau = rho(x0) - 10, for at most MAX_ITER steps.  ``precond`` is the
-    factorization returned by an earlier sparse solve of a nearby pencil of
-    the same size; when given, nothing is factored.  ``orient`` fixes the sign
-    so x.M.orient >= 0.
+    n <= DENSE_ALWAYS; a larger problem needs a start vector ``x0`` (else
+    ValueError) and takes the sparse path: LOBPCG from ``x0``, preconditioned
+    by the LU of A - tau M with tau = rho(x0) - 10, for at most MAX_ITER
+    steps.  ``precond`` is the factorization returned by an earlier sparse
+    solve of a nearby pencil of the same size; when given, nothing is
+    factored.  ``orient`` fixes the sign so x.M.orient >= 0.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -146,11 +144,11 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
     if nnz > np.count_nonzero(d) or not np.all(d > 0):
         raise ValueError("mass matrix M must be diagonal and positive definite")
 
-    if x0 is None and n > DENSE_CUTOFF:
-        raise ValueError(f"a pencil of size {n} > DENSE_CUTOFF={DENSE_CUTOFF} "
+    if n <= DENSE_ALWAYS:
+        return dense_result(a, d, dense_ground_state(a, d), orient)
+    if x0 is None:
+        raise ValueError(f"a pencil of size {n} > DENSE_ALWAYS={DENSE_ALWAYS} "
                          "needs a start vector x0")
-    if n <= DENSE_ALWAYS or x0 is None:
-        return dense_result(a, m, dense_ground_state(a, d), orient)
 
     a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)
     x = np.asarray(x0, dtype=float).copy()

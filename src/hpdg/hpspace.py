@@ -33,20 +33,11 @@ class HpSpace:
     ndofs_el: np.ndarray  # (n_elements,)
     N: int
 
-    def modes(self, eid: int) -> np.ndarray:
-        """Tensor mode multi-indices of element eid, C-ordered, shape (n, d)."""
-        p = int(self.degrees[eid])
-        return _modes(p, self.mesh.d)
-
     @property
     def face_degree(self) -> np.ndarray:
         """p_e = max of the adjacent element degrees, one entry per face."""
         owners = self.mesh.faces.owners
         return np.where(owners >= 0, self.degrees[owners], 0).max(axis=1)
-
-    def local_slice(self, eid: int) -> slice:
-        off = int(self.offsets[eid])
-        return slice(off, off + int(self.ndofs_el[eid]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,9 +70,6 @@ class DiscreteField:
             raise ValueError(
                 f"coefficient vector has length {self.coeffs.shape}, space has N={self.space.N}"
             )
-
-    def local(self, eid: int) -> np.ndarray:
-        return self.coeffs[self.space.local_slice(eid)]
 
 
 def constant_field(space: HpSpace, value: float = 1.0) -> DiscreteField:

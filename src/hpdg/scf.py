@@ -24,7 +24,7 @@ import numpy as np
 
 from .assembly import PenaltyConfig, Potential, SipAssembler
 from .eigsolve import dense_ground_state, dense_result, smallest_eigenpair
-from .hpspace import DiscreteField, HpSpace, constant_field
+from .hpspace import DiscreteField, HpSpace, _modes, constant_field
 
 
 @dataclass
@@ -67,20 +67,18 @@ def discrete_energy(space: HpSpace, potential: Potential, penalty: PenaltyConfig
     return val
 
 
-def _coarse_start(space: HpSpace, a, m):
-    """Ground state of (A, M) on the modes whose indices are all <= 1,
+def _coarse_start(space: HpSpace, a, d):
+    """Ground state of (A, diag(d)) on the modes whose indices are all <= 1,
     zero-padded, and whether those modes are all of the space's.
 
     The Legendre basis is hierarchical, so these modes span a Galerkin subspace
-    whose pencil is a principal submatrix of (A, M), M diagonal.  A dof's mode
-    indices are the digits of its local index in base p + 1.
+    whose pencil is a principal submatrix of (A, M), M diagonal.
     """
-    el = np.repeat(np.arange(space.mesh.n_elements), space.ndofs_el)
-    local, base = np.arange(space.N) - space.offsets[el], space.degrees[el] + 1
-    digits = [local // base**k % base for k in range(space.mesh.d)]
-    keep = np.flatnonzero(np.all(np.array(digits) <= 1, axis=0))
+    low = {p: np.all(_modes(p, space.mesh.d) <= 1, axis=1)
+           for p in np.unique(space.degrees).tolist()}
+    keep = np.flatnonzero(np.concatenate([low[p] for p in space.degrees.tolist()]))
     x0 = np.zeros(space.N)
-    x0[keep] = dense_ground_state(a[keep][:, keep], m.diagonal()[keep])
+    x0[keep] = dense_ground_state(a[keep][:, keep], d[keep])
     return x0, len(keep) == space.N
 
 
@@ -96,6 +94,7 @@ def solve_ground_state(space: HpSpace, potential: Potential,
     asm = SipAssembler(space, potential, penalty)
     a_sip = asm.sip()
     m = asm.mass()
+    d = m.diagonal()
     eig_tol = min(1e-10, cfg.eps_tol / 10.0)
     theta = 1.0 if cfg.delta is None else cfg.theta
 
@@ -106,7 +105,7 @@ def solve_ground_state(space: HpSpace, potential: Potential,
         return a_sip + asm.nonlinear_mass(u, cfg.delta, cfg.nonlinear_scale)
 
     def m_normalize(c):
-        return c / np.sqrt(c @ (m @ c))
+        return c / np.sqrt(c @ (d * c))
 
     if u0 is None:
         coeffs = m_normalize(constant_field(space, 1.0).coeffs)
@@ -119,9 +118,9 @@ def solve_ground_state(space: HpSpace, potential: Potential,
     a_u = linearized(u)
     start, eig = u.coeffs, None
     if u0 is None:
-        start, whole = _coarse_start(space, a_u, m)
+        start, whole = _coarse_start(space, a_u, d)
         if whole:
-            eig = dense_result(a_u, m, start, u.coeffs)
+            eig = dense_result(a_u, d, start, u.coeffs)
     precond = None
     for k in range(1, cfg.max_iter + 1):
         if k > 1 or eig is None:
@@ -133,7 +132,7 @@ def solve_ground_state(space: HpSpace, potential: Potential,
         start = u.coeffs
         a_u = linearized(u)
         rayleigh = float(new @ (a_u @ new))
-        resid = abs(rayleigh - eig.lam * float(new @ (m @ new)))
+        resid = abs(rayleigh - eig.lam * float(new @ (d * new)))
         report.iterations = k
         report.residuals.append(resid)
         if log is not None:

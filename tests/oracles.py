@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from hpdg._kernels import legendre_l2_norms_sq
-from hpdg.hpspace import DiscreteField, basis_matrices, basis_matrix, containing_map
+from hpdg.hpspace import DiscreteField, _modes, basis_matrices, basis_matrix, containing_map
 from hpdg.mesh import GEOM_TOL, Faces, MeshError
 from hpdg.quadrature import element_rule, face_rule
 
@@ -85,18 +85,24 @@ def radial_power(alpha):
     return f
 
 
+def element_dofs(space, eid: int) -> slice:
+    """The global dofs of element ``eid``, contiguous from its offset."""
+    off = int(space.offsets[eid])
+    return slice(off, off + int(space.ndofs_el[eid]))
+
+
 def evaluate_in_element(field: DiscreteField, eid: int, pts: np.ndarray) -> np.ndarray:
     """Evaluate the element-local expansion of ``field`` at physical points."""
     p = int(field.space.degrees[eid])
     mesh = field.space.mesh
     phi = basis_matrix(mesh.lo[eid], mesh.lengths[eid], p, np.atleast_2d(pts))
-    return phi @ field.local(eid)
+    return phi @ field.coeffs[element_dofs(field.space, eid)]
 
 
 def _values_grads(field, eid, pts):
     mesh = field.space.mesh
     phi, grads = basis_matrices(mesh.lo[eid], mesh.lengths[eid], int(field.space.degrees[eid]), pts)
-    c = field.local(eid)
+    c = field.coeffs[element_dofs(field.space, eid)]
     return phi @ c, [g @ c for g in grads]
 
 
@@ -145,9 +151,9 @@ def project_per_element(space, values):
         rule = element_rule(lo, lengths, p + 4)
         phi = basis_matrix(lo, lengths, p, rule.points)
         mass = np.ones(phi.shape[1])
-        for m, k in enumerate(space.modes(e).T):
+        for m, k in enumerate(_modes(p, space.mesh.d).T):
             mass *= legendre_l2_norms_sq(p)[k] * (lengths[m] / 2.0)
-        coeffs[space.local_slice(e)] = phi.T @ (rule.weights * values(e, rule.points)) / mass
+        coeffs[element_dofs(space, e)] = phi.T @ (rule.weights * values(e, rule.points)) / mass
     return coeffs
 
 

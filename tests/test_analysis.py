@@ -175,23 +175,3 @@ def test_fit_ndof_abscissa_needs_dim():
         fit_exponential(records, "dg", "ndof_root")
     fit = fit_exponential(records, "dg", "ndof_root", dim=2)
     assert fit.abscissa == "ndof_root" and fit.b > 0
-
-
-def test_full_dg_norm_of_constant_3d():
-    """For u = c: volume part c^2, boundary jumps c^2 p0^2/h_e per unit area
-    over the 6 unit faces, no gradient or flux contributions."""
-    from hpdg.analysis import full_dg_norm
-
-    space = build_space(build_graded_mesh(3, 0.5, 0), 2, 0.0)
-    c = 0.7
-    f = constant_field(space, c)
-    expect = c**2 * (1.0 + space.p0**2 / 0.5 * 6.0)
-    assert full_dg_norm(f) ** 2 == pytest.approx(expect, rel=1e-12)
-
-
-def test_full_dg_norm_rejects_2d():
-    from hpdg.analysis import full_dg_norm
-
-    space = build_space(build_graded_mesh(2, 0.5, 0), 1, 0.0)
-    with pytest.raises(ValueError):
-        full_dg_norm(constant_field(space, 1.0))

@@ -4,7 +4,7 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 
 from hpdg import eigsolve
-from hpdg.eigsolve import DENSE_CUTOFF, EigenSolveError, smallest_eigenpair
+from hpdg.eigsolve import DENSE_ALWAYS, EigenSolveError, smallest_eigenpair
 
 
 def tridiag(n, scale=1.0):
@@ -81,14 +81,14 @@ def test_rayleigh_consistency_and_normalization():
     n = 1200
     a = tridiag(n)
     m = sp.diags(np.full(n, 0.5)).tocsr()
-    res = smallest_eigenpair(a, m)
+    res = smallest_eigenpair(a, m, x0=sine(n))
     assert res.x @ (m @ res.x) == pytest.approx(1.0, abs=1e-12)
     rq = (res.x @ (a @ res.x)) / (res.x @ (m @ res.x))
     assert res.lam == pytest.approx(rq, abs=1e-12)
 
 
 def test_sparse_path_matches_analytic():
-    n = 3000  # above the dense cutoff
+    n = 3000  # above DENSE_ALWAYS: the sparse path
     a = tridiag(n)
     m = sp.identity(n, format="csr")
     i = np.arange(1, n + 1)
@@ -104,9 +104,9 @@ def test_sign_canonicalization():
     a = tridiag(n)
     m = sp.identity(n, format="csr")
     orient = np.ones(n)
-    res = smallest_eigenpair(a, m, orient=orient)
+    res = smallest_eigenpair(a, m, x0=sine(n), orient=orient)
     assert res.x @ (m @ orient) >= 0
-    res2 = smallest_eigenpair(a, m, orient=-orient)
+    res2 = smallest_eigenpair(a, m, x0=sine(n), orient=-orient)
     assert res2.x @ (m @ -orient) >= 0
 
 
@@ -173,7 +173,7 @@ def test_large_pencil_without_start_is_refused_before_any_dense_solve(monkeypatc
         raise AssertionError("dense solve ran")
 
     monkeypatch.setattr(eigsolve.dla, "eigh", eigh)
-    n = DENSE_CUTOFF + 1
+    n = DENSE_ALWAYS + 1
     with pytest.raises(ValueError, match="x0"):
         smallest_eigenpair(tridiag(n), sp.identity(n, format="csr"))
 

@@ -9,7 +9,7 @@ quadrature, the basis tables or the assembly order shows up here first.
 import numpy as np
 import pytest
 
-from hpdg.analysis import error_norms, full_dg_norm
+from hpdg.analysis import error_norms
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler
 from hpdg.hpspace import build_space, inject, project
 from hpdg.mesh import build_graded_mesh
@@ -36,7 +36,6 @@ EXPECTED = {
         "err_l2": 0.0009557643116760338,
         "err_dg": 0.07319942524538554,
         "err_linf": 0.007056640648215318,
-        "full_dg": 3.690748630175721,
     },
 }
 
@@ -84,8 +83,6 @@ def fingerprints(d):
     norms = error_norms(coarse, project(fine_space, _smooth))
     for key in ("l2", "dg", "linf"):
         out[f"err_{key}"] = norms[key]
-    if d == 3:
-        out["full_dg"] = full_dg_norm(u)
     return out
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hpdg.hpspace import (DiscreteField, MeshNestingError, build_space, constant_field,
-                          containing_map, evaluate_grid, inject, project)
+from hpdg.hpspace import (DiscreteField, MeshNestingError, _modes, build_space,
+                          constant_field, containing_map, evaluate_grid, inject, project)
 from hpdg.mesh import build_graded_mesh
 from oracles import evaluate_in_element
 
@@ -41,8 +41,10 @@ def test_mode_tables_are_shared_and_read_only():
     """Every space of one degree and dimension shares one mode table; a
     caller that tries to write to it fails instead of corrupting later spaces."""
     space = build_space(build_graded_mesh(3, 0.5, 1), 2, 0.0)
-    modes = space.modes(0)
-    assert modes is space.modes(1) is build_space(build_graded_mesh(3, 0.5, 0), 2, 0.0).modes(0)
+    other = build_space(build_graded_mesh(3, 0.5, 0), 2, 0.0)
+    modes = _modes(int(space.degrees[0]), space.mesh.d)
+    assert modes is _modes(int(space.degrees[1]), space.mesh.d) \
+        is _modes(int(other.degrees[0]), other.mesh.d)
     assert modes.shape == (27, 3) and modes[5].tolist() == [0, 1, 2]
     with pytest.raises(ValueError, match="read-only"):
         modes[0, 0] = 1

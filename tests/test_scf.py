@@ -10,6 +10,7 @@ from hpdg.eigsolve import DENSE_ALWAYS, smallest_eigenpair
 from hpdg.hpspace import build_space, constant_field, inject
 from hpdg.mesh import build_graded_mesh
 from hpdg.scf import ScfConfig, ScfReport, solve_ground_state
+from oracles import element_dofs
 
 POT = Potential(1.0, -1)
 PEN = PenaltyConfig(10.0)
@@ -162,7 +163,7 @@ def test_energy_identity_at_ground_state():
         p = int(space.degrees[e])
         rule = element_rule(lo, lengths, p + 4)
         phi = basis_matrix(lo, lengths, p, rule.points)
-        nl += float(rule.weights @ np.abs(phi @ u.local(e)) ** (delta + 1))
+        nl += float(rule.weights @ np.abs(phi @ u.coeffs[element_dofs(space, e)]) ** (delta + 1))
     energy = discrete_energy(space, POT, PEN, u, delta)
     assert energy == pytest.approx(rep.lam / 2 - (0.5 - 1 / (delta + 1)) * nl, abs=1e-9)
     assert energy < rep.lam / 2
@@ -242,11 +243,10 @@ def test_cold_degree_one_solve_solves_the_first_pencil_once(monkeypatch, delta, 
     its one dense eigh is the first sweep's eigenpair, and no sweep factors or
     iterates on that pencil again.  The eigenvalue is the one recorded when
     the first sweep still did (a sparse solve from the coarse start).  Above
-    DENSE_CUTOFF (patched down to 100 here) no solve starts from all-ones."""
+    DENSE_ALWAYS (patched down to 100 here) no solve starts from all-ones."""
     from hpdg import eigsolve, scf
 
     if cutoff is not None:
-        monkeypatch.setattr(eigsolve, "DENSE_CUTOFF", cutoff)
         monkeypatch.setattr(eigsolve, "DENSE_ALWAYS", cutoff)
     calls = {"eigh": 0, "splu": 0}
     eigh, splu, solve = dla.eigh, sla.splu, scf.smallest_eigenpair
