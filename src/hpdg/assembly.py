@@ -12,9 +12,12 @@ and therefore already exact with the plain rule.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
 controlled variational crime, see README).  The mesh is arrays, so blocks of
 equal relative geometry are found with one ``np.unique`` per key table and
-computed once, and per-element Grams are batched per degree (see
-:class:`SipAssembler`); A_sip's blocks are added into per-pair views of its
-element-graph CSR data, and N(u) is laid out as block-diagonal CSR.
+computed once, per-element Grams are batched per degree and the distinct face
+blocks per face group, in chunks of at most ``hpspace.TABLE_ENTRIES`` table
+entries, with the arithmetic of one face at a time, so the result is bitwise
+the same (see :class:`SipAssembler`); A_sip's blocks are added into per-pair
+views of its element-graph CSR data, and N(u) is laid out as block-diagonal
+CSR.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import weighted_gram
-from .hpspace import (DiscreteField, HpSpace, _local_mass_diag, _modes, basis_matrices,
-                      basis_matrix, reference_table)
-from .quadrature import face_rule, plain_order, volume_rule
+from . import hpspace
+from .hpspace import (DiscreteField, HpSpace, _basis_tables, _grid_axes, _local_mass_diag,
+                      _modes, basis_matrices, basis_matrix, reference_table)
+from .quadrature import _plane_rule, plain_order, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
 
@@ -44,6 +48,10 @@ class Potential:
     sign: float = -1.0
 
     def __post_init__(self):
+        if self.alpha is not None and not np.isfinite(self.alpha):
+            raise ValueError(f"potential exponent alpha must be finite, got {self.alpha}")
+        if not np.isfinite(self.sign):
+            raise ValueError(f"potential sign must be finite, got {self.sign}")
         if self.alpha is not None and self.alpha >= 2:
             raise ValueError(
                 f"potential exponent must satisfy alpha < 2, got {self.alpha}"
@@ -145,9 +153,18 @@ class SipAssembler:
     reflected along the axes with s_m = -1 gets D B D,
     D = diag(prod_m s_m^{i_m}).  The other elements' potential and the
     |u|^(delta-1) Grams of ``nonlinear_mass()`` are one batched matmul per
-    degree group on :func:`hpdg.hpspace.reference_table`.  ``sip()`` adds
-    the blocks, in that order, into views of the CSR data: one (nd[a], nd[b])
-    view per coupled pair of elements (a, b), the columns of b in a's rows.
+    degree group on :func:`hpdg.hpspace.reference_table`.  The distinct face
+    blocks are batched per group of equal kind, normal axis, p_e and owner
+    degrees, cut into chunks of at most ``hpspace.TABLE_ENTRIES`` table
+    entries: one stacked face rule, each owner's value and normal-derivative
+    tables on the group's tensor grid, and two batched matmuls for the
+    consistency term and the penalty Gram.  Each entry and each face's product
+    is the arithmetic of :func:`hpdg.quadrature.face_rule`,
+    :func:`hpdg.hpspace.basis_matrices` and one face's matmul, so the blocks
+    are bitwise those of a per-face loop, whatever the chunk size.  ``sip()``
+    adds the blocks, elements by id, then faces by id, into views of the CSR
+    data: one (nd[a], nd[b]) view per coupled pair of elements (a, b), the
+    columns of b in a's rows.
     ``nonlinear_mass()`` writes its Grams straight into a block-diagonal CSR:
     element e's block, row-major, where the CSR row of its first dof starts.
     """
@@ -206,7 +223,7 @@ class SipAssembler:
             for e, b in zip(ids.tolist(), _sym(block)):
                 elements[e] = b
 
-        faces, p_e = mesh.faces, space.face_degree
+        faces = mesh.faces
         key = [faces.interior, faces.axis, faces.sign, faces.h_e]
         for o in faces.owners.T:  # a boundary face's missing owner gets zeros
             e = np.maximum(o, 0)
@@ -215,7 +232,10 @@ class SipAssembler:
             owner_key = np.column_stack([space.degrees[e], mesh.lengths[e], np.round(rel, 12)])
             key.append(owner_key * (o >= 0)[:, None])
         first, inv = _first_and_inverse(np.column_stack(key))
-        blocks = [_sym(self._face_block(f, int(p_e[f]))) for f in first]
+        blocks = [None] * first.size
+        for rows, group in self._face_blocks(first):
+            for j, b in zip(rows.tolist(), _sym(group)):
+                blocks[j] = b
         return elements + [blocks[j] for j in inv]
 
     def _grad_block(self, e: int, p: int) -> np.ndarray:
@@ -230,17 +250,39 @@ class SipAssembler:
         phi = basis_matrix(lo, lengths, p, rule.points)
         return weighted_gram(phi, rule.weights * self.potential(rule.points))
 
-    def _face_block(self, f: int, p_e: int) -> np.ndarray:
-        space, faces = self.space, self.space.mesh.faces
-        rule = face_rule(faces.lo[f], faces.lengths[f], plain_order(p_e))
-        tabs = [basis_matrices(space.mesh.lo[o], space.mesh.lengths[o], int(space.degrees[o]),
-                               rule.points) for o in faces.owners[f] if o >= 0]
-        jumps, means = ([1.0, -1.0], [0.5, 0.5]) if faces.interior[f] else ([1.0], [faces.sign[f]])
-        jmp = np.hstack([s * phi for s, (phi, _) in zip(jumps, tabs)])
-        dn = np.hstack([s * grads[faces.axis[f]] for s, (_, grads) in zip(means, tabs)])
-        c = (dn * rule.weights[:, None]).T @ jmp
-        gamma = self.penalty.alpha0 * p_e**2 / faces.h_e[f]
-        return -c - c.T + weighted_gram(jmp, gamma * rule.weights)
+    def _face_blocks(self, fids):
+        """The face blocks of the faces ``fids``, unsymmetrized, batched per
+        group of equal kind, normal axis, p_e and owner degrees and cut into
+        chunks of at most ``hpspace.TABLE_ENTRIES`` table entries.  Yields
+        ``(rows, blocks)`` per chunk, ``rows`` indexing ``fids``."""
+        space, mesh = self.space, self.space.mesh
+        faces, d = mesh.faces, mesh.d
+        owners = faces.owners[fids]
+        keys = np.column_stack([faces.interior[fids], faces.axis[fids], space.face_degree[fids],
+                                np.where(owners >= 0, space.degrees[owners], -1)])
+        for key in np.unique(keys, axis=0):
+            interior, axis, p_e, *degs = key.tolist()
+            n, sides = plain_order(p_e), range(2 if interior else 1)
+            shape = tuple(1 if m == axis else n for m in range(d))
+            width = n ** (d - 1) * sum((degs[s] + 1) ** d for s in sides)
+            idx = np.flatnonzero(np.all(keys == key, axis=1))
+            step = max(1, hpspace.TABLE_ENTRIES // width)
+            for rows in (idx[i:i + step] for i in range(0, idx.size, step)):
+                f = fids[rows]
+                rule = _plane_rule(faces.lo[f], faces.lengths[f], axis, n)
+                grid = _grid_axes(rule.points, shape)
+                tabs = [_basis_tables(mesh.lo[o], mesh.lengths[o], degs[s], grid, (axis,))
+                        for s, o in zip(sides, owners[rows].T)]
+                if interior:
+                    jmp = np.concatenate([tabs[0][0], -tabs[1][0]], axis=2)
+                    dn = np.concatenate([0.5 * tabs[0][1][0], 0.5 * tabs[1][1][0]], axis=2)
+                else:
+                    jmp, dn = tabs[0][0], faces.sign[f][:, None, None] * tabs[0][1][0]
+                w = rule.weights[:, :, None]
+                c = np.matmul(np.swapaxes(dn * w, 1, 2), jmp)
+                gamma = self.penalty.alpha0 * p_e**2 / faces.h_e[f]
+                gram = np.matmul(np.swapaxes(jmp * (gamma[:, None, None] * w), 1, 2), jmp)
+                yield rows, -c - np.swapaxes(c, 1, 2) + gram
 
     def nonlinear_mass(self, u: DiscreteField, delta: int,
                        scale: float = 1.0) -> sp.csr_matrix:

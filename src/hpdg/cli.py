@@ -233,8 +233,14 @@ _PARSERS = {
 
 def load_config_file(path) -> dict:
     """Parse a 'key = value' file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode config file {str(path)!r}: {exc}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

@@ -136,7 +136,7 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
     solve of a nearby pencil of the same size; when given, nothing is
     factored.  ``orient`` fixes the sign so x.M.orient >= 0.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     n = a.shape[0]
     d = np.asarray(m.diagonal(), dtype=float)

@@ -99,15 +99,16 @@ def containing_map(coarse_mesh: meshmod.GradedMesh, fine_mesh: meshmod.GradedMes
     return out
 
 
-# Most entries (elements x points x modes) in one dense table of the evaluator.
+# Most entries (elements or faces x points x modes) in one dense basis table of
+# the evaluator and of the SIP face batches.
 TABLE_ENTRIES = 2**20
 
 
-def _basis_tables(lo, lengths, p: int, axes, grads=False):
+def _basis_tables(lo, lengths, p: int, axes, derivs=()):
     """The (p+1)^d tensor-Legendre basis of the boxes lo + [0, lengths] (E, d)
     on the tensor grids of per-axis physical coordinates ``axes[m]`` (E, n_m),
-    first axis slowest: values (E, nq, nd) and, with ``grads``, the d
-    physical-derivative tables.  Every entry is the same product of per-axis
+    first axis slowest: values (E, nq, nd) and the physical-derivative tables
+    along the axes ``derivs``.  Every entry is the same product of per-axis
     Legendre values, (t_0 * t_1) * t_2, whatever the grid."""
     vals, ders = [], []
     for m, x in enumerate(axes):
@@ -119,8 +120,14 @@ def _basis_tables(lo, lengths, p: int, axes, grads=False):
         return functools.reduce(lambda a, t: (a[:, :, None, :, None] * t[:, None, :, None, :])
                                 .reshape(len(t), -1, a.shape[2] * t.shape[2]), tabs)
 
-    return product(vals), [product(vals[:m] + [ders[m]] + vals[m + 1:])
-                           for m in range(len(axes))] if grads else []
+    return product(vals), [product(vals[:m] + [ders[m]] + vals[m + 1:]) for m in derivs]
+
+
+def _grid_axes(pts, shape):
+    """The per-axis coordinates (E, n_m) of points (E, nq, d) that form a
+    tensor grid of ``shape`` per row, first axis slowest."""
+    strides = [math.prod(shape[m + 1:]) for m in range(len(shape))]
+    return [pts[:, :n * s:s, m] for m, (n, s) in enumerate(zip(shape, strides))]
 
 
 def basis_matrix(lo, lengths, p: int, pts: np.ndarray):
@@ -136,7 +143,7 @@ def basis_matrices(lo, lengths, p: int, pts: np.ndarray):
     Returns (phi, grads) with phi of shape (npts, ndof) and grads a list of d
     arrays of the same shape (derivative along each physical axis).
     """
-    phi, grads = _basis_tables(lo[None], lengths[None], p, list(pts.T[:, :, None]), True)
+    phi, grads = _basis_tables(lo[None], lengths[None], p, list(pts.T[:, :, None]), range(len(lo)))
     return phi[:, 0], [g[:, 0] for g in grads]
 
 
@@ -145,8 +152,7 @@ def _grid_tables(space: HpSpace, eids, pts, shape, grads=False):
     that form a tensor grid of ``shape`` in each element.  Yields
     ``(rows, phi, dphi)`` per degree and chunk of at most ``TABLE_ENTRIES``
     table entries, ``rows`` indexing ``eids``."""
-    strides = [math.prod(shape[m + 1:]) for m in range(len(shape))]
-    axes = [pts[:, :n * s:s, m] for m, (n, s) in enumerate(zip(shape, strides))]  # (E, n_m)
+    axes, derivs = _grid_axes(pts, shape), range(len(shape)) if grads else ()
     degs = space.degrees[eids]
     for p in np.unique(degs).tolist():
         idx = np.flatnonzero(degs == p)
@@ -154,7 +160,7 @@ def _grid_tables(space: HpSpace, eids, pts, shape, grads=False):
         for rows in (idx[i:i + step] for i in range(0, idx.size, step)):
             el = eids[rows]
             yield rows, *_basis_tables(space.mesh.lo[el], space.mesh.lengths[el], p,
-                                       [x[rows] for x in axes], grads)
+                                       [x[rows] for x in axes], derivs)
 
 
 def evaluate_grid(field: DiscreteField, eids, pts, shape, grads=False):

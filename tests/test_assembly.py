@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpdg._kernels import weighted_gram
-from hpdg.assembly import (PenaltyConfig, Potential, SipAssembler,
+from hpdg import hpspace
+from hpdg.assembly import (PenaltyConfig, Potential, SipAssembler, _sym,
                            assemble_mass, assemble_nonlinear_mass,
                            assemble_sip)
 from hpdg.hpspace import basis_matrices, basis_matrix, build_space, constant_field, project
@@ -48,6 +49,14 @@ def test_zero_vector_quadratic_form():
 def test_rejects_strong_singularity():
     with pytest.raises(ValueError):
         Potential(2.0, -1)
+
+
+@pytest.mark.parametrize("alpha,sign,name", [(np.nan, -1.0, "alpha"), (-np.inf, -1.0, "alpha"),
+                                             (1.0, np.nan, "sign"), (None, np.inf, "sign")])
+def test_rejects_non_finite_potential(alpha, sign, name):
+    with pytest.raises(ValueError, match=name):
+        Potential(alpha, sign)
+    assert np.array_equal(Potential(None)(np.ones((3, 2))), np.zeros(3))
 
 
 def test_sparsity_is_face_local():
@@ -282,6 +291,36 @@ def test_cached_blocks_equal_fresh_integration(d, sigma, ell, p0, slope, alpha, 
         k = space.ndofs_el[owners[f, 0]]
         _close(a[element_dofs(space, owners[f, 0]), element_dofs(space, owners[f, 1])].toarray(),
                0.5 * (fb[:k, k:] + fb[k:, :k].T))
+
+
+@pytest.mark.parametrize("d,sigma,ell,p0,slope", [(2, 0.15, 6, 2, 0.5), (2, 0.5, 4, 1, 1.0),
+                                                  (3, 0.5, 2, 1, 0.5)])
+def test_every_face_block_equals_fresh_integration(monkeypatch, d, sigma, ell, p0, slope):
+    """Every face's block equals its freshly integrated one (hanging sub-faces
+    and degree jumps included), and A_sip is bitwise the same when the table
+    cap cuts every group of faces into one-face chunks."""
+    space = build_space(build_graded_mesh(d, sigma, ell), p0, slope)
+    pot, pen = Potential(1.0, -1.0), PenaltyConfig(10.0)
+    asm = SipAssembler(space, pot, pen)
+    for f, blk in enumerate(asm._sip_blocks()[space.mesh.n_elements:]):
+        _close(blk, _sym(_fresh_face_block(space, f, pen.alpha0)))
+
+    chunks, batched = [], SipAssembler._face_blocks
+
+    def recorded(self, fids):
+        for rows, blocks in batched(self, fids):
+            chunks.append(len(rows))
+            yield rows, blocks
+
+    monkeypatch.setattr(SipAssembler, "_face_blocks", recorded)
+    a = SipAssembler(space, pot, pen).sip()
+    uncapped = len(chunks)
+    chunks.clear()
+    monkeypatch.setattr(hpspace, "TABLE_ENTRIES", 1)
+    capped = SipAssembler(space, pot, pen).sip()
+    assert max(chunks) == 1 and len(chunks) > uncapped
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(capped, name), getattr(a, name))
 
 
 def test_laplace_dimer_smallest_eigenvalue():

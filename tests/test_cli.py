@@ -266,6 +266,17 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,reason", [("missing.cfg", "No such file"), ("", "Is a directory")])
+def test_unreadable_config_file_names_the_path(tmp_path, capsys, name, reason):
+    path = tmp_path / name
+    with pytest.raises(ConfigError, match=reason):
+        load_config_file(path)
+    assert main([str(path), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {str(path)!r}: {reason}")
+    assert "Traceback" not in err
+
+
 def test_main_rejects_bad_pot_sign_like_any_bad_key(tmp_path, capsys):
     rc = main(["--pot-sign", "2", "--out", str(tmp_path / "x")])
     assert rc == 1

@@ -147,6 +147,17 @@ def test_rejects_bad_tolerance():
         smallest_eigenpair(a, a, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+def test_bad_tolerance_is_refused_before_anything_is_factored(monkeypatch, tol):
+    def splu(*args, **kwargs):
+        raise AssertionError("factored")
+
+    monkeypatch.setattr(eigsolve.sla, "splu", splu)
+    n = DENSE_ALWAYS + 1
+    with pytest.raises(ValueError, match="tolerance"):
+        smallest_eigenpair(tridiag(n), sp.identity(n, format="csr"), tol=tol, x0=sine(n))
+
+
 def test_cold_sparse_start_never_returns_an_excited_state():
     # the smallest eigenvalue is pi^2 up to O(h^2); random starts have their
     # Rayleigh quotients deep inside the spectrum, so the shift lies far above
