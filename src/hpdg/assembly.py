@@ -10,14 +10,14 @@ term is integrated with the composite graded rule of
 :func:`hpdg.quadrature.singular_rule`; gradient and mass terms are polynomial
 and therefore already exact with the plain rule.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
-controlled variational crime, see README).  The mesh is arrays, so blocks of
-equal relative geometry are found with one ``np.unique`` per key table and
-computed once, per-element Grams are batched per degree and the distinct face
-blocks per face group, in chunks of at most ``hpspace.TABLE_ENTRIES`` table
-entries, with the arithmetic of one face at a time, so the result is bitwise
-the same (see :class:`SipAssembler`); A_sip's blocks are added into per-pair
-views of its element-graph CSR data, and N(u) is laid out as block-diagonal
-CSR.
+controlled variational crime, see README).  The mesh is arrays, so the
+per-element blocks are batched per degree, the gradient blocks as scaled
+reference Grams, and face blocks of equal relative geometry are found with one
+``np.unique`` over the face keys and computed once, batched per face group in
+chunks of at most ``hpspace.TABLE_ENTRIES`` table entries with the arithmetic
+of one face at a time, so the result is bitwise the same (see
+:class:`SipAssembler`); A_sip's blocks are added into per-pair views of its
+element-graph CSR data, and N(u) is laid out as block-diagonal CSR.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from ._kernels import weighted_gram
 from . import hpspace
 from .hpspace import (DiscreteField, HpSpace, _basis_tables, _grid_axes, _local_mass_diag,
-                      _modes, basis_matrices, basis_matrix, reference_table)
+                      _modes, basis_matrix, reference_table)
 from .quadrature import _plane_rule, plain_order, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
@@ -140,31 +140,31 @@ def _first_and_inverse(keys):
 
 
 class SipAssembler:
-    """Builds A_sip once per space and N(u) per state from reference data.
+    """Builds A_sip, M and N(u) from reference data, anew on every call.
 
-    The basis lives on each element's reference cube, so ``sip()`` computes a
-    block once per key of relative geometry, one ``np.unique`` per key table:
-    an element's gradient block per ``(p, lengths)``; a face block per kind,
-    axis, sign, h_e and, per owner, degree, lengths and the face's offset and
+    An element of degree p with lengths L has the gradient block
+    sum_m prod(L / 2) (2 / L_m)^2 G_m, G_m the Gram of the axis-m derivative
+    table of :func:`hpdg.hpspace.reference_table`: one ``einsum`` per degree
+    group.  Its potential and |u|^(delta-1) Grams are one batched matmul per
+    degree group on the same table.  The corner potential block B is
+    integrated once per ``(p, lengths)``, on the corner element moved to
+    lo = 0.  V is radial and P_i(-x) = (-1)^i P_i(x), so the corner element
+    reflected along the axes with s_m = -1 gets D B D, D = diag(prod_m s_m^{i_m}).
+    A face block is computed once per key, one ``np.unique`` over the face
+    keys: axis, sign and, per owner, degree, lengths and the face's offset and
     size divided by the owner's lengths (rounded there, never in absolute
-    coordinates: elements near the singular point may be 1e-9 wide); the
-    corner potential block B per ``(p, lengths)``, on the corner element moved
-    to lo = 0.  V is radial and P_i(-x) = (-1)^i P_i(x), so the corner element
-    reflected along the axes with s_m = -1 gets D B D,
-    D = diag(prod_m s_m^{i_m}).  The other elements' potential and the
-    |u|^(delta-1) Grams of ``nonlinear_mass()`` are one batched matmul per
-    degree group on :func:`hpdg.hpspace.reference_table`.  The distinct face
-    blocks are batched per group of equal kind, normal axis, p_e and owner
-    degrees, cut into chunks of at most ``hpspace.TABLE_ENTRIES`` table
-    entries: one stacked face rule, each owner's value and normal-derivative
-    tables on the group's tensor grid, and two batched matmuls for the
-    consistency term and the penalty Gram.  Each entry and each face's product
-    is the arithmetic of :func:`hpdg.quadrature.face_rule`,
-    :func:`hpdg.hpspace.basis_matrices` and one face's matmul, so the blocks
-    are bitwise those of a per-face loop, whatever the chunk size.  ``sip()``
-    adds the blocks, elements by id, then faces by id, into views of the CSR
-    data: one (nd[a], nd[b]) view per coupled pair of elements (a, b), the
-    columns of b in a's rows.
+    coordinates: elements near the singular point may be 1e-9 wide).  The
+    owner columns fix the face's kind, p_e and h_e.  The distinct faces are
+    batched per group of equal normal axis and owner degrees, in chunks of at
+    most ``hpspace.TABLE_ENTRIES`` table entries: one stacked face rule, each
+    owner's value and normal-derivative tables on the group's tensor grid, and
+    two batched matmuls for the consistency term and the penalty Gram.  Each
+    entry and each face's product is the arithmetic of
+    :func:`hpdg.quadrature.face_rule`, :func:`hpdg.hpspace.basis_matrices` and
+    one face's matmul, so the blocks are bitwise those of a per-face loop,
+    whatever the chunk size.  ``sip()`` adds the blocks, elements by id, then
+    faces by id, into views of the CSR data: one (nd[a], nd[b]) view per
+    coupled pair of elements (a, b), the columns of b in a's rows.
     ``nonlinear_mass()`` writes its Grams straight into a block-diagonal CSR:
     element e's block, row-major, where the CSR row of its first dof starts.
     """
@@ -173,44 +173,39 @@ class SipAssembler:
         self.space = space
         self.potential = potential
         self.penalty = penalty
-        self._mass = None
-        self._sip = None
         # per degree: p, element ids, plain-rule weights (k, nq), shared table, dofs (k, n)
         self._groups = []
         for p in np.unique(space.degrees).tolist():
             ids = np.flatnonzero(space.degrees == p)
-            _, ref_w, phi = reference_table(p, space.mesh.d)
+            _, ref_w, phi, _ = reference_table(p, space.mesh.d)
             w = ref_w * np.prod(space.mesh.lengths[ids][:, None, :] / 2.0, axis=2)
             cols = space.offsets[ids][:, None] + np.arange(phi.shape[1])
             self._groups.append((p, ids, w, phi, cols))
 
     def mass(self) -> sp.csr_matrix:
-        if self._mass is None:
-            diag = np.empty(self.space.N)
-            for p, ids, _, _, cols in self._groups:
-                diag[cols] = _local_mass_diag(self.space.mesh.lengths[ids], p)
-            self._mass = sp.diags(diag, format="csr")
-        return self._mass
+        diag = np.empty(self.space.N)
+        for p, ids, _, _, cols in self._groups:
+            diag[cols] = _local_mass_diag(self.space.mesh.lengths[ids], p)
+        return sp.diags(diag, format="csr")
 
     def sip(self) -> sp.csr_matrix:
-        if self._sip is None:
-            self._sip = _csr_from_blocks(self.space, self._sip_blocks())
-        return self._sip
+        return _csr_from_blocks(self.space, self._sip_blocks())
 
     def _sip_blocks(self) -> list:
         """The symmetrized blocks of A_sip, element blocks by element id, then
-        face blocks by face id; blocks of equal key are one shared array."""
+        face blocks by face id; face blocks of equal key are one shared array."""
         space, pot = self.space, self.potential
         mesh = space.mesh
         corner = mesh.corner & (pot.alpha is not None)
         elements = [None] * mesh.n_elements
         for p, ids, w, phi, _ in self._groups:
-            first, inv = _first_and_inverse(mesh.lengths[ids])
-            grad = np.stack([self._grad_block(e, p) for e in ids[first]])[inv]
+            pts, ref_w, _, dphi = reference_table(p, mesh.d)
+            half = mesh.lengths[ids] / 2.0
+            grams = np.matmul(np.swapaxes(dphi, 1, 2) * ref_w, dphi)  # (d, n, n) on [0, 2]^d
+            grad = np.einsum("km,mij->kij", np.prod(half, axis=1)[:, None] / half**2, grams)
             block = grad
             if pot.alpha is not None:
-                half = mesh.lengths[ids][:, None, :] / 2.0
-                vq = pot((mesh.lo[ids][:, None, :] + reference_table(p, mesh.d)[0] * half)
+                vq = pot((mesh.lo[ids][:, None, :] + pts * half[:, None, :])
                          .reshape(-1, mesh.d)).reshape(w.shape)
                 block = grad + _grams(phi, w * vq)
             c = np.flatnonzero(corner[ids])
@@ -224,7 +219,7 @@ class SipAssembler:
                 elements[e] = b
 
         faces = mesh.faces
-        key = [faces.interior, faces.axis, faces.sign, faces.h_e]
+        key = [faces.axis, faces.sign]
         for o in faces.owners.T:  # a boundary face's missing owner gets zeros
             e = np.maximum(o, 0)
             rel = (np.concatenate([faces.lo - mesh.lo[e], faces.lengths], axis=1)
@@ -238,12 +233,6 @@ class SipAssembler:
                 blocks[j] = b
         return elements + [blocks[j] for j in inv]
 
-    def _grad_block(self, e: int, p: int) -> np.ndarray:
-        lo, lengths = self.space.mesh.lo[e], self.space.mesh.lengths[e]
-        rule = volume_rule(lo, lengths, p)
-        _, grads = basis_matrices(lo, lengths, p, rule.points)
-        return sum(weighted_gram(g, rule.weights) for g in grads)
-
     def _corner_block(self, e: int, p: int) -> np.ndarray:
         lo, lengths = np.zeros(self.space.mesh.d), self.space.mesh.lengths[e]
         rule = volume_rule(lo, lengths, p, singular=True)
@@ -252,16 +241,16 @@ class SipAssembler:
 
     def _face_blocks(self, fids):
         """The face blocks of the faces ``fids``, unsymmetrized, batched per
-        group of equal kind, normal axis, p_e and owner degrees and cut into
+        group of equal normal axis and owner degrees and cut into
         chunks of at most ``hpspace.TABLE_ENTRIES`` table entries.  Yields
         ``(rows, blocks)`` per chunk, ``rows`` indexing ``fids``."""
         space, mesh = self.space, self.space.mesh
         faces, d = mesh.faces, mesh.d
         owners = faces.owners[fids]
-        keys = np.column_stack([faces.interior[fids], faces.axis[fids], space.face_degree[fids],
-                                np.where(owners >= 0, space.degrees[owners], -1)])
+        keys = np.column_stack([faces.axis[fids], np.where(owners >= 0, space.degrees[owners], -1)])
         for key in np.unique(keys, axis=0):
-            interior, axis, p_e, *degs = key.tolist()
+            axis, *degs = key.tolist()
+            interior, p_e = degs[1] >= 0, max(degs)
             n, sides = plain_order(p_e), range(2 if interior else 1)
             shape = tuple(1 if m == axis else n for m in range(d))
             width = n ** (d - 1) * sum((degs[s] + 1) ** d for s in sides)

@@ -90,6 +90,8 @@ class StudyConfig:
             raise ConfigError(f"ref_extra_levels must be >= 1, got {self.ref_extra_levels}")
         if self.ref_extra_degree < 0:
             raise ConfigError(f"ref_extra_degree must be >= 0, got {self.ref_extra_degree}")
+        if not self.out:
+            raise ConfigError("out: must name a directory, got ''")
 
     @property
     def scf_tol(self) -> float:
@@ -288,7 +290,7 @@ def main(argv=None) -> int:
     except (ConfigError, StudyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(records)} levels to {cfg.out}/study.csv")
+    print(f"wrote {len(records)} levels to {Path(cfg.out) / 'study.csv'}")
     for r in records:
         print(f"  ell={r.ell} N={r.N} lambda={r.lam:.10f} "
               f"err_dg={r.err_dg:.3e} err_lambda={r.err_lambda:.3e}")

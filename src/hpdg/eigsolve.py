@@ -128,17 +128,24 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
                        orient=None, precond=None) -> EigResult:
     """Minimal eigenvalue and M-normalized eigenvector of (A, M).
 
-    M must be diagonal and positive (else ValueError).  The dense path serves
-    n <= DENSE_ALWAYS; a larger problem needs a start vector ``x0`` (else
-    ValueError) and takes the sparse path: LOBPCG from ``x0``, preconditioned
-    by the LU of A - tau M with tau = rho(x0) - 10, for at most MAX_ITER
-    steps.  ``precond`` is the factorization returned by an earlier sparse
-    solve of a nearby pencil of the same size; when given, nothing is
-    factored.  ``orient`` fixes the sign so x.M.orient >= 0.
+    M must be diagonal and positive, and a given ``x0`` finite of shape (n,)
+    (else ValueError).  The dense path serves n <= DENSE_ALWAYS; a larger
+    problem needs a start vector ``x0`` (else ValueError) and takes the
+    sparse path: LOBPCG from ``x0``, preconditioned by the LU of A - tau M
+    with tau = rho(x0) - 10, for at most MAX_ITER steps.  ``precond`` is the
+    factorization returned by an earlier sparse solve of a nearby pencil of
+    the same size; when given, nothing is factored.  ``orient`` fixes the
+    sign so x.M.orient >= 0.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     n = a.shape[0]
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (n,):
+            raise ValueError(f"start vector x0 has shape {x0.shape}, the pencil has size {n}")
+        if not np.isfinite(x0).all():
+            raise ValueError("start vector x0 has a non-finite entry")
     d = np.asarray(m.diagonal(), dtype=float)
     nnz = m.count_nonzero() if sp.issparse(m) else np.count_nonzero(m)
     if nnz > np.count_nonzero(d) or not np.all(d > 0):
@@ -151,11 +158,10 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
                          "needs a start vector x0")
 
     a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)
-    x = np.asarray(x0, dtype=float).copy()
-    nrm = _m_norm(d, x)
+    nrm = _m_norm(d, x0)
     if nrm == 0:
-        raise ValueError("start vector is M-orthogonal to itself (zero)")
-    x /= nrm
+        raise ValueError("start vector x0 is M-orthogonal to itself (zero)")
+    x = x0 / nrm
     ax = a @ x
     if precond is None:
         precond = _factor(a, d, float(x @ ax) - 10.0)

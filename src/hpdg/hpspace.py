@@ -50,11 +50,11 @@ def _modes(p: int, d: int) -> np.ndarray:
 
 def build_space(mesh: meshmod.GradedMesh, p0: int, slope: float) -> HpSpace:
     """Assign layer-based degrees and build the dG dof map."""
-    if p0 < 1:
-        raise ValueError(f"p0 must be >= 1, got {p0}")
+    if not (p0 >= 1 and float(p0).is_integer()):
+        raise ValueError(f"p0 must be an integer >= 1, got {p0}")
     if not (0 <= slope < np.inf):
         raise ValueError(f"slope must be finite and >= 0, got {slope}")
-    degs = p0 + np.floor(slope * (mesh.ell - mesh.layer) + 0.5).astype(np.int64)
+    degs = int(p0) + np.floor(slope * (mesh.ell - mesh.layer) + 0.5).astype(np.int64)
     ndofs = (degs + 1) ** mesh.d
     offsets = np.concatenate([[0], np.cumsum(ndofs)[:-1]])
     return HpSpace(mesh, int(p0), float(slope), degs, offsets, ndofs, int(ndofs.sum()))
@@ -182,15 +182,17 @@ def evaluate_grid(field: DiscreteField, eids, pts, shape, grads=False):
 
 @functools.lru_cache(maxsize=None)
 def reference_table(p: int, d: int):
-    """Points (nq, d), weights (nq,) and basis values (nq, (p+1)^d) of the
-    :func:`~hpdg.quadrature.plain_order` tensor Gauss rule on [0, 2]^d, in the
-    order of ``element_rule`` and :func:`basis_matrix`: the basis of every
-    element of degree p at its plain-rule points, shared and read-only.  An
-    element's points are lo + pts * lengths / 2."""
+    """Points (nq, d), weights (nq,), basis values (nq, (p+1)^d) and derivative
+    tables (d, nq, (p+1)^d) of the :func:`~hpdg.quadrature.plain_order` tensor
+    Gauss rule on [0, 2]^d, in the order of ``element_rule`` and
+    :func:`basis_matrix`: the basis of every element of degree p at its
+    plain-rule points, shared and read-only.  An element's points are
+    lo + pts * lengths / 2, its derivatives along m 2 / lengths[m] times dphi[m]."""
     n = plain_order(p)
     rule = _box_rule(np.zeros(d), np.full(d, 2.0), n)
-    tables = (rule.points, rule.weights,
-              functools.reduce(np.kron, [legendre_table(gauss_rule(n).points, p)[0]] * d))
+    v, dv = legendre_table(gauss_rule(n).points, p)
+    dphi = [functools.reduce(np.kron, [dv if k == m else v for k in range(d)]) for m in range(d)]
+    tables = rule.points, rule.weights, functools.reduce(np.kron, [v] * d), np.stack(dphi)
     for a in tables:
         a.flags.writeable = False
     return tables

@@ -18,7 +18,7 @@ ground state is the first sweep's eigenpair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class ScfConfig:
 class ScfReport:
     lam: float
     iterations: int
-    residuals: list = field(default_factory=list)
-    converged: bool = False
+    residuals: list
+    converged: bool
 
 
 def discrete_energy(space: HpSpace, potential: Potential, penalty: PenaltyConfig,
@@ -88,8 +88,10 @@ def solve_ground_state(space: HpSpace, potential: Potential,
     """Ground state of the (non)linear problem on the given hp space.
 
     Returns ``(u, report)``; non-convergence is reported through the
-    ``converged`` flag, with the last iterate returned.  ``log`` may be a
-    callable receiving one "k lambda residual" line per sweep.
+    ``converged`` flag, with the last iterate returned.  Either way
+    ``report.lam`` is the Rayleigh quotient u^T (A_sip + N(u)) u of the
+    returned u.  ``log`` may be a callable receiving one "k lambda residual"
+    line per sweep.
     """
     asm = SipAssembler(space, potential, penalty)
     a_sip = asm.sip()
@@ -107,21 +109,14 @@ def solve_ground_state(space: HpSpace, potential: Potential,
     def m_normalize(c):
         return c / np.sqrt(c @ (d * c))
 
-    if u0 is None:
-        coeffs = m_normalize(constant_field(space, 1.0).coeffs)
-    else:
-        coeffs = m_normalize(np.asarray(u0.coeffs, dtype=float).copy())
-    u = DiscreteField(space, coeffs)
-
-    report = ScfReport(lam=np.nan, iterations=0)
-
+    u = DiscreteField(space, m_normalize((constant_field(space) if u0 is None else u0).coeffs))
     a_u = linearized(u)
     start, eig = u.coeffs, None
     if u0 is None:
         start, whole = _coarse_start(space, a_u, d)
         if whole:
             eig = dense_result(a_u, d, start, u.coeffs)
-    precond = None
+    precond, residuals = None, []
     for k in range(1, cfg.max_iter + 1):
         if k > 1 or eig is None:
             eig = smallest_eigenpair(a_u, m, tol=eig_tol, x0=start, orient=u.coeffs,
@@ -133,14 +128,9 @@ def solve_ground_state(space: HpSpace, potential: Potential,
         a_u = linearized(u)
         rayleigh = float(new @ (a_u @ new))
         resid = abs(rayleigh - eig.lam * float(new @ (d * new)))
-        report.iterations = k
-        report.residuals.append(resid)
+        residuals.append(resid)
         if log is not None:
             log(f"{k} {eig.lam!r} {resid!r}")
         if resid <= cfg.eps_tol:
-            report.lam = rayleigh
-            report.converged = True
-            return u, report
-    report.lam = float(u.coeffs @ (a_u @ u.coeffs))
-    report.converged = False
-    return u, report
+            break
+    return u, ScfReport(rayleigh, k, residuals, resid <= cfg.eps_tol)

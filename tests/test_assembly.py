@@ -296,13 +296,16 @@ def test_cached_blocks_equal_fresh_integration(d, sigma, ell, p0, slope, alpha, 
 @pytest.mark.parametrize("d,sigma,ell,p0,slope", [(2, 0.15, 6, 2, 0.5), (2, 0.5, 4, 1, 1.0),
                                                   (3, 0.5, 2, 1, 0.5)])
 def test_every_face_block_equals_fresh_integration(monkeypatch, d, sigma, ell, p0, slope):
-    """Every face's block equals its freshly integrated one (hanging sub-faces
-    and degree jumps included), and A_sip is bitwise the same when the table
-    cap cuts every group of faces into one-face chunks."""
+    """Every element's and every face's block equals its freshly integrated
+    one (non-cubic elements, hanging sub-faces and degree jumps included), and
+    A_sip is bitwise the same when the table cap cuts every group of faces
+    into one-face chunks."""
     space = build_space(build_graded_mesh(d, sigma, ell), p0, slope)
     pot, pen = Potential(1.0, -1.0), PenaltyConfig(10.0)
-    asm = SipAssembler(space, pot, pen)
-    for f, blk in enumerate(asm._sip_blocks()[space.mesh.n_elements:]):
+    blocks, n_el = SipAssembler(space, pot, pen)._sip_blocks(), space.mesh.n_elements
+    for e, blk in enumerate(blocks[:n_el]):
+        _close(blk, _sym(_fresh_element_block(space, pot, e)))
+    for f, blk in enumerate(blocks[n_el:]):
         _close(blk, _sym(_fresh_face_block(space, f, pen.alpha0)))
 
     chunks, batched = [], SipAssembler._face_blocks

@@ -257,7 +257,14 @@ def test_main_with_config_and_overrides(tmp_path, capsys):
     assert rc == 0
     assert (out / "study.csv").exists()
     captured = capsys.readouterr()
-    assert "wrote 2 levels" in captured.out
+    assert f"wrote 2 levels to {out / 'study.csv'}\n" in captured.out
+
+
+def test_empty_out_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--levels", "2", "--out", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: out: ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_rejects_bad_config(tmp_path, capsys):

@@ -158,6 +158,21 @@ def test_bad_tolerance_is_refused_before_anything_is_factored(monkeypatch, tol):
         smallest_eigenpair(tridiag(n), sp.identity(n, format="csr"), tol=tol, x0=sine(n))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "short", "column"])
+def test_bad_start_vector_is_refused_before_anything_is_factored(monkeypatch, bad):
+    def splu(*args, **kwargs):
+        raise AssertionError("factored")
+
+    monkeypatch.setattr(eigsolve.sla, "splu", splu)
+    n = DENSE_ALWAYS + 1
+    x0 = sine(n)
+    x0 = {"nan": np.where(np.arange(n) == 7, np.nan, x0),
+          "inf": np.where(np.arange(n) == 7, np.inf, x0),
+          "short": x0[:-1], "column": x0[:, None]}[bad]
+    with pytest.raises(ValueError, match="x0"):
+        smallest_eigenpair(tridiag(n), sp.identity(n, format="csr"), x0=x0)
+
+
 def test_cold_sparse_start_never_returns_an_excited_state():
     # the smallest eigenvalue is pi^2 up to O(h^2); random starts have their
     # Rayleigh quotients deep inside the spectrum, so the shift lies far above

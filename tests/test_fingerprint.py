@@ -88,7 +88,12 @@ def fingerprints(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_fingerprints_match_recorded_values(d):
+    """All keys are compared before the test fails, and a failure lists every
+    key's recorded and computed value, so one run shows the whole drift."""
     got, want = fingerprints(d), EXPECTED[d]
     assert sorted(got) == sorted(want)
-    for key, value in want.items():
-        assert got[key] == pytest.approx(value, rel=RTOL, abs=0.0), key
+    bad = [key for key, value in want.items()
+           if got[key] != pytest.approx(value, rel=RTOL, abs=0.0)]
+    lines = [f"{'*' if key in bad else ' '} {key}: recorded {value!r}, computed {got[key]!r}, "
+             f"rel {abs(got[key] - value) / abs(value):.1e}" for key, value in want.items()]
+    assert not bad, f"{bad} moved beyond rel {RTOL}:\n" + "\n".join(lines)

@@ -67,6 +67,21 @@ def test_build_space_validation():
     for slope in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="slope"):
             build_space(mesh, 2, slope)
+    for p0 in (2.5, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="p0"):
+            build_space(mesh, p0, 1 / 8)
+
+
+def test_integral_float_p0_gives_integer_degrees():
+    from hpdg.assembly import PenaltyConfig, Potential
+    from hpdg.scf import ScfConfig, solve_ground_state
+
+    mesh = build_graded_mesh(2, 0.5, 1)
+    space, want = build_space(mesh, 2.0, 1 / 8), build_space(mesh, 2, 1 / 8)
+    assert space.degrees.dtype == want.degrees.dtype
+    assert np.array_equal(space.degrees, want.degrees) and space.N == want.N
+    assert type(space.p0) is int
+    solve_ground_state(space, Potential(None), PenaltyConfig(), ScfConfig(delta=None))
 
 
 def _random_grids(mesh, rng, n):
