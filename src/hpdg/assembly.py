@@ -160,11 +160,12 @@ class SipAssembler:
     owner's value and normal-derivative tables on the group's tensor grid, and
     two batched matmuls for the consistency term and the penalty Gram.  Each
     entry and each face's product is the arithmetic of
-    :func:`hpdg.quadrature.face_rule`, :func:`hpdg.hpspace.basis_matrices` and
-    one face's matmul, so the blocks are bitwise those of a per-face loop,
-    whatever the chunk size.  ``sip()`` adds the blocks, elements by id, then
-    faces by id, into views of the CSR data: one (nd[a], nd[b]) view per
-    coupled pair of elements (a, b), the columns of b in a's rows.
+    :func:`hpdg.quadrature._plane_rule` on that face alone,
+    :func:`hpdg.hpspace.basis_matrices` and one face's matmul, so the blocks
+    are bitwise those of a per-face loop, whatever the chunk size.  ``sip()``
+    adds the blocks, elements by id, then faces by id, into views of the CSR
+    data: one (nd[a], nd[b]) view per coupled pair of elements (a, b), the
+    columns of b in a's rows.
     ``nonlinear_mass()`` writes its Grams straight into a block-diagonal CSR:
     element e's block, row-major, where the CSR row of its first dof starts.
     """
@@ -294,18 +295,6 @@ class SipAssembler:
         return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
 
 
-def assemble_sip(space: HpSpace, potential: Potential,
-                 penalty: PenaltyConfig) -> sp.csr_matrix:
-    """SIP stiffness + potential matrix with weak Dirichlet boundary terms."""
-    return SipAssembler(space, potential, penalty).sip()
-
-
 def assemble_mass(space: HpSpace) -> sp.csr_matrix:
     """dG mass matrix (diagonal for the modal Legendre basis)."""
     return SipAssembler(space, Potential(None), PenaltyConfig()).mass()
-
-
-def assemble_nonlinear_mass(space: HpSpace, u: DiscreteField,
-                            delta: int) -> sp.csr_matrix:
-    """Mass matrix weighted by |u(x)|^(delta-1) at the quadrature points."""
-    return SipAssembler(space, Potential(None), PenaltyConfig()).nonlinear_mass(u, delta)

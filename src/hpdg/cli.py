@@ -13,9 +13,10 @@ N^(1/(d+1))).
 from __future__ import annotations
 
 import argparse
+import numbers
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,11 @@ class StudyConfig:
     out: str = "study_out"
 
     def validate(self):
+        for key in ("dim", "ell_min", "ell_max", "p0", "max_iter", "ref_extra_levels",
+                    "ref_extra_degree"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.dim not in (2, 3):
             raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
         if not (0.0 < self.sigma <= 0.5):
@@ -273,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
              "delta": "nonlinearity exponent (2, 3, 4) or 'linear'"}
     for key, parse in _PARSERS.items():
         flag = "--levels" if key == "ell_max" else "--" + key.replace("_", "-")
-        p.add_argument(flag, type=parse, dest=key, help=helps.get(key))
+        # a flag left out is absent from the namespace, so any flag given wins,
+        # even one whose value is None (``--alpha none``, ``--delta linear``)
+        p.add_argument(flag, type=parse, dest=key, default=argparse.SUPPRESS,
+                       help=helps.get(key))
     return p
 
 
@@ -281,10 +290,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         values = load_config_file(args.config) if args.config else {}
-        for f in fields(StudyConfig):
-            v = getattr(args, f.name, None)
-            if v is not None:
-                values[f.name] = v
+        values.update((k, v) for k, v in vars(args).items() if k != "config")
         cfg = StudyConfig(**values)
         records = run_study(cfg)
     except (ConfigError, StudyError) as exc:

@@ -4,10 +4,10 @@ Per-element degrees follow the linear slope rule
 p_K = p0 + floor(s * (ell - j) + 1/2) for an element in layer j (rounded half
 up), so the innermost layer carries p0 and degrees grow toward the boundary.
 Local bases are tensor products of Legendre polynomials; dofs are laid out
-contiguously per element, in element-id order.  Fields are evaluated,
-projected and injected per degree group: one dense basis table per chunk of
-elements on their tensor grid of points, one batched matmul, with every entry
-computed as :func:`basis_matrix` computes it at that point.
+contiguously per element, in element-id order.  Fields are evaluated and
+injected per degree group: one dense basis table per chunk of elements on
+their tensor grid of points, one batched matmul, with every entry computed as
+:func:`basis_matrix` computes it at that point.
 """
 
 from __future__ import annotations
@@ -198,34 +198,6 @@ def reference_table(p: int, d: int):
     return tables
 
 
-def _l2_project(space: HpSpace, values) -> DiscreteField:
-    """Element-local L2 projection on the plain tensor Gauss rule.
-
-    ``values(groups)`` gets the groups of :func:`hpdg.quadrature.element_rules`
-    and returns the target at each group's points.
-    """
-    groups = list(element_rules(space.mesh, plain_order(space.degrees)))
-    coeffs = np.zeros(space.N)
-    for (ids, rule, shape), v in zip(groups, values(groups)):
-        wv = (rule.weights * v.reshape(rule.weights.shape))[..., None]
-        for rows, phi, _ in _grid_tables(space, ids, rule.points, shape):
-            cols = space.offsets[ids[rows]][:, None] + np.arange(phi.shape[2])
-            rhs = np.matmul(phi.transpose(0, 2, 1), wv[rows])[..., 0]
-            coeffs[cols] = rhs / _local_mass_diag(space.mesh.lengths[ids[rows]],
-                                                  int(space.degrees[ids[0]]))
-    return DiscreteField(space, coeffs)
-
-
-def project(space: HpSpace, f) -> DiscreteField:
-    """Element-local L2 projection of a callable f(points) -> values, called
-    once on the points of all elements."""
-    def values(groups):
-        pts = [rule.points.reshape(-1, space.mesh.d) for _, rule, _ in groups]
-        return np.split(np.asarray(f(np.concatenate(pts))), np.cumsum([len(x) for x in pts])[:-1])
-
-    return _l2_project(space, values)
-
-
 def _local_mass_diag(lengths: np.ndarray, p: int) -> np.ndarray:
     """Diagonal of the modal tensor-Legendre mass matrix on the elements with
     edge lengths (d,) or (k, d)."""
@@ -237,11 +209,19 @@ def _local_mass_diag(lengths: np.ndarray, p: int) -> np.ndarray:
 
 
 def inject(field: DiscreteField, fine_space: HpSpace) -> DiscreteField:
-    """Represent a field on a finer nested space by local L2 projection.
+    """Represent a field on a finer nested space by element-local L2
+    projection on the plain tensor Gauss rule.
 
     Exact whenever each fine element is contained in a coarse element of
     degree at most the fine one (the situation along a refinement chain).
     """
     cmap = containing_map(field.space.mesh, fine_space.mesh)  # raises if they do not nest
-    return _l2_project(fine_space, lambda groups: [
-        evaluate_grid(field, cmap[ids], rule.points, shape)[0] for ids, rule, shape in groups])
+    coeffs = np.zeros(fine_space.N)
+    for ids, rule, shape in element_rules(fine_space.mesh, plain_order(fine_space.degrees)):
+        wv = (rule.weights * evaluate_grid(field, cmap[ids], rule.points, shape)[0])[..., None]
+        for rows, phi, _ in _grid_tables(fine_space, ids, rule.points, shape):
+            cols = fine_space.offsets[ids[rows]][:, None] + np.arange(phi.shape[2])
+            rhs = np.matmul(phi.transpose(0, 2, 1), wv[rows])[..., 0]
+            coeffs[cols] = rhs / _local_mass_diag(fine_space.mesh.lengths[ids[rows]],
+                                                  int(fine_space.degrees[ids[0]]))
+    return DiscreteField(fine_space, coeffs)

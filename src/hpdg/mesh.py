@@ -76,11 +76,6 @@ class GradedMesh:
         return self.lo + self.lengths
 
     @property
-    def h(self) -> np.ndarray:
-        """Element sizes h_K (largest edge; all edges equal for sigma = 1/2)."""
-        return self.lengths.max(axis=1)
-
-    @property
     def corner(self) -> np.ndarray:
         """Which elements have the singular point, the origin, as a vertex."""
         return np.all((np.abs(self.lo) <= 1e-14) | (np.abs(self.hi) <= 1e-14), axis=1)

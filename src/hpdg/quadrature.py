@@ -117,18 +117,6 @@ def element_rule(lo, lengths, n: int) -> ElementRule:
     return _box_rule(lo, lengths, n)
 
 
-def face_rule(lo, lengths, n: int) -> ElementRule:
-    """Tensor Gauss rule with n points per tangential dimension on the face
-    lo + [0, lengths]; its normal axis is the one of zero length.
-
-    The points are d-dimensional and lie on the face plane.
-    """
-    _check_n(n)
-    lo, lengths = np.asarray(lo, dtype=float), np.asarray(lengths, dtype=float)
-    rule = _plane_rule(lo[None], lengths[None], int(np.flatnonzero(lengths == 0)[0]), n)
-    return ElementRule(rule.points[0], rule.weights[0])
-
-
 def element_rules(mesh, n):
     """The elements of ``mesh`` grouped by ``n`` (Gauss points per axis, one
     entry per element).  Yields the ids, their stacked rule and its grid shape."""
@@ -138,14 +126,14 @@ def element_rules(mesh, n):
 
 
 def face_rules(faces, n):
-    """The :class:`hpdg.mesh.Faces` ``faces`` grouped by kind (boundary
-    first), normal axis and ``n`` (Gauss points per tangential axis, one entry
-    per face).  Yields the positions in ``faces``, their stacked rule on the
-    face planes and its grid shape, which has one node on the normal axis."""
-    keys = np.column_stack([faces.interior, faces.axis, n]).astype(np.int64)
+    """The :class:`hpdg.mesh.Faces` ``faces`` grouped by normal axis and ``n``
+    (Gauss points per tangential axis, one entry per face).  Yields the
+    positions in ``faces``, their stacked rule on the face planes and its grid
+    shape, which has one node on the normal axis."""
+    keys = np.column_stack([faces.axis, n]).astype(np.int64)
     for key in np.unique(keys, axis=0):
         idx = np.flatnonzero(np.all(keys == key, axis=1))
-        _, axis, nf = key.tolist()
+        axis, nf = key.tolist()
         yield (idx, _plane_rule(faces.lo[idx], faces.lengths[idx], axis, nf),
                tuple(1 if m == axis else nf for m in range(faces.lo.shape[1])))
 

@@ -19,7 +19,7 @@ import numpy as np
 from hpdg._kernels import legendre_l2_norms_sq
 from hpdg.hpspace import DiscreteField, _modes, basis_matrices, basis_matrix, containing_map
 from hpdg.mesh import GEOM_TOL, Faces, MeshError
-from hpdg.quadrature import element_rule, face_rule
+from hpdg.quadrature import _plane_rule, element_rule
 
 
 def _gauss(n):
@@ -134,11 +134,10 @@ def error_norms_per_element(coarse, reference):
         ea, eb = faces.owners[f]
         degs = [int(ref_space.degrees[ea]), int(ref_space.degrees[eb]),
                 int(coarse.space.degrees[cmap[ea]]), int(coarse.space.degrees[cmap[eb]])]
-        rule = face_rule(faces.lo[f], faces.lengths[f], max(degs) + 2)
-        jump = (value_diff(int(cmap[ea]), ea, rule.points)
-                - value_diff(int(cmap[eb]), eb, rule.points))
-        jump_sq += (int(ref_space.face_degree[f]) ** 2 / faces.h_e[f]
-                    * float(rule.weights @ (jump * jump)))
+        rule = _plane_rule(faces.lo[[f]], faces.lengths[[f]], faces.axis[f], max(degs) + 2)
+        pts, w = rule.points[0], rule.weights[0]
+        jump = value_diff(int(cmap[ea]), ea, pts) - value_diff(int(cmap[eb]), eb, pts)
+        jump_sq += int(ref_space.face_degree[f]) ** 2 / faces.h_e[f] * float(w @ (jump * jump))
     return {"l2": math.sqrt(l2_sq), "dg": math.sqrt(l2_sq + h1_sq + jump_sq), "linf": linf}
 
 
@@ -155,6 +154,11 @@ def project_per_element(space, values):
             mass *= legendre_l2_norms_sq(p)[k] * (lengths[m] / 2.0)
         coeffs[element_dofs(space, e)] = phi.T @ (rule.weights * values(e, rule.points)) / mass
     return coeffs
+
+
+def projected(space, f):
+    """:func:`project_per_element` of a callable f(points), as a field."""
+    return DiscreteField(space, project_per_element(space, lambda e, pts: f(pts)))
 
 
 def enumerate_faces_of(lo, lengths):

@@ -13,11 +13,12 @@ import pytest
 import hpdg
 from hpdg.cli import StudyConfig, _chain_solve, run_study
 from hpdg.analysis import fit_exponential
-from hpdg.hpspace import build_space, project
+from hpdg.assembly import SipAssembler
+from hpdg.hpspace import build_space
 from hpdg.mesh import build_graded_mesh
 from hpdg.quadrature import singular_rule
 from hpdg.scf import ScfConfig, solve_ground_state
-from oracles import checked_integral, radial_power
+from oracles import checked_integral, projected, radial_power
 
 TWO_PI_SQ = 2 * np.pi**2
 
@@ -74,8 +75,8 @@ def test_criterion_2_patch_consistency():
     worst = 0.0
     for ell in (0, 2, 4):
         space = build_space(build_graded_mesh(2, 0.5, ell), 2, 0.0)
-        a = hpdg.assemble_sip(space, hpdg.Potential(None), hpdg.PenaltyConfig(10.0))
-        v = project(space, lambda p: (0.25 - p[:, 0] ** 2) * (0.25 - p[:, 1] ** 2))
+        a = SipAssembler(space, hpdg.Potential(None), hpdg.PenaltyConfig(10.0)).sip()
+        v = projected(space, lambda p: (0.25 - p[:, 0] ** 2) * (0.25 - p[:, 1] ** 2))
         worst = max(worst, abs(float(v.coeffs @ (a @ v.coeffs)) - 1.0 / 45.0))
     ok = report(2, worst <= 1e-10,
                 f"max |v'Av - 1/45| = {worst:.2e} over ell in (0,2,4) "
@@ -148,8 +149,8 @@ def test_criterion_7_scf_contract(study4_solves):
         assert rep.converged, f"level {ell} did not converge"
         space = u.space
         m = hpdg.assemble_mass(space)
-        a = hpdg.assemble_sip(space, hpdg.Potential(1.0, -1), hpdg.PenaltyConfig(10.0))
-        n = hpdg.assemble_nonlinear_mass(space, u, 3)
+        asm = SipAssembler(space, hpdg.Potential(1.0, -1), hpdg.PenaltyConfig(10.0))
+        a, n = asm.sip(), asm.nonlinear_mass(u, 3)
         rayleigh = float(u.coeffs @ ((a + n) @ u.coeffs))
         worst_resid = max(worst_resid, rep.residuals[-1])
         worst_norm = max(worst_norm, abs(float(u.coeffs @ (m @ u.coeffs)) - 1.0))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hpdg.analysis import ConvergenceRecord, error_norms, fit_exponential
-from hpdg.hpspace import (DiscreteField, MeshNestingError, build_space, constant_field,
-                          inject, project)
+from hpdg.hpspace import DiscreteField, MeshNestingError, build_space, constant_field, inject
 from hpdg.mesh import GradedMesh, build_faces, build_graded_mesh
+from oracles import projected
 
 
 def box_mesh(lo, lengths):
@@ -43,7 +43,7 @@ def test_continuous_error_has_no_jump_part():
     with e(x, y) = 2x, ||e||_dg^2 = 1/3 + 4."""
     mesh = two_element_mesh()
     space = build_space(mesh, 1, 0.0)
-    f = project(space, lambda p: 2.0 * p[:, 0])
+    f = projected(space, lambda p: 2.0 * p[:, 0])
     zero = DiscreteField(space, np.zeros(space.N))
     assert error_norms(zero, f)["dg"] ** 2 == pytest.approx(1.0 / 3.0 + 4.0, abs=1e-13)
 

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from hpdg._kernels import weighted_gram
 from hpdg import hpspace
-from hpdg.assembly import (PenaltyConfig, Potential, SipAssembler, _sym,
-                           assemble_mass, assemble_nonlinear_mass,
-                           assemble_sip)
-from hpdg.hpspace import basis_matrices, basis_matrix, build_space, constant_field, project
+from hpdg.assembly import PenaltyConfig, Potential, SipAssembler, _sym, assemble_mass
+from hpdg.hpspace import basis_matrices, basis_matrix, build_space, constant_field
 from hpdg.mesh import build_graded_mesh
-from hpdg.quadrature import element_rule, face_rule, volume_rule
-from oracles import element_dofs
+from hpdg.quadrature import _plane_rule, element_rule, volume_rule
+from oracles import element_dofs, projected
 
 
 def bubble(pts):
@@ -21,7 +19,7 @@ def bubble(pts):
 
 def make(ell, p0=2, slope=0.0, alpha=None, sign=-1, alpha0=10.0, d=2):
     space = build_space(build_graded_mesh(d, 0.5, ell), p0, slope)
-    a = assemble_sip(space, Potential(alpha, sign), PenaltyConfig(alpha0))
+    a = SipAssembler(space, Potential(alpha, sign), PenaltyConfig(alpha0)).sip()
     return space, a
 
 
@@ -29,7 +27,7 @@ def make(ell, p0=2, slope=0.0, alpha=None, sign=-1, alpha0=10.0, d=2):
 def test_patch_energy_of_bubble(ell):
     """v = (1/4-x^2)(1/4-y^2) gives v^T A v = integral |grad v|^2 = 1/45."""
     space, a = make(ell)
-    v = project(space, bubble)
+    v = projected(space, bubble)
     q = float(v.coeffs @ (a @ v.coeffs))
     assert q == pytest.approx(1.0 / 45.0, abs=1e-10)
 
@@ -100,27 +98,31 @@ def test_mass_has_no_cross_element_coupling():
 def test_nonlinear_mass_of_unit_state(delta):
     space = build_space(build_graded_mesh(2, 0.5, 2), 2, 0.0)
     m = assemble_mass(space)
-    n = assemble_nonlinear_mass(space, constant_field(space, 1.0), delta)
+    n = SipAssembler(space, Potential(None), PenaltyConfig()).nonlinear_mass(
+        constant_field(space, 1.0), delta)
     assert abs(n - m).max() <= 1e-12 * abs(m).max()
 
 
 def test_nonlinear_mass_scales_like_coefficient():
     space = build_space(build_graded_mesh(2, 0.5, 1), 2, 0.0)
     m = assemble_mass(space)
-    n = assemble_nonlinear_mass(space, constant_field(space, 2.0), 3)
+    n = SipAssembler(space, Potential(None), PenaltyConfig()).nonlinear_mass(
+        constant_field(space, 2.0), 3)
     assert abs(n - 4.0 * m).max() <= 1e-12 * abs(m).max()
 
 
 def test_nonlinear_mass_of_zero_state():
     space = build_space(build_graded_mesh(2, 0.5, 1), 2, 0.0)
-    n = assemble_nonlinear_mass(space, constant_field(space, 0.0), 3)
+    n = SipAssembler(space, Potential(None), PenaltyConfig()).nonlinear_mass(
+        constant_field(space, 0.0), 3)
     assert abs(n).max() == 0.0
 
 
 def test_nonlinear_mass_rejects_bad_delta():
     space = build_space(build_graded_mesh(2, 0.5, 1), 2, 0.0)
     with pytest.raises(ValueError):
-        assemble_nonlinear_mass(space, constant_field(space, 1.0), 5)
+        SipAssembler(space, Potential(None), PenaltyConfig()).nonlinear_mass(
+            constant_field(space, 1.0), 5)
 
 
 def test_nonlinear_mass_rejects_non_finite_state():
@@ -143,7 +145,7 @@ def test_consistency_terms_vanish_for_continuous_fields():
     """Face terms contribute nothing to v^T A v when v is continuous, zero on
     the boundary: compare against the volume-only gradient energy."""
     space, a = make(3)
-    v = project(space, bubble).coeffs
+    v = projected(space, bubble).coeffs
     from hpdg.hpspace import basis_matrices
     from hpdg.quadrature import element_rule
 
@@ -163,7 +165,7 @@ def test_refining_keeps_energy_of_continuous_field():
     qs = []
     for ell in (1, 2):
         space, a = make(ell)
-        v = project(space, bubble)
+        v = projected(space, bubble)
         qs.append(float(v.coeffs @ (a @ v.coeffs)))
     assert qs[0] == pytest.approx(qs[1], abs=1e-10)
 
@@ -174,7 +176,7 @@ def test_assembly_deterministic_under_face_order_and_rerun():
     and so is the hand-built CSR pattern."""
     for d in (2, 3):
         space, a = make(2, alpha=1.0, d=d)
-        b = assemble_sip(space, Potential(1.0, -1), PenaltyConfig(10.0))
+        b = SipAssembler(space, Potential(1.0, -1), PenaltyConfig(10.0)).sip()
         assert a.data.tobytes() == b.data.tobytes()
         assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
         assert b.has_canonical_format
@@ -212,7 +214,7 @@ def test_sip_and_nonlinear_mass_are_canonical_csr(d, ell, p0, slope):
     space = build_space(build_graded_mesh(d, 0.5, ell), p0, slope)
     asm = SipAssembler(space, Potential(1.0, -1), PenaltyConfig())
     a = asm.sip()
-    n = asm.nonlinear_mass(project(space, lambda p: np.cos(np.pi * p[:, 0])), 3)
+    n = asm.nonlinear_mass(projected(space, lambda p: np.cos(np.pi * p[:, 0])), 3)
     _assert_canonical_csr(a)
     _assert_canonical_csr(n)
     dof_el = np.repeat(np.arange(space.mesh.n_elements), space.ndofs_el)
@@ -237,16 +239,17 @@ def _fresh_face_block(space, f, alpha0):
     """Face block over the dofs of its owners, concatenated in owner order."""
     mesh, faces = space.mesh, space.mesh.faces
     p_e, axis = int(space.face_degree[f]), faces.axis[f]
-    rule = face_rule(faces.lo[f], faces.lengths[f], p_e + 4)
-    tabs = [basis_matrices(mesh.lo[o], mesh.lengths[o], int(space.degrees[o]), rule.points)
+    rule = _plane_rule(faces.lo[[f]], faces.lengths[[f]], axis, p_e + 4)
+    pts, w = rule.points[0], rule.weights[0]
+    tabs = [basis_matrices(mesh.lo[o], mesh.lengths[o], int(space.degrees[o]), pts)
             for o in faces.owners[f] if o >= 0]
     if not faces.interior[f]:
         jmp, dn = tabs[0][0], faces.sign[f] * tabs[0][1][axis]
     else:
         jmp = np.hstack([tabs[0][0], -tabs[1][0]])
         dn = 0.5 * np.hstack([tabs[0][1][axis], tabs[1][1][axis]])
-    c = (dn * rule.weights[:, None]).T @ jmp
-    return -c - c.T + weighted_gram(jmp, alpha0 * p_e**2 / faces.h_e[f] * rule.weights)
+    c = (dn * w[:, None]).T @ jmp
+    return -c - c.T + weighted_gram(jmp, alpha0 * p_e**2 / faces.h_e[f] * w)
 
 
 def _close(got, want):
@@ -270,7 +273,7 @@ def test_cached_blocks_equal_fresh_integration(d, sigma, ell, p0, slope, alpha, 
     mesh, pot, pen = space.mesh, Potential(alpha, -1.0), PenaltyConfig(10.0)
     asm = SipAssembler(space, pot, pen)
     a = asm.sip()
-    u = project(space, lambda x: np.cos(np.pi * x[:, 0]) * (1.0 + x[:, -1]))
+    u = projected(space, lambda x: np.cos(np.pi * x[:, 0]) * (1.0 + x[:, -1]))
     nl = asm.nonlinear_mass(u, 3)
     rng = np.random.default_rng(seed)
     owners = mesh.faces.owners
@@ -339,8 +342,8 @@ def test_laplace_dimer_smallest_eigenvalue():
 def test_patch_energy_of_bubble_3d(ell):
     """The 3D bubble (1/4-x^2)(1/4-y^2)(1/4-z^2) has gradient energy 1/900."""
     space, a = make(ell, p0=2, d=3)
-    v = project(space, lambda p: (0.25 - p[:, 0] ** 2) * (0.25 - p[:, 1] ** 2)
-                * (0.25 - p[:, 2] ** 2))
+    v = projected(space, lambda p: (0.25 - p[:, 0] ** 2) * (0.25 - p[:, 1] ** 2)
+                  * (0.25 - p[:, 2] ** 2))
     q = float(v.coeffs @ (a @ v.coeffs))
     assert q == pytest.approx(1.0 / 900.0, abs=1e-11)
 
@@ -349,7 +352,7 @@ def test_generic_sigma_laplace_eigenvalue():
     from hpdg.eigsolve import smallest_eigenpair
 
     space = build_space(build_graded_mesh(2, 0.4, 3), 2, 0.0)
-    a = assemble_sip(space, Potential(None), PenaltyConfig(10.0))
+    a = SipAssembler(space, Potential(None), PenaltyConfig(10.0)).sip()
     m = assemble_mass(space)
     res = smallest_eigenpair(a, m)
     assert res.lam == pytest.approx(2 * np.pi**2, rel=2e-3)

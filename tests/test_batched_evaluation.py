@@ -1,9 +1,9 @@
 """Batched field evaluation against the per-element loops it replaced.
 
-``error_norms``, ``project`` and ``inject`` evaluate fields per degree group
-and chunk of elements; the oracles evaluate one element or face at a time,
-with one rule and one ``basis_matrix`` table each.  Projection and injection
-must agree bitwise, the error norms to roundoff in the order of summation.
+``error_norms`` and ``inject`` evaluate fields per degree group and chunk of
+elements; the oracles evaluate one element or face at a time, with one rule
+and one ``basis_matrix`` table each.  Injection must agree bitwise, the error
+norms to roundoff in the order of summation.
 """
 
 from unittest import mock
@@ -15,17 +15,9 @@ from hypothesis import strategies as st
 
 from hpdg import hpspace
 from hpdg.analysis import error_norms
-from hpdg.hpspace import (DiscreteField, build_space, constant_field, containing_map, inject,
-                          project)
+from hpdg.hpspace import DiscreteField, build_space, constant_field, containing_map, inject
 from hpdg.mesh import build_graded_mesh
 from oracles import error_norms_per_element, evaluate_in_element, project_per_element
-
-
-def _smooth(pts):
-    vals = 1.0 + 0.5 * pts[:, 0]
-    for m in range(pts.shape[1]):
-        vals = vals * np.cos(np.pi * pts[:, m])
-    return vals
 
 
 @settings(max_examples=12, deadline=None)
@@ -46,7 +38,6 @@ def test_batched_evaluation_matches_per_element_loops(d, sigma, ell, p0, slope, 
     with mock.patch.object(hpspace, "TABLE_ENTRIES", chunk):
         norms = error_norms(coarse, reference)
         injected = inject(coarse, fine_space).coeffs
-        projected = project(fine_space, _smooth).coeffs
 
     want = error_norms_per_element(coarse, reference)
     for key, value in want.items():
@@ -54,7 +45,6 @@ def test_batched_evaluation_matches_per_element_loops(d, sigma, ell, p0, slope, 
     cmap = containing_map(coarse_space.mesh, fine_space.mesh)
     assert np.array_equal(injected, project_per_element(
         fine_space, lambda e, pts: evaluate_in_element(coarse, cmap[e], pts)))
-    assert np.array_equal(projected, project_per_element(fine_space, lambda e, pts: _smooth(pts)))
 
 
 @pytest.mark.parametrize("call", [error_norms, lambda field, other: inject(field, other.space)],

