@@ -60,11 +60,16 @@ class StudyConfig:
     out: str = "study_out"
 
     def validate(self):
-        for key in ("dim", "ell_min", "ell_max", "p0", "max_iter", "ref_extra_levels",
-                    "ref_extra_degree"):
+        for key in ("dim", "ell_min", "ell_max", "p0", "pot_sign", "delta", "max_iter",
+                    "ref_extra_levels", "ref_extra_degree"):
             value = getattr(self, key)
+            if key == "delta" and value is None:
+                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+        for key in ("sigma", "slope", "alpha", "penalty", "tol", "theta"):
+            if isinstance(value := getattr(self, key), bool):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
         if self.dim not in (2, 3):
             raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
         if not (0.0 < self.sigma <= 0.5):

@@ -2,16 +2,18 @@
 
 The Legendre basis is L2-orthogonal on each box, so an hp space's mass matrix
 is M = diag(d), and every product with M is d * v; any other M raises
-ValueError.  Small problems are one LAPACK eigh of the standard problem
-D^-1/2 A D^-1/2 y = lambda y, with x = D^-1/2 y.  Larger ones need a start
-vector x0: they factor A - tau M once (sparse LU), tau = rho(x0) - 10, and use
-it to precondition a single-vector LOBPCG (Knyazev 2001, SIAM J. Sci. Comput.
-23:517).  Each step is a Rayleigh-Ritz projection onto the M-orthonormal span
-Q of the iterate, its preconditioned residual and the previous direction, and
+ValueError.  A solve with a start vector x0, at any size, factors A - tau M
+once (sparse LU), tau = rho(x0) - 10, and uses it to precondition a
+single-vector LOBPCG (Knyazev 2001, SIAM J. Sci. Comput. 23:517) from x0.
+Each step is a Rayleigh-Ritz projection onto the M-orthonormal span Q of the
+iterate, its preconditioned residual and the previous direction, and
 multiplies by A once, as A Q: the new iterate's A x, Rayleigh quotient and
 residual all come from (A Q) c.  The factorization comes back on the result
 and may be passed in again, so the SCF loop factors once per solve and reuses
 the LU on every later sweep, where the operator has moved only a little.
+A problem of at most DENSE_ALWAYS unknowns solved without x0, or to a
+tolerance below LOBPCG's residual floor SPARSE_TOL_MIN, is one LAPACK eigh of
+the standard problem D^-1/2 A D^-1/2 y = lambda y, with x = D^-1/2 y.
 
 The LU is computed and applied in single precision: a preconditioner's
 accuracy sets how fast LOBPCG converges, not the accuracy it reaches.  The
@@ -41,7 +43,8 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
-DENSE_ALWAYS = 400  # up to this size the dense solve is cheapest; above it x0 is needed
+DENSE_ALWAYS = 400  # largest size solved densely: without x0, or below SPARSE_TOL_MIN
+SPARSE_TOL_MIN = 1e-12  # LOBPCG's residual floor; a tighter tol needs the dense path
 DEFAULT_TOL = 1e-10
 MAX_ITER = 200  # LOBPCG steps before EigenSolveError
 
@@ -129,10 +132,11 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
     """Minimal eigenvalue and M-normalized eigenvector of (A, M).
 
     M must be diagonal and positive, and a given ``x0`` finite of shape (n,)
-    (else ValueError).  The dense path serves n <= DENSE_ALWAYS; a larger
-    problem needs a start vector ``x0`` (else ValueError) and takes the
-    sparse path: LOBPCG from ``x0``, preconditioned by the LU of A - tau M
-    with tau = rho(x0) - 10, for at most MAX_ITER steps.  ``precond`` is the
+    (else ValueError).  A solve given ``x0`` takes the sparse path: LOBPCG
+    from ``x0``, preconditioned by the LU of A - tau M with
+    tau = rho(x0) - 10, for at most MAX_ITER steps.  The dense path serves
+    n <= DENSE_ALWAYS when ``x0`` is None or ``tol`` < SPARSE_TOL_MIN; a
+    larger problem without ``x0`` raises ValueError.  ``precond`` is the
     factorization returned by an earlier sparse solve of a nearby pencil of
     the same size; when given, nothing is factored.  ``orient`` fixes the
     sign so x.M.orient >= 0.
@@ -151,7 +155,7 @@ def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
     if nnz > np.count_nonzero(d) or not np.all(d > 0):
         raise ValueError("mass matrix M must be diagonal and positive definite")
 
-    if n <= DENSE_ALWAYS:
+    if n <= DENSE_ALWAYS and (x0 is None or tol < SPARSE_TOL_MIN):
         return dense_result(a, d, dense_ground_state(a, d), orient)
     if x0 is None:
         raise ValueError(f"a pencil of size {n} > DENSE_ALWAYS={DENSE_ALWAYS} "

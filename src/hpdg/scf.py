@@ -7,13 +7,23 @@ residual |<(A(u) - lambda) u, u>| with the nonlinearity reassembled at the new
 state.  The residual of the frozen linearization is identically zero, so this
 is the only reading under which the stopping rule bites.  The linear problem
 (``delta=None``) runs the same loop on the frozen operator A_sip, undamped, and
-converges on the first sweep.  The sparse eigensolver factors on the first
-sparse sweep only; that LU preconditions every later sweep of the solve.  A
-cold solve (no ``u0``) starts that first sweep's eigensolve from the ground
-state of the coarse Galerkin subspace spanned by the modes of degree <= 1 per
-axis; the SCF iterate itself starts as the normalized constant field.  When
-every element has degree 1 that subspace is the whole space, and its dense
-ground state is the first sweep's eigenpair.
+converges on the first sweep.
+
+Each sweep's eigensolve is asked only for the accuracy the SCF residual can
+use: sweep 1 for eig_tol = min(1e-10, eps_tol / 10), and sweep k >= 2 for
+max(eig_tol, INNER_RATIO * r_{k-1}), r_{k-1} the residual of the sweep before.
+The loop stops, and reports convergence, only on a sweep whose eigensolve was
+asked for eig_tol and whose residual is <= eps_tol; a residual below eps_tol
+after a looser solve takes one more sweep.
+
+Every eigensolve is started, so each is LOBPCG at any size, except one asked
+for less than SPARSE_TOL_MIN on at most DENSE_ALWAYS unknowns, which is
+dense.  The first LOBPCG sweep factors; that LU preconditions every later
+sweep of the solve.  A cold solve (no ``u0``) starts the first sweep's
+eigensolve from the ground state of the coarse Galerkin subspace spanned by
+the modes of degree <= 1 per axis; the SCF iterate itself starts as the
+normalized constant field.  When every element has degree 1 that subspace is
+the whole space, and its dense ground state is the first sweep's eigenpair.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ import numpy as np
 from .assembly import PenaltyConfig, Potential, SipAssembler
 from .eigsolve import dense_ground_state, dense_result, smallest_eigenpair
 from .hpspace import DiscreteField, HpSpace, _modes, constant_field
+
+INNER_RATIO = 1e-2  # a sweep's eigensolve tolerance relative to the last SCF residual
 
 
 @dataclass
@@ -118,8 +130,9 @@ def solve_ground_state(space: HpSpace, potential: Potential,
             eig = dense_result(a_u, d, start, u.coeffs)
     precond, residuals = None, []
     for k in range(1, cfg.max_iter + 1):
+        tol = max(eig_tol, INNER_RATIO * residuals[-1]) if residuals else eig_tol
         if k > 1 or eig is None:
-            eig = smallest_eigenpair(a_u, m, tol=eig_tol, x0=start, orient=u.coeffs,
+            eig = smallest_eigenpair(a_u, m, tol=tol, x0=start, orient=u.coeffs,
                                      precond=precond)
         precond = eig.precond
         new = m_normalize((1.0 - theta) * u.coeffs + theta * eig.x)
@@ -131,6 +144,7 @@ def solve_ground_state(space: HpSpace, potential: Potential,
         residuals.append(resid)
         if log is not None:
             log(f"{k} {eig.lam!r} {resid!r}")
-        if resid <= cfg.eps_tol:
+        converged = tol == eig_tol and resid <= cfg.eps_tol
+        if converged:
             break
-    return u, ScfReport(rayleigh, k, residuals, resid <= cfg.eps_tol)
+    return u, ScfReport(rayleigh, k, residuals, converged)

@@ -56,6 +56,18 @@ def test_sigma_validation_names_the_key():
     ("max_iter", False, "max_iter"),
     ("ref_extra_levels", 1.5, "ref_extra_levels"),
     ("ref_extra_degree", 0.5, "ref_extra_degree"),
+    # pot_sign and delta are integers too, and no numeric key takes a bool
+    ("pot_sign", True, "pot_sign"),
+    ("pot_sign", 1.0, "pot_sign"),
+    ("pot_sign", -1.0, "pot_sign"),
+    ("delta", 3.0, "delta"),
+    ("delta", True, "delta"),
+    ("sigma", True, "sigma"),
+    ("slope", True, "slope"),
+    ("alpha", True, "alpha"),
+    ("penalty", True, "penalty"),
+    ("tol", True, "tol"),
+    ("theta", True, "theta"),
 ])
 def test_validation_messages_name_keys(field, value, key):
     cfg = StudyConfig(**{field: value})
@@ -271,7 +283,8 @@ def test_main_with_config_and_overrides(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("ref_extra_levels", 1.5), ("ref_extra_degree", 0.5),
-                                       ("max_iter", 2.5), ("p0", True)])
+                                       ("max_iter", 2.5), ("p0", True), ("pot_sign", 1.0),
+                                       ("delta", 3.0)])
 def test_non_integer_key_fails_before_any_level_is_solved(tmp_path, monkeypatch, key, value):
     monkeypatch.setattr(cli, "_level_solve", lambda *a: pytest.fail("a level was solved"))
     with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value!r}"):

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as sla
 
 from hpdg import scf
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler, assemble_mass
-from hpdg.eigsolve import DENSE_ALWAYS, smallest_eigenpair
+from hpdg.eigsolve import DENSE_ALWAYS, SPARSE_TOL_MIN, smallest_eigenpair
 from hpdg.hpspace import build_space, constant_field, inject
 from hpdg.mesh import build_graded_mesh
 from hpdg.scf import ScfConfig, ScfReport, solve_ground_state
@@ -199,25 +199,96 @@ def test_warm_sparse_solve_factors_once(monkeypatch):
     assert rep.lam == pytest.approx(lam, abs=1e-10)
 
 
-def test_sparse_sweeps_report_the_residual_of_a_fresh_product(monkeypatch):
-    """Each sparse eigensolve of an SCF level meets eig_tol = eps_tol / 10 when
-    its residual is recomputed from a fresh A x, not the one LOBPCG kept."""
-    from hpdg import scf
+def fresh_residual(a, m, res):
+    ax, mx = a @ res.x, m @ res.x
+    return np.linalg.norm(ax - res.lam * mx) / (np.linalg.norm(ax) + abs(res.lam) * np.linalg.norm(mx))
 
+
+def recording_solves(monkeypatch):
+    """Patch the SCF loop's eigensolver to record (A, M, tol, result) per sweep."""
+    solves, solve = [], scf.smallest_eigenpair
+
+    def recording(a, m, **kwargs):
+        solves.append((a, m, kwargs["tol"], solve(a, m, **kwargs)))
+        return solves[-1][3]
+
+    monkeypatch.setattr(scf, "smallest_eigenpair", recording)
+    return solves
+
+
+def test_sparse_sweeps_report_the_residual_of_a_fresh_product(monkeypatch):
+    """Each sparse eigensolve of an SCF level meets the tolerance its sweep
+    asked for when its residual is recomputed from a fresh A x, not the one
+    LOBPCG kept; the last sweep asked for, and meets, eig_tol = eps_tol / 10."""
     pot = Potential(0.5, -1)
     cfg = ScfConfig(eps_tol=1e-10, delta=3)
     u1, _ = solve_ground_state(build_space(build_graded_mesh(3, 0.5, 1), 1, 0.25), pot, PEN, cfg)
     space = build_space(build_graded_mesh(3, 0.5, 2), 1, 0.25)
-    solves, solve = [], scf.smallest_eigenpair
-    monkeypatch.setattr(scf, "smallest_eigenpair",
-                        lambda a, m, **k: solves.append((a, m, solve(a, m, **k))) or solves[-1][2])
+    solves = recording_solves(monkeypatch)
     _, rep = solve_ground_state(space, pot, PEN, cfg, u0=inject(u1, space))
     assert rep.converged and len(solves) == rep.iterations > 1
-    for a, m, res in solves:
-        assert res.precond is not None
-        ax, mx = a @ res.x, m @ res.x
-        scale = np.linalg.norm(ax) + abs(res.lam) * np.linalg.norm(mx)
-        assert np.linalg.norm(ax - res.lam * mx) / scale <= 1e-11
+    for a, m, tol, res in solves:
+        assert res.precond is not None and res.residual <= tol
+        assert fresh_residual(a, m, res) <= tol
+    a, m, tol, res = solves[-1]
+    assert tol == pytest.approx(1e-11, rel=1e-15) and fresh_residual(a, m, res) <= 1e-11
+
+
+def test_cold_small_solve_iterates_from_the_coarse_start(monkeypatch):
+    """Below DENSE_ALWAYS a started solve is LOBPCG too: the only dense eigh
+    of a cold solve is the coarse start's."""
+    space = space_2d(3)
+    assert space.N <= DENSE_ALWAYS
+    eighs, eigh = [], dla.eigh
+    monkeypatch.setattr(dla, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
+    solves = recording_solves(monkeypatch)
+    _, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-10, delta=3))
+    assert rep.converged and len(solves) == rep.iterations > 1
+    assert len(eighs) <= 1
+    assert all(res.precond is not None for *_, res in solves)
+
+
+def test_tolerance_below_the_lobpcg_floor_is_solved_densely(monkeypatch):
+    """A sweep asking for less than SPARSE_TOL_MIN gets the dense pair; the
+    looser sweeps in between iterate on one LU."""
+    space = space_2d(3)
+    factorizations, splu = [], sla.splu
+    monkeypatch.setattr(sla, "splu", lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+    solves = recording_solves(monkeypatch)
+    u, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-13, delta=3))
+    assert rep.converged and rep.residuals[-1] <= 1e-13
+    assert [tol < SPARSE_TOL_MIN for *_, tol, _ in solves] == \
+        [res.precond is None for *_, res in solves]
+    assert solves[0][2] == solves[-1][2] == pytest.approx(1e-14, rel=1e-15)
+    assert any(res.precond is not None for *_, res in solves)
+    assert len(factorizations) == 1
+    asm = SipAssembler(space, POT, PEN)
+    a = asm.sip() + asm.nonlinear_mass(u, 3)
+    lam = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
+                   subset_by_index=[0, 0])[0]
+    assert rep.lam == pytest.approx(lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,ell,p0,slope,alpha,eps_tol", [(2, 3, 2, 0.125, 1.0, 1e-10),
+                                                             (2, 4, 2, 0.125, 1.0, 1e-10),
+                                                             (3, 2, 1, 0.25, 0.5, 1e-7)])
+def test_warm_solve_converges_on_a_sweep_solved_at_eig_tol(monkeypatch, dim, ell, p0, slope,
+                                                           alpha, eps_tol):
+    """Sweeps after the first ask for a tolerance tied to the last SCF
+    residual, never below eig_tol; a converged solve ends on one that asked
+    for eig_tol, even when a looser sweep already met eps_tol (3D, 1e-7)."""
+    pot = Potential(alpha, -1)
+    cfg = ScfConfig(eps_tol=eps_tol, delta=3)
+    u1, _ = solve_ground_state(build_space(build_graded_mesh(dim, 0.5, ell - 1), p0, slope),
+                               pot, PEN, cfg)
+    space = build_space(build_graded_mesh(dim, 0.5, ell), p0, slope)
+    solves = recording_solves(monkeypatch)
+    _, rep = solve_ground_state(space, pot, PEN, cfg, u0=inject(u1, space))
+    eig_tol = min(1e-10, eps_tol / 10)
+    tols = [tol for *_, tol, _ in solves]
+    assert rep.converged and len(tols) == rep.iterations > 1
+    assert tols[0] == tols[-1] == eig_tol
+    assert tols[1:] == [max(eig_tol, scf.INNER_RATIO * r) for r in rep.residuals[:-1]]
 
 
 @pytest.mark.parametrize("ell,p0,slope,delta", [(3, 1, 0.25, 3), (2, 2, 0.0, None)])
