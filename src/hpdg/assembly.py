@@ -17,7 +17,10 @@ reference Grams, and face blocks of equal relative geometry are found with one
 chunks of at most ``hpspace.TABLE_ENTRIES`` table entries with the arithmetic
 of one face at a time, so the result is bitwise the same (see
 :class:`SipAssembler`); A_sip's blocks are added into per-pair views of its
-element-graph CSR data, and N(u) is laid out as block-diagonal CSR.
+element-graph CSR data.  N(u) is block-diagonal, and its blocks are returned
+per degree group with the positions of the matching blocks of A_sip's data, so
+A_sip + N(u) can be written in place; :meth:`SipAssembler.nonlinear_mass` lays
+them out as a CSR of their own.
 """
 
 from __future__ import annotations
@@ -84,9 +87,10 @@ def _grams(phi: np.ndarray, wq: np.ndarray) -> np.ndarray:
     return np.matmul(phi.T * wq[:, None, :], phi)
 
 
-def _csr_from_blocks(space: HpSpace, blocks: list) -> sp.csr_matrix:
+def _csr_from_blocks(space: HpSpace, blocks: list):
     """Add symmetric blocks into an N x N CSR matrix whose rows of element a
-    hold the dofs of a and of its face neighbours, in id order.
+    hold the dofs of a and of its face neighbours, in id order; returns it and,
+    per element a, the column in a's rows where its diagonal block (a, a) begins.
 
     ``blocks`` holds the element blocks by element id, then the face blocks
     by face id: element e's couples its local dofs with themselves, face f's
@@ -129,7 +133,8 @@ def _csr_from_blocks(space: HpSpace, blocks: list) -> sp.csr_matrix:
         view[b, b] += blk[n:, n:]
     if not np.isfinite(data).all():
         raise ValueError("assembled SIP matrix contains non-finite entries")
-    return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
+    a = sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
+    return a, col[pairs[:, 0] == pairs[:, 1]]
 
 
 def _first_and_inverse(keys):
@@ -165,9 +170,12 @@ class SipAssembler:
     are bitwise those of a per-face loop, whatever the chunk size.  ``sip()``
     adds the blocks, elements by id, then faces by id, into views of the CSR
     data: one (nd[a], nd[b]) view per coupled pair of elements (a, b), the
-    columns of b in a's rows.
-    ``nonlinear_mass()`` writes its Grams straight into a block-diagonal CSR:
-    element e's block, row-major, where the CSR row of its first dof starts.
+    columns of b in a's rows, and records in ``slots`` where each element's
+    diagonal block (a, a) lies in the data.  ``nonlinear_blocks()`` gives the
+    blocks of N(u) per degree group, in the order of ``slots``: N(u)'s pattern
+    lies inside A_sip's, so the SCF loop adds them into A_sip's own data.
+    ``nonlinear_mass()`` writes them into a block-diagonal CSR: element e's
+    block, row-major, where the CSR row of its first dof starts.
     """
 
     def __init__(self, space: HpSpace, potential: Potential, penalty: PenaltyConfig):
@@ -190,7 +198,13 @@ class SipAssembler:
         return sp.diags(diag, format="csr")
 
     def sip(self) -> sp.csr_matrix:
-        return _csr_from_blocks(self.space, self._sip_blocks())
+        """A_sip; also sets ``slots``: per degree group, the (k, n, n)
+        positions in A_sip's data of its elements' diagonal blocks, row-major,
+        where N(u) adds its blocks."""
+        a, diag = _csr_from_blocks(self.space, self._sip_blocks())
+        self.slots = [a.indptr[cols][..., None] + diag[ids][:, None, None]
+                      + np.arange(cols.shape[1]) for _, ids, _, _, cols in self._groups]
+        return a
 
     def _sip_blocks(self) -> list:
         """The symmetrized blocks of A_sip, element blocks by element id, then
@@ -274,24 +288,30 @@ class SipAssembler:
                 gram = np.matmul(np.swapaxes(jmp * (gamma[:, None, None] * w), 1, 2), jmp)
                 yield rows, -c - np.swapaxes(c, 1, 2) + gram
 
-    def nonlinear_mass(self, u: DiscreteField, delta: int,
-                       scale: float = 1.0) -> sp.csr_matrix:
+    def nonlinear_blocks(self, u: DiscreteField, delta: int, scale: float = 1.0) -> list:
+        """Per degree group, the (k, n, n) diagonal blocks of N(u): the
+        symmetrized Grams of scale * |u|^(delta-1) at the plain-rule points."""
         if delta not in NONLINEAR_EXPONENTS:
             raise ValueError(f"delta must be one of {NONLINEAR_EXPONENTS}, got {delta}")
-        space = self.space
-        if u.space is not space:
+        if u.space is not self.space:
             raise ValueError("state field does not belong to the assembler's space")
+        blocks = [_sym(_grams(phi, w * (scale * np.abs(u.coeffs[cols] @ phi.T) ** (delta - 1))))
+                  for _, _, w, phi, cols in self._groups]
+        if not all(np.isfinite(b).all() for b in blocks):
+            raise ValueError("nonlinear mass matrix contains non-finite entries")
+        return blocks
 
+    def nonlinear_mass(self, u: DiscreteField, delta: int,
+                       scale: float = 1.0) -> sp.csr_matrix:
+        """N(u) as a block-diagonal CSR of :meth:`nonlinear_blocks`."""
+        space = self.space
         nd = space.ndofs_el
         indptr = np.concatenate([[0], np.cumsum(np.repeat(nd, nd))])
         itype = np.int32 if indptr[-1] < 2**31 else np.int64
         data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=itype)
-        for _, _, w, phi, cols in self._groups:  # cols (k, n): each element's dofs
-            g = _grams(phi, w * (scale * np.abs(u.coeffs[cols] @ phi.T) ** (delta - 1)))
+        for (_, _, _, phi, cols), g in zip(self._groups, self.nonlinear_blocks(u, delta, scale)):
             pos = indptr[cols][..., None] + np.arange(phi.shape[1])  # (k, n, n): row-major blocks
-            data[pos], indices[pos] = _sym(g), cols[:, None, :]
-        if not np.isfinite(data).all():
-            raise ValueError("nonlinear mass matrix contains non-finite entries")
+            data[pos], indices[pos] = g, cols[:, None, :]
         return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
 
 

@@ -21,7 +21,13 @@ residual, the M-orthonormalization, the Rayleigh-Ritz projection and the
 stopping rule stay double.  A - tau M and each residual are scaled by the
 power of two that puts their largest entry in [1/2, 1) before the cast; that
 is exact for normal float32 values, so no pencil overflows, and one whose
-entries span more than about 1e45 raises EigenSolveError.
+entries span more than about 1e45 raises EigenSolveError.  A is symmetric, so
+the arrays of its CSR are those of its CSC: A - tau M is formed as one float32
+array of values, shifted on the diagonal while cast, next to A's own index
+arrays, and A is never copied: the traced peak of a factorization is about
+5 bytes per stored entry of A, where forming ``(A - diags(tau d)).tocsc()``
+took 24.  SuperLU gets bitwise the values and the pattern of that shifted copy,
+cast the same way.
 
 The preconditioner is symmetric positive definite, and the descent to the
 ground state guaranteed, only when tau lies below lambda_1 of the factored
@@ -83,18 +89,60 @@ def _single(v):
     return np.ldexp(v, -np.frexp(np.max(np.abs(v), initial=0.0))[1]).astype(np.float32)
 
 
+def _diagonal_positions(a):
+    """Index into ``a.data`` of each diagonal entry of the canonical CSR ``a``,
+    -1 where none is stored: a binary search in every row at once, O(N) memory."""
+    ptr, idx = a.indptr, a.indices
+    rows = np.arange(a.shape[0])
+    lo, hi = ptr[:-1].astype(np.int64), ptr[1:].astype(np.int64)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        below = open_ & (idx[np.where(open_, mid, 0)] < rows)
+        lo, hi = np.where(below, mid + 1, lo), np.where(open_ & ~below, mid, hi)
+    found = lo < ptr[1:]
+    found[found] = idx[lo[found]] == rows[found]
+    return np.where(found, lo, -1)
+
+
 def _factor(a, d, tau):
-    """Single-precision LU of A - tau M, refused when an entry is lost in the cast."""
-    lhs = (a - sp.diags(tau * d)).tocsc()
-    data = _single(lhs.data)
-    if not np.isfinite(data).all() or np.count_nonzero(data) < np.count_nonzero(lhs.data):
-        mags = np.abs(lhs.data[lhs.data != 0])
+    """Single-precision LU of A - tau M, refused when an entry is lost in the cast.
+
+    A is symmetric, so the arrays of its canonical CSR are those of its CSC:
+    SuperLU gets A's own index arrays and one float32 array of the values,
+    shifted on the diagonal and scaled as :func:`_single` scales them.  The
+    values and the pattern are those of ``(A - diags(tau d)).tocsc()``.
+    """
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    diag = _diagonal_positions(a)
+    if (diag < 0).any():  # store the missing diagonal entries, as zeros, in a copy
+        a = a.copy()
+        a.setdiag(a.diagonal())
+        diag = _diagonal_positions(a)
+    shifted = a.data[diag] - tau * d
+    off = np.ones(a.nnz, dtype=bool)
+    off[diag] = False
+    top = max(np.abs(shifted).max(initial=0.0), a.data.max(where=off, initial=0.0),
+              -a.data.min(where=off, initial=0.0))
+    del off  # freed before the float32 array is allocated, so the two never coexist
+    exp = -int(np.frexp(top)[1])
+    data = np.ldexp(a.data, exp, out=np.empty(a.nnz, dtype=np.float32), casting="unsafe")
+    data[diag] = np.ldexp(shifted, exp)
+    nonzero = np.count_nonzero(a.data) - np.count_nonzero(a.data[diag]) + np.count_nonzero(shifted)
+    if not np.isfinite(data).all() or np.count_nonzero(data) < nonzero:
+        values = a.data.copy()
+        values[diag] = shifted
+        mags = np.abs(values[values != 0])
         raise EigenSolveError(
             f"A - tau M at tau={tau!r} has entries of magnitude {mags.min():.3e} "
             f"to {mags.max():.3e}, beyond the range of a float32 factorization")
+    lhs = sp.csc_matrix((data, a.indices, a.indptr), shape=a.shape)
+    if nonzero < a.nnz:  # a sparse difference stores no zeros; drop them, not from A's arrays
+        lhs = lhs.copy()
+        lhs.eliminate_zeros()
     try:
-        return sla.splu(sp.csc_matrix((data, lhs.indices, lhs.indptr), shape=lhs.shape),
-                        permc_spec="MMD_AT_PLUS_A")
+        return sla.splu(lhs, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise EigenSolveError(f"A - tau M is singular at tau={tau!r}: {exc}") from exc
 

@@ -9,6 +9,15 @@ is the only reading under which the stopping rule bites.  The linear problem
 (``delta=None``) runs the same loop on the frozen operator A_sip, undamped, and
 converges on the first sweep.
 
+A solve keeps one N x N operator.  A_sip is assembled once, and each sweep
+writes A_sip + N(u_k) into A_sip's own data: N(u) is block-diagonal, so only
+the elements' diagonal blocks (``SipAssembler.slots``) change, each to A_sip's
+saved values there plus N(u_k)'s block.  That is bitwise the sparse sum
+``sip() + nonlinear_mass(u_k)``, since A_sip stores no zeros and N(u)'s pattern
+lies inside A_sip's.  The matrix handed to a sweep's eigensolve is overwritten
+by the next sweep, so a caller that keeps a sweep's A must copy it.  The linear
+problem hands A_sip over unmodified.
+
 Each sweep's eigensolve is asked only for the accuracy the SCF residual can
 use: sweep 1 for eig_tol = min(1e-10, eps_tol / 10), and sweep k >= 2 for
 max(eig_tol, INNER_RATIO * r_{k-1}), r_{k-1} the residual of the sweep before.
@@ -103,20 +112,26 @@ def solve_ground_state(space: HpSpace, potential: Potential,
     ``converged`` flag, with the last iterate returned.  Either way
     ``report.lam`` is the Rayleigh quotient u^T (A_sip + N(u)) u of the
     returned u.  ``log`` may be a callable receiving one "k lambda residual"
-    line per sweep.
+    line per sweep.  ``u0`` must be a field on ``space`` (else ValueError).
     """
+    if u0 is not None and u0.space is not space:
+        raise ValueError(f"u0 belongs to another space (N={u0.space.N}) than the one "
+                         f"solved on (N={space.N})")
     asm = SipAssembler(space, potential, penalty)
-    a_sip = asm.sip()
+    a = asm.sip()
+    base = [a.data[s] for s in asm.slots]  # A_sip's diagonal blocks
     m = asm.mass()
     d = m.diagonal()
     eig_tol = min(1e-10, cfg.eps_tol / 10.0)
     theta = 1.0 if cfg.delta is None else cfg.theta
 
     def linearized(u):
-        """A_sip + N(u), the SCF operator linearized at u."""
-        if cfg.delta is None:
-            return a_sip
-        return a_sip + asm.nonlinear_mass(u, cfg.delta, cfg.nonlinear_scale)
+        """A_sip + N(u), the SCF operator linearized at u, written into A_sip's data."""
+        if cfg.delta is not None:
+            for s, b, g in zip(asm.slots, base, asm.nonlinear_blocks(u, cfg.delta,
+                                                                    cfg.nonlinear_scale)):
+                a.data[s] = b + g
+        return a
 
     def m_normalize(c):
         return c / np.sqrt(c @ (d * c))

@@ -9,12 +9,15 @@ elements and faces, one rule and one basis table at a time;
 :func:`evaluate_in_element` evaluates one element's expansion at given
 points, the value that the batched evaluation must reproduce.  The face
 oracle restates the numpy face enumeration as the pairwise loop it replaced.
+:func:`factor_input` forms the single-precision pencil A - tau M as a shifted
+CSC copy of A, the matrix the sparse LU must be given.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+import scipy.sparse as sp
 
 from hpdg._kernels import legendre_l2_norms_sq
 from hpdg.hpspace import DiscreteField, _modes, basis_matrices, basis_matrix, containing_map
@@ -225,3 +228,13 @@ def enumerate_faces_of(lo, lengths):
     m, _, interior, owners, sign, flo, flen, h_e, sub = zip(*raw)
     return Faces(np.array(owners), np.array(m), np.array(sign), np.array(flo), np.array(flen),
                  np.array(h_e), np.array(interior), np.array(sub))
+
+
+def factor_input(a, d, tau):
+    """The float32 CSC of A - tau diag(d) that the LU factors:
+    ``(a - diags(tau d)).tocsc()``, scaled by the power of two that puts its
+    largest magnitude in [1/2, 1), then cast."""
+    lhs = (a - sp.diags(tau * d)).tocsc()
+    exp = np.frexp(np.max(np.abs(lhs.data), initial=0.0))[1]
+    return sp.csc_matrix((np.ldexp(lhs.data, -exp).astype(np.float32), lhs.indices, lhs.indptr),
+                         shape=lhs.shape)

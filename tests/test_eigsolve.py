@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as dla
 import scipy.sparse as sp
 
 from hpdg import eigsolve
+from hpdg.assembly import PenaltyConfig, Potential, SipAssembler
 from hpdg.eigsolve import DENSE_ALWAYS, EigenSolveError, smallest_eigenpair
+from hpdg.hpspace import build_space, constant_field
+from hpdg.mesh import build_graded_mesh
+from oracles import factor_input
 
 
 def tridiag(n, scale=1.0):
@@ -338,3 +344,79 @@ def test_reported_residual_holds_for_a_fresh_product():
         res = smallest_eigenpair(a, m, x0=x0)
         assert res.precond is not None and res.residual <= eigsolve.DEFAULT_TOL
         assert fresh_residual(a, m, res) <= eigsolve.DEFAULT_TOL
+
+
+def scf_pencil(dim, ell, p0, slope, alpha):
+    """A_sip + N(u) at the constant state, M's diagonal, and tau = rho(u) - 10."""
+    space = build_space(build_graded_mesh(dim, 0.5, ell), p0, slope)
+    asm = SipAssembler(space, Potential(alpha, -1), PenaltyConfig())
+    u = constant_field(space)
+    a = asm.sip() + asm.nonlinear_mass(u, 3)
+    d = asm.mass().diagonal()
+    x = u.coeffs / np.sqrt(u.coeffs @ (d * u.coeffs))
+    return a, d, float(x @ (a @ x)) - 10.0
+
+
+def factor_pencils():
+    """(A, d, tau): the SCF operators of both dimensions and pencils whose
+    shifted copy differs from A's pattern or needs the scaled cast."""
+    yield pytest.param(*scf_pencil(2, 4, 2, 0.125, 1.0), id="scf2d")
+    yield pytest.param(*scf_pencil(3, 2, 1, 0.25, 0.5), id="scf3d")
+    a, _, m = perturbed_pencils()
+    yield pytest.param(a, m.diagonal(), -3.5, id="perturbed")
+    for scale in (1e45, 1e-45):
+        yield pytest.param(tridiag(3000, scale=scale), np.full(3000, scale), -10.0,
+                           id=f"scaled{scale:g}")
+    # the diagonal cancels: the shifted copy stores none of it
+    yield pytest.param(tridiag(600), np.ones(600), 2.0, id="zero_after_shift")
+    gap = tridiag(600)
+    gap.data[gap.indices == np.repeat(np.arange(600), np.diff(gap.indptr))] *= np.arange(600) % 3
+    gap.eliminate_zeros()  # every third diagonal entry is not stored
+    yield pytest.param(gap, np.linspace(1.0, 2.0, 600), 0.75, id="missing_diagonal")
+    dup = tridiag(600)
+    dup = sp.csr_matrix((np.repeat(0.5 * dup.data, 2), np.repeat(dup.indices, 2),
+                         2 * dup.indptr), shape=dup.shape)
+    dup.has_canonical_format = False  # every entry stored as two halves
+    yield pytest.param(dup, np.ones(600), -1.0, id="duplicates")
+
+
+@pytest.mark.parametrize("a,d,tau", factor_pencils())
+def test_factor_hands_superlu_the_shifted_copy_bitwise(monkeypatch, a, d, tau):
+    """SuperLU gets the float32 values and the index arrays of the shifted CSC
+    copy, and A itself is left as it was."""
+    given = []
+    monkeypatch.setattr(eigsolve.sla, "splu", lambda lhs, **kwargs: given.append(lhs))
+    before = a.copy()
+    eigsolve._factor(a, d, tau)
+    want, (got,) = factor_input(a, d, tau), given
+    assert sp.isspmatrix_csc(got) and got.dtype == np.float32 and got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.uint32), want.data.view(np.uint32))
+    for arr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, arr), getattr(before, arr)), arr
+
+
+def test_factor_peak_memory_per_stored_entry():
+    """The float32 pencil is cast straight from A's storage: the traced peak
+    of a 3D factorization stays within 12 bytes per stored entry of A (a
+    shifted CSC copy alone takes 12, its float32 values 4 more)."""
+    a, d, tau = scf_pencil(3, 4, 1, 0.25, 0.5)
+    assert (a.shape[0], a.nnz) == (3984, 630240)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        eigsolve._factor(a, d, tau)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * a.nnz
+
+
+def test_singular_pencil_is_refused():
+    n = 600
+    x0 = np.zeros(n)
+    x0[19] = 1.0  # rho(x0) = 20, so tau = 10 and row 9 of A - tau M is zero
+    with pytest.raises(EigenSolveError, match=r"A - tau M is singular at tau=10\.0"):
+        smallest_eigenpair(sp.diags(np.arange(1.0, n + 1.0)).tocsr(),
+                           sp.identity(n, format="csr"), x0=x0)

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as sla
 from hpdg import scf
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler, assemble_mass
 from hpdg.eigsolve import DENSE_ALWAYS, SPARSE_TOL_MIN, smallest_eigenpair
-from hpdg.hpspace import build_space, constant_field, inject
+from hpdg.hpspace import DiscreteField, build_space, constant_field, inject
 from hpdg.mesh import build_graded_mesh
 from hpdg.scf import ScfConfig, ScfReport, solve_ground_state
 from oracles import element_dofs
@@ -205,11 +205,12 @@ def fresh_residual(a, m, res):
 
 
 def recording_solves(monkeypatch):
-    """Patch the SCF loop's eigensolver to record (A, M, tol, result) per sweep."""
+    """Patch the SCF loop's eigensolver to record (A, M, tol, result) per sweep.
+    A is copied: the next sweep writes its operator into the same storage."""
     solves, solve = [], scf.smallest_eigenpair
 
     def recording(a, m, **kwargs):
-        solves.append((a, m, kwargs["tol"], solve(a, m, **kwargs)))
+        solves.append((a.copy(), m, kwargs["tol"], solve(a, m, **kwargs)))
         return solves[-1][3]
 
     monkeypatch.setattr(scf, "smallest_eigenpair", recording)
@@ -340,3 +341,50 @@ def test_readme_library_example_runs_in_3d():
     _, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-10, delta=3))
     assert rep.converged
     assert rep.residuals[-1] <= 1e-10
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4])
+@pytest.mark.parametrize("dim,ell,p0,slope,alpha", [(2, 3, 2, 0.125, 1.0), (3, 2, 1, 0.25, 0.5)])
+def test_sweep_operator_is_sip_plus_nonlinear_mass_bitwise(monkeypatch, dim, ell, p0, slope,
+                                                          alpha, delta):
+    """Every sweep writes A_sip + N(u) into the storage of one A_sip; after
+    each update it is bitwise the sum of the two assembled matrices at the
+    iterate it is linearized at (the ``orient`` vector), and bitwise
+    symmetric, so its CSR arrays are its CSC arrays."""
+    space = build_space(build_graded_mesh(dim, 0.5, ell), p0, slope)
+    pot, scale = Potential(alpha, -1), 2.5
+    ops, solve = [], scf.smallest_eigenpair
+
+    def recording(a, m, **kwargs):
+        ops.append((a, a.copy(), kwargs["orient"].copy()))
+        return solve(a, m, **kwargs)
+
+    monkeypatch.setattr(scf, "smallest_eigenpair", recording)
+    cfg = ScfConfig(eps_tol=1e-10, delta=delta, nonlinear_scale=scale)
+    _, rep = solve_ground_state(space, pot, PEN, cfg)
+    assert rep.converged and len(ops) >= 3
+    assert all(a is ops[0][0] for a, *_ in ops)  # one operator, updated in place
+    asm = SipAssembler(space, pot, PEN)
+    for _, a, u in ops:
+        want = asm.sip() + asm.nonlinear_mass(DiscreteField(space, u), delta, scale)
+        assert np.array_equal(a.indptr, want.indptr) and np.array_equal(a.indices, want.indices)
+        assert np.array_equal(a.data.view(np.int64), want.data.view(np.int64))
+        assert (a != a.T).nnz == 0
+
+
+def test_linear_problem_passes_a_sip_unmodified(monkeypatch):
+    space = space_2d(3)
+    solves = recording_solves(monkeypatch)
+    _, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-10, delta=None))
+    (a, *_), = solves
+    want = SipAssembler(space, POT, PEN).sip()
+    assert rep.converged and np.array_equal(a.indices, want.indices)
+    assert np.array_equal(a.data.view(np.int64), want.data.view(np.int64))
+
+
+@pytest.mark.parametrize("other", [build_space(build_graded_mesh(2, 0.25, 3), 2, 0.125),
+                                   space_2d(2)], ids=["same_size", "other_size"])
+def test_start_on_another_space_is_refused(other):
+    space = space_2d(3)
+    with pytest.raises(ValueError, match=rf"u0 .*N={other.N}.*N={space.N}"):
+        solve_ground_state(space, POT, PEN, ScfConfig(delta=3), u0=constant_field(other))
