@@ -137,13 +137,6 @@ def _csr_from_blocks(space: HpSpace, blocks: list):
     return a, col[pairs[:, 0] == pairs[:, 1]]
 
 
-def _first_and_inverse(keys):
-    """Index of the first row of each distinct row of ``keys`` and, per row,
-    the position of its distinct row among them."""
-    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first, inv
-
-
 class SipAssembler:
     """Builds A_sip, M and N(u) from reference data, anew on every call.
 
@@ -211,21 +204,19 @@ class SipAssembler:
         face blocks by face id; face blocks of equal key are one shared array."""
         space, pot = self.space, self.potential
         mesh = space.mesh
-        corner = mesh.corner & (pot.alpha is not None)
         elements = [None] * mesh.n_elements
         for p, ids, w, phi, _ in self._groups:
             pts, ref_w, _, dphi = reference_table(p, mesh.d)
             half = mesh.lengths[ids] / 2.0
             grams = np.matmul(np.swapaxes(dphi, 1, 2) * ref_w, dphi)  # (d, n, n) on [0, 2]^d
             grad = np.einsum("km,mij->kij", np.prod(half, axis=1)[:, None] / half**2, grams)
-            block = grad
-            if pot.alpha is not None:
-                vq = pot((mesh.lo[ids][:, None, :] + pts * half[:, None, :])
-                         .reshape(-1, mesh.d)).reshape(w.shape)
-                block = grad + _grams(phi, w * vq)
-            c = np.flatnonzero(corner[ids])
+            vq = pot((mesh.lo[ids][:, None, :] + pts * half[:, None, :])
+                     .reshape(-1, mesh.d)).reshape(w.shape)
+            block = grad + _grams(phi, w * vq)
+            c = np.flatnonzero(mesh.corner[ids])
             if c.size:
-                first, inv = _first_and_inverse(mesh.lengths[ids[c]])
+                _, first, inv = np.unique(mesh.lengths[ids[c]], axis=0, return_index=True,
+                                          return_inverse=True)
                 b = np.stack([self._corner_block(e, p) for e in ids[c[first]]])[inv]
                 flipped = np.abs(mesh.lo[ids[c]]) > 1e-14  # the axes with s_m = -1
                 s = 1 - 2 * ((_modes(p, mesh.d) * flipped[:, None, :]).sum(axis=2) % 2)
@@ -241,7 +232,8 @@ class SipAssembler:
                    / np.tile(mesh.lengths[e], 2))
             owner_key = np.column_stack([space.degrees[e], mesh.lengths[e], np.round(rel, 12)])
             key.append(owner_key * (o >= 0)[:, None])
-        first, inv = _first_and_inverse(np.column_stack(key))
+        _, first, inv = np.unique(np.column_stack(key), axis=0, return_index=True,
+                                  return_inverse=True)
         blocks = [None] * first.size
         for rows, group in self._face_blocks(first):
             for j, b in zip(rows.tolist(), _sym(group)):
@@ -250,7 +242,7 @@ class SipAssembler:
 
     def _corner_block(self, e: int, p: int) -> np.ndarray:
         lo, lengths = np.zeros(self.space.mesh.d), self.space.mesh.lengths[e]
-        rule = volume_rule(lo, lengths, p, singular=True)
+        rule = volume_rule(lo, lengths, p)
         phi = basis_matrix(lo, lengths, p, rule.points)
         return weighted_gram(phi, rule.weights * self.potential(rule.points))
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ConvergenceRecord, error_norms, fit_exponential
-from .assembly import PenaltyConfig, Potential, assemble_mass
+from .assembly import NONLINEAR_EXPONENTS, PenaltyConfig, Potential, assemble_mass
 from .eigsolve import EigenSolveError
 from .hpspace import build_space, inject
 from .mesh import build_graded_mesh
@@ -60,16 +60,16 @@ class StudyConfig:
     out: str = "study_out"
 
     def validate(self):
-        for key in ("dim", "ell_min", "ell_max", "p0", "pot_sign", "delta", "max_iter",
-                    "ref_extra_levels", "ref_extra_degree"):
+        integers = ("dim", "ell_min", "ell_max", "p0", "pot_sign", "delta", "max_iter",
+                    "ref_extra_levels", "ref_extra_degree")
+        for key in integers + ("sigma", "slope", "alpha", "penalty", "tol", "theta"):
             value = getattr(self, key)
-            if key == "delta" and value is None:
+            if value is None and key in ("delta", "alpha", "tol"):
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        for key in ("sigma", "slope", "alpha", "penalty", "tol", "theta"):
-            if isinstance(value := getattr(self, key), bool):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
+            kind, noun = ((numbers.Integral, "an integer") if key in integers
+                          else (numbers.Real, "a number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{key} must be {noun}, got {value!r}")
         if self.dim not in (2, 3):
             raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
         if not (0.0 < self.sigma <= 0.5):
@@ -87,8 +87,9 @@ class StudyConfig:
             raise ConfigError(f"alpha must be one of {ALPHAS} or none, got {self.alpha}")
         if self.pot_sign not in (-1, 1):
             raise ConfigError(f"pot_sign must be -1 or +1, got {self.pot_sign}")
-        if self.delta is not None and self.delta not in (2, 3, 4):
-            raise ConfigError(f"delta must be 2, 3, 4 or linear, got {self.delta}")
+        if self.delta is not None and self.delta not in NONLINEAR_EXPONENTS:
+            raise ConfigError(f"delta must be one of {NONLINEAR_EXPONENTS} or linear, "
+                              f"got {self.delta}")
         if not (0 < self.penalty < np.inf):
             raise ConfigError(f"penalty must be finite and positive, got {self.penalty}")
         if self.tol is not None and not (0 < self.tol < np.inf):
@@ -224,14 +225,14 @@ def run_study(cfg: StudyConfig):
 
 def _parse_alpha(text: str):
     t = text.strip().lower()
-    if t in ("none", "off", "0"):
+    if t in ("none", "off"):
         return None
     return float(t)
 
 
 def _parse_delta(text: str):
     t = text.strip().lower()
-    if t in ("none", "linear", "0"):
+    if t in ("none", "linear"):
         return None
     return int(t)
 

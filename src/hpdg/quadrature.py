@@ -50,8 +50,6 @@ class QuadRule1D:
 
 @functools.lru_cache(maxsize=None)
 def _gauss_rule_cached(n: int) -> QuadRule1D:
-    if n == 1:
-        return QuadRule1D(np.zeros(1), np.full(1, 2.0))
     # Newton iteration on P_n from Chebyshev initial guesses.
     i = np.arange(n)
     x = -np.cos(np.pi * (4 * i + 3) / (4 * n + 2))
@@ -98,11 +96,6 @@ def _box_rule(lo, lengths, n: int) -> ElementRule:
     return ElementRule(np.swapaxes(pts, -1, -2), np.prod((g.weights * half)[node], axis=-2))
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1 points per dimension, got {n}")
-
-
 def _plane_rule(lo, lengths, axis: int, n: int) -> ElementRule:
     """:func:`_box_rule` on the tangential axes of the faces lo + [0, lengths]
     (E, d) normal to ``axis``, its points lifted onto the face planes."""
@@ -113,7 +106,6 @@ def _plane_rule(lo, lengths, axis: int, n: int) -> ElementRule:
 
 def element_rule(lo, lengths, n: int) -> ElementRule:
     """Tensor Gauss rule with n points per dimension on the box lo + [0, lengths]."""
-    _check_n(n)
     return _box_rule(lo, lengths, n)
 
 
@@ -141,18 +133,14 @@ def face_rules(faces, n):
 @functools.lru_cache(maxsize=16)
 def _unit_singular_rule(d: int, n: int, depth: int) -> ElementRule:
     """The composite rule on [0, 1]^d graded toward the origin, read-only."""
-    patterns = [np.array(s, dtype=bool) for s in product((0, 1), repeat=d) if any(s)]
-    rules = []
-    for k in range(1, depth + 1):
-        fin, fout = 0.5**k, 0.5 ** (k - 1)
-        for s in patterns:
-            blo = np.where(s, fin, 0.0)
-            rules.append(_box_rule(blo, np.where(s, fout, fin) - blo, n))
-    rules.append(_box_rule(np.zeros(d), np.full(d, 0.5**depth), n))
-    pts = np.vstack([r.points for r in rules])
-    w = np.concatenate([r.weights for r in rules])
-    pts.flags.writeable = False
-    w.flags.writeable = False
+    pattern = np.array([s for s in product((0, 1), repeat=d) if any(s)], dtype=bool)
+    fin = 0.5 ** np.arange(1, depth + 1)[:, None, None]  # shell k lies between 2^-k and 2^(1-k)
+    blo = np.where(pattern, fin, 0.0)  # (depth, 2^d - 1, d): the boxes shell by shell
+    blen = np.where(pattern, 2 * fin, fin) - blo
+    r = _box_rule(np.vstack([blo.reshape(-1, d), np.zeros((1, d))]),
+                  np.vstack([blen.reshape(-1, d), np.full((1, d), 0.5**depth)]), n)
+    pts, w = r.points.reshape(-1, d), r.weights.reshape(-1)
+    pts.flags.writeable = w.flags.writeable = False
     return ElementRule(pts, w)
 
 
@@ -166,7 +154,6 @@ def singular_rule(lo, lengths, n: int, depth: int) -> ElementRule:
     sum exactly to |K| and no point hits c.  The rule is built once per
     (d, n, depth) on the unit cube and reflected toward the element's corner.
     """
-    _check_n(n)
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
     lo, lengths = np.asarray(lo, dtype=float), np.asarray(lengths, dtype=float)
@@ -180,10 +167,7 @@ def singular_rule(lo, lengths, n: int, depth: int) -> ElementRule:
                        unit.weights * float(np.prod(lengths)))
 
 
-def volume_rule(lo, lengths, p: int, singular: bool = False) -> ElementRule:
-    """Default volume rule on the box lo + [0, lengths]: the :func:`plain_order`
-    tensor Gauss rule, composite when singular."""
-    n = plain_order(p)
-    if singular:
-        return singular_rule(lo, lengths, n, max(DEFAULT_SINGULAR_DEPTH, 2 * p))
-    return element_rule(lo, lengths, n)
+def volume_rule(lo, lengths, p: int) -> ElementRule:
+    """Volume rule of degree p on a corner element lo + [0, lengths]: :func:`singular_rule`
+    with :func:`plain_order` points per axis, depth max(DEFAULT_SINGULAR_DEPTH, 2p)."""
+    return singular_rule(lo, lengths, plain_order(p), max(DEFAULT_SINGULAR_DEPTH, 2 * p))

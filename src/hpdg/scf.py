@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import PenaltyConfig, Potential, SipAssembler
+from .assembly import NONLINEAR_EXPONENTS, PenaltyConfig, Potential, SipAssembler
 from .eigsolve import dense_ground_state, dense_result, smallest_eigenpair
 from .hpspace import DiscreteField, HpSpace, _modes, constant_field
 
@@ -63,6 +63,8 @@ class ScfConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+        if self.delta is not None and self.delta not in NONLINEAR_EXPONENTS:
+            raise ValueError(f"delta must be in {NONLINEAR_EXPONENTS} or None, got {self.delta}")
 
 
 @dataclass

@@ -8,7 +8,9 @@ per-element oracles restate a batched library routine as one loop over
 elements and faces, one rule and one basis table at a time;
 :func:`evaluate_in_element` evaluates one element's expansion at given
 points, the value that the batched evaluation must reproduce.  The face
-oracle restates the numpy face enumeration as the pairwise loop it replaced.
+oracle restates the numpy face enumeration as the pairwise loop it replaced,
+and :func:`singular_rule_per_box` the composite singular rule as the loop of
+one tensor Gauss rule per box that its stacked build replaced.
 :func:`factor_input` forms the single-precision pencil A - tau M as a shifted
 CSC copy of A, the matrix the sparse LU must be given.
 """
@@ -162,6 +164,22 @@ def project_per_element(space, values):
 def projected(space, f):
     """:func:`project_per_element` of a callable f(points), as a field."""
     return DiscreteField(space, project_per_element(space, lambda e, pts: f(pts)))
+
+
+def singular_rule_per_box(d, n, depth):
+    """Points and weights of the composite rule on [0, 1]^d graded toward the
+    origin, one :func:`hpdg.quadrature.element_rule` per box: shell k =
+    1..depth, its 2^d - 1 boxes in ``product`` order, then the innermost box
+    [0, 2^-depth]^d."""
+    patterns = [np.array(s, dtype=bool) for s in product((0, 1), repeat=d) if any(s)]
+    rules = []
+    for k in range(1, depth + 1):
+        fin, fout = 0.5**k, 0.5 ** (k - 1)
+        for s in patterns:
+            blo = np.where(s, fin, 0.0)
+            rules.append(element_rule(blo, np.where(s, fout, fin) - blo, n))
+    rules.append(element_rule(np.zeros(d), np.full(d, 0.5**depth), n))
+    return np.vstack([r.points for r in rules]), np.concatenate([r.weights for r in rules])
 
 
 def enumerate_faces_of(lo, lengths):

@@ -68,6 +68,16 @@ def test_sigma_validation_names_the_key():
     ("penalty", True, "penalty"),
     ("tol", True, "tol"),
     ("theta", True, "theta"),
+    # nor a string or another non-number
+    ("sigma", "0.5", "sigma"),
+    ("slope", "0", "slope"),
+    ("alpha", "1.0", "alpha"),
+    ("penalty", "10", "penalty"),
+    ("tol", "1e-7", "tol"),
+    ("theta", [1.0], "theta"),
+    # a number means that number: alpha 0 is V = -1, not V = 0, and delta 0 is not linear
+    ("alpha", 0.0, "alpha"),
+    ("delta", 0, "delta"),
 ])
 def test_validation_messages_name_keys(field, value, key):
     cfg = StudyConfig(**{field: value})
@@ -304,6 +314,23 @@ def test_flags_given_on_the_command_line_win(tmp_path, monkeypatch, with_file):
     assert main(argv + ["--alpha", "none", "--delta", "linear", "--out", str(tmp_path)]) == 0
     (cfg,) = seen
     assert (cfg.alpha, cfg.delta, cfg.p0) == (None, None, 3 if with_file else 2)
+
+
+@pytest.mark.parametrize("key", ["alpha", "delta"])
+@pytest.mark.parametrize("with_file", [False, True])
+def test_zero_is_a_number_not_none(tmp_path, capsys, monkeypatch, key, with_file):
+    """``0`` parses to the number 0 for ``alpha`` and ``delta``, on the command
+    line and in a config file, and is refused by ``validate`` naming the key
+    before any level is solved; only the words mean "none" and "linear"."""
+    monkeypatch.setattr(cli, "_level_solve", lambda *a: pytest.fail("a level was solved"))
+    path = tmp_path / "study.cfg"
+    path.write_text(f"{key} = 0\n")
+    assert load_config_file(path) == {key: 0}
+    out = tmp_path / "x"
+    argv = [str(path)] if with_file else [f"--{key}", "0"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be one of ")
+    assert not out.exists()
 
 
 def test_empty_out_is_refused(tmp_path, capsys, monkeypatch):

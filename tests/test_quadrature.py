@@ -4,7 +4,7 @@ import pytest
 from hpdg import quadrature
 from hpdg.mesh import build_graded_mesh
 from hpdg.quadrature import element_rule, face_rules, singular_rule, volume_rule
-from oracles import checked_integral, radial_power
+from oracles import checked_integral, radial_power, singular_rule_per_box
 
 
 def unit_element(d=2):
@@ -116,13 +116,27 @@ def test_singular_rule_is_built_once_per_key(monkeypatch):
     e = unit_element(3)
     first = singular_rule(*e, 3, 7)
     built = len(calls)
-    assert built == 7 * (2**3 - 1) + 1
+    assert built == 1  # one stacked rule over the 7 * (2^3 - 1) + 1 boxes
     pts, w = first.points.copy(), first.weights.copy()
     first.points[:] = 0.0
     first.weights[:] = 0.0
     again = singular_rule(*e, 3, 7)
     assert len(calls) == built
     assert np.array_equal(again.points, pts) and np.array_equal(again.weights, w)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("depth", [1, 7, 60])
+def test_unit_singular_rule_equals_per_box_loop(d, depth):
+    """The stacked build is bitwise the loop of one tensor Gauss rule per box."""
+    for n in range(1, 8):
+        got = quadrature._unit_singular_rule(d, n, depth)
+        pts, w = singular_rule_per_box(d, n, depth)
+        assert _same_bytes(got.points, pts) and _same_bytes(got.weights, w), n
 
 
 def test_singular_rule_requires_corner_at_origin():
@@ -167,10 +181,9 @@ def test_smooth_fallback_accuracy():
 
 
 def test_volume_rule_dispatch():
-    m = build_graded_mesh(2, 0.5, 1)
-    for lo, lengths, corner in zip(m.lo, m.lengths, m.corner):
-        r = volume_rule(lo, lengths, 2, singular=corner)
-        if corner:
-            assert len(r.weights) > 6**2
-        else:
-            assert len(r.weights) == 6**2
+    """volume_rule is the corner rule: plain_order(p) points per axis, depth 60."""
+    for d in (2, 3):
+        m = build_graded_mesh(d, 0.5, 1)
+        for lo, lengths in zip(m.lo[m.corner], m.lengths[m.corner]):
+            r, want = volume_rule(lo, lengths, 2), singular_rule(lo, lengths, 2 + 4, 60)
+            assert _same_bytes(r.points, want.points) and _same_bytes(r.weights, want.weights)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hpdg._kernels import legendre_l2_norms_sq, legendre_table
-from hpdg.quadrature import gauss_rule
+from hpdg.quadrature import element_rule, gauss_rule, singular_rule
 
 
 def test_one_point_rule():
@@ -23,8 +23,11 @@ def test_three_point_rule_integrates_x4():
 
 
 def test_rejects_nonpositive_n():
-    with pytest.raises(ValueError):
-        gauss_rule(0)
+    """gauss_rule checks n >= 1 for every rule built on it."""
+    box = np.zeros(2), np.ones(2)
+    for build in (gauss_rule, lambda n: element_rule(*box, n), lambda n: singular_rule(*box, n, 5)):
+        with pytest.raises(ValueError, match="n >= 1"):
+            build(0)
 
 
 @pytest.mark.parametrize("n", range(1, 21))

@@ -141,6 +141,10 @@ def test_config_validation():
         ScfConfig(theta=0.0)
     with pytest.raises(ValueError):
         ScfConfig(theta=1.5)
+    for bad in (0, 1, 5):  # delta outside NONLINEAR_EXPONENTS, refused before any assembly
+        with pytest.raises(ValueError, match="delta"):
+            ScfConfig(delta=bad)
+    assert ScfConfig(delta=None).delta is None
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps_tol"):
             ScfConfig(eps_tol=bad)
