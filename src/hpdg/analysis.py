@@ -61,7 +61,7 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
 
     l2_sq, h1_sq = np.zeros(mesh.n_elements), np.zeros(mesh.n_elements)
     cube = np.indices((2,) * mesh.d).reshape(mesh.d, -1).T  # corner offsets, first axis slowest
-    corners = mesh.lo[:, None, :] + cube * mesh.lengths[:, None, :]
+    corners = np.where(cube, mesh.hi[:, None, :], mesh.lo[:, None, :])
     linf = float(np.max(np.abs(diff(np.arange(mesh.n_elements), corners, (2,) * mesh.d)[0])))
     for ids, rule, shape in element_rules(mesh, np.maximum(space.degrees, p_c) + 2):
         dv, dg = diff(ids, rule.points, shape, grads=True)

@@ -193,8 +193,10 @@ class SipAssembler:
     def sip(self) -> sp.csr_matrix:
         """A_sip; also sets ``slots``: per degree group, the (k, n, n)
         positions in A_sip's data of its elements' diagonal blocks, row-major,
-        where N(u) adds its blocks."""
-        a, diag = _csr_from_blocks(self.space, self._sip_blocks())
+        where N(u) adds its blocks.  Non-finite entries (elements too small
+        for float64) raise one ValueError, not numpy warnings."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a, diag = _csr_from_blocks(self.space, self._sip_blocks())
         self.slots = [a.indptr[cols][..., None] + diag[ids][:, None, None]
                       + np.arange(cols.shape[1]) for _, ids, _, _, cols in self._groups]
         return a
@@ -218,7 +220,7 @@ class SipAssembler:
                 _, first, inv = np.unique(mesh.lengths[ids[c]], axis=0, return_index=True,
                                           return_inverse=True)
                 b = np.stack([self._corner_block(e, p) for e in ids[c[first]]])[inv]
-                flipped = np.abs(mesh.lo[ids[c]]) > 1e-14  # the axes with s_m = -1
+                flipped = mesh.lo[ids[c]] != 0  # the axes with s_m = -1
                 s = 1 - 2 * ((_modes(p, mesh.d) * flipped[:, None, :]).sum(axis=2) % 2)
                 block[c] = grad[c] + b * (s[:, :, None] * s[:, None, :])
             for e, b in zip(ids.tolist(), _sym(block)):

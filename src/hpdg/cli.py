@@ -128,14 +128,14 @@ def _level_solve(cfg: StudyConfig, p0: int, ell: int, prev, outdir: Path):
     """Solve level ell at base degree p0, warm-started from ``prev`` injected
     into its space (cold when ``prev`` is None); return (u, report)."""
     t0 = time.perf_counter()
-    mesh = build_graded_mesh(cfg.dim, cfg.sigma, ell)
-    space = build_space(mesh, p0, cfg.slope)
-    u0 = inject(prev, space) if prev is not None else None
     scf_cfg = ScfConfig(eps_tol=cfg.scf_tol, max_iter=cfg.max_iter,
                         theta=cfg.theta, delta=cfg.delta)
-    where = f"p0={p0} ell={ell} N={space.N}"
+    where = f"p0={p0} ell={ell}"
     lines = []
     try:
+        space = build_space(build_graded_mesh(cfg.dim, cfg.sigma, ell), p0, cfg.slope)
+        where += f" N={space.N}"
+        u0 = inject(prev, space) if prev is not None else None
         u, rep = solve_ground_state(space, Potential(cfg.alpha, cfg.pot_sign),
                                     PenaltyConfig(cfg.penalty), scf_cfg,
                                     u0=u0, log=lines.append)
@@ -143,6 +143,8 @@ def _level_solve(cfg: StudyConfig, p0: int, ell: int, prev, outdir: Path):
         best = exc.best.residual if exc.best is not None else float("nan")
         raise StudyError(f"eigensolve failed at {where} "
                          f"(best residual {best:.3e}): {exc}") from exc
+    except ValueError as exc:
+        raise StudyError(f"level {where} failed: {exc}") from exc
     (outdir / f"iters_p{p0}_ell{ell}.log").write_text("\n".join(lines) + "\n")
     if not rep.converged:
         raise StudyError(

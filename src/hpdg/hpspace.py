@@ -84,16 +84,14 @@ class MeshNestingError(ValueError):
 
 
 def containing_map(coarse_mesh: meshmod.GradedMesh, fine_mesh: meshmod.GradedMesh) -> np.ndarray:
-    """fine element id -> the smallest coarse element id whose closed box
-    holds its center; raises if the meshes do not nest."""
+    """fine element id -> the coarse element id whose box contains it, its
+    corners compared exactly; raises if the meshes do not nest."""
     if coarse_mesh.d != fine_mesh.d:
         raise ValueError(f"cannot nest a {fine_mesh.d}D mesh in a {coarse_mesh.d}D mesh")
-    c_lo, c_hi = coarse_mesh.lo, coarse_mesh.hi
-    x = (fine_mesh.lo + 0.5 * fine_mesh.lengths)[:, None, :]  # centers
-    inside = np.all((c_lo - meshmod.GEOM_TOL <= x) & (x <= c_hi + meshmod.GEOM_TOL), axis=2)
+    inside = np.all((coarse_mesh.lo <= fine_mesh.lo[:, None, :])
+                    & (fine_mesh.hi[:, None, :] <= coarse_mesh.hi), axis=2)
     out = np.argmax(inside, axis=1)
-    bad = ~inside.any(axis=1) | np.any((fine_mesh.lo < c_lo[out] - 1e-12)
-                                       | (fine_mesh.hi > c_hi[out] + 1e-12), axis=1)
+    bad = ~inside.any(axis=1)
     if bad.any():
         raise MeshNestingError(f"fine element {np.argmax(bad)} is not contained in any coarse element")
     return out

@@ -8,21 +8,21 @@ Elements created at step j and never refined again form layer j; the 2^d
 innermost boxes form layer ell.  Interfaces are 1-irregular: every interior
 face piece is an entire face of at least one of its two neighbours.
 
-A mesh is arrays only.  Element e is the box ``lo[e] + [0, lengths[e]]`` of
-layer ``layer[e]``; face f is the flat box ``faces.lo[f] + [0, faces.lengths[f]]``
-normal to ``faces.axis[f]``.  :func:`build_faces` enumerates the faces of a
-tiling in numpy: it snaps each axis's planes, pairs the two sides of every
-plane by broadcasting and intersects their tangential intervals.
+A mesh is arrays only.  Element e is the box ``[lo[e], hi[e]]`` of layer
+``layer[e]``; face f is the flat box ``faces.lo[f] + [0, faces.lengths[f]]``
+normal to ``faces.axis[f]``.  Every corner coordinate is one entry of a single
+radii table, so neighbouring boxes share their coordinates bitwise and all
+geometric tests compare them exactly.  :func:`build_faces` enumerates the
+faces of a tiling in numpy: it pairs the two sides of every plane by
+broadcasting and intersects their tangential intervals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
-
-GEOM_TOL = 1e-13
 
 
 class MeshError(ValueError):
@@ -63,22 +63,22 @@ class GradedMesh:
     sigma: float
     ell: int
     lo: np.ndarray  # (E, d) lower corners
-    lengths: np.ndarray  # (E, d) edge lengths
+    hi: np.ndarray  # (E, d) upper corners
     layer: np.ndarray  # (E,)
     faces: Faces
+    lengths: np.ndarray = field(init=False)  # (E, d) edge lengths, hi - lo
+
+    def __post_init__(self):
+        self.lengths = self.hi - self.lo
 
     @property
     def n_elements(self) -> int:
         return len(self.lo)
 
     @property
-    def hi(self) -> np.ndarray:
-        return self.lo + self.lengths
-
-    @property
     def corner(self) -> np.ndarray:
         """Which elements have the singular point, the origin, as a vertex."""
-        return np.all((np.abs(self.lo) <= 1e-14) | (np.abs(self.hi) <= 1e-14), axis=1)
+        return np.all((self.lo == 0) | (self.hi == 0), axis=1)
 
 
 def build_graded_mesh(d: int, sigma: float, ell: int) -> GradedMesh:
@@ -88,7 +88,9 @@ def build_graded_mesh(d: int, sigma: float, ell: int) -> GradedMesh:
     extents [r_j, r_{j-1}] or [0, r_j] (r_j = sigma^j / 2), reflected into
     each quadrant; for sigma = 1/2 these are the 2^d - 1 congruent siblings of
     the inner child.  Elements are numbered by layer, then quadrant, then
-    extent pattern; the 2^d innermost boxes come last.
+    extent pattern; the 2^d innermost boxes come last.  Both corners of every
+    box are entries of the radii table (negated in the negative quadrants,
+    +0.0 at the origin), so shared planes are bitwise equal.
     """
     if d not in (2, 3):
         raise MeshError(f"d must be 2 or 3, got {d}")
@@ -106,25 +108,17 @@ def build_graded_mesh(d: int, sigma: float, ell: int) -> GradedMesh:
     b = [np.where(patterns, r0, r) for r0, r in zip(radii, radii[1:])]
     b.append(np.full((1, d), radii[-1]))
     lo = np.concatenate([np.where(quadrants > 0, x, -y).reshape(-1, d) for x, y in zip(a, b)])
-    lengths = np.concatenate([np.broadcast_to(y - x, quadrants.shape[:1] + x.shape).reshape(-1, d)
-                              for x, y in zip(a, b)])
+    hi = np.concatenate([np.where(quadrants > 0, y, 0.0 - x).reshape(-1, d) for x, y in zip(a, b)])
+    if not np.all(hi > lo):
+        raise MeshError(f"sigma={sigma} and ell={ell} give elements of zero size: "
+                        f"0.5 * sigma^ell underflows")
     layer = np.repeat(np.append(np.arange(1, ell + 1), ell), [len(x) * len(quadrants) for x in a])
-    return GradedMesh(d, float(sigma), ell, lo, lengths, layer, build_faces(lo, lengths))
+    return GradedMesh(d, float(sigma), ell, lo, hi, layer, build_faces(lo, hi))
 
 
-def _snap(x: np.ndarray) -> np.ndarray:
-    """Each coordinate replaced by the smallest one of its chain of
-    coordinates less than ``GEOM_TOL`` apart."""
-    order = np.argsort(x, kind="stable")
-    new = np.concatenate([[True], np.diff(x[order]) > GEOM_TOL])
-    out = np.empty_like(x)
-    out[order] = x[order][new][np.cumsum(new) - 1]
-    return out
-
-
-def build_faces(lo: np.ndarray, lengths: np.ndarray) -> Faces:
-    """All interior and boundary faces of the boxes lo + [0, lengths] (E, d)
-    tiling the unit cube.
+def build_faces(lo: np.ndarray, hi: np.ndarray) -> Faces:
+    """All interior and boundary faces of the boxes [lo, hi] (E, d) tiling the
+    unit cube; boxes that touch must share their coordinates bitwise.
 
     Interfaces across a size jump are decomposed into the finer elements'
     entire faces (flagged as sub-faces).  Faces are ordered by normal axis,
@@ -133,13 +127,13 @@ def build_faces(lo: np.ndarray, lengths: np.ndarray) -> Faces:
     1-irregularity) or some element face is not fully covered.
     """
     n_el, d = lo.shape
-    hi, h = lo + lengths, lengths.max(axis=1)
+    lengths = hi - lo
+    h = lengths.max(axis=1)
     parts = []  # per axis and kind: owners, sign, lo, lengths, h_e, is_subface
     for m in range(d):
         t = [k for k in range(d) if k != m]
-        planes = _snap(np.concatenate([hi[:, m], lo[:, m]]))  # minus side, then plus side
-        sign = np.where(np.abs(planes + 0.5) <= GEOM_TOL, -1,
-                        np.where(np.abs(planes - 0.5) <= GEOM_TOL, 1, 0))
+        planes = np.concatenate([hi[:, m], lo[:, m]])  # minus side, then plus side
+        sign = np.where(planes == -0.5, -1, np.where(planes == 0.5, 1, 0))
 
         # boundary faces: one per element face on the cube's boundary
         on = np.flatnonzero(sign != 0)
@@ -155,13 +149,12 @@ def build_faces(lo: np.ndarray, lengths: np.ndarray) -> Faces:
         i, j = np.nonzero(planes[minus][:, None] == planes[n_el + plus][None, :])
         i, j = minus[i], plus[j]
         c0 = np.maximum(lo[i][:, t], lo[j][:, t])
-        width = np.minimum(hi[i][:, t], hi[j][:, t]) - c0
-        keep = np.all(width > GEOM_TOL, axis=1)
-        i, j, c0, width = i[keep], j[keep], c0[keep], width[keep]
-        full_a = np.all((np.abs(c0 - lo[i][:, t]) <= GEOM_TOL)
-                        & (np.abs(width - lengths[i][:, t]) <= GEOM_TOL), axis=1)
-        full_b = np.all((np.abs(c0 - lo[j][:, t]) <= GEOM_TOL)
-                        & (np.abs(width - lengths[j][:, t]) <= GEOM_TOL), axis=1)
+        c1 = np.minimum(hi[i][:, t], hi[j][:, t])
+        keep = np.all(c1 > c0, axis=1)
+        i, j, c0, c1 = i[keep], j[keep], c0[keep], c1[keep]
+        width = c1 - c0
+        full_a = np.all((c0 == lo[i][:, t]) & (c1 == hi[i][:, t]), axis=1)
+        full_b = np.all((c0 == lo[j][:, t]) & (c1 == hi[j][:, t]), axis=1)
         bad = np.flatnonzero(~(full_a | full_b))
         if bad.size:
             k = bad[0]
@@ -170,7 +163,7 @@ def build_faces(lo: np.ndarray, lengths: np.ndarray) -> Faces:
         area = np.prod(width, axis=1)
         covered = np.bincount(np.concatenate([i, n_el + j]), np.tile(area, 2), minlength=2 * n_el)
         expect = np.tile(np.prod(lengths[:, t], axis=1), 2)
-        gap = np.abs(covered - expect) > 1e-12 * np.maximum(expect, 1.0)
+        gap = np.abs(covered - expect) > 1e-12 * expect
         short = np.flatnonzero((sign == 0) & gap)
         if short.size:
             k = short[0]

@@ -153,13 +153,15 @@ def singular_rule(lo, lengths, n: int, depth: int) -> ElementRule:
     innermost box is included with its own tensor Gauss rule, so the weights
     sum exactly to |K| and no point hits c.  The rule is built once per
     (d, n, depth) on the unit cube and reflected toward the element's corner.
+    The corner is found exactly: lo + lengths is bitwise 0 where the upper
+    corner is the origin, since there lengths = 0 - lo.
     """
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
     lo, lengths = np.asarray(lo, dtype=float), np.asarray(lengths, dtype=float)
     hi = lo + lengths
-    at_lo = np.abs(lo) <= 1e-14
-    if not np.all(at_lo | (np.abs(hi) <= 1e-14)):
+    at_lo = lo == 0
+    if not np.all(at_lo | (hi == 0)):
         raise ValueError("element does not have the singular point as a vertex")
     unit = _unit_singular_rule(len(lo), n, depth)
     f = unit.points

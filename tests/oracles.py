@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from hpdg._kernels import legendre_l2_norms_sq
 from hpdg.hpspace import DiscreteField, _modes, basis_matrices, basis_matrix, containing_map
-from hpdg.mesh import GEOM_TOL, Faces, MeshError
+from hpdg.mesh import Faces, MeshError
 from hpdg.quadrature import _plane_rule, element_rule
 
 
@@ -182,11 +182,13 @@ def singular_rule_per_box(d, n, depth):
     return np.vstack([r.points for r in rules]), np.concatenate([r.weights for r in rules])
 
 
-def enumerate_faces_of(lo, lengths):
+def enumerate_faces_of(lo, hi):
     """``hpdg.mesh.build_faces`` as one pairwise loop: per axis, group the
     element faces by plane, then intersect every minus-side face with every
-    plus-side face of the group, one pair at a time."""
-    lo, lengths = np.asarray(lo), np.asarray(lengths)
+    plus-side face of the group, one pair at a time.  Coordinates are compared
+    exactly, as the mesh shares them bitwise between neighbours."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    lengths = hi - lo
     n_el, d = lo.shape
     h = [float(np.max(x)) for x in lengths]
     tdims = {m: [t for t in range(d) if t != m] for m in range(d)}
@@ -194,18 +196,18 @@ def enumerate_faces_of(lo, lengths):
     for m in range(d):
         # side +1: the element lies on the plus side of the plane (its lower face)
         recs = sorted([(float(lo[e, m]), +1, e) for e in range(n_el)]
-                      + [(float(lo[e, m] + lengths[e, m]), -1, e) for e in range(n_el)])
+                      + [(float(hi[e, m]), -1, e) for e in range(n_el)])
         groups = []
         for plane, side, eid in recs:
-            if groups and abs(plane - groups[-1][0]) <= GEOM_TOL:
+            if groups and plane == groups[-1][0]:
                 groups[-1][1].append((side, eid))
             else:
                 groups.append((plane, [(side, eid)]))
         for plane, members in groups:
             minus = [eid for side, eid in members if side == -1]
             plus = [eid for side, eid in members if side == +1]
-            if abs(plane + 0.5) <= GEOM_TOL or abs(plane - 0.5) <= GEOM_TOL:
-                sign = -1 if abs(plane + 0.5) <= GEOM_TOL else +1
+            if plane in (-0.5, 0.5):
+                sign = -1 if plane == -0.5 else +1
                 for eid in minus + plus:
                     flo, flen = lo[eid].copy(), lengths[eid].copy()
                     flo[m], flen[m] = plane, 0.0
@@ -214,21 +216,20 @@ def enumerate_faces_of(lo, lengths):
             covered = {eid: 0.0 for eid in minus + plus}
             for a in minus:
                 for b in plus:
-                    flo, flen = np.zeros(d), np.zeros(d)
+                    flo, fhi, flen = np.zeros(d), np.zeros(d), np.zeros(d)
                     flo[m] = plane
                     area = 1.0
                     for t in tdims[m]:
                         c0 = max(lo[a, t], lo[b, t])
-                        c1 = min(lo[a, t] + lengths[a, t], lo[b, t] + lengths[b, t])
-                        if c1 - c0 <= GEOM_TOL:
+                        c1 = min(hi[a, t], hi[b, t])
+                        if c1 <= c0:
                             area = 0.0
                             break
-                        flo[t], flen[t] = c0, c1 - c0
+                        flo[t], fhi[t], flen[t] = c0, c1, c1 - c0
                         area *= c1 - c0
                     if area == 0.0:
                         continue
-                    full = [all(abs(flo[t] - lo[e, t]) <= GEOM_TOL
-                                and abs(flen[t] - lengths[e, t]) <= GEOM_TOL for t in tdims[m])
+                    full = [all(flo[t] == lo[e, t] and fhi[t] == hi[e, t] for t in tdims[m])
                             for e in (a, b)]
                     if not any(full):
                         raise MeshError(f"interface at axis {m}, plane {plane} between elements "
@@ -239,7 +240,7 @@ def enumerate_faces_of(lo, lengths):
                     covered[b] += area
             for eid, area in covered.items():
                 expect = np.prod([lengths[eid, t] for t in tdims[m]])
-                if abs(area - expect) > 1e-12 * max(expect, 1.0):
+                if abs(area - expect) > 1e-12 * expect:
                     raise MeshError(f"element {eid} face on axis {m}, plane {plane} not fully "
                                     f"matched: covered {area} of {expect}")
     raw.sort(key=lambda r: (r[0], r[1], tuple(r[5]), r[2]))

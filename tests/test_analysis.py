@@ -8,8 +8,9 @@ from oracles import projected
 
 
 def box_mesh(lo, lengths):
-    lo, lengths = np.array(lo), np.array(lengths)
-    return GradedMesh(2, 0.5, 0, lo, lengths, np.zeros(len(lo), dtype=int), build_faces(lo, lengths))
+    lo = np.array(lo)
+    hi = lo + np.array(lengths)
+    return GradedMesh(2, 0.5, 0, lo, hi, np.zeros(len(lo), dtype=int), build_faces(lo, hi))
 
 
 def two_element_mesh():

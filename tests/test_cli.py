@@ -340,6 +340,29 @@ def test_empty_out_is_refused(tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+def test_unbuildable_level_is_an_error_line(tmp_path, capsys):
+    # at sigma = 1e-200 the level-1 corner elements are 5e-201 wide, too
+    # small for float64 arithmetic: the SIP matrix gets non-finite entries
+    rc = main(["--dim", "2", "--sigma", "1e-200", "--levels", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: level p0=2 ell=1 N=144 failed: "
+                                "assembled SIP matrix contains non-finite entries"]
+
+
+def test_deep_sigma_study_completes(tmp_path):
+    """At sigma = 0.15 the level-16 reference has elements 0.5 * 0.15^16 ~ 3e-14
+    wide; its mesh, injection and error norms must keep their planes apart."""
+    out = tmp_path / "out"
+    assert main(["--dim", "2", "--sigma", "0.15", "--levels", "14", "--ell-min", "10",
+                 "--p0", "2", "--slope", "0.25", "--ref-extra-degree", "0",
+                 "--out", str(out)]) == 0
+    rows = (out / "study.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(10, 15))
+
+
 def test_main_rejects_bad_config(tmp_path, capsys):
     rc = main(["--sigma", "0.9", "--out", str(tmp_path / "x")])
     assert rc == 1

@@ -170,3 +170,11 @@ def test_coefficient_length_checked():
     space = build_space(build_graded_mesh(2, 0.5, 1), 1, 0.0)
     with pytest.raises(ValueError):
         DiscreteField(space, np.zeros(space.N + 1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_containing_map_on_deep_meshes(d):
+    """Elements below 1e-13 wide land in the coarse box that contains them."""
+    coarse, fine = build_graded_mesh(d, 0.15, 15), build_graded_mesh(d, 0.15, 17)
+    cmap = containing_map(coarse, fine)
+    assert np.all((coarse.lo[cmap] <= fine.lo) & (fine.hi <= coarse.hi[cmap]))

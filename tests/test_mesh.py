@@ -126,16 +126,24 @@ def test_irregularity_violation_detected():
     # cut at y = 0: the interface piece on x = 0 between y = 0 and y = 1/4 is
     # an entire face of neither neighbour
     lo = np.array([[-0.5, -0.5], [-0.5, 0.25], [0.0, -0.5], [0.0, 0.0]])
-    lengths = np.array([[0.5, 0.75], [0.5, 0.25], [0.5, 0.5], [0.5, 0.5]])
+    hi = np.array([[0.0, 0.25], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
     with pytest.raises(MeshError, match="entire face of neither"):
-        build_faces(lo, lengths)
+        build_faces(lo, hi)
 
 
 def test_uncovered_element_face_detected():
     # the right half of the square is missing: the left element's face on
     # x = 0 has no neighbour and does not lie on the boundary
     with pytest.raises(MeshError, match="not fully matched"):
-        build_faces(np.array([[-0.5, -0.5]]), np.array([[0.5, 1.0]]))
+        build_faces(np.array([[-0.5, -0.5]]), np.array([[0.0, 0.5]]))
+
+
+def test_uncovered_tiny_element_face_detected():
+    # one innermost element is missing; those are 2^-47 ~ 7e-15 wide, so their
+    # faces have measure ~1e-14 and an absolute coverage check would pass them
+    m = build_graded_mesh(2, 0.5, 46)
+    with pytest.raises(MeshError, match="not fully matched"):
+        build_faces(m.lo[:-1], m.hi[:-1])
 
 
 @pytest.mark.parametrize("sigma", [0.5, 0.4, 0.3])
@@ -145,7 +153,7 @@ def test_faces_match_pairwise_oracle(d, ell, sigma):
     and in the same order (the assembly order, and so every fingerprint,
     follows the face order)."""
     m = build_graded_mesh(d, sigma, ell)
-    want = enumerate_faces_of(m.lo, m.lengths)
+    want = enumerate_faces_of(m.lo, m.hi)
     for field in fields(want):
         got, ref = getattr(m.faces, field.name), getattr(want, field.name)
         assert got.dtype == ref.dtype and got.shape == ref.shape, field.name
@@ -167,3 +175,25 @@ def test_generic_sigma_mesh(sigma):
             dist = np.linalg.norm(np.maximum(np.maximum(m.lo[e], -m.hi[e]), 0.0))
             assert dist >= sigma / (1 - sigma) * np.max(m.lengths[e]) - 1e-14
     assert _covered(m) == pytest.approx(2.0 * m.lengths.sum(axis=1), rel=1e-12)
+
+
+def test_zero_size_elements_are_refused():
+    # 0.5 * (1e-200)^2 underflows to 0: the innermost boxes would have no extent
+    with pytest.raises(MeshError, match=r"sigma=1e-200 and ell=2 give elements of zero size"):
+        build_graded_mesh(2, 1e-200, 2)
+
+
+@pytest.mark.parametrize("sigma,ell", [(0.15, 17), (0.5, 46)])
+def test_deep_meshes_keep_their_planes_apart(sigma, ell):
+    """Innermost elements 0.5 * sigma^ell < 1e-14 wide: still 2^d corner
+    elements, every element boundary covered by its faces, the faces those of
+    the pairwise loop."""
+    m = build_graded_mesh(2, sigma, ell)
+    assert np.count_nonzero(m.corner) == 4
+    assert np.all(m.layer[m.corner] == ell)
+    expect = 2.0 * m.lengths.sum(axis=1)  # in 2D a face's measure is the other edge
+    assert np.all(np.abs(_covered(m) - expect) <= 1e-12 * expect)
+    want = enumerate_faces_of(m.lo, m.hi)
+    for field in fields(want):
+        assert getattr(m.faces, field.name).tobytes() == getattr(want, field.name).tobytes()
+
