@@ -3,7 +3,8 @@
 Solves -Delta u + V u + |u|^(delta-1) u = lambda u on the unit cube with
 homogeneous Dirichlet boundary conditions, for potentials with a point
 singularity at the center, on geometrically graded meshes with linearly
-sloped polynomial degrees.
+sloped polynomial degrees.  The ground state is even in every coordinate, so
+it is computed on one octant of the cube (see :mod:`hpdg.mesh`).
 """
 
 from .analysis import ConvergenceRecord, FitResult, error_norms, fit_exponential

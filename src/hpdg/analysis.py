@@ -7,7 +7,9 @@ numerical differentiation or face nudging is needed.  The DG norm combines the
 broken H1 norm with the interior-face jump penalty p_e^2 / h_e of the
 reference space.  Both fields are evaluated per group of elements (or faces,
 or corners) with :func:`hpdg.hpspace.evaluate_grid`, and each element's sums
-are reduced before they are accumulated.
+are reduced before they are accumulated.  The squared norms count the mesh
+``copies`` times, so they are the whole cube's; the L-infinity norm needs no
+factor.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
         jump_sq[idx] = np.einsum("eq,eq->e", rule.weights, jump * jump)
     jump_sq *= p_e**2 / faces.h_e
 
-    l2_sq, h1_sq, jump_sq = float(np.sum(l2_sq)), float(np.sum(h1_sq)), float(np.sum(jump_sq))
+    l2_sq, h1_sq, jump_sq = (mesh.copies * float(np.sum(x)) for x in (l2_sq, h1_sq, jump_sq))
     return {"l2": math.sqrt(l2_sq), "dg": math.sqrt(l2_sq + h1_sq + jump_sq), "linf": linf}
 
 

@@ -146,8 +146,9 @@ class SipAssembler:
     group.  Its potential and |u|^(delta-1) Grams are one batched matmul per
     degree group on the same table.  The corner potential block B is
     integrated once per ``(p, lengths)``, on the corner element moved to
-    lo = 0.  V is radial and P_i(-x) = (-1)^i P_i(x), so the corner element
-    reflected along the axes with s_m = -1 gets D B D, D = diag(prod_m s_m^{i_m}).
+    lo = 0.  V is radial and P_i(-x) = (-1)^i P_i(x), so on a tiling of the
+    whole cube the corner element reflected along the axes with s_m = -1 gets
+    D B D, D = diag(prod_m s_m^{i_m}).
     A face block is computed once per key, one ``np.unique`` over the face
     keys: axis, sign and, per owner, degree, lengths and the face's offset and
     size divided by the owner's lengths (rounded there, never in absolute
@@ -168,7 +169,9 @@ class SipAssembler:
     blocks of N(u) per degree group, in the order of ``slots``: N(u)'s pattern
     lies inside A_sip's, so the SCF loop adds them into A_sip's own data.
     ``nonlinear_mass()`` writes them into a block-diagonal CSR: element e's
-    block, row-major, where the CSR row of its first dof starts.
+    block, row-major, where the CSR row of its first dof starts.  ``sip()``,
+    ``mass()`` and ``nonlinear_blocks()`` count each integral
+    ``mesh.copies`` times, once per mirror image of the mesh in the cube.
     """
 
     def __init__(self, space: HpSpace, potential: Potential, penalty: PenaltyConfig):
@@ -188,7 +191,7 @@ class SipAssembler:
         diag = np.empty(self.space.N)
         for p, ids, _, _, cols in self._groups:
             diag[cols] = _local_mass_diag(self.space.mesh.lengths[ids], p)
-        return sp.diags(diag, format="csr")
+        return sp.diags(self.space.mesh.copies * diag, format="csr")
 
     def sip(self) -> sp.csr_matrix:
         """A_sip; also sets ``slots``: per degree group, the (k, n, n)
@@ -197,6 +200,7 @@ class SipAssembler:
         for float64) raise one ValueError, not numpy warnings."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             a, diag = _csr_from_blocks(self.space, self._sip_blocks())
+        a.data *= self.space.mesh.copies
         self.slots = [a.indptr[cols][..., None] + diag[ids][:, None, None]
                       + np.arange(cols.shape[1]) for _, ids, _, _, cols in self._groups]
         return a
@@ -289,6 +293,7 @@ class SipAssembler:
             raise ValueError(f"delta must be one of {NONLINEAR_EXPONENTS}, got {delta}")
         if u.space is not self.space:
             raise ValueError("state field does not belong to the assembler's space")
+        scale = scale * self.space.mesh.copies
         blocks = [_sym(_grams(phi, w * (scale * np.abs(u.coeffs[cols] @ phi.T) ** (delta - 1))))
                   for _, _, w, phi, cols in self._groups]
         if not all(np.isfinite(b).all() for b in blocks):

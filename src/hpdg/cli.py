@@ -134,7 +134,7 @@ def _level_solve(cfg: StudyConfig, p0: int, ell: int, prev, outdir: Path):
     lines = []
     try:
         space = build_space(build_graded_mesh(cfg.dim, cfg.sigma, ell), p0, cfg.slope)
-        where += f" N={space.N}"
+        where += f" N={space.N * space.mesh.copies}"
         u0 = inject(prev, space) if prev is not None else None
         u, rep = solve_ground_state(space, Potential(cfg.alpha, cfg.pot_sign),
                                     PenaltyConfig(cfg.penalty), scf_cfg,
@@ -154,7 +154,7 @@ def _level_solve(cfg: StudyConfig, p0: int, ell: int, prev, outdir: Path):
     if u0 is not None and (overlap := _m_overlap(u, u0)) < MIN_START_OVERLAP:
         raise StudyError(f"excited state at {where}: M-overlap {overlap:.3e} with the "
                          f"warm start is below {MIN_START_OVERLAP}")
-    print(f"level p0={p0} ell={ell} N={space.N} sweeps={rep.iterations} "
+    print(f"level {where} sweeps={rep.iterations} "
           f"t={time.perf_counter() - t0:.2f}s", file=sys.stderr, flush=True)
     return u, rep
 
@@ -193,7 +193,7 @@ def run_study(cfg: StudyConfig):
         u, rep = solves[ell]
         errs = error_norms(u, u_ref)
         records.append(ConvergenceRecord(
-            ell=ell, N=u.space.N, lam=rep.lam,
+            ell=ell, N=u.space.N * u.space.mesh.copies, lam=rep.lam,
             err_l2=errs["l2"], err_dg=errs["dg"], err_linf=errs["linf"],
             err_lambda=abs(rep.lam - rep_ref.lam),
         ))

@@ -1,12 +1,20 @@
-"""Geometrically graded axiparallel meshes of the unit cube (-1/2, 1/2)^d.
+"""Geometrically graded axiparallel meshes of the octant (0, 1/2)^d of the
+unit cube (-1/2, 1/2)^d.
 
 The mesh is refined isotropically toward the singular point at the origin:
-the initial mesh splits the cube into 2^d boxes sharing the origin as a vertex,
-and each refinement step replaces the 2^d boxes touching it with a smaller
-inner box of edge ratio sigma plus the boxes tiling the remaining shell.
-Elements created at step j and never refined again form layer j; the 2^d
-innermost boxes form layer ell.  Interfaces are 1-irregular: every interior
-face piece is an entire face of at least one of its two neighbours.
+the initial mesh is the octant, and each refinement step replaces the box
+touching the origin with a smaller inner box of edge ratio sigma plus the
+boxes tiling the remaining shell.  Elements created at step j and never
+refined again form layer j; the innermost box forms layer ell.  Interfaces
+are 1-irregular: every interior face piece is an entire face of at least one
+of its two neighbours.
+
+The problem is symmetric under every reflection x_m -> -x_m, and its ground
+state is even, so it is solved on the octant alone: the planes x_m = 0 are
+mirror planes, which carry no face terms (the natural condition of the even
+sector), and every integral over the cube is :attr:`GradedMesh.copies` times
+the one over the mesh.  :func:`build_faces` also accepts a tiling of the
+whole cube, whose ``copies`` is 1.
 
 A mesh is arrays only.  Element e is the box ``[lo[e], hi[e]]`` of layer
 ``layer[e]``; face f is the flat box ``faces.lo[f] + [0, faces.lengths[f]]``
@@ -76,21 +84,27 @@ class GradedMesh:
         return len(self.lo)
 
     @property
+    def copies(self) -> int:
+        """How many mirror images of the mesh tile the cube: 2 per axis whose
+        tiling starts at the mirror plane 0, so 2^d on the octant, 1 on the cube."""
+        return 2 ** int(np.count_nonzero(self.lo.min(axis=0) == 0))
+
+    @property
     def corner(self) -> np.ndarray:
         """Which elements have the singular point, the origin, as a vertex."""
         return np.all((self.lo == 0) | (self.hi == 0), axis=1)
 
 
 def build_graded_mesh(d: int, sigma: float, ell: int) -> GradedMesh:
-    """Build the graded mesh with refinement ratio sigma and ell steps.
+    """Build the graded mesh of the octant (0, 1/2)^d with refinement ratio
+    sigma and ell steps.
 
     The shell around each refined box is tiled by the boxes with per-dimension
-    extents [r_j, r_{j-1}] or [0, r_j] (r_j = sigma^j / 2), reflected into
-    each quadrant; for sigma = 1/2 these are the 2^d - 1 congruent siblings of
-    the inner child.  Elements are numbered by layer, then quadrant, then
-    extent pattern; the 2^d innermost boxes come last.  Both corners of every
-    box are entries of the radii table (negated in the negative quadrants,
-    +0.0 at the origin), so shared planes are bitwise equal.
+    extents [r_j, r_{j-1}] or [0, r_j] (r_j = sigma^j / 2); for sigma = 1/2
+    these are the 2^d - 1 congruent siblings of the inner child.  Elements are
+    numbered by layer, then extent pattern; the innermost box comes last.  Both
+    corners of every box are entries of the radii table (+0.0 at the origin),
+    so shared planes are bitwise equal.
     """
     if d not in (2, 3):
         raise MeshError(f"d must be 2 or 3, got {d}")
@@ -101,24 +115,22 @@ def build_graded_mesh(d: int, sigma: float, ell: int) -> GradedMesh:
     ell = int(ell)
 
     radii = np.array([0.5 * sigma**j for j in range(ell + 1)])
-    quadrants = np.array(list(product((-1, 1), repeat=d)))[:, None, :]  # (Q, 1, d)
     patterns = np.array([s for s in product((0, 1), repeat=d) if any(s)], dtype=bool)
-    # per layer, the extents [a, b] of its boxes in the positive quadrant
-    a = [np.where(patterns, r, 0.0) for r in radii[1:]] + [np.zeros((1, d))]
-    b = [np.where(patterns, r0, r) for r0, r in zip(radii, radii[1:])]
-    b.append(np.full((1, d), radii[-1]))
-    lo = np.concatenate([np.where(quadrants > 0, x, -y).reshape(-1, d) for x, y in zip(a, b)])
-    hi = np.concatenate([np.where(quadrants > 0, y, 0.0 - x).reshape(-1, d) for x, y in zip(a, b)])
+    lo = np.concatenate([np.where(patterns, r, 0.0) for r in radii[1:]] + [np.zeros((1, d))])
+    hi = np.concatenate([np.where(patterns, r0, r) for r0, r in zip(radii, radii[1:])]
+                        + [np.full((1, d), radii[-1])])
     if not np.all(hi > lo):
         raise MeshError(f"sigma={sigma} and ell={ell} give elements of zero size: "
                         f"0.5 * sigma^ell underflows")
-    layer = np.repeat(np.append(np.arange(1, ell + 1), ell), [len(x) * len(quadrants) for x in a])
+    layer = np.append(np.repeat(np.arange(1, ell + 1), len(patterns)), ell)
     return GradedMesh(d, float(sigma), ell, lo, hi, layer, build_faces(lo, hi))
 
 
 def build_faces(lo: np.ndarray, hi: np.ndarray) -> Faces:
     """All interior and boundary faces of the boxes [lo, hi] (E, d) tiling the
-    unit cube; boxes that touch must share their coordinates bitwise.
+    unit cube, or the part of it on the positive side of the mirror planes
+    x_m = 0 of the axes where the tiling starts at 0; boxes that touch must
+    share their coordinates bitwise.  A face on a mirror plane gets no entry.
 
     Interfaces across a size jump are decomposed into the finer elements'
     entire faces (flagged as sub-faces).  Faces are ordered by normal axis,
@@ -134,6 +146,8 @@ def build_faces(lo: np.ndarray, hi: np.ndarray) -> Faces:
         t = [k for k in range(d) if k != m]
         planes = np.concatenate([hi[:, m], lo[:, m]])  # minus side, then plus side
         sign = np.where(planes == -0.5, -1, np.where(planes == 0.5, 1, 0))
+        # the element faces that need a neighbour: on neither the boundary nor a mirror
+        paired = (sign == 0) & ~((planes == 0) & (lo[:, m].min() == 0))
 
         # boundary faces: one per element face on the cube's boundary
         on = np.flatnonzero(sign != 0)
@@ -144,8 +158,8 @@ def build_faces(lo: np.ndarray, hi: np.ndarray) -> Faces:
                       h[owner], np.zeros(len(on), dtype=bool)))
 
         # interior faces: the overlaps of minus- and plus-side faces on one plane
-        minus = np.flatnonzero(sign[:n_el] == 0)
-        plus = np.flatnonzero(sign[n_el:] == 0)
+        minus = np.flatnonzero(paired[:n_el])
+        plus = np.flatnonzero(paired[n_el:])
         i, j = np.nonzero(planes[minus][:, None] == planes[n_el + plus][None, :])
         i, j = minus[i], plus[j]
         c0 = np.maximum(lo[i][:, t], lo[j][:, t])
@@ -164,7 +178,7 @@ def build_faces(lo: np.ndarray, hi: np.ndarray) -> Faces:
         covered = np.bincount(np.concatenate([i, n_el + j]), np.tile(area, 2), minlength=2 * n_el)
         expect = np.tile(np.prod(lengths[:, t], axis=1), 2)
         gap = np.abs(covered - expect) > 1e-12 * expect
-        short = np.flatnonzero((sign == 0) & gap)
+        short = np.flatnonzero(paired & gap)
         if short.size:
             k = short[0]
             raise MeshError(f"element {k % n_el} face on axis {m}, plane {planes[k]} not "

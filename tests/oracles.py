@@ -9,8 +9,10 @@ elements and faces, one rule and one basis table at a time;
 :func:`evaluate_in_element` evaluates one element's expansion at given
 points, the value that the batched evaluation must reproduce.  The face
 oracle restates the numpy face enumeration as the pairwise loop it replaced,
-and :func:`singular_rule_per_box` the composite singular rule as the loop of
-one tensor Gauss rule per box that its stacked build replaced.
+:func:`full_cube_mesh` is the graded mesh of the whole cube that the solver's
+octant mesh replaced, and :func:`singular_rule_per_box` the composite
+singular rule as the loop of one tensor Gauss rule per box that its stacked
+build replaced.
 :func:`factor_input` forms the single-precision pencil A - tau M as a shifted
 CSC copy of A, the matrix the sparse LU must be given.
 """
@@ -23,7 +25,7 @@ import scipy.sparse as sp
 
 from hpdg._kernels import legendre_l2_norms_sq
 from hpdg.hpspace import DiscreteField, _modes, basis_matrices, basis_matrix, containing_map
-from hpdg.mesh import Faces, MeshError
+from hpdg.mesh import Faces, GradedMesh, MeshError, build_faces, build_graded_mesh
 from hpdg.quadrature import _plane_rule, element_rule
 
 
@@ -143,7 +145,9 @@ def error_norms_per_element(coarse, reference):
         pts, w = rule.points[0], rule.weights[0]
         jump = value_diff(int(cmap[ea]), ea, pts) - value_diff(int(cmap[eb]), eb, pts)
         jump_sq += int(ref_space.face_degree[f]) ** 2 / faces.h_e[f] * float(w @ (jump * jump))
-    return {"l2": math.sqrt(l2_sq), "dg": math.sqrt(l2_sq + h1_sq + jump_sq), "linf": linf}
+    c = fine_mesh.copies
+    return {"l2": math.sqrt(c * l2_sq), "dg": math.sqrt(c * (l2_sq + h1_sq + jump_sq)),
+            "linf": linf}
 
 
 def project_per_element(space, values):
@@ -182,10 +186,27 @@ def singular_rule_per_box(d, n, depth):
     return np.vstack([r.points for r in rules]), np.concatenate([r.weights for r in rules])
 
 
+def full_cube_mesh(d, sigma, ell):
+    """The graded mesh of the whole cube (-1/2, 1/2)^d, ``copies`` 1: the
+    octant mesh reflected into each quadrant.  Elements are numbered by layer,
+    then quadrant, then extent pattern, and the 2^d innermost boxes come last.
+    A box [a, b] of the octant becomes [-b, 0.0 - a] along a reflected axis,
+    so the origin stays +0.0 and shared planes stay bitwise equal."""
+    octant = build_graded_mesh(d, sigma, ell)
+    quadrants = np.array(list(product((-1, 1), repeat=d)))[:, None, :]  # (Q, 1, d)
+    shells = np.split(np.arange(octant.n_elements), (2**d - 1) * np.arange(1, ell + 1))
+    a, b = ([x[s] for s in shells] for x in (octant.lo, octant.hi))
+    lo = np.concatenate([np.where(quadrants > 0, x, -y).reshape(-1, d) for x, y in zip(a, b)])
+    hi = np.concatenate([np.where(quadrants > 0, y, 0.0 - x).reshape(-1, d) for x, y in zip(a, b)])
+    layer = np.concatenate([np.tile(octant.layer[s], len(quadrants)) for s in shells])
+    return GradedMesh(d, octant.sigma, octant.ell, lo, hi, layer, build_faces(lo, hi))
+
+
 def enumerate_faces_of(lo, hi):
     """``hpdg.mesh.build_faces`` as one pairwise loop: per axis, group the
     element faces by plane, then intersect every minus-side face with every
-    plus-side face of the group, one pair at a time.  Coordinates are compared
+    plus-side face of the group, one pair at a time; a plane x_m = 0 where the
+    tiling starts is a mirror plane and gets no faces.  Coordinates are compared
     exactly, as the mesh shares them bitwise between neighbours."""
     lo, hi = np.asarray(lo), np.asarray(hi)
     lengths = hi - lo
@@ -206,6 +227,8 @@ def enumerate_faces_of(lo, hi):
         for plane, members in groups:
             minus = [eid for side, eid in members if side == -1]
             plus = [eid for side, eid in members if side == +1]
+            if plane == 0 and min(lo[:, m]) == 0:
+                continue  # a mirror plane: no faces
             if plane in (-0.5, 0.5):
                 sign = -1 if plane == -0.5 else +1
                 for eid in minus + plus:

@@ -10,7 +10,7 @@ from hpdg.assembly import PenaltyConfig, Potential, SipAssembler, _sym, assemble
 from hpdg.hpspace import basis_matrices, basis_matrix, build_space, constant_field
 from hpdg.mesh import build_graded_mesh
 from hpdg.quadrature import _plane_rule, element_rule, volume_rule
-from oracles import element_dofs, projected
+from oracles import element_dofs, full_cube_mesh, projected
 
 
 def bubble(pts):
@@ -143,7 +143,8 @@ def test_sip_coercivity_with_zero_potential(ell, p0, slope):
 
 def test_consistency_terms_vanish_for_continuous_fields():
     """Face terms contribute nothing to v^T A v when v is continuous, zero on
-    the boundary: compare against the volume-only gradient energy."""
+    the boundary: compare against the volume-only gradient energy, counted
+    once per mirror image of the octant."""
     space, a = make(3)
     v = projected(space, bubble).coeffs
     from hpdg.hpspace import basis_matrices
@@ -156,7 +157,7 @@ def test_consistency_terms_vanish_for_continuous_fields():
         _, grads = basis_matrices(lo, lengths, p, rule.points)
         loc = v[element_dofs(space, e)]
         vol += sum(float(rule.weights @ (g @ loc) ** 2) for g in grads)
-    assert float(v @ (a @ v)) - vol == pytest.approx(0.0, abs=1e-11)
+    assert float(v @ (a @ v)) - space.mesh.copies * vol == pytest.approx(0.0, abs=1e-11)
 
 
 def test_refining_keeps_energy_of_continuous_field():
@@ -185,21 +186,23 @@ def test_assembly_deterministic_under_face_order_and_rerun():
 @pytest.mark.parametrize("d,sigma,ell", [(2, 0.5, 3), (2, 0.3, 3), (3, 0.5, 2), (3, 0.3, 2)])
 def test_sip_sums_blocks_in_element_then_face_order(d, sigma, ell):
     """Every entry of A_sip is 0 plus its element block, then its face blocks
-    in face-id order: bitwise the dense sum of ``_sip_blocks()`` in that order.
+    in face-id order, times the mesh's copies: bitwise the dense sum of
+    ``_sip_blocks()`` in that order, on the octant and on the whole cube.
     sigma < 1/2 gives non-cubic elements and their sub-faces, slope > 0 mixed
-    degrees, alpha the reflected corner blocks."""
-    space = build_space(build_graded_mesh(d, sigma, ell), 1, 0.5)
-    asm = SipAssembler(space, Potential(1.0, -1), PenaltyConfig())
-    owners = [[e, -1] for e in range(space.mesh.n_elements)] + space.mesh.faces.owners.tolist()
-    dense = np.zeros((space.N, space.N))
-    for own, blk in zip(owners, asm._sip_blocks()):
-        dofs = np.concatenate([space.offsets[o] + np.arange(space.ndofs_el[o])
-                               for o in own if o >= 0])
-        dense[np.ix_(dofs, dofs)] += blk
-    a = asm.sip()
-    assert len(set(space.degrees.tolist())) > 1
-    assert np.array_equal(a.toarray(), dense)
-    _assert_canonical_csr(a)
+    degrees, alpha on the whole cube the reflected corner blocks."""
+    for mesh in (build_graded_mesh(d, sigma, ell), full_cube_mesh(d, sigma, ell)):
+        space = build_space(mesh, 1, 0.5)
+        asm = SipAssembler(space, Potential(1.0, -1), PenaltyConfig())
+        owners = [[e, -1] for e in range(mesh.n_elements)] + mesh.faces.owners.tolist()
+        dense = np.zeros((space.N, space.N))
+        for own, blk in zip(owners, asm._sip_blocks()):
+            dofs = np.concatenate([space.offsets[o] + np.arange(space.ndofs_el[o])
+                                   for o in own if o >= 0])
+            dense[np.ix_(dofs, dofs)] += blk
+        a = asm.sip()
+        assert len(set(space.degrees.tolist())) > 1
+        assert np.array_equal(a.toarray(), mesh.copies * dense)
+        _assert_canonical_csr(a)
 
 
 def _assert_canonical_csr(a):
@@ -268,11 +271,18 @@ def test_cached_blocks_equal_fresh_integration(d, sigma, ell, p0, slope, alpha, 
     """Each sampled element's diagonal block of A_sip equals its freshly
     integrated volume block plus the fresh blocks of its faces; each sampled
     interior face's off-diagonal block equals its fresh face block; the
-    nonlinear mass blocks equal fresh |u|^2-weighted Grams."""
+    nonlinear mass blocks equal fresh |u|^2-weighted Grams; every block is
+    counted once per copy of the mesh.  On the octant and on the whole cube,
+    whose corner blocks are reflected."""
     if d == 3:
         p0, ell = min(p0, 2), min(ell, 3)
-    space = build_space(build_graded_mesh(d, sigma, ell), p0, slope)
+    for mesh in (build_graded_mesh(d, sigma, ell), full_cube_mesh(d, sigma, ell)):
+        _check_against_fresh_blocks(build_space(mesh, p0, slope), alpha, seed)
+
+
+def _check_against_fresh_blocks(space, alpha, seed):
     mesh, pot, pen = space.mesh, Potential(alpha, -1.0), PenaltyConfig(10.0)
+    c = mesh.copies
     asm = SipAssembler(space, pot, pen)
     a = asm.sip()
     u = projected(space, lambda x: np.cos(np.pi * x[:, 0]) * (1.0 + x[:, -1]))
@@ -286,32 +296,35 @@ def test_cached_blocks_equal_fresh_integration(d, sigma, ell, p0, slope, alpha, 
             fb = _fresh_face_block(space, f, pen.alpha0)
             k = space.ndofs_el[eid]
             want = want + (fb[:k, :k] if owners[f, 0] == eid else fb[-k:, -k:])
-        _close(a[sl, sl].toarray(), 0.5 * (want + want.T))
+        _close(a[sl, sl].toarray(), c * 0.5 * (want + want.T))
         lo, lengths, p = mesh.lo[eid], mesh.lengths[eid], int(space.degrees[eid])
         rule = element_rule(lo, lengths, p + 4)
         phi = basis_matrix(lo, lengths, p, rule.points)
-        _close(nl[sl, sl].toarray(), weighted_gram(phi, rule.weights * (phi @ u.coeffs[sl]) ** 2))
+        _close(nl[sl, sl].toarray(),
+               c * weighted_gram(phi, rule.weights * (phi @ u.coeffs[sl]) ** 2))
     for f in rng.choice(np.flatnonzero(mesh.faces.interior), 4):
         fb = _fresh_face_block(space, f, pen.alpha0)
         k = space.ndofs_el[owners[f, 0]]
         _close(a[element_dofs(space, owners[f, 0]), element_dofs(space, owners[f, 1])].toarray(),
-               0.5 * (fb[:k, k:] + fb[k:, :k].T))
+               c * 0.5 * (fb[:k, k:] + fb[k:, :k].T))
 
 
 @pytest.mark.parametrize("d,sigma,ell,p0,slope", [(2, 0.15, 6, 2, 0.5), (2, 0.5, 4, 1, 1.0),
                                                   (3, 0.5, 2, 1, 0.5)])
 def test_every_face_block_equals_fresh_integration(monkeypatch, d, sigma, ell, p0, slope):
     """Every element's and every face's block equals its freshly integrated
-    one (non-cubic elements, hanging sub-faces and degree jumps included), and
-    A_sip is bitwise the same when the table cap cuts every group of faces
-    into one-face chunks."""
-    space = build_space(build_graded_mesh(d, sigma, ell), p0, slope)
+    one (non-cubic elements, hanging sub-faces and degree jumps included), on
+    the octant and on the whole cube (reflected corner blocks), and A_sip is
+    bitwise the same when the table cap cuts every group of faces into
+    one-face chunks."""
     pot, pen = Potential(1.0, -1.0), PenaltyConfig(10.0)
-    blocks, n_el = SipAssembler(space, pot, pen)._sip_blocks(), space.mesh.n_elements
-    for e, blk in enumerate(blocks[:n_el]):
-        _close(blk, _sym(_fresh_element_block(space, pot, e)))
-    for f, blk in enumerate(blocks[n_el:]):
-        _close(blk, _sym(_fresh_face_block(space, f, pen.alpha0)))
+    for mesh in (full_cube_mesh(d, sigma, ell), build_graded_mesh(d, sigma, ell)):
+        space = build_space(mesh, p0, slope)
+        blocks, n_el = SipAssembler(space, pot, pen)._sip_blocks(), mesh.n_elements
+        for e, blk in enumerate(blocks[:n_el]):
+            _close(blk, _sym(_fresh_element_block(space, pot, e)))
+        for f, blk in enumerate(blocks[n_el:]):
+            _close(blk, _sym(_fresh_face_block(space, f, pen.alpha0)))
 
     chunks, batched = [], SipAssembler._face_blocks
 

@@ -3,7 +3,8 @@
 ``error_norms`` and ``inject`` evaluate fields per degree group and chunk of
 elements; the oracles evaluate one element or face at a time, with one rule
 and one ``basis_matrix`` table each.  Injection must agree bitwise, the error
-norms to roundoff in the order of summation.
+norms to roundoff in the order of summation, on the octant and on the whole
+cube.
 """
 
 from unittest import mock
@@ -17,7 +18,8 @@ from hpdg import hpspace
 from hpdg.analysis import error_norms
 from hpdg.hpspace import DiscreteField, build_space, constant_field, containing_map, inject
 from hpdg.mesh import build_graded_mesh
-from oracles import error_norms_per_element, evaluate_in_element, project_per_element
+from oracles import (error_norms_per_element, evaluate_in_element, full_cube_mesh,
+                     project_per_element)
 
 
 @settings(max_examples=12, deadline=None)
@@ -30,8 +32,12 @@ from oracles import error_norms_per_element, evaluate_in_element, project_per_el
 def test_batched_evaluation_matches_per_element_loops(d, sigma, ell, p0, slope, chunk, seed):
     if d == 3:
         ell, p0 = min(ell, 2), min(p0, 2)
-    coarse_space = build_space(build_graded_mesh(d, sigma, ell), p0, slope)
-    fine_space = build_space(build_graded_mesh(d, sigma, ell + 1), p0 + 1, slope)
+    for build in (build_graded_mesh, full_cube_mesh):
+        _check_against_loops(build_space(build(d, sigma, ell), p0, slope),
+                             build_space(build(d, sigma, ell + 1), p0 + 1, slope), chunk, seed)
+
+
+def _check_against_loops(coarse_space, fine_space, chunk, seed):
     rng = np.random.default_rng(seed)
     coarse = DiscreteField(coarse_space, rng.standard_normal(coarse_space.N))
     reference = DiscreteField(fine_space, rng.standard_normal(fine_space.N))

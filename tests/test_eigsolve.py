@@ -10,7 +10,7 @@ from hpdg.assembly import PenaltyConfig, Potential, SipAssembler
 from hpdg.eigsolve import DENSE_ALWAYS, EigenSolveError, smallest_eigenpair
 from hpdg.hpspace import build_space, constant_field
 from hpdg.mesh import build_graded_mesh
-from oracles import factor_input
+from oracles import factor_input, full_cube_mesh
 
 
 def tridiag(n, scale=1.0):
@@ -346,9 +346,10 @@ def test_reported_residual_holds_for_a_fresh_product():
         assert fresh_residual(a, m, res) <= eigsolve.DEFAULT_TOL
 
 
-def scf_pencil(dim, ell, p0, slope, alpha):
-    """A_sip + N(u) at the constant state, M's diagonal, and tau = rho(u) - 10."""
-    space = build_space(build_graded_mesh(dim, 0.5, ell), p0, slope)
+def scf_pencil(dim, ell, p0, slope, alpha, build=build_graded_mesh):
+    """A_sip + N(u) at the constant state, M's diagonal, and tau = rho(u) - 10,
+    on the mesh that ``build`` makes."""
+    space = build_space(build(dim, 0.5, ell), p0, slope)
     asm = SipAssembler(space, Potential(alpha, -1), PenaltyConfig())
     u = constant_field(space)
     a = asm.sip() + asm.nonlinear_mass(u, 3)
@@ -400,7 +401,7 @@ def test_factor_peak_memory_per_stored_entry():
     """The float32 pencil is cast straight from A's storage: the traced peak
     of a 3D factorization stays within 12 bytes per stored entry of A (a
     shifted CSC copy alone takes 12, its float32 values 4 more)."""
-    a, d, tau = scf_pencil(3, 4, 1, 0.25, 0.5)
+    a, d, tau = scf_pencil(3, 4, 1, 0.25, 0.5, full_cube_mesh)
     assert (a.shape[0], a.nnz) == (3984, 630240)
     tracemalloc.start()
     try:

@@ -4,7 +4,7 @@ import pytest
 from hpdg.hpspace import (DiscreteField, MeshNestingError, _modes, build_space,
                           constant_field, containing_map, evaluate_grid, inject)
 from hpdg.mesh import build_graded_mesh
-from oracles import evaluate_in_element, projected
+from oracles import evaluate_in_element, full_cube_mesh, projected
 
 
 def test_degree_formula_with_slope():
@@ -24,9 +24,8 @@ def test_zero_slope_is_uniform():
 
 
 def test_dof_count_ell0():
-    mesh = build_graded_mesh(2, 0.5, 0)
-    space = build_space(mesh, 1, 0.0)
-    assert space.N == 4 * (1 + 1) ** 2
+    assert build_space(build_graded_mesh(2, 0.5, 0), 1, 0.0).N == (1 + 1) ** 2
+    assert build_space(full_cube_mesh(2, 0.5, 0), 1, 0.0).N == 4 * (1 + 1) ** 2
 
 
 def test_degree_monotonicity():

@@ -4,7 +4,7 @@ import pytest
 from hpdg import quadrature
 from hpdg.mesh import build_graded_mesh
 from hpdg.quadrature import element_rule, face_rules, singular_rule, volume_rule
-from oracles import checked_integral, radial_power, singular_rule_per_box
+from oracles import checked_integral, full_cube_mesh, radial_power, singular_rule_per_box
 
 
 def unit_element(d=2):
@@ -93,8 +93,9 @@ def test_singular_rule_on_negative_quadrant_element():
 @pytest.mark.parametrize("d", [2, 3])
 def test_singular_rule_on_every_corner_element(d):
     """The rule is reflected per axis toward the corner at the origin, so
-    every one of the 2^d corner elements sees the same integral of r^-1."""
-    m = build_graded_mesh(d, 0.5, 2)
+    every one of the 2^d corner elements of the whole cube sees the same
+    integral of r^-1."""
+    m = full_cube_mesh(d, 0.5, 2)
     corners = [(m.lo[e], m.lengths[e]) for e in np.flatnonzero(m.corner)]
     assert len(corners) == 2**d
     f = radial_power(1.0)

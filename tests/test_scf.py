@@ -9,7 +9,7 @@ from hpdg.eigsolve import DENSE_ALWAYS, SPARSE_TOL_MIN, smallest_eigenpair
 from hpdg.hpspace import DiscreteField, build_space, constant_field, inject
 from hpdg.mesh import build_graded_mesh
 from hpdg.scf import ScfConfig, ScfReport, solve_ground_state
-from oracles import element_dofs
+from oracles import element_dofs, full_cube_mesh
 
 POT = Potential(1.0, -1)
 PEN = PenaltyConfig(10.0)
@@ -153,7 +153,8 @@ def test_config_validation():
 
 
 def test_energy_identity_at_ground_state():
-    """E = lambda/2 - (1/2 - 1/(delta+1)) * int |u|^(delta+1)."""
+    """E = lambda/2 - (1/2 - 1/(delta+1)) * int |u|^(delta+1), the integral
+    over the cube: copies times the one over the octant."""
     from hpdg.scf import discrete_energy
     from hpdg.hpspace import basis_matrix
     from hpdg.quadrature import element_rule
@@ -167,6 +168,7 @@ def test_energy_identity_at_ground_state():
         rule = element_rule(lo, lengths, p + 4)
         phi = basis_matrix(lo, lengths, p, rule.points)
         nl += float(rule.weights @ np.abs(phi @ u.coeffs[element_dofs(space, e)]) ** (delta + 1))
+    nl *= space.mesh.copies
     energy = discrete_energy(space, POT, PEN, u, delta)
     assert energy == pytest.approx(rep.lam / 2 - (0.5 - 1 / (delta + 1)) * nl, abs=1e-9)
     assert energy < rep.lam / 2
@@ -186,9 +188,9 @@ def test_warm_sparse_solve_factors_once(monkeypatch):
     """Every sweep after the first reuses the first sweep's LU."""
     pot = Potential(0.5, -1)
     cfg = ScfConfig(eps_tol=1e-10, delta=3)
-    coarse = build_space(build_graded_mesh(3, 0.5, 1), 1, 0.25)
+    coarse = build_space(build_graded_mesh(3, 0.5, 3), 1, 0.25)
     u1, _ = solve_ground_state(coarse, pot, PEN, cfg)
-    space = build_space(build_graded_mesh(3, 0.5, 2), 1, 0.25)
+    space = build_space(build_graded_mesh(3, 0.5, 4), 1, 0.25)
     assert space.N > DENSE_ALWAYS
     factorizations = []
     splu = sla.splu
@@ -298,8 +300,9 @@ def test_warm_solve_converges_on_a_sweep_solved_at_eig_tol(monkeypatch, dim, ell
 
 @pytest.mark.parametrize("ell,p0,slope,delta", [(3, 1, 0.25, 3), (2, 2, 0.0, None)])
 def test_cold_3d_solve_reaches_the_ground_state(ell, p0, slope, delta):
-    """A cold sparse solve starts from the p <= 1 subspace and finds lambda_1."""
-    space = build_space(build_graded_mesh(3, 0.5, ell), p0, slope)
+    """A cold sparse solve starts from the p <= 1 subspace and finds lambda_1
+    (on the oracle's whole-cube mesh, where N > 2000 at these levels)."""
+    space = build_space(full_cube_mesh(3, 0.5, ell), p0, slope)
     assert space.N > 2000
     u, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-7, delta=delta))
     assert rep.converged
@@ -331,7 +334,7 @@ def test_cold_degree_one_solve_solves_the_first_pencil_once(monkeypatch, delta, 
     monkeypatch.setattr(sla, "splu", lambda *a, **k: calls.update(splu=calls["splu"] + 1) or splu(*a, **k))
     starts = []
     monkeypatch.setattr(scf, "smallest_eigenpair", lambda *a, **k: starts.append(k["x0"]) or solve(*a, **k))
-    space = build_space(build_graded_mesh(3, 0.5, 1), 1, 0.0)
+    space = build_space(full_cube_mesh(3, 0.5, 1), 1, 0.0)
     assert space.N == 512 > DENSE_ALWAYS
     _, rep = solve_ground_state(space, Potential(0.5, -1), PEN, ScfConfig(eps_tol=1e-10, delta=delta))
     assert rep.converged
