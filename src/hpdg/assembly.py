@@ -12,8 +12,7 @@ and therefore already exact with the plain rule.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
 controlled variational crime, see README).  The mesh is arrays, so the
 per-element blocks are batched per degree, the gradient blocks as scaled
-reference Grams, and face blocks of equal relative geometry are found with one
-``np.unique`` over the face keys and computed once, batched per face group in
+reference Grams, and every face gets its own block, batched per face group in
 chunks of at most ``hpspace.TABLE_ENTRIES`` table entries with the arithmetic
 of one face at a time, so the result is bitwise the same (see
 :class:`SipAssembler`); A_sip's blocks are added into per-pair views of its
@@ -33,7 +32,7 @@ import scipy.sparse as sp
 from ._kernels import weighted_gram
 from . import hpspace
 from .hpspace import (DiscreteField, HpSpace, _basis_tables, _grid_axes, _local_mass_diag,
-                      _modes, basis_matrix, reference_table)
+                      basis_matrix, reference_table)
 from .quadrature import _plane_rule, plain_order, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
@@ -144,20 +143,15 @@ class SipAssembler:
     sum_m prod(L / 2) (2 / L_m)^2 G_m, G_m the Gram of the axis-m derivative
     table of :func:`hpdg.hpspace.reference_table`: one ``einsum`` per degree
     group.  Its potential and |u|^(delta-1) Grams are one batched matmul per
-    degree group on the same table.  The corner potential block B is
-    integrated once per ``(p, lengths)``, on the corner element moved to
-    lo = 0.  V is radial and P_i(-x) = (-1)^i P_i(x), so on a tiling of the
-    whole cube the corner element reflected along the axes with s_m = -1 gets
-    D B D, D = diag(prod_m s_m^{i_m}).
-    A face block is computed once per key, one ``np.unique`` over the face
-    keys: axis, sign and, per owner, degree, lengths and the face's offset and
-    size divided by the owner's lengths (rounded there, never in absolute
-    coordinates: elements near the singular point may be 1e-9 wide).  The
-    owner columns fix the face's kind, p_e and h_e.  The distinct faces are
-    batched per group of equal normal axis and owner degrees, in chunks of at
-    most ``hpspace.TABLE_ENTRIES`` table entries: one stacked face rule, each
-    owner's value and normal-derivative tables on the group's tensor grid, and
-    two batched matmuls for the consistency term and the penalty Gram.  Each
+    degree group on the same table.  A corner element's potential block is
+    integrated on the element itself with the composite rule of
+    :func:`hpdg.quadrature.volume_rule`, which reflects the graded rule onto
+    whichever of its vertices is the origin.  Every face gets its own block;
+    the faces are batched per group of equal normal axis and owner degrees,
+    in chunks of at most ``hpspace.TABLE_ENTRIES`` table entries: one stacked
+    face rule, each owner's value and normal-derivative tables on the group's
+    tensor grid, and two batched matmuls for the consistency term and the
+    penalty Gram.  Each
     entry and each face's product is the arithmetic of
     :func:`hpdg.quadrature._plane_rule` on that face alone,
     :func:`hpdg.hpspace.basis_matrices` and one face's matmul, so the blocks
@@ -207,7 +201,7 @@ class SipAssembler:
 
     def _sip_blocks(self) -> list:
         """The symmetrized blocks of A_sip, element blocks by element id, then
-        face blocks by face id; face blocks of equal key are one shared array."""
+        face blocks by face id."""
         space, pot = self.space, self.potential
         mesh = space.mesh
         elements = [None] * mesh.n_elements
@@ -219,48 +213,31 @@ class SipAssembler:
             vq = pot((mesh.lo[ids][:, None, :] + pts * half[:, None, :])
                      .reshape(-1, mesh.d)).reshape(w.shape)
             block = grad + _grams(phi, w * vq)
-            c = np.flatnonzero(mesh.corner[ids])
-            if c.size:
-                _, first, inv = np.unique(mesh.lengths[ids[c]], axis=0, return_index=True,
-                                          return_inverse=True)
-                b = np.stack([self._corner_block(e, p) for e in ids[c[first]]])[inv]
-                flipped = mesh.lo[ids[c]] != 0  # the axes with s_m = -1
-                s = 1 - 2 * ((_modes(p, mesh.d) * flipped[:, None, :]).sum(axis=2) % 2)
-                block[c] = grad[c] + b * (s[:, :, None] * s[:, None, :])
+            for c in np.flatnonzero(mesh.corner[ids]).tolist():
+                block[c] = grad[c] + self._corner_block(ids[c], p)
             for e, b in zip(ids.tolist(), _sym(block)):
                 elements[e] = b
-
-        faces = mesh.faces
-        key = [faces.axis, faces.sign]
-        for o in faces.owners.T:  # a boundary face's missing owner gets zeros
-            e = np.maximum(o, 0)
-            rel = (np.concatenate([faces.lo - mesh.lo[e], faces.lengths], axis=1)
-                   / np.tile(mesh.lengths[e], 2))
-            owner_key = np.column_stack([space.degrees[e], mesh.lengths[e], np.round(rel, 12)])
-            key.append(owner_key * (o >= 0)[:, None])
-        _, first, inv = np.unique(np.column_stack(key), axis=0, return_index=True,
-                                  return_inverse=True)
-        blocks = [None] * first.size
-        for rows, group in self._face_blocks(first):
-            for j, b in zip(rows.tolist(), _sym(group)):
-                blocks[j] = b
-        return elements + [blocks[j] for j in inv]
+        blocks = [None] * len(mesh.faces)
+        for fids, group in self._face_blocks():
+            for f, b in zip(fids.tolist(), _sym(group)):
+                blocks[f] = b
+        return elements + blocks
 
     def _corner_block(self, e: int, p: int) -> np.ndarray:
-        lo, lengths = np.zeros(self.space.mesh.d), self.space.mesh.lengths[e]
+        lo, lengths = self.space.mesh.lo[e], self.space.mesh.lengths[e]
         rule = volume_rule(lo, lengths, p)
         phi = basis_matrix(lo, lengths, p, rule.points)
         return weighted_gram(phi, rule.weights * self.potential(rule.points))
 
-    def _face_blocks(self, fids):
-        """The face blocks of the faces ``fids``, unsymmetrized, batched per
-        group of equal normal axis and owner degrees and cut into
-        chunks of at most ``hpspace.TABLE_ENTRIES`` table entries.  Yields
-        ``(rows, blocks)`` per chunk, ``rows`` indexing ``fids``."""
+    def _face_blocks(self):
+        """The face blocks, unsymmetrized, batched per group of equal normal
+        axis and owner degrees and cut into chunks of at most
+        ``hpspace.TABLE_ENTRIES`` table entries.  Yields ``(fids, blocks)``
+        per chunk."""
         space, mesh = self.space, self.space.mesh
         faces, d = mesh.faces, mesh.d
-        owners = faces.owners[fids]
-        keys = np.column_stack([faces.axis[fids], np.where(owners >= 0, space.degrees[owners], -1)])
+        owners = faces.owners
+        keys = np.column_stack([faces.axis, np.where(owners >= 0, space.degrees[owners], -1)])
         for key in np.unique(keys, axis=0):
             axis, *degs = key.tolist()
             interior, p_e = degs[1] >= 0, max(degs)
@@ -269,12 +246,11 @@ class SipAssembler:
             width = n ** (d - 1) * sum((degs[s] + 1) ** d for s in sides)
             idx = np.flatnonzero(np.all(keys == key, axis=1))
             step = max(1, hpspace.TABLE_ENTRIES // width)
-            for rows in (idx[i:i + step] for i in range(0, idx.size, step)):
-                f = fids[rows]
+            for f in (idx[i:i + step] for i in range(0, idx.size, step)):
                 rule = _plane_rule(faces.lo[f], faces.lengths[f], axis, n)
                 grid = _grid_axes(rule.points, shape)
                 tabs = [_basis_tables(mesh.lo[o], mesh.lengths[o], degs[s], grid, (axis,))
-                        for s, o in zip(sides, owners[rows].T)]
+                        for s, o in zip(sides, owners[f].T)]
                 if interior:
                     jmp = np.concatenate([tabs[0][0], -tabs[1][0]], axis=2)
                     dn = np.concatenate([0.5 * tabs[0][1][0], 0.5 * tabs[1][1][0]], axis=2)
@@ -284,7 +260,7 @@ class SipAssembler:
                 c = np.matmul(np.swapaxes(dn * w, 1, 2), jmp)
                 gamma = self.penalty.alpha0 * p_e**2 / faces.h_e[f]
                 gram = np.matmul(np.swapaxes(jmp * (gamma[:, None, None] * w), 1, 2), jmp)
-                yield rows, -c - np.swapaxes(c, 1, 2) + gram
+                yield f, -c - np.swapaxes(c, 1, 2) + gram
 
     def nonlinear_blocks(self, u: DiscreteField, delta: int, scale: float = 1.0) -> list:
         """Per degree group, the (k, n, n) diagonal blocks of N(u): the

@@ -108,6 +108,7 @@ def build_graded_mesh(d: int, sigma: float, ell: int) -> GradedMesh:
     """
     if d not in (2, 3):
         raise MeshError(f"d must be 2 or 3, got {d}")
+    d = int(d)
     if not (0.0 < sigma <= 0.5):
         raise MeshError(f"sigma must lie in (0, 1/2], got {sigma}")
     if ell < 0 or int(ell) != ell:

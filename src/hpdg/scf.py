@@ -37,6 +37,7 @@ the whole space, and its dense ground state is the first sweep's eigenpair.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class ScfConfig:
     def __post_init__(self):
         if not (0 < self.eps_tol < np.inf):
             raise ValueError(f"eps_tol must be finite and positive, got {self.eps_tol}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (0.0 < self.theta <= 1.0):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hpdg._kernels import weighted_gram
 from hpdg import hpspace
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler, _sym, assemble_mass
-from hpdg.hpspace import basis_matrices, basis_matrix, build_space, constant_field
+from hpdg.hpspace import _modes, basis_matrices, basis_matrix, build_space, constant_field
 from hpdg.mesh import build_graded_mesh
 from hpdg.quadrature import _plane_rule, element_rule, volume_rule
 from oracles import element_dofs, full_cube_mesh, projected
@@ -189,7 +189,7 @@ def test_sip_sums_blocks_in_element_then_face_order(d, sigma, ell):
     in face-id order, times the mesh's copies: bitwise the dense sum of
     ``_sip_blocks()`` in that order, on the octant and on the whole cube.
     sigma < 1/2 gives non-cubic elements and their sub-faces, slope > 0 mixed
-    degrees, alpha on the whole cube the reflected corner blocks."""
+    degrees, alpha on the whole cube a corner block at each of its 2^d corners."""
     for mesh in (build_graded_mesh(d, sigma, ell), full_cube_mesh(d, sigma, ell)):
         space = build_space(mesh, 1, 0.5)
         asm = SipAssembler(space, Potential(1.0, -1), PenaltyConfig())
@@ -226,7 +226,7 @@ def test_sip_and_nonlinear_mass_are_canonical_csr(d, ell, p0, slope):
     assert n.nnz == int(np.sum(space.ndofs_el**2))
 
 
-# -- cached, reflected and batched blocks against fresh integration ------------
+# -- assembled and batched blocks against fresh integration --------------------
 
 def _fresh_element_block(space, pot, e):
     p, lo, lengths = int(space.degrees[e]), space.mesh.lo[e], space.mesh.lengths[e]
@@ -273,7 +273,7 @@ def test_cached_blocks_equal_fresh_integration(d, sigma, ell, p0, slope, alpha, 
     interior face's off-diagonal block equals its fresh face block; the
     nonlinear mass blocks equal fresh |u|^2-weighted Grams; every block is
     counted once per copy of the mesh.  On the octant and on the whole cube,
-    whose corner blocks are reflected."""
+    which has a corner element at each of its 2^d corners."""
     if d == 3:
         p0, ell = min(p0, 2), min(ell, 3)
     for mesh in (build_graded_mesh(d, sigma, ell), full_cube_mesh(d, sigma, ell)):
@@ -314,7 +314,7 @@ def _check_against_fresh_blocks(space, alpha, seed):
 def test_every_face_block_equals_fresh_integration(monkeypatch, d, sigma, ell, p0, slope):
     """Every element's and every face's block equals its freshly integrated
     one (non-cubic elements, hanging sub-faces and degree jumps included), on
-    the octant and on the whole cube (reflected corner blocks), and A_sip is
+    the octant and on the whole cube (2^d corner elements), and A_sip is
     bitwise the same when the table cap cuts every group of faces into
     one-face chunks."""
     pot, pen = Potential(1.0, -1.0), PenaltyConfig(10.0)
@@ -328,10 +328,10 @@ def test_every_face_block_equals_fresh_integration(monkeypatch, d, sigma, ell, p
 
     chunks, batched = [], SipAssembler._face_blocks
 
-    def recorded(self, fids):
-        for rows, blocks in batched(self, fids):
-            chunks.append(len(rows))
-            yield rows, blocks
+    def recorded(self):
+        for fids, blocks in batched(self):
+            chunks.append(len(fids))
+            yield fids, blocks
 
     monkeypatch.setattr(SipAssembler, "_face_blocks", recorded)
     a = SipAssembler(space, pot, pen).sip()
@@ -342,6 +342,25 @@ def test_every_face_block_equals_fresh_integration(monkeypatch, d, sigma, ell, p
     assert max(chunks) == 1 and len(chunks) > uncapped
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(capped, name), getattr(a, name))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_corner_blocks_of_the_cube_are_reflections(d):
+    """V is radial and P_i(-x) = (-1)^i P_i(x), so the potential block of the
+    corner element reflected along the axes with s_m = -1 is D B D, B the
+    block of the all-positive corner and D = diag(prod_m s_m^(i_m))."""
+    mesh = full_cube_mesh(d, 0.5, 2)
+    corners = np.flatnonzero(mesh.corner)
+    signs = np.where(mesh.lo[corners] == 0, 1, -1)  # s_m = +1 where the element starts at 0
+    assert len(corners) == 2**d and len({tuple(s) for s in signs.tolist()}) == 2**d
+    for alpha in (0.5, 1.0, 1.5):
+        asm = SipAssembler(build_space(mesh, 1, 0.0), Potential(alpha, -1.0), PenaltyConfig())
+        for p in (1, 2, 3):
+            blocks = [asm._corner_block(e, p) for e in corners.tolist()]
+            b = blocks[int(np.flatnonzero(np.all(signs == 1, axis=1))[0])]
+            for got, s in zip(blocks, signs):
+                dd = np.prod(s ** _modes(p, d), axis=1)
+                assert np.abs(got - dd[:, None] * b * dd).max() <= 1e-13 * np.abs(b).max()
 
 
 def test_laplace_dimer_smallest_eigenvalue():

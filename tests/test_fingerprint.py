@@ -5,7 +5,8 @@ with seeded random vectors, recorded once and hard-coded below.  A change that
 keeps the discretization keeps every value to roundoff; a change in the
 quadrature, the basis tables or the assembly order shows up here first.  The
 values were recorded on the whole cube, so they run on the oracle's
-whole-cube mesh, whose corner blocks are reflected.
+whole-cube mesh, whose 2^d corner elements each integrate the singular rule
+reflected onto their own corner.
 """
 
 import numpy as np

@@ -143,6 +143,19 @@ def test_rejects_bad_parameters():
         build_graded_mesh(2, 0.5, -1)
 
 
+def test_integral_d_is_taken_as_int():
+    """d is treated like ell: an integral value is taken as an int, and
+    anything else is refused by name before the tiling is built."""
+    want = build_graded_mesh(2, 0.5, 1)
+    for d in (2.0, np.float64(2.0), np.int64(2)):
+        mesh = build_graded_mesh(d, 0.5, 1)
+        assert type(mesh.d) is int and mesh.d == 2
+        assert np.array_equal(mesh.lo, want.lo) and np.array_equal(mesh.hi, want.hi)
+    for bad in (2.5, "2", None):
+        with pytest.raises(MeshError, match="d must be"):
+            build_graded_mesh(bad, 0.5, 1)
+
+
 def test_irregularity_violation_detected():
     # the unit square tiled by a left column cut at y = 1/4 and a right column
     # cut at y = 0: the interface piece on x = 0 between y = 0 and y = 1/4 is

@@ -145,6 +145,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="delta"):
             ScfConfig(delta=bad)
     assert ScfConfig(delta=None).delta is None
+    for bad in (2.5, 3.0, "3", True):  # refused by name, not by range() in the SCF loop
+        with pytest.raises(ValueError, match="max_iter"):
+            ScfConfig(max_iter=bad)
+    assert ScfConfig(max_iter=np.int64(3)).max_iter == 3
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps_tol"):
             ScfConfig(eps_tol=bad)
