@@ -8,7 +8,11 @@ Volume and face terms use the plain rule, :func:`hpdg.quadrature.plain_order`
 Gauss points per axis.  On elements touching the singular point the potential
 term is integrated with the composite graded rule of
 :func:`hpdg.quadrature.singular_rule`; gradient and mass terms are polynomial
-and therefore already exact with the plain rule.  The nonlinear
+and therefore already exact with the plain rule.  V = sign * r^(-alpha) is
+homogeneous and the modal basis does not change with the element's size, so
+a corner element with longest edge h has the potential block h^(d - alpha) G,
+G the Gram of its box scaled by 1/h; G is integrated once per process and
+per (scaled box, degree, potential) and cached read-only.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
 controlled variational crime, see README).  The mesh is arrays, so the
 per-element blocks are batched per degree, the gradient blocks as scaled
@@ -24,6 +28,7 @@ them out as a CSR of their own.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +69,19 @@ class Potential:
             return np.zeros(pts.shape[0])
         r = np.sqrt(np.sum(pts * pts, axis=1))
         return self.sign * r ** (-self.alpha)
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_gram(lo: tuple, lengths: tuple, p: int, potential: Potential) -> np.ndarray:
+    """The potential Gram of the degree-p basis on the corner box
+    lo + [0, lengths], integrated with :func:`hpdg.quadrature.volume_rule`;
+    cached read-only, like :func:`hpdg.quadrature._unit_singular_rule`."""
+    lo, lengths = np.array(lo), np.array(lengths)
+    rule = volume_rule(lo, lengths, p)
+    phi = basis_matrix(lo, lengths, p, rule.points)
+    gram = weighted_gram(phi, rule.weights * potential(rule.points))
+    gram.flags.writeable = False
+    return gram
 
 
 @dataclass(frozen=True)
@@ -137,16 +155,21 @@ def _csr_from_blocks(space: HpSpace, blocks: list):
 
 
 class SipAssembler:
-    """Builds A_sip, M and N(u) from reference data, anew on every call.
+    """Builds A_sip, M and N(u) from reference data, anew on every call; only
+    the unit-size corner Grams are kept, in a cache shared by the process.
 
     An element of degree p with lengths L has the gradient block
     sum_m prod(L / 2) (2 / L_m)^2 G_m, G_m the Gram of the axis-m derivative
     table of :func:`hpdg.hpspace.reference_table`: one ``einsum`` per degree
     group.  Its potential and |u|^(delta-1) Grams are one batched matmul per
     degree group on the same table.  A corner element's potential block is
-    integrated on the element itself with the composite rule of
+    h^(d - alpha) times :func:`_corner_gram` of its box scaled by 1/h, h its
+    longest edge: the Gram integrated with the composite rule of
     :func:`hpdg.quadrature.volume_rule`, which reflects the graded rule onto
-    whichever of its vertices is the origin.  Every face gets its own block;
+    whichever of its vertices is the origin, keyed on the scaled box
+    (lo / h, lengths / h), the degree and the potential.  On a graded mesh
+    the corner is the cube (0, h)^d at every level, so a study integrates it
+    once per corner degree.  Every face gets its own block;
     the faces are batched per group of equal normal axis and owner degrees,
     in chunks of at most ``hpspace.TABLE_ENTRIES`` table entries: one stacked
     face rule, each owner's value and normal-derivative tables on the group's
@@ -225,9 +248,10 @@ class SipAssembler:
 
     def _corner_block(self, e: int, p: int) -> np.ndarray:
         lo, lengths = self.space.mesh.lo[e], self.space.mesh.lengths[e]
-        rule = volume_rule(lo, lengths, p)
-        phi = basis_matrix(lo, lengths, p, rule.points)
-        return weighted_gram(phi, rule.weights * self.potential(rule.points))
+        h = lengths.max()
+        gram = _corner_gram(tuple((lo / h).tolist()), tuple((lengths / h).tolist()), p,
+                            self.potential)
+        return h ** (len(lo) - (self.potential.alpha or 0)) * gram
 
     def _face_blocks(self):
         """The face blocks, unsymmetrized, batched per group of equal normal

@@ -15,15 +15,19 @@ singular rule as the loop of one tensor Gauss rule per box that its stacked
 build replaced.
 :func:`factor_input` forms the single-precision pencil A - tau M as a shifted
 CSC copy of A, the matrix the sparse LU must be given.
+:func:`dense_lambda` is lambda_1 of a pencil from one LAPACK solve of the
+generalized problem.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+import scipy.linalg as dla
 import scipy.sparse as sp
 
 from hpdg._kernels import legendre_l2_norms_sq
+from hpdg.eigsolve import dense_result
 from hpdg.hpspace import DiscreteField, _modes, basis_matrices, basis_matrix, containing_map
 from hpdg.mesh import Faces, GradedMesh, MeshError, build_faces, build_graded_mesh
 from hpdg.quadrature import _plane_rule, element_rule
@@ -280,3 +284,12 @@ def factor_input(a, d, tau):
     exp = np.frexp(np.max(np.abs(lhs.data), initial=0.0))[1]
     return sp.csc_matrix((np.ldexp(lhs.data, -exp).astype(np.float32), lhs.indices, lhs.indptr),
                          shape=lhs.shape)
+
+
+def dense_lambda(a, m):
+    """lambda_1 of the pencil (A, M), M diagonal: the Rayleigh quotient of
+    LAPACK's generalized eigenvector, through :func:`hpdg.eigsolve.dense_result`
+    as the solver reports it.  LAPACK's own eigenvalue loses accuracy where
+    M's diagonal spans many decades; the quotient of its vector does not."""
+    v = dla.eigh(a.toarray(), m.toarray(), subset_by_index=[0, 0])[1][:, 0]
+    return dense_result(a, m.diagonal(), v).lam

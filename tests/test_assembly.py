@@ -1,16 +1,20 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.linalg as dla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpdg._kernels import weighted_gram
 from hpdg import hpspace
-from hpdg.assembly import PenaltyConfig, Potential, SipAssembler, _sym, assemble_mass
+from hpdg.assembly import (PenaltyConfig, Potential, SipAssembler, _corner_gram, _sym,
+                           assemble_mass)
+from hpdg.cli import StudyConfig, run_study
 from hpdg.hpspace import _modes, basis_matrices, basis_matrix, build_space, constant_field
 from hpdg.mesh import build_graded_mesh
 from hpdg.quadrature import _plane_rule, element_rule, volume_rule
-from oracles import element_dofs, full_cube_mesh, projected
+from oracles import dense_lambda, element_dofs, full_cube_mesh, projected
 
 
 def bubble(pts):
@@ -137,8 +141,7 @@ def test_nonlinear_mass_rejects_non_finite_state():
 def test_sip_coercivity_with_zero_potential(ell, p0, slope):
     space, a = make(ell, p0=p0, slope=slope)
     m = assemble_mass(space)
-    vals = dla.eigh(a.toarray(), m.toarray(), eigvals_only=True, subset_by_index=[0, 0])
-    assert vals[0] > 0
+    assert dense_lambda(a, m) > 0
 
 
 def test_consistency_terms_vanish_for_continuous_fields():
@@ -361,6 +364,62 @@ def test_corner_blocks_of_the_cube_are_reflections(d):
             for got, s in zip(blocks, signs):
                 dd = np.prod(s ** _modes(p, d), axis=1)
                 assert np.abs(got - dd[:, None] * b * dd).max() <= 1e-13 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("d,p,sigma,ell,alpha,sign", [
+    (2, 1, 0.5, 3, None, -1.0), (2, 2, 0.3, 4, 0.5, 1.0), (2, 3, 0.15, 10, 1.5, -1.0),
+    (2, 2, 0.15, 10, 1.0, 1.0), (3, 1, 0.5, 2, 1.0, -1.0), (3, 2, 0.15, 10, 0.5, -1.0),
+    (3, 3, 0.3, 2, 1.5, 1.0), (3, 1, 0.3, 3, None, 1.0)])
+def test_corner_block_equals_fresh_integration(d, p, sigma, ell, alpha, sign):
+    """A corner element's potential block, h^(d - alpha) times the cached
+    Gram of its box scaled by 1/h, equals the composite-rule integration on
+    the element itself: on the octant's corner and on each of the whole
+    cube's 2^d, down to h = 0.5 * 0.15^10, about 3e-9."""
+    pot = Potential(alpha, sign)
+    for mesh in (build_graded_mesh(d, sigma, ell), full_cube_mesh(d, sigma, ell)):
+        asm = SipAssembler(build_space(mesh, p, 0.0), pot, PenaltyConfig())
+        for e in np.flatnonzero(mesh.corner).tolist():
+            lo, lengths = mesh.lo[e], mesh.lengths[e]
+            rule = volume_rule(lo, lengths, p)
+            want = weighted_gram(basis_matrix(lo, lengths, p, rule.points),
+                                 rule.weights * pot(rule.points))
+            assert np.abs(asm._corner_block(e, p) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_corner_gram_is_cached_read_only():
+    """The cached Gram cannot be written, and a returned block is a copy of
+    it: writing to one block leaves the next one as it was."""
+    mesh = build_graded_mesh(2, 0.5, 2)
+    asm = SipAssembler(build_space(mesh, 2, 0.0), Potential(1.0), PenaltyConfig())
+    e = int(np.flatnonzero(mesh.corner)[0])
+    first = asm._corner_block(e, 2)
+    want = first.copy()
+    first[:] = np.nan
+    assert np.array_equal(asm._corner_block(e, 2), want)
+    gram = _corner_gram((0.0, 0.0), (1.0, 1.0), 2, Potential(1.0))
+    assert not gram.flags.writeable
+    with pytest.raises(ValueError):
+        gram[0, 0] = 0.0
+
+
+def _workload(name):
+    """The StudyConfig keys of a studybench workload."""
+    spec = importlib.util.spec_from_file_location(
+        "studybench_run", Path(__file__).resolve().parents[1] / "studybench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.WORKLOADS[name]
+
+
+@pytest.mark.parametrize("workload,grams", [("smoke3d", 1), ("study2d", 2)])
+def test_a_study_integrates_one_corner_gram_per_degree(tmp_path, workload, grams):
+    """Every level of a study has its corner cube at the origin, so the study
+    integrates one corner Gram per corner degree: smoke3d solves all its
+    levels at p0 = 1, study2d its reference at p0 + 1."""
+    _corner_gram.cache_clear()
+    run_study(StudyConfig(**_workload(workload), out=str(tmp_path)))
+    info = _corner_gram.cache_info()
+    assert info.misses == info.currsize == grams and info.hits > 0
 
 
 def test_laplace_dimer_smallest_eigenvalue():

@@ -9,7 +9,7 @@ from hpdg.eigsolve import DENSE_ALWAYS, SPARSE_TOL_MIN, smallest_eigenpair
 from hpdg.hpspace import DiscreteField, build_space, constant_field, inject
 from hpdg.mesh import build_graded_mesh
 from hpdg.scf import ScfConfig, ScfReport, solve_ground_state
-from oracles import element_dofs, full_cube_mesh
+from oracles import dense_lambda, element_dofs, full_cube_mesh
 
 POT = Potential(1.0, -1)
 PEN = PenaltyConfig(10.0)
@@ -204,8 +204,7 @@ def test_warm_sparse_solve_factors_once(monkeypatch):
     assert len(factorizations) == 1
     asm = SipAssembler(space, pot, PEN)
     a = asm.sip() + asm.nonlinear_mass(u, 3)
-    lam = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
-                   subset_by_index=[0, 0])[0]
+    lam = dense_lambda(a, assemble_mass(space))
     assert rep.lam == pytest.approx(lam, abs=1e-10)
 
 
@@ -275,8 +274,7 @@ def test_tolerance_below_the_lobpcg_floor_is_solved_densely(monkeypatch):
     assert len(factorizations) == 1
     asm = SipAssembler(space, POT, PEN)
     a = asm.sip() + asm.nonlinear_mass(u, 3)
-    lam = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
-                   subset_by_index=[0, 0])[0]
+    lam = dense_lambda(a, assemble_mass(space))
     assert rep.lam == pytest.approx(lam, rel=1e-12)
 
 
@@ -314,8 +312,7 @@ def test_cold_3d_solve_reaches_the_ground_state(ell, p0, slope, delta):
     a = asm.sip()
     if delta is not None:
         a = a + asm.nonlinear_mass(u, delta)
-    lam = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
-                   subset_by_index=[0, 0])[0]
+    lam = dense_lambda(a, assemble_mass(space))
     assert rep.lam == pytest.approx(lam, rel=1e-8)
 
 

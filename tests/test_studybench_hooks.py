@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hpdg import eigsolve
+from hpdg import assembly, eigsolve
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler
 from hpdg.cli import StudyConfig, run_study
 from hpdg.hpspace import build_space, constant_field
@@ -21,19 +21,30 @@ STUDYBENCH = Path(__file__).resolve().parents[1] / "studybench"
 
 @pytest.fixture
 def layers(monkeypatch):
+    """studybench/layers.py, its ``install`` first clearing the assembler's
+    corner-Gram cache: a Gram cached before install is never integrated
+    again, so its rule, basis and Gram calls would be missed."""
     monkeypatch.syspath_prepend(str(STUDYBENCH))
     import layers as mod
 
+    install = mod.install
+
+    def clearing_install(tracer):
+        assembly._corner_gram.cache_clear()
+        return install(tracer)
+
+    monkeypatch.setattr(mod, "install", clearing_install)
     yield mod
     sys.modules.pop("layers", None)
 
 
 def test_layer_hooks_see_assembly_calls(layers):
+    space = build_space(build_graded_mesh(2, 0.5, 1), 1, 0.0)
+    asm = SipAssembler(space, Potential(1.0), PenaltyConfig())
+    asm.sip()  # caches the corner Gram: install must clear it to see it integrated
     tracer = layers.Tracer()
     uninstall = layers.install(tracer)
     try:
-        space = build_space(build_graded_mesh(2, 0.5, 1), 1, 0.0)
-        asm = SipAssembler(space, Potential(1.0), PenaltyConfig())
         asm.sip()
         asm.nonlinear_mass(constant_field(space), 3)
     finally:
