@@ -56,28 +56,27 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
     cmap = containing_map(coarse.space.mesh, mesh)
     p_c = coarse.space.degrees[cmap]  # per fine element
 
-    def diff(eids, pts, shape, grads=False):
-        (cv, cg), (rv, rg) = (evaluate_grid(coarse, cmap[eids], pts, shape, grads),
-                              evaluate_grid(reference, eids, pts, shape, grads))
+    def diff(eids, axes, grads=False):
+        (cv, cg), (rv, rg) = (evaluate_grid(coarse, cmap[eids], axes, grads),
+                              evaluate_grid(reference, eids, axes, grads))
         return cv - rv, (cg - rg if grads else None)
 
     l2_sq, h1_sq = np.zeros(mesh.n_elements), np.zeros(mesh.n_elements)
-    cube = np.indices((2,) * mesh.d).reshape(mesh.d, -1).T  # corner offsets, first axis slowest
-    corners = np.where(cube, mesh.hi[:, None, :], mesh.lo[:, None, :])
-    linf = float(np.max(np.abs(diff(np.arange(mesh.n_elements), corners, (2,) * mesh.d)[0])))
-    for ids, rule, shape in element_rules(mesh, np.maximum(space.degrees, p_c) + 2):
-        dv, dg = diff(ids, rule.points, shape, grads=True)
-        l2_sq[ids] = np.einsum("eq,eq->e", rule.weights, dv * dv)
-        h1_sq[ids] = np.einsum("eq,meq->e", rule.weights, dg * dg)
+    corners = [np.column_stack([mesh.lo[:, m], mesh.hi[:, m]]) for m in range(mesh.d)]
+    linf = float(np.max(np.abs(diff(np.arange(mesh.n_elements), corners)[0])))
+    for ids, axes, weights in element_rules(mesh, np.maximum(space.degrees, p_c) + 2):
+        dv, dg = diff(ids, axes, grads=True)
+        l2_sq[ids] = np.einsum("eq,eq->e", weights, dv * dv)
+        h1_sq[ids] = np.einsum("eq,meq->e", weights, dg * dg)
         linf = max(linf, float(np.max(np.abs(dv))))
 
     faces = mesh.faces[mesh.faces.interior]
     a, b = faces.owners.T
     p_e = space.face_degree[mesh.faces.interior]
     jump_sq = np.zeros(len(faces))
-    for idx, rule, shape in face_rules(faces, np.maximum(p_e, np.maximum(p_c[a], p_c[b])) + 2):
-        jump = diff(a[idx], rule.points, shape)[0] - diff(b[idx], rule.points, shape)[0]
-        jump_sq[idx] = np.einsum("eq,eq->e", rule.weights, jump * jump)
+    for idx, axes, weights in face_rules(faces, np.maximum(p_e, np.maximum(p_c[a], p_c[b])) + 2):
+        jump = diff(a[idx], axes)[0] - diff(b[idx], axes)[0]
+        jump_sq[idx] = np.einsum("eq,eq->e", weights, jump * jump)
     jump_sq *= p_e**2 / faces.h_e
 
     l2_sq, h1_sq, jump_sq = (mesh.copies * float(np.sum(x)) for x in (l2_sq, h1_sq, jump_sq))
@@ -87,7 +86,7 @@ def error_norms(coarse: DiscreteField, reference: DiscreteField) -> dict:
 def fit_exponential(records, column: str, abscissa: str = "ell",
                     dim: int | None = None) -> FitResult:
     """Least-squares fit of log(err) vs the abscissa; rows with err at or
-    below ERROR_FLOOR drop out.
+    below ERROR_FLOOR drop out, and a non-finite err raises.
 
     ``column`` is one of 'l2', 'dg', 'linf', 'lambda'; ``abscissa`` is 'ell'
     or 'ndof_root' (N^(1/(d+1)), which needs ``dim``).
@@ -103,6 +102,10 @@ def fit_exponential(records, column: str, abscissa: str = "ell",
         if dim is None:
             raise ValueError("abscissa 'ndof_root' needs the dimension d")
         xs = np.array([r.N ** (1.0 / (dim + 1)) for r in records], dtype=float)
+    bad = ~np.isfinite(errs)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"err_{column} is not finite at ell={records[k].ell}: {errs[k]}")
     usable = errs > ERROR_FLOOR
     if int(usable.sum()) < 3:
         raise ValueError(f"need at least 3 records with err > {ERROR_FLOOR} to fit, "

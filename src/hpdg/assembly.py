@@ -16,11 +16,10 @@ per (scaled box, degree, potential) and cached read-only.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
 controlled variational crime, see README).  The mesh is arrays, so the
 per-element blocks are batched per degree, the gradient blocks as scaled
-reference Grams, and every face gets its own block, batched per face group in
-chunks of at most ``hpspace.TABLE_ENTRIES`` table entries with the arithmetic
-of one face at a time, so the result is bitwise the same (see
-:class:`SipAssembler`); A_sip's blocks are added into per-pair views of its
-element-graph CSR data.  N(u) is block-diagonal, and its blocks are returned
+reference Grams, and every face gets its own block, batched per face group
+with the arithmetic of one face at a time, so the result is bitwise the same
+(see :class:`SipAssembler`); A_sip's blocks are added into per-pair views of
+its element-graph CSR data.  N(u) is block-diagonal, and its blocks are returned
 per degree group with the positions of the matching blocks of A_sip's data, so
 A_sip + N(u) can be written in place; :meth:`SipAssembler.nonlinear_mass` lays
 them out as a CSR of their own.
@@ -35,10 +34,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import weighted_gram
-from . import hpspace
-from .hpspace import (DiscreteField, HpSpace, _basis_tables, _grid_axes, _local_mass_diag,
-                      basis_matrix, reference_table)
-from .quadrature import _plane_rule, plain_order, volume_rule
+from .hpspace import (DiscreteField, HpSpace, _basis_tables, _local_mass_diag, basis_matrix,
+                      reference_table)
+from .quadrature import _face_grid, plain_order, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
 
@@ -169,16 +167,13 @@ class SipAssembler:
     whichever of its vertices is the origin, keyed on the scaled box
     (lo / h, lengths / h), the degree and the potential.  On a graded mesh
     the corner is the cube (0, h)^d at every level, so a study integrates it
-    once per corner degree.  Every face gets its own block;
-    the faces are batched per group of equal normal axis and owner degrees,
-    in chunks of at most ``hpspace.TABLE_ENTRIES`` table entries: one stacked
-    face rule, each owner's value and normal-derivative tables on the group's
-    tensor grid, and two batched matmuls for the consistency term and the
-    penalty Gram.  Each
-    entry and each face's product is the arithmetic of
-    :func:`hpdg.quadrature._plane_rule` on that face alone,
-    :func:`hpdg.hpspace.basis_matrices` and one face's matmul, so the blocks
-    are bitwise those of a per-face loop, whatever the chunk size.  ``sip()``
+    once per corner degree.  Every face gets its own block; the faces are
+    batched per group of equal normal axis and owner degrees: one stacked
+    face grid, each owner's value and normal-derivative tables on it, and
+    two batched matmuls for the consistency term and the penalty Gram.  Each
+    entry and each face's product is the arithmetic of the face's own Gauss
+    grid, :func:`hpdg.hpspace.basis_matrices` at its points and one face's
+    matmul, so the blocks are bitwise those of a per-face loop.  ``sip()``
     adds the blocks, elements by id, then faces by id, into views of the CSR
     data: one (nd[a], nd[b]) view per coupled pair of elements (a, b), the
     columns of b in a's rows, and records in ``slots`` where each element's
@@ -255,36 +250,27 @@ class SipAssembler:
 
     def _face_blocks(self):
         """The face blocks, unsymmetrized, batched per group of equal normal
-        axis and owner degrees and cut into chunks of at most
-        ``hpspace.TABLE_ENTRIES`` table entries.  Yields ``(fids, blocks)``
-        per chunk."""
+        axis and owner degrees.  Yields ``(fids, blocks)`` per group."""
         space, mesh = self.space, self.space.mesh
-        faces, d = mesh.faces, mesh.d
-        owners = faces.owners
+        faces, owners = mesh.faces, mesh.faces.owners
         keys = np.column_stack([faces.axis, np.where(owners >= 0, space.degrees[owners], -1)])
         for key in np.unique(keys, axis=0):
             axis, *degs = key.tolist()
             interior, p_e = degs[1] >= 0, max(degs)
-            n, sides = plain_order(p_e), range(2 if interior else 1)
-            shape = tuple(1 if m == axis else n for m in range(d))
-            width = n ** (d - 1) * sum((degs[s] + 1) ** d for s in sides)
-            idx = np.flatnonzero(np.all(keys == key, axis=1))
-            step = max(1, hpspace.TABLE_ENTRIES // width)
-            for f in (idx[i:i + step] for i in range(0, idx.size, step)):
-                rule = _plane_rule(faces.lo[f], faces.lengths[f], axis, n)
-                grid = _grid_axes(rule.points, shape)
-                tabs = [_basis_tables(mesh.lo[o], mesh.lengths[o], degs[s], grid, (axis,))
-                        for s, o in zip(sides, owners[f].T)]
-                if interior:
-                    jmp = np.concatenate([tabs[0][0], -tabs[1][0]], axis=2)
-                    dn = np.concatenate([0.5 * tabs[0][1][0], 0.5 * tabs[1][1][0]], axis=2)
-                else:
-                    jmp, dn = tabs[0][0], faces.sign[f][:, None, None] * tabs[0][1][0]
-                w = rule.weights[:, :, None]
-                c = np.matmul(np.swapaxes(dn * w, 1, 2), jmp)
-                gamma = self.penalty.alpha0 * p_e**2 / faces.h_e[f]
-                gram = np.matmul(np.swapaxes(jmp * (gamma[:, None, None] * w), 1, 2), jmp)
-                yield f, -c - np.swapaxes(c, 1, 2) + gram
+            f = np.flatnonzero(np.all(keys == key, axis=1))
+            grid, weights = _face_grid(faces.lo[f], faces.lengths[f], axis, plain_order(p_e))
+            tabs = [_basis_tables(mesh.lo[o], mesh.lengths[o], degs[s], grid, (axis,))
+                    for s, o in zip(range(2 if interior else 1), owners[f].T)]
+            if interior:
+                jmp = np.concatenate([tabs[0][0], -tabs[1][0]], axis=2)
+                dn = np.concatenate([0.5 * tabs[0][1][0], 0.5 * tabs[1][1][0]], axis=2)
+            else:
+                jmp, dn = tabs[0][0], faces.sign[f][:, None, None] * tabs[0][1][0]
+            w = weights[:, :, None]
+            c = np.matmul(np.swapaxes(dn * w, 1, 2), jmp)
+            gamma = self.penalty.alpha0 * p_e**2 / faces.h_e[f]
+            gram = np.matmul(np.swapaxes(jmp * (gamma[:, None, None] * w), 1, 2), jmp)
+            yield f, -c - np.swapaxes(c, 1, 2) + gram
 
     def nonlinear_blocks(self, u: DiscreteField, delta: int, scale: float = 1.0) -> list:
         """Per degree group, the (k, n, n) diagonal blocks of N(u): the

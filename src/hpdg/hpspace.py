@@ -5,9 +5,10 @@ p_K = p0 + floor(s * (ell - j) + 1/2) for an element in layer j (rounded half
 up), so the innermost layer carries p0 and degrees grow toward the boundary.
 Local bases are tensor products of Legendre polynomials; dofs are laid out
 contiguously per element, in element-id order.  Fields are evaluated and
-injected per degree group: one dense basis table per chunk of elements on
-their tensor grid of points, one batched matmul, with every entry computed as
-:func:`basis_matrix` computes it at that point.
+injected on tensor grids of per-axis coordinates, the grouped rules of
+:mod:`hpdg.quadrature`: one dense basis table per degree group, one batched
+matmul, with every entry computed as :func:`basis_matrix` computes it at that
+point.
 """
 
 from __future__ import annotations
@@ -97,11 +98,6 @@ def containing_map(coarse_mesh: meshmod.GradedMesh, fine_mesh: meshmod.GradedMes
     return out
 
 
-# Most entries (elements or faces x points x modes) in one dense basis table of
-# the evaluator and of the SIP face batches.
-TABLE_ENTRIES = 2**20
-
-
 def _basis_tables(lo, lengths, p: int, axes, derivs=()):
     """The (p+1)^d tensor-Legendre basis of the boxes lo + [0, lengths] (E, d)
     on the tensor grids of per-axis physical coordinates ``axes[m]`` (E, n_m),
@@ -121,13 +117,6 @@ def _basis_tables(lo, lengths, p: int, axes, derivs=()):
     return product(vals), [product(vals[:m] + [ders[m]] + vals[m + 1:]) for m in derivs]
 
 
-def _grid_axes(pts, shape):
-    """The per-axis coordinates (E, n_m) of points (E, nq, d) that form a
-    tensor grid of ``shape`` per row, first axis slowest."""
-    strides = [math.prod(shape[m + 1:]) for m in range(len(shape))]
-    return [pts[:, :n * s:s, m] for m, (n, s) in enumerate(zip(shape, strides))]
-
-
 def basis_matrix(lo, lengths, p: int, pts: np.ndarray):
     """Values of the (p+1)^d tensor-Legendre basis of the box lo + [0, lengths]
     at physical points pts, each point a one-node grid of :func:`_basis_tables`."""
@@ -145,33 +134,24 @@ def basis_matrices(lo, lengths, p: int, pts: np.ndarray):
     return phi[:, 0], [g[:, 0] for g in grads]
 
 
-def _grid_tables(space: HpSpace, eids, pts, shape, grads=False):
-    """:func:`_basis_tables` of the elements ``eids`` at points (E, nq, d)
-    that form a tensor grid of ``shape`` in each element.  Yields
-    ``(rows, phi, dphi)`` per degree and chunk of at most ``TABLE_ENTRIES``
-    table entries, ``rows`` indexing ``eids``."""
-    axes, derivs = _grid_axes(pts, shape), range(len(shape)) if grads else ()
+def evaluate_grid(field: DiscreteField, eids, axes, grads=False):
+    """``field`` in the elements ``eids`` on per-element tensor grids of
+    per-axis coordinates ``axes[m]`` (E, n_m), first axis slowest: values
+    (E, nq) and, with ``grads``, physical gradients (d, E, nq), else None.
+    Each value is bitwise the element's :func:`basis_matrix` at that point
+    times its coefficients: one :func:`_basis_tables` and one batched matmul
+    per degree."""
+    space, eids = field.space, np.asarray(eids)
+    shape = (len(eids), math.prod(x.shape[1] for x in axes))
+    vals = np.empty(shape)
+    dvals = np.empty((len(axes),) + shape) if grads else None
     degs = space.degrees[eids]
     for p in np.unique(degs).tolist():
-        idx = np.flatnonzero(degs == p)
-        step = max(1, TABLE_ENTRIES // (pts.shape[1] * (p + 1) ** len(shape)))
-        for rows in (idx[i:i + step] for i in range(0, idx.size, step)):
-            el = eids[rows]
-            yield rows, *_basis_tables(space.mesh.lo[el], space.mesh.lengths[el], p,
-                                       [x[rows] for x in axes], derivs)
-
-
-def evaluate_grid(field: DiscreteField, eids, pts, shape, grads=False):
-    """``field`` in the elements ``eids`` at points (E, nq, d) on per-element
-    tensor grids of ``shape``: values (E, nq) and, with ``grads``, physical
-    gradients (d, E, nq), else None.  Each value is bitwise the element's
-    :func:`basis_matrix` at that point times its coefficients, one batched
-    matmul per degree and chunk."""
-    space, eids = field.space, np.asarray(eids)
-    vals = np.empty(pts.shape[:2])
-    dvals = np.empty((len(shape),) + pts.shape[:2]) if grads else None
-    for rows, phi, dphi in _grid_tables(space, eids, pts, shape, grads):
-        c = field.coeffs[space.offsets[eids[rows]][:, None] + np.arange(phi.shape[2])][..., None]
+        rows = np.flatnonzero(degs == p)
+        el = eids[rows]
+        phi, dphi = _basis_tables(space.mesh.lo[el], space.mesh.lengths[el], p,
+                                  [x[rows] for x in axes], range(len(axes)) if grads else ())
+        c = field.coeffs[space.offsets[el][:, None] + np.arange(phi.shape[2])][..., None]
         vals[rows] = np.matmul(phi, c)[..., 0]
         for m, g in enumerate(dphi):
             dvals[m, rows] = np.matmul(g, c)[..., 0]
@@ -213,13 +193,14 @@ def inject(field: DiscreteField, fine_space: HpSpace) -> DiscreteField:
     Exact whenever each fine element is contained in a coarse element of
     degree at most the fine one (the situation along a refinement chain).
     """
-    cmap = containing_map(field.space.mesh, fine_space.mesh)  # raises if they do not nest
+    mesh = fine_space.mesh
+    cmap = containing_map(field.space.mesh, mesh)  # raises if they do not nest
     coeffs = np.zeros(fine_space.N)
-    for ids, rule, shape in element_rules(fine_space.mesh, plain_order(fine_space.degrees)):
-        wv = (rule.weights * evaluate_grid(field, cmap[ids], rule.points, shape)[0])[..., None]
-        for rows, phi, _ in _grid_tables(fine_space, ids, rule.points, shape):
-            cols = fine_space.offsets[ids[rows]][:, None] + np.arange(phi.shape[2])
-            rhs = np.matmul(phi.transpose(0, 2, 1), wv[rows])[..., 0]
-            coeffs[cols] = rhs / _local_mass_diag(fine_space.mesh.lengths[ids[rows]],
-                                                  int(fine_space.degrees[ids[0]]))
+    for ids, axes, weights in element_rules(mesh, plain_order(fine_space.degrees)):
+        p = int(fine_space.degrees[ids[0]])  # one degree per number of points
+        wv = (weights * evaluate_grid(field, cmap[ids], axes)[0])[..., None]
+        phi = _basis_tables(mesh.lo[ids], mesh.lengths[ids], p, axes)[0]
+        cols = fine_space.offsets[ids][:, None] + np.arange(phi.shape[2])
+        rhs = np.matmul(phi.transpose(0, 2, 1), wv)[..., 0]
+        coeffs[cols] = rhs / _local_mass_diag(mesh.lengths[ids], p)
     return DiscreteField(fine_space, coeffs)

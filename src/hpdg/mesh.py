@@ -111,7 +111,7 @@ def build_graded_mesh(d: int, sigma: float, ell: int) -> GradedMesh:
     d = int(d)
     if not (0.0 < sigma <= 0.5):
         raise MeshError(f"sigma must lie in (0, 1/2], got {sigma}")
-    if ell < 0 or int(ell) != ell:
+    if not (0 <= ell < np.inf) or int(ell) != ell:
         raise MeshError(f"ell must be a nonnegative integer, got {ell}")
     ell = int(ell)
 

@@ -1,11 +1,14 @@
 """Gauss-Legendre rules on [-1, 1] and on physical elements and faces.
 
 This is the one home of every Gauss rule and the one place where Gauss points
-are mapped to an axis-parallel box: volume rules, face rules and the composite
-singular rule all come from :func:`_box_rule`, one box at a time or stacked
-over a group of boxes.  A box is given by its arrays ``(lo, lengths)``: an
-element's, or a face's, whose length along its normal axis is zero.  The plain
-volume and face rules of degree p have :func:`plain_order` points per axis.
+are mapped to an axis-parallel box: every rule comes from :func:`_box_grid`,
+one box at a time or stacked over a group of boxes.  A box is given by its
+arrays ``(lo, lengths)``.  A tensor rule is its grid, the per-axis
+coordinates and the tensor weights, first axis slowest: the grouped element
+and face rules that the evaluator reads are grids, a face's plane a one-node
+axis; :func:`element_rule`, the composite singular rule and
+:func:`volume_rule` expand the grid into points.  The plain volume and face
+rules of degree p have :func:`plain_order` points per axis.
 
 Smooth elements get affinely mapped tensor Gauss rules.  Elements touching
 the singular point get a composite rule built from a geometric subdivision
@@ -71,8 +74,8 @@ def _gauss_rule_cached(n: int) -> QuadRule1D:
 
 def gauss_rule(n: int) -> QuadRule1D:
     """n-point Gauss-Legendre rule, exact for polynomials of degree 2n-1."""
-    if n < 1:
-        raise ValueError(f"gauss_rule needs n >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"gauss_rule needs an integer n >= 1, got {n!r}")
     return _gauss_rule_cached(int(n))
 
 
@@ -82,26 +85,34 @@ class ElementRule:
     weights: np.ndarray  # (nq,) includes the affine Jacobian
 
 
-def _box_rule(lo, lengths, n: int) -> ElementRule:
-    """n^k-point tensor Gauss rule on the box lo + [0, lengths] (first axis slowest).
-
-    ``lo`` and ``lengths`` are (k,) for one box or (E, k) for a stack of boxes;
-    a stack gets points (E, n^k, k) and weights (E, n^k).
+def _box_grid(lo, lengths, n: int):
+    """The n^k-point tensor Gauss rule on the box lo + [0, lengths] as a grid:
+    the per-axis coordinates, a list of k arrays (n,), and the weights
+    (n^k,), first axis slowest.  ``lo`` and ``lengths`` are (k,) for one box
+    or (E, k) for a stack of boxes, whose axes are (E, n) and weights (E, n^k).
     """
     g = gauss_rule(n)
     half = np.asarray(lengths)[..., None] / 2.0  # (..., k, 1)
     k = half.shape[-2]
+    x = np.asarray(lo)[..., None] + (g.points + 1.0) * half  # (..., k, n)
     node = (..., np.arange(k)[:, None], np.indices((n,) * k).reshape(k, -1))  # (axis, point)
-    pts = (np.asarray(lo)[..., None] + (g.points + 1.0) * half)[node]
-    return ElementRule(np.swapaxes(pts, -1, -2), np.prod((g.weights * half)[node], axis=-2))
+    return [x[..., m, :] for m in range(k)], np.prod((g.weights * half)[node], axis=-2)
 
 
-def _plane_rule(lo, lengths, axis: int, n: int) -> ElementRule:
-    """:func:`_box_rule` on the tangential axes of the faces lo + [0, lengths]
-    (E, d) normal to ``axis``, its points lifted onto the face planes."""
-    t = [m for m in range(lo.shape[-1]) if m != axis]
-    r = _box_rule(lo[:, t], lengths[:, t], n)
-    return ElementRule(np.insert(r.points, axis, lo[:, axis, None], axis=2), r.weights)
+def _box_rule(lo, lengths, n: int) -> ElementRule:
+    """:func:`_box_grid` expanded into points (n^k, k), or (E, n^k, k) for a stack."""
+    axes, weights = _box_grid(lo, lengths, n)
+    node = np.indices((n,) * len(axes)).reshape(len(axes), -1)
+    return ElementRule(np.stack([x[..., i] for x, i in zip(axes, node)], axis=-1), weights)
+
+
+def _face_grid(lo, lengths, axis: int, n: int):
+    """:func:`_box_grid` on the tangential axes of the faces lo + [0, lengths]
+    (E, d) normal to ``axis``, with the face planes lo[:, axis] as a one-node
+    axis."""
+    axes, weights = _box_grid(np.delete(lo, axis, 1), np.delete(lengths, axis, 1), n)
+    axes.insert(axis, lo[:, axis, None])
+    return axes, weights
 
 
 def element_rule(lo, lengths, n: int) -> ElementRule:
@@ -111,23 +122,24 @@ def element_rule(lo, lengths, n: int) -> ElementRule:
 
 def element_rules(mesh, n):
     """The elements of ``mesh`` grouped by ``n`` (Gauss points per axis, one
-    entry per element).  Yields the ids, their stacked rule and its grid shape."""
+    entry per element).  Yields the ids and their stacked grid: per-axis
+    coordinates (E, n) and weights (E, n^d)."""
     for nk in np.unique(n).tolist():
         ids = np.flatnonzero(n == nk)
-        yield ids, _box_rule(mesh.lo[ids], mesh.lengths[ids], nk), (nk,) * mesh.d
+        yield ids, *_box_grid(mesh.lo[ids], mesh.lengths[ids], nk)
 
 
 def face_rules(faces, n):
     """The :class:`hpdg.mesh.Faces` ``faces`` grouped by normal axis and ``n``
     (Gauss points per tangential axis, one entry per face).  Yields the
-    positions in ``faces``, their stacked rule on the face planes and its grid
-    shape, which has one node on the normal axis."""
+    positions in ``faces`` and their stacked grid on the face planes: per-axis
+    coordinates, (E, 1) on the normal axis and (E, n) on the others, and
+    weights (E, n^(d-1))."""
     keys = np.column_stack([faces.axis, n]).astype(np.int64)
     for key in np.unique(keys, axis=0):
         idx = np.flatnonzero(np.all(keys == key, axis=1))
         axis, nf = key.tolist()
-        yield (idx, _plane_rule(faces.lo[idx], faces.lengths[idx], axis, nf),
-               tuple(1 if m == axis else nf for m in range(faces.lo.shape[1])))
+        yield idx, *_face_grid(faces.lo[idx], faces.lengths[idx], axis, nf)
 
 
 @functools.lru_cache(maxsize=16)

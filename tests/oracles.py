@@ -12,7 +12,8 @@ oracle restates the numpy face enumeration as the pairwise loop it replaced,
 :func:`full_cube_mesh` is the graded mesh of the whole cube that the solver's
 octant mesh replaced, and :func:`singular_rule_per_box` the composite
 singular rule as the loop of one tensor Gauss rule per box that its stacked
-build replaced.
+build replaced.  :func:`plane_rule` is one face's Gauss rule as points, the
+reference for the face grids of the batched face blocks and error norms.
 :func:`factor_input` forms the single-precision pencil A - tau M as a shifted
 CSC copy of A, the matrix the sparse LU must be given.
 :func:`dense_lambda` is lambda_1 of a pencil from one LAPACK solve of the
@@ -30,7 +31,7 @@ from hpdg._kernels import legendre_l2_norms_sq
 from hpdg.eigsolve import dense_result
 from hpdg.hpspace import DiscreteField, _modes, basis_matrices, basis_matrix, containing_map
 from hpdg.mesh import Faces, GradedMesh, MeshError, build_faces, build_graded_mesh
-from hpdg.quadrature import _plane_rule, element_rule
+from hpdg.quadrature import element_rule
 
 
 def _gauss(n):
@@ -145,13 +146,21 @@ def error_norms_per_element(coarse, reference):
         ea, eb = faces.owners[f]
         degs = [int(ref_space.degrees[ea]), int(ref_space.degrees[eb]),
                 int(coarse.space.degrees[cmap[ea]]), int(coarse.space.degrees[cmap[eb]])]
-        rule = _plane_rule(faces.lo[[f]], faces.lengths[[f]], faces.axis[f], max(degs) + 2)
-        pts, w = rule.points[0], rule.weights[0]
+        pts, w = plane_rule(faces.lo[f], faces.lengths[f], faces.axis[f], max(degs) + 2)
         jump = value_diff(int(cmap[ea]), ea, pts) - value_diff(int(cmap[eb]), eb, pts)
         jump_sq += int(ref_space.face_degree[f]) ** 2 / faces.h_e[f] * float(w @ (jump * jump))
     c = fine_mesh.copies
     return {"l2": math.sqrt(c * l2_sq), "dg": math.sqrt(c * (l2_sq + h1_sq + jump_sq)),
             "linf": linf}
+
+
+def plane_rule(lo, lengths, axis, n):
+    """Points (n^(d-1), d) and weights of the tensor Gauss rule with n points
+    per tangential axis on the face lo + [0, lengths] normal to ``axis``:
+    ``element_rule`` on the tangential axes, lifted onto the face plane."""
+    t = np.arange(len(lo)) != axis
+    rule = element_rule(lo[t], lengths[t], n)
+    return np.insert(rule.points, axis, lo[axis], axis=1), rule.weights
 
 
 def project_per_element(space, values):

@@ -162,6 +162,17 @@ def test_fit_needs_three_usable_rows():
         fit_exponential(records, "dg", "ell")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fit_refuses_non_finite_errors(bad):
+    """A NaN error would drop out of the fit silently and an infinite one
+    would give b = C = r2 = nan: both are refused, naming the column and ell."""
+    records = [rec(ell, np.exp(-ell)) for ell in range(1, 6)]
+    records[3] = rec(4, bad)
+    for column in ("l2", "lambda"):
+        with pytest.raises(ValueError, match=f"err_{column} is not finite at ell=4"):
+            fit_exponential(records, column, "ell")
+
+
 def test_fit_excludes_plateau_rows():
     clean = [rec(ell, np.exp(-ell)) for ell in range(1, 6)]
     with_floor = clean + [rec(6, 1e-14), rec(7, 1e-15)]

@@ -7,14 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpdg._kernels import weighted_gram
-from hpdg import hpspace
 from hpdg.assembly import (PenaltyConfig, Potential, SipAssembler, _corner_gram, _sym,
                            assemble_mass)
 from hpdg.cli import StudyConfig, run_study
 from hpdg.hpspace import _modes, basis_matrices, basis_matrix, build_space, constant_field
 from hpdg.mesh import build_graded_mesh
-from hpdg.quadrature import _plane_rule, element_rule, volume_rule
-from oracles import dense_lambda, element_dofs, full_cube_mesh, projected
+from hpdg.quadrature import element_rule, volume_rule
+from oracles import dense_lambda, element_dofs, full_cube_mesh, plane_rule, projected
 
 
 def bubble(pts):
@@ -246,8 +245,7 @@ def _fresh_face_block(space, f, alpha0):
     """Face block over the dofs of its owners, concatenated in owner order."""
     mesh, faces = space.mesh, space.mesh.faces
     p_e, axis = int(space.face_degree[f]), faces.axis[f]
-    rule = _plane_rule(faces.lo[[f]], faces.lengths[[f]], axis, p_e + 4)
-    pts, w = rule.points[0], rule.weights[0]
+    pts, w = plane_rule(faces.lo[f], faces.lengths[f], axis, p_e + 4)
     tabs = [basis_matrices(mesh.lo[o], mesh.lengths[o], int(space.degrees[o]), pts)
             for o in faces.owners[f] if o >= 0]
     if not faces.interior[f]:
@@ -314,12 +312,10 @@ def _check_against_fresh_blocks(space, alpha, seed):
 
 @pytest.mark.parametrize("d,sigma,ell,p0,slope", [(2, 0.15, 6, 2, 0.5), (2, 0.5, 4, 1, 1.0),
                                                   (3, 0.5, 2, 1, 0.5)])
-def test_every_face_block_equals_fresh_integration(monkeypatch, d, sigma, ell, p0, slope):
+def test_every_face_block_equals_fresh_integration(d, sigma, ell, p0, slope):
     """Every element's and every face's block equals its freshly integrated
     one (non-cubic elements, hanging sub-faces and degree jumps included), on
-    the octant and on the whole cube (2^d corner elements), and A_sip is
-    bitwise the same when the table cap cuts every group of faces into
-    one-face chunks."""
+    the octant and on the whole cube (2^d corner elements)."""
     pot, pen = Potential(1.0, -1.0), PenaltyConfig(10.0)
     for mesh in (full_cube_mesh(d, sigma, ell), build_graded_mesh(d, sigma, ell)):
         space = build_space(mesh, p0, slope)
@@ -328,23 +324,6 @@ def test_every_face_block_equals_fresh_integration(monkeypatch, d, sigma, ell, p
             _close(blk, _sym(_fresh_element_block(space, pot, e)))
         for f, blk in enumerate(blocks[n_el:]):
             _close(blk, _sym(_fresh_face_block(space, f, pen.alpha0)))
-
-    chunks, batched = [], SipAssembler._face_blocks
-
-    def recorded(self):
-        for fids, blocks in batched(self):
-            chunks.append(len(fids))
-            yield fids, blocks
-
-    monkeypatch.setattr(SipAssembler, "_face_blocks", recorded)
-    a = SipAssembler(space, pot, pen).sip()
-    uncapped = len(chunks)
-    chunks.clear()
-    monkeypatch.setattr(hpspace, "TABLE_ENTRIES", 1)
-    capped = SipAssembler(space, pot, pen).sip()
-    assert max(chunks) == 1 and len(chunks) > uncapped
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(capped, name), getattr(a, name))
 
 
 @pytest.mark.parametrize("d", [2, 3])

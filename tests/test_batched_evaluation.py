@@ -1,20 +1,17 @@
 """Batched field evaluation against the per-element loops it replaced.
 
-``error_norms`` and ``inject`` evaluate fields per degree group and chunk of
-elements; the oracles evaluate one element or face at a time, with one rule
-and one ``basis_matrix`` table each.  Injection must agree bitwise, the error
-norms to roundoff in the order of summation, on the octant and on the whole
-cube.
+``error_norms`` and ``inject`` evaluate fields per degree group of elements
+on their stacked Gauss grids; the oracles evaluate one element or face at a
+time, with one rule and one ``basis_matrix`` table each.  Injection must
+agree bitwise, the error norms to roundoff in the order of summation, on the
+octant and on the whole cube.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpdg import hpspace
 from hpdg.analysis import error_norms
 from hpdg.hpspace import DiscreteField, build_space, constant_field, containing_map, inject
 from hpdg.mesh import build_graded_mesh
@@ -25,25 +22,24 @@ from oracles import (error_norms_per_element, evaluate_in_element, full_cube_mes
 @settings(max_examples=12, deadline=None)
 @given(d=st.sampled_from([2, 3]), sigma=st.sampled_from([0.5, 0.3, 0.15]), ell=st.integers(1, 3),
        p0=st.integers(1, 3), slope=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-       chunk=st.sampled_from([hpspace.TABLE_ENTRIES, 2000]), seed=st.integers(0, 2**16))
-# Coarse degrees 3, 2, 1: three degree groups, each split into several chunks.
-@example(d=2, sigma=0.5, ell=3, p0=1, slope=1.0, chunk=2000, seed=0)
-@example(d=3, sigma=0.15, ell=2, p0=1, slope=0.5, chunk=2000, seed=1)
-def test_batched_evaluation_matches_per_element_loops(d, sigma, ell, p0, slope, chunk, seed):
+       seed=st.integers(0, 2**16))
+# Coarse degrees 3, 2, 1: three degree groups.
+@example(d=2, sigma=0.5, ell=3, p0=1, slope=1.0, seed=0)
+@example(d=3, sigma=0.15, ell=2, p0=1, slope=0.5, seed=1)
+def test_batched_evaluation_matches_per_element_loops(d, sigma, ell, p0, slope, seed):
     if d == 3:
         ell, p0 = min(ell, 2), min(p0, 2)
     for build in (build_graded_mesh, full_cube_mesh):
         _check_against_loops(build_space(build(d, sigma, ell), p0, slope),
-                             build_space(build(d, sigma, ell + 1), p0 + 1, slope), chunk, seed)
+                             build_space(build(d, sigma, ell + 1), p0 + 1, slope), seed)
 
 
-def _check_against_loops(coarse_space, fine_space, chunk, seed):
+def _check_against_loops(coarse_space, fine_space, seed):
     rng = np.random.default_rng(seed)
     coarse = DiscreteField(coarse_space, rng.standard_normal(coarse_space.N))
     reference = DiscreteField(fine_space, rng.standard_normal(fine_space.N))
-    with mock.patch.object(hpspace, "TABLE_ENTRIES", chunk):
-        norms = error_norms(coarse, reference)
-        injected = inject(coarse, fine_space).coeffs
+    norms = error_norms(coarse, reference)
+    injected = inject(coarse, fine_space).coeffs
 
     want = error_norms_per_element(coarse, reference)
     for key, value in want.items():

@@ -84,19 +84,22 @@ def test_integral_float_p0_gives_integer_degrees():
 
 
 def _random_grids(mesh, rng, n):
-    """n uniform random coordinates per axis in every element, as the
-    per-element tensor grids of :func:`evaluate_grid`: points (E, n^d, d)
-    with the first axis slowest, and the grid shape."""
+    """n uniform random coordinates per axis in every element, the per-axis
+    coordinates (E, n) of the tensor grids of :func:`evaluate_grid`."""
     e, d = mesh.lo.shape
-    axes = mesh.lo[:, :, None] + rng.uniform(size=(e, d, n)) * mesh.lengths[:, :, None]
-    grid = np.meshgrid(*[np.arange(n)] * d, indexing="ij")
-    pts = np.stack([axes[:, m, grid[m].ravel()] for m in range(d)], axis=-1)
-    return pts, (n,) * d
+    return list(np.swapaxes(mesh.lo[:, :, None]
+                            + rng.uniform(size=(e, d, n)) * mesh.lengths[:, :, None], 0, 1))
 
 
-def _values(field, pts, shape):
-    """``field`` at every element's grid of points, (E, nq)."""
-    return evaluate_grid(field, np.arange(field.space.mesh.n_elements), pts, shape)[0]
+def _points(axes):
+    """The points (E, nq, d) of per-element grids, first axis slowest."""
+    return np.stack([np.stack(np.meshgrid(*x, indexing="ij"), axis=-1).reshape(-1, len(x))
+                     for x in zip(*axes)])
+
+
+def _values(field, axes):
+    """``field`` on every element's grid, (E, nq)."""
+    return evaluate_grid(field, np.arange(field.space.mesh.n_elements), axes)[0]
 
 
 def test_evaluate_constant_field():
@@ -104,7 +107,7 @@ def test_evaluate_constant_field():
     space = build_space(mesh, 2, 0.5)
     one = constant_field(space, 1.0)
     rng = np.random.default_rng(7)
-    vals = _values(one, *_random_grids(mesh, rng, 3))
+    vals = _values(one, _random_grids(mesh, rng, 3))
     assert vals == pytest.approx(np.ones_like(vals), abs=1e-14)
 
 
@@ -116,7 +119,7 @@ def test_single_mode_vanishes_at_center():
     c[space.offsets[0] + 2] = 1.0  # C-order modes: (0,0),(0,1),(1,0),(1,1)
     f = DiscreteField(space, c)
     center = mesh.lo[0] + 0.5 * mesh.lengths[0]
-    vals, _ = evaluate_grid(f, [0], center[None, None, :], (1, 1))
+    vals, _ = evaluate_grid(f, [0], list(center[:, None, None]))
     assert vals[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -126,7 +129,7 @@ def test_field_minus_itself():
     rng = np.random.default_rng(3)
     f = DiscreteField(space, rng.standard_normal(space.N))
     g = DiscreteField(space, f.coeffs - f.coeffs)
-    assert np.all(_values(g, *_random_grids(mesh, rng, 3)) == 0.0)
+    assert np.all(_values(g, _random_grids(mesh, rng, 3)) == 0.0)
 
 
 def test_projection_reproduces_polynomials():
@@ -140,8 +143,8 @@ def test_projection_reproduces_polynomials():
         return sum(coef[i, j] * x**i * y**j for i in range(3) for j in range(3))
 
     f = projected(space, q)
-    pts, shape = _random_grids(mesh, rng, 3)
-    assert _values(f, pts, shape) == pytest.approx(q(pts), abs=1e-11)
+    axes = _random_grids(mesh, rng, 3)
+    assert _values(f, axes) == pytest.approx(q(_points(axes)), abs=1e-11)
 
 
 def test_injection_is_exact_on_chain():
@@ -152,10 +155,10 @@ def test_injection_is_exact_on_chain():
     g = inject(f, fine_space)
     # compare one-sided element evaluations: each fine element against the
     # coarse element that contains it, at the same points
-    pts, shape = _random_grids(fine_space.mesh, rng, 3)
+    axes = _random_grids(fine_space.mesh, rng, 3)
     cmap = containing_map(coarse_space.mesh, fine_space.mesh)
-    want = [evaluate_in_element(f, cid, x) for cid, x in zip(cmap, pts)]
-    assert _values(g, pts, shape) == pytest.approx(np.array(want), abs=1e-12)
+    want = [evaluate_in_element(f, cid, x) for cid, x in zip(cmap, _points(axes))]
+    assert _values(g, axes) == pytest.approx(np.array(want), abs=1e-12)
 
 
 def test_inject_rejects_meshes_that_do_not_nest():

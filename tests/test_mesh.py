@@ -139,8 +139,9 @@ def test_rejects_bad_parameters():
         build_graded_mesh(2, 0.6, 1)
     with pytest.raises(MeshError):
         build_graded_mesh(2, 0.0, 1)
-    with pytest.raises(MeshError):
-        build_graded_mesh(2, 0.5, -1)
+    for ell in (-1, float("inf"), float("nan")):
+        with pytest.raises(MeshError, match="ell"):
+            build_graded_mesh(2, 0.5, ell)
 
 
 def test_integral_d_is_taken_as_int():

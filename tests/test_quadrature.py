@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -29,23 +31,47 @@ def test_integrates_constant_to_measure():
         seen = set()
         faces = build_graded_mesh(d, 0.5, 2).faces
         n = 2 + np.arange(len(faces)) % 3
-        for idx, r, shape in face_rules(faces, n):
+        for idx, axes, w in face_rules(faces, n):
             nf, axis = int(n[idx[0]]), int(faces.axis[idx[0]])
             assert np.all(n[idx] == nf) and np.all(faces.axis[idx] == axis)
             tang = np.arange(d) != axis
             lo, hi = faces.lo[idx][:, tang], (faces.lo + faces.lengths)[idx][:, tang]
-            assert shape == tuple(1 if m == axis else nf for m in range(d))
-            assert r.points.shape == (len(idx), nf ** (d - 1), d)
-            assert np.all(r.points[:, :, axis] == faces.lo[idx][:, None, axis])
-            inner = r.points[:, :, tang]
-            assert np.all((inner > lo[:, None]) & (inner < hi[:, None]))
-            assert r.weights.sum(axis=1) == pytest.approx(np.prod(hi - lo, axis=1), rel=1e-14)
+            assert [x.shape for x in axes] == [(len(idx), 1 if m == axis else nf)
+                                               for m in range(d)]
+            assert w.shape == (len(idx), nf ** (d - 1))
+            assert np.all(axes[axis] == faces.lo[idx][:, axis, None])
+            inner = [x for m, x in enumerate(axes) if m != axis]
+            for x, a, b in zip(inner, lo.T, hi.T):
+                assert np.all((x > a[:, None]) & (x < b[:, None]))
+            assert w.sum(axis=1) == pytest.approx(np.prod(hi - lo, axis=1), rel=1e-14)
             k = 2 * nf - 1
             exact = np.prod((hi ** (k + 1) - lo ** (k + 1)) / (k + 1), axis=1)
-            got = np.einsum("eq,eq->e", r.weights, np.prod(inner ** k, axis=2))
+            # prod_m x_m^k on the grid, first axis slowest
+            grid = functools.reduce(lambda a, x: (a[:, :, None] * x[:, None, :] ** k)
+                                    .reshape(len(idx), -1), inner, np.ones((len(idx), 1)))
+            got = np.einsum("eq,eq->e", w, grid)
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-16)
             seen.update(zip(faces.interior[idx].tolist(), faces.is_subface[idx].tolist()))
         assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_element_rule_points_are_the_expanded_grid():
+    """element_rule's points are bitwise the per-axis coordinates of
+    _box_grid expanded first axis slowest, its weights _box_grid's; for one
+    box and for a stack of boxes."""
+    m = build_graded_mesh(3, 0.3, 2)
+    for n in (1, 2, 5):
+        axes, w = quadrature._box_grid(m.lo, m.lengths, n)
+        stacked = element_rule(m.lo, m.lengths, n)
+        assert _same_bytes(stacked.weights, w)
+        for e, (lo, lengths) in enumerate(zip(m.lo, m.lengths)):
+            grid = np.meshgrid(*[x[e] for x in axes], indexing="ij")
+            want = np.stack([g.ravel() for g in grid], axis=1)
+            one = element_rule(lo, lengths, n)
+            one_axes, one_w = quadrature._box_grid(lo, lengths, n)
+            assert _same_bytes(stacked.points[e], want) and _same_bytes(one.points, want)
+            assert all(_same_bytes(a, x[e]) for a, x in zip(one_axes, axes))
+            assert _same_bytes(one.weights, one_w) and _same_bytes(one_w, w[e])
 
 
 def test_integrates_x_squared():

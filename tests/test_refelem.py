@@ -30,6 +30,16 @@ def test_rejects_nonpositive_n():
             build(0)
 
 
+def test_rejects_non_integer_n():
+    """A fractional, float or bool n is refused by name, not truncated;
+    numpy integers are integers."""
+    for bad in (2.5, 2.0, np.float64(3.0), True, "2", None):
+        with pytest.raises(ValueError, match="gauss_rule needs an integer n"):
+            gauss_rule(bad)
+    for n in (np.int64(3), np.int32(3)):
+        assert gauss_rule(n) is gauss_rule(3)
+
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_weights_sum_and_symmetry(n):
     r = gauss_rule(n)
