@@ -12,7 +12,8 @@ and therefore already exact with the plain rule.  V = sign * r^(-alpha) is
 homogeneous and the modal basis does not change with the element's size, so
 a corner element with longest edge h has the potential block h^(d - alpha) G,
 G the Gram of its box scaled by 1/h; G is integrated once per process and
-per (scaled box, degree, potential) and cached read-only.  The nonlinear
+per (scaled box, degree, potential), by sum factorization on the composite
+rule's per-box tensor grids, and cached read-only.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
 controlled variational crime, see README).  The mesh is arrays, so the
 per-element blocks are batched per degree, the gradient blocks as scaled
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import weighted_gram
 from .hpspace import (DiscreteField, HpSpace, _basis_tables, _local_mass_diag, basis_matrix,
                       reference_table)
 from .quadrature import _face_grid, plain_order, volume_rule
@@ -63,21 +63,47 @@ class Potential:
             )
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self.radial(np.sum(pts * pts, axis=1))
+
+    def radial(self, r2: np.ndarray) -> np.ndarray:
+        """V at the points of squared distance ``r2`` from the origin."""
         if self.alpha is None:
-            return np.zeros(pts.shape[0])
-        r = np.sqrt(np.sum(pts * pts, axis=1))
-        return self.sign * r ** (-self.alpha)
+            return np.zeros(r2.shape)
+        return self.sign * np.sqrt(r2) ** (-self.alpha)
 
 
 @functools.lru_cache(maxsize=None)
 def _corner_gram(lo: tuple, lengths: tuple, p: int, potential: Potential) -> np.ndarray:
     """The potential Gram of the degree-p basis on the corner box
-    lo + [0, lengths], integrated with :func:`hpdg.quadrature.volume_rule`;
-    cached read-only, like :func:`hpdg.quadrature._unit_singular_rule`."""
+    lo + [0, lengths], integrated with :func:`hpdg.quadrature.volume_rule`
+    by sum factorization; cached read-only, like
+    :func:`hpdg.quadrature._unit_singular_rule`.
+
+    The rule is B tensor grids of n points per axis, and the basis is a
+    tensor product, so G[I, J] = sum_b sum_q w_bq V_bq prod_m T_m[b, q_m, i_m]
+    T_m[b, q_m, j_m], T_m the (B, n, p+1) table of axis m.  The sum is taken
+    axis by axis: the last axis per box first, then axis 0 together with the
+    sum over the boxes, in (i_0 j_0, i_1 j_1, ...) order, and reordered to
+    (I, J) at the end.  No (points, (p+1)^d) table is formed.
+    """
     lo, lengths = np.array(lo), np.array(lengths)
     rule = volume_rule(lo, lengths, p)
-    phi = basis_matrix(lo, lengths, p, rule.points)
-    gram = weighted_gram(phi, rule.weights * potential(rule.points))
+    axes, d, k = rule.axes, len(lo), p + 1
+    (nb, n), w = axes[0].shape, rule.grid_weights
+    r2 = axes[0] * axes[0]
+    pairs = []  # per axis, T_m[b, q, i] T_m[b, q, j] as (B, n, k^2)
+    for m, x in enumerate(axes):
+        if m:
+            r2 = r2[..., None] + (x * x).reshape(nb, *(1,) * m, n)
+        t = basis_matrix(lo[m:m + 1], lengths[m:m + 1], p, x.reshape(-1, 1)).reshape(nb, n, k)
+        pairs.append((t[..., :, None] * t[..., None, :]).reshape(nb, n, k * k))
+    g = (w * potential.radial(r2).reshape(nb, -1)).reshape(nb, -1, n) @ pairs[-1]
+    for m in range(d - 2, 0, -1):  # (B, n^(m+1), K) -> (B, n^m, k^2 K)
+        g = np.matmul(np.swapaxes(pairs[m], 1, 2)[:, None], g.reshape(nb, -1, n, g.shape[-1]))
+        g = g.reshape(nb, n**m, -1)
+    g = pairs[0].reshape(-1, k * k).T @ g.reshape(nb * n, -1)
+    gram = g.reshape((k, k) * d).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+    gram = gram.reshape(k**d, k**d)
     gram.flags.writeable = False
     return gram
 
@@ -162,9 +188,11 @@ class SipAssembler:
     group.  Its potential and |u|^(delta-1) Grams are one batched matmul per
     degree group on the same table.  A corner element's potential block is
     h^(d - alpha) times :func:`_corner_gram` of its box scaled by 1/h, h its
-    longest edge: the Gram integrated with the composite rule of
-    :func:`hpdg.quadrature.volume_rule`, which reflects the graded rule onto
-    whichever of its vertices is the origin, keyed on the scaled box
+    longest edge: the Gram integrated on the tensor grids of the composite
+    rule of :func:`hpdg.quadrature.volume_rule` by sum factorization, from
+    one (boxes, points, p+1) table per axis, never a (points, (p+1)^d) one;
+    the rule reflects the graded rule onto whichever of the box's vertices
+    is the origin.  The Gram is keyed on the scaled box
     (lo / h, lengths / h), the degree and the potential.  On a graded mesh
     the corner is the cube (0, h)^d at every level, so a study integrates it
     once per corner degree.  Every face gets its own block; the faces are

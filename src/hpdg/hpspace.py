@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mesh as meshmod
 from ._kernels import legendre_l2_norms_sq, legendre_table
-from .quadrature import _box_rule, element_rules, gauss_rule, plain_order
+from .quadrature import element_rule, element_rules, gauss_rule, plain_order
 
 
 @dataclass
@@ -51,10 +52,11 @@ def _modes(p: int, d: int) -> np.ndarray:
 
 def build_space(mesh: meshmod.GradedMesh, p0: int, slope: float) -> HpSpace:
     """Assign layer-based degrees and build the dG dof map."""
-    if not (p0 >= 1 and float(p0).is_integer()):
-        raise ValueError(f"p0 must be an integer >= 1, got {p0}")
-    if not (0 <= slope < np.inf):
-        raise ValueError(f"slope must be finite and >= 0, got {slope}")
+    if (isinstance(p0, bool) or not isinstance(p0, numbers.Real)
+            or not (p0 >= 1 and float(p0).is_integer())):
+        raise ValueError(f"p0 must be an integer >= 1, got {p0!r}")
+    if isinstance(slope, bool) or not isinstance(slope, numbers.Real) or not (0 <= slope < np.inf):
+        raise ValueError(f"slope must be finite and >= 0, got {slope!r}")
     degs = int(p0) + np.floor(slope * (mesh.ell - mesh.layer) + 0.5).astype(np.int64)
     ndofs = (degs + 1) ** mesh.d
     offsets = np.concatenate([[0], np.cumsum(ndofs)[:-1]])
@@ -102,13 +104,16 @@ def _basis_tables(lo, lengths, p: int, axes, derivs=()):
     """The (p+1)^d tensor-Legendre basis of the boxes lo + [0, lengths] (E, d)
     on the tensor grids of per-axis physical coordinates ``axes[m]`` (E, n_m),
     first axis slowest: values (E, nq, nd) and the physical-derivative tables
-    along the axes ``derivs``.  Every entry is the same product of per-axis
-    Legendre values, (t_0 * t_1) * t_2, whatever the grid."""
-    vals, ders = [], []
+    along the axes ``derivs``, the only axes whose derivatives are computed.
+    Every entry is the same product of per-axis Legendre values,
+    (t_0 * t_1) * t_2, whatever the grid."""
+    vals, ders = [], {}
     for m, x in enumerate(axes):
-        v, dv = legendre_table((2.0 * (x - lo[:, m, None]) / lengths[:, m, None] - 1.0).ravel(), p)
+        v, dv = legendre_table((2.0 * (x - lo[:, m, None]) / lengths[:, m, None] - 1.0).ravel(), p,
+                               m in derivs)
         vals.append(v.reshape(*x.shape, p + 1))
-        ders.append(dv.reshape(*x.shape, p + 1) * (2.0 / lengths[:, m, None, None]))
+        if dv is not None:
+            ders[m] = dv.reshape(*x.shape, p + 1) * (2.0 / lengths[:, m, None, None])
 
     def product(tabs):
         return functools.reduce(lambda a, t: (a[:, :, None, :, None] * t[:, None, :, None, :])
@@ -167,7 +172,7 @@ def reference_table(p: int, d: int):
     plain-rule points, shared and read-only.  An element's points are
     lo + pts * lengths / 2, its derivatives along m 2 / lengths[m] times dphi[m]."""
     n = plain_order(p)
-    rule = _box_rule(np.zeros(d), np.full(d, 2.0), n)
+    rule = element_rule(np.zeros(d), np.full(d, 2.0), n)
     v, dv = legendre_table(gauss_rule(n).points, p)
     dphi = [functools.reduce(np.kron, [dv if k == m else v for k in range(d)]) for m in range(d)]
     tables = rule.points, rule.weights, functools.reduce(np.kron, [v] * d), np.stack(dphi)

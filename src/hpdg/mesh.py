@@ -27,6 +27,7 @@ broadcasting and intersects their tangential intervals.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from itertools import product
 
@@ -109,10 +110,11 @@ def build_graded_mesh(d: int, sigma: float, ell: int) -> GradedMesh:
     if d not in (2, 3):
         raise MeshError(f"d must be 2 or 3, got {d}")
     d = int(d)
-    if not (0.0 < sigma <= 0.5):
-        raise MeshError(f"sigma must lie in (0, 1/2], got {sigma}")
-    if not (0 <= ell < np.inf) or int(ell) != ell:
-        raise MeshError(f"ell must be a nonnegative integer, got {ell}")
+    if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real) or not (0.0 < sigma <= 0.5):
+        raise MeshError(f"sigma must lie in (0, 1/2], got {sigma!r}")
+    if (isinstance(ell, bool) or not isinstance(ell, numbers.Real) or not (0 <= ell < np.inf)
+            or int(ell) != ell):
+        raise MeshError(f"ell must be a nonnegative integer, got {ell!r}")
     ell = int(ell)
 
     radii = np.array([0.5 * sigma**j for j in range(ell + 1)])

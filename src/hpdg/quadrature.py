@@ -6,9 +6,11 @@ one box at a time or stacked over a group of boxes.  A box is given by its
 arrays ``(lo, lengths)``.  A tensor rule is its grid, the per-axis
 coordinates and the tensor weights, first axis slowest: the grouped element
 and face rules that the evaluator reads are grids, a face's plane a one-node
-axis; :func:`element_rule`, the composite singular rule and
-:func:`volume_rule` expand the grid into points.  The plain volume and face
-rules of degree p have :func:`plain_order` points per axis.
+axis.  :func:`element_rule`, the composite singular rule and
+:func:`volume_rule` return an :class:`ElementRule`, a union of such grids that
+expands into points on demand; the corner Gram of :mod:`hpdg.assembly` reads
+its grids.  The plain volume and face rules of degree p have
+:func:`plain_order` points per axis.
 
 Smooth elements get affinely mapped tensor Gauss rules.  Elements touching
 the singular point get a composite rule built from a geometric subdivision
@@ -81,8 +83,24 @@ def gauss_rule(n: int) -> QuadRule1D:
 
 @dataclass(frozen=True)
 class ElementRule:
-    points: np.ndarray  # (nq, d) physical points
-    weights: np.ndarray  # (nq,) includes the affine Jacobian
+    """A rule made of B tensor Gauss grids: per-axis coordinates ``axes[m]``
+    (B, n) and weights ``grid_weights`` (B, n^d), which include the affine
+    Jacobian, first axis slowest.  ``points`` (B n^d, d) and ``weights``
+    (B n^d,) are the grids expanded box by box.  One box may drop its leading
+    axis: coordinates (n,) and weights (n^d,)."""
+
+    axes: tuple
+    grid_weights: np.ndarray
+
+    @property
+    def points(self) -> np.ndarray:
+        d, n = len(self.axes), self.axes[0].shape[-1]
+        node = np.indices((n,) * d).reshape(d, -1)  # (axis, point)
+        return np.stack([x[..., i] for x, i in zip(self.axes, node)], axis=-1).reshape(-1, d)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.grid_weights.reshape(-1)
 
 
 def _box_grid(lo, lengths, n: int):
@@ -99,13 +117,6 @@ def _box_grid(lo, lengths, n: int):
     return [x[..., m, :] for m in range(k)], np.prod((g.weights * half)[node], axis=-2)
 
 
-def _box_rule(lo, lengths, n: int) -> ElementRule:
-    """:func:`_box_grid` expanded into points (n^k, k), or (E, n^k, k) for a stack."""
-    axes, weights = _box_grid(lo, lengths, n)
-    node = np.indices((n,) * len(axes)).reshape(len(axes), -1)
-    return ElementRule(np.stack([x[..., i] for x, i in zip(axes, node)], axis=-1), weights)
-
-
 def _face_grid(lo, lengths, axis: int, n: int):
     """:func:`_box_grid` on the tangential axes of the faces lo + [0, lengths]
     (E, d) normal to ``axis``, with the face planes lo[:, axis] as a one-node
@@ -116,8 +127,10 @@ def _face_grid(lo, lengths, axis: int, n: int):
 
 
 def element_rule(lo, lengths, n: int) -> ElementRule:
-    """Tensor Gauss rule with n points per dimension on the box lo + [0, lengths]."""
-    return _box_rule(lo, lengths, n)
+    """Tensor Gauss rule with n points per dimension on the box lo + [0, lengths]
+    (d,), or on the union of the boxes of a stack (E, d)."""
+    axes, weights = _box_grid(lo, lengths, n)
+    return ElementRule(tuple(axes), weights)
 
 
 def element_rules(mesh, n):
@@ -149,11 +162,11 @@ def _unit_singular_rule(d: int, n: int, depth: int) -> ElementRule:
     fin = 0.5 ** np.arange(1, depth + 1)[:, None, None]  # shell k lies between 2^-k and 2^(1-k)
     blo = np.where(pattern, fin, 0.0)  # (depth, 2^d - 1, d): the boxes shell by shell
     blen = np.where(pattern, 2 * fin, fin) - blo
-    r = _box_rule(np.vstack([blo.reshape(-1, d), np.zeros((1, d))]),
-                  np.vstack([blen.reshape(-1, d), np.full((1, d), 0.5**depth)]), n)
-    pts, w = r.points.reshape(-1, d), r.weights.reshape(-1)
-    pts.flags.writeable = w.flags.writeable = False
-    return ElementRule(pts, w)
+    axes, w = _box_grid(np.vstack([blo.reshape(-1, d), np.zeros((1, d))]),
+                        np.vstack([blen.reshape(-1, d), np.full((1, d), 0.5**depth)]), n)
+    for a in axes + [w]:
+        a.flags.writeable = False
+    return ElementRule(tuple(axes), w)
 
 
 def singular_rule(lo, lengths, n: int, depth: int) -> ElementRule:
@@ -176,9 +189,9 @@ def singular_rule(lo, lengths, n: int, depth: int) -> ElementRule:
     if not np.all(at_lo | (hi == 0)):
         raise ValueError("element does not have the singular point as a vertex")
     unit = _unit_singular_rule(len(lo), n, depth)
-    f = unit.points
-    return ElementRule(np.where(at_lo, lo + f * lengths, hi - f * lengths),
-                       unit.weights * float(np.prod(lengths)))
+    axes = [np.where(a, l + f * s, h - f * s)
+            for a, l, h, s, f in zip(at_lo, lo, hi, lengths, unit.axes)]
+    return ElementRule(tuple(axes), unit.grid_weights * float(np.prod(lengths)))
 
 
 def volume_rule(lo, lengths, p: int) -> ElementRule:

@@ -20,7 +20,9 @@ problem hands A_sip over unmodified.
 
 Each sweep's eigensolve is asked only for the accuracy the SCF residual can
 use: sweep 1 for eig_tol = min(1e-10, eps_tol / 10), and sweep k >= 2 for
-max(eig_tol, INNER_RATIO * r_{k-1}), r_{k-1} the residual of the sweep before.
+max(eig_tol, INNER_RATIO * r_{k-1}), r_{k-1} the residual of the sweep before,
+unless the contraction of the last two residuals predicts that sweep k
+converges, r_{k-1}^2 / r_{k-2} <= eps_tol: then sweep k asks for eig_tol.
 The loop stops, and reports convergence, only on a sweep whose eigensolve was
 asked for eig_tol and whose residual is <= eps_tol; a residual below eps_tol
 after a looser solve takes one more sweep.
@@ -150,7 +152,12 @@ def solve_ground_state(space: HpSpace, potential: Potential,
             eig = dense_result(a_u, d, start, u.coeffs)
     precond, residuals = None, []
     for k in range(1, cfg.max_iter + 1):
-        tol = max(eig_tol, INNER_RATIO * residuals[-1]) if residuals else eig_tol
+        if not residuals:
+            tol = eig_tol
+        elif len(residuals) > 1 and residuals[-1] ** 2 <= cfg.eps_tol * residuals[-2]:
+            tol = eig_tol  # r_{k-1}^2 / r_{k-2} <= eps_tol: this sweep is predicted to converge
+        else:
+            tol = max(eig_tol, INNER_RATIO * residuals[-1])
         if k > 1 or eig is None:
             eig = smallest_eigenpair(a_u, m, tol=tol, x0=start, orient=u.coeffs,
                                      precond=precond)

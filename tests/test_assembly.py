@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hpdg import quadrature
 from hpdg._kernels import weighted_gram
 from hpdg.assembly import (PenaltyConfig, Potential, SipAssembler, _corner_gram, _sym,
                            assemble_mass)
@@ -345,6 +347,20 @@ def test_corner_blocks_of_the_cube_are_reflections(d):
                 assert np.abs(got - dd[:, None] * b * dd).max() <= 1e-13 * np.abs(b).max()
 
 
+def _expanded_corner_grams(lo, lengths, p, potentials, chunk=2**15):
+    """The corner Gram of each potential from the rule expanded into points:
+    volume_rule's points, basis_matrix on them and weighted_gram, summed over
+    chunks of ``chunk`` points so that no table exceeds chunk * (p+1)^d."""
+    rule = volume_rule(lo, lengths, p)
+    pts, w = rule.points, rule.weights
+    grams = [0.0] * len(potentials)
+    for s in range(0, len(w), chunk):
+        phi = basis_matrix(lo, lengths, p, pts[s:s + chunk])
+        for i, pot in enumerate(potentials):
+            grams[i] = grams[i] + weighted_gram(phi, w[s:s + chunk] * pot(pts[s:s + chunk]))
+    return grams
+
+
 @pytest.mark.parametrize("d,p,sigma,ell,alpha,sign", [
     (2, 1, 0.5, 3, None, -1.0), (2, 2, 0.3, 4, 0.5, 1.0), (2, 3, 0.15, 10, 1.5, -1.0),
     (2, 2, 0.15, 10, 1.0, 1.0), (3, 1, 0.5, 2, 1.0, -1.0), (3, 2, 0.15, 10, 0.5, -1.0),
@@ -358,11 +374,52 @@ def test_corner_block_equals_fresh_integration(d, p, sigma, ell, alpha, sign):
     for mesh in (build_graded_mesh(d, sigma, ell), full_cube_mesh(d, sigma, ell)):
         asm = SipAssembler(build_space(mesh, p, 0.0), pot, PenaltyConfig())
         for e in np.flatnonzero(mesh.corner).tolist():
-            lo, lengths = mesh.lo[e], mesh.lengths[e]
-            rule = volume_rule(lo, lengths, p)
-            want = weighted_gram(basis_matrix(lo, lengths, p, rule.points),
-                                 rule.weights * pot(rule.points))
+            [want] = _expanded_corner_grams(mesh.lo[e], mesh.lengths[e], p, [pot])
             assert np.abs(asm._corner_block(e, p) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_sum_factorized_corner_block_equals_the_expanded_rule(d, p):
+    """The sum-factorized corner block equals the Gram of the expanded
+    composite rule to 1e-13 of its largest entry, on every corner element of
+    the whole cube, for attractive and repulsive r^-alpha and for no
+    potential (exact zeros).  V's sign flips each weight exactly, so the
+    repulsive oracle is the attractive one negated."""
+    mesh = full_cube_mesh(d, 0.5, 1)
+    corners = np.flatnonzero(mesh.corner).tolist()
+    assert len(corners) == 2**d
+    alphas = (0.5, 1.0, 1.5, None)
+    for e in corners:
+        lo, lengths = mesh.lo[e], mesh.lengths[e]
+        wants = _expanded_corner_grams(lo, lengths, p, [Potential(a, -1.0) for a in alphas])
+        for alpha, want in zip(alphas, wants):
+            for sign in (-1.0, 1.0):
+                asm = SipAssembler(build_space(mesh, p, 0.0), Potential(alpha, sign),
+                                   PenaltyConfig())
+                got = asm._corner_block(e, p)
+                if alpha is None:
+                    assert not got.any()
+                    continue
+                want_s = -sign * want
+                assert np.abs(got - want_s).max() <= 1e-13 * np.abs(want_s).max(), (e, alpha, sign)
+
+
+def test_corner_gram_never_forms_the_point_table():
+    """A cold corner Gram at d = 3, p = 3 peaks below a third of the
+    (points x (p+1)^3) float64 basis table of its composite rule (about 74 MB),
+    the table that the expanded rule needs."""
+    lo, lengths, p = (0.0,) * 3, (1.0,) * 3, 3
+    quadrature._unit_singular_rule.cache_clear()
+    nq = volume_rule(np.array(lo), np.array(lengths), p).weights.size
+    quadrature._unit_singular_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        _corner_gram.__wrapped__(lo, lengths, p, Potential(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nq * (p + 1) ** 3 * 8 / 3
 
 
 def test_corner_gram_is_cached_read_only():

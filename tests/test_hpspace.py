@@ -63,10 +63,10 @@ def test_build_space_validation():
         build_space(mesh, 0, 0.0)
     with pytest.raises(ValueError):
         build_space(mesh, 2, -0.5)
-    for slope in (float("nan"), float("inf")):
+    for slope in (float("nan"), float("inf"), "0.1", None, True):
         with pytest.raises(ValueError, match="slope"):
             build_space(mesh, 2, slope)
-    for p0 in (2.5, 1.5, float("nan"), float("inf")):
+    for p0 in (2.5, 1.5, float("nan"), float("inf"), "2", None, True):
         with pytest.raises(ValueError, match="p0"):
             build_space(mesh, p0, 1 / 8)
 

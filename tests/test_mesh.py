@@ -139,9 +139,12 @@ def test_rejects_bad_parameters():
         build_graded_mesh(2, 0.6, 1)
     with pytest.raises(MeshError):
         build_graded_mesh(2, 0.0, 1)
-    for ell in (-1, float("inf"), float("nan")):
+    for ell in (-1, float("inf"), float("nan"), "2", None, True):
         with pytest.raises(MeshError, match="ell"):
             build_graded_mesh(2, 0.5, ell)
+    for sigma in ("0.5", None, True):
+        with pytest.raises(MeshError, match="sigma"):
+            build_graded_mesh(2, sigma, 1)
 
 
 def test_integral_d_is_taken_as_int():

@@ -56,20 +56,22 @@ def test_integrates_constant_to_measure():
 
 
 def test_element_rule_points_are_the_expanded_grid():
-    """element_rule's points are bitwise the per-axis coordinates of
-    _box_grid expanded first axis slowest, its weights _box_grid's; for one
-    box and for a stack of boxes."""
+    """element_rule's grid is _box_grid's, and its points are bitwise the
+    per-axis coordinates expanded first axis slowest, box by box; for one box
+    and for a stack of boxes."""
     m = build_graded_mesh(3, 0.3, 2)
     for n in (1, 2, 5):
         axes, w = quadrature._box_grid(m.lo, m.lengths, n)
         stacked = element_rule(m.lo, m.lengths, n)
-        assert _same_bytes(stacked.weights, w)
+        assert _same_bytes(stacked.grid_weights, w) and _same_bytes(stacked.weights, w.ravel())
+        assert all(_same_bytes(a, x) for a, x in zip(stacked.axes, axes))
         for e, (lo, lengths) in enumerate(zip(m.lo, m.lengths)):
             grid = np.meshgrid(*[x[e] for x in axes], indexing="ij")
             want = np.stack([g.ravel() for g in grid], axis=1)
             one = element_rule(lo, lengths, n)
             one_axes, one_w = quadrature._box_grid(lo, lengths, n)
-            assert _same_bytes(stacked.points[e], want) and _same_bytes(one.points, want)
+            assert _same_bytes(stacked.points.reshape(len(m.lo), -1, 3)[e], want)
+            assert _same_bytes(one.points, want)
             assert all(_same_bytes(a, x[e]) for a, x in zip(one_axes, axes))
             assert _same_bytes(one.weights, one_w) and _same_bytes(one_w, w[e])
 
@@ -136,14 +138,14 @@ def test_singular_rule_on_every_corner_element(d):
 
 def test_singular_rule_is_built_once_per_key(monkeypatch):
     calls = []
-    box_rule = quadrature._box_rule
-    monkeypatch.setattr(quadrature, "_box_rule",
-                        lambda *args: calls.append(1) or box_rule(*args))
+    box_grid = quadrature._box_grid
+    monkeypatch.setattr(quadrature, "_box_grid",
+                        lambda *args: calls.append(1) or box_grid(*args))
     quadrature._unit_singular_rule.cache_clear()
     e = unit_element(3)
     first = singular_rule(*e, 3, 7)
     built = len(calls)
-    assert built == 1  # one stacked rule over the 7 * (2^3 - 1) + 1 boxes
+    assert built == 1  # one stacked grid over the 7 * (2^3 - 1) + 1 boxes
     pts, w = first.points.copy(), first.weights.copy()
     first.points[:] = 0.0
     first.weights[:] = 0.0
@@ -164,6 +166,24 @@ def test_unit_singular_rule_equals_per_box_loop(d, depth):
         got = quadrature._unit_singular_rule(d, n, depth)
         pts, w = singular_rule_per_box(d, n, depth)
         assert _same_bytes(got.points, pts) and _same_bytes(got.weights, w), n
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_singular_rule_is_the_reflected_unit_rule(d):
+    """On every corner element of the whole cube, singular_rule's points are
+    bitwise the per-box loop's unit-cube points reflected onto the element
+    (lo + f * lengths on an axis where lo is 0, hi - f * lengths where hi is),
+    its weights the unit weights times the volume, and its grid holds one
+    (n,) row of coordinates per axis and box."""
+    m = full_cube_mesh(d, 0.5, 2)
+    f, w = singular_rule_per_box(d, 4, 7)
+    for lo, lengths in zip(m.lo[m.corner], m.lengths[m.corner]):
+        r = singular_rule(lo, lengths, 4, 7)
+        want = np.where(lo == 0, lo + f * lengths, (lo + lengths) - f * lengths)
+        assert _same_bytes(r.points, want), lo
+        assert _same_bytes(r.weights, w * float(np.prod(lengths))), lo
+        assert [x.shape for x in r.axes] == [(7 * (2**d - 1) + 1, 4)] * d
+        assert r.grid_weights.shape == (7 * (2**d - 1) + 1, 4**d)
 
 
 def test_singular_rule_requires_corner_at_origin():

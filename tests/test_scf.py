@@ -284,8 +284,9 @@ def test_tolerance_below_the_lobpcg_floor_is_solved_densely(monkeypatch):
 def test_warm_solve_converges_on_a_sweep_solved_at_eig_tol(monkeypatch, dim, ell, p0, slope,
                                                            alpha, eps_tol):
     """Sweeps after the first ask for a tolerance tied to the last SCF
-    residual, never below eig_tol; a converged solve ends on one that asked
-    for eig_tol, even when a looser sweep already met eps_tol (3D, 1e-7)."""
+    residual, never below eig_tol, or for eig_tol once the last two residuals
+    predict convergence, r_(k-1)^2 / r_(k-2) <= eps_tol; a converged solve
+    ends on a sweep that asked for eig_tol."""
     pot = Potential(alpha, -1)
     cfg = ScfConfig(eps_tol=eps_tol, delta=3)
     u1, _ = solve_ground_state(build_space(build_graded_mesh(dim, 0.5, ell - 1), p0, slope),
@@ -297,7 +298,9 @@ def test_warm_solve_converges_on_a_sweep_solved_at_eig_tol(monkeypatch, dim, ell
     tols = [tol for *_, tol, _ in solves]
     assert rep.converged and len(tols) == rep.iterations > 1
     assert tols[0] == tols[-1] == eig_tol
-    assert tols[1:] == [max(eig_tol, scf.INNER_RATIO * r) for r in rep.residuals[:-1]]
+    r = rep.residuals
+    assert tols[1:] == [eig_tol if k > 1 and r[k - 1] ** 2 <= eps_tol * r[k - 2]
+                        else max(eig_tol, scf.INNER_RATIO * r[k - 1]) for k in range(1, len(tols))]
 
 
 @pytest.mark.parametrize("ell,p0,slope,delta", [(3, 1, 0.25, 3), (2, 2, 0.0, None)])
