@@ -212,6 +212,8 @@ class SipAssembler:
     block, row-major, where the CSR row of its first dof starts.  ``sip()``,
     ``mass()`` and ``nonlinear_blocks()`` count each integral
     ``mesh.copies`` times, once per mirror image of the mesh in the cube.
+    With no potential (``alpha=None``) no potential Gram is formed, on the
+    plain rule or at the corner.
     """
 
     def __init__(self, space: HpSpace, potential: Potential, penalty: PenaltyConfig):
@@ -256,11 +258,13 @@ class SipAssembler:
             half = mesh.lengths[ids] / 2.0
             grams = np.matmul(np.swapaxes(dphi, 1, 2) * ref_w, dphi)  # (d, n, n) on [0, 2]^d
             grad = np.einsum("km,mij->kij", np.prod(half, axis=1)[:, None] / half**2, grams)
-            vq = pot((mesh.lo[ids][:, None, :] + pts * half[:, None, :])
-                     .reshape(-1, mesh.d)).reshape(w.shape)
-            block = grad + _grams(phi, w * vq)
-            for c in np.flatnonzero(mesh.corner[ids]).tolist():
-                block[c] = grad[c] + self._corner_block(ids[c], p)
+            block = grad
+            if pot.alpha is not None:  # V = 0 adds nothing: no potential Grams
+                vq = pot((mesh.lo[ids][:, None, :] + pts * half[:, None, :])
+                         .reshape(-1, mesh.d)).reshape(w.shape)
+                block = grad + _grams(phi, w * vq)
+                for c in np.flatnonzero(mesh.corner[ids]).tolist():
+                    block[c] = grad[c] + self._corner_block(ids[c], p)
             for e, b in zip(ids.tolist(), _sym(block)):
                 elements[e] = b
         blocks = [None] * len(mesh.faces)

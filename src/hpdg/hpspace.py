@@ -146,17 +146,26 @@ def evaluate_grid(field: DiscreteField, eids, axes, grads=False):
     Each value is bitwise the element's :func:`basis_matrix` at that point
     times its coefficients: one :func:`_basis_tables` and one batched matmul
     per degree."""
-    space, eids = field.space, np.asarray(eids)
+    space = field.space
+    return _evaluate(space.mesh.lo, space.mesh.lengths, space.degrees, space.offsets,
+                     field.coeffs, eids, axes, grads)
+
+
+def _evaluate(lo, lengths, degrees, offsets, coeffs, eids, axes, grads=False):
+    """:func:`evaluate_grid` on the element arrays of a space and the
+    coefficients of a field, or of several spaces and fields stacked, with
+    each space's offsets shifted past the coefficients before it."""
+    eids = np.asarray(eids)
     shape = (len(eids), math.prod(x.shape[1] for x in axes))
     vals = np.empty(shape)
     dvals = np.empty((len(axes),) + shape) if grads else None
-    degs = space.degrees[eids]
+    degs = degrees[eids]
     for p in np.unique(degs).tolist():
         rows = np.flatnonzero(degs == p)
         el = eids[rows]
-        phi, dphi = _basis_tables(space.mesh.lo[el], space.mesh.lengths[el], p,
-                                  [x[rows] for x in axes], range(len(axes)) if grads else ())
-        c = field.coeffs[space.offsets[el][:, None] + np.arange(phi.shape[2])][..., None]
+        phi, dphi = _basis_tables(lo[el], lengths[el], p, [x[rows] for x in axes],
+                                  range(len(axes)) if grads else ())
+        c = coeffs[offsets[el][:, None] + np.arange(phi.shape[2])][..., None]
         vals[rows] = np.matmul(phi, c)[..., 0]
         for m, g in enumerate(dphi):
             dvals[m, rows] = np.matmul(g, c)[..., 0]
@@ -201,7 +210,8 @@ def inject(field: DiscreteField, fine_space: HpSpace) -> DiscreteField:
     mesh = fine_space.mesh
     cmap = containing_map(field.space.mesh, mesh)  # raises if they do not nest
     coeffs = np.zeros(fine_space.N)
-    for ids, axes, weights in element_rules(mesh, plain_order(fine_space.degrees)):
+    for ids, axes, weights in element_rules(mesh.lo, mesh.lengths,
+                                             plain_order(fine_space.degrees)):
         p = int(fine_space.degrees[ids[0]])  # one degree per number of points
         wv = (weights * evaluate_grid(field, cmap[ids], axes)[0])[..., None]
         phi = _basis_tables(mesh.lo[ids], mesh.lengths[ids], p, axes)[0]

@@ -133,13 +133,13 @@ def element_rule(lo, lengths, n: int) -> ElementRule:
     return ElementRule(tuple(axes), weights)
 
 
-def element_rules(mesh, n):
-    """The elements of ``mesh`` grouped by ``n`` (Gauss points per axis, one
-    entry per element).  Yields the ids and their stacked grid: per-axis
-    coordinates (E, n) and weights (E, n^d)."""
+def element_rules(lo, lengths, n):
+    """The boxes lo + [0, lengths] (E, d), the elements of a mesh, grouped by
+    ``n`` (Gauss points per axis, one entry per box).  Yields the positions
+    and their stacked grid: per-axis coordinates (E, n) and weights (E, n^d)."""
     for nk in np.unique(n).tolist():
         ids = np.flatnonzero(n == nk)
-        yield ids, *_box_grid(mesh.lo[ids], mesh.lengths[ids], nk)
+        yield ids, *_box_grid(lo[ids], lengths[ids], nk)
 
 
 def face_rules(faces, n):

@@ -14,6 +14,8 @@ octant mesh replaced, and :func:`singular_rule_per_box` the composite
 singular rule as the loop of one tensor Gauss rule per box that its stacked
 build replaced.  :func:`plane_rule` is one face's Gauss rule as points, the
 reference for the face grids of the batched face blocks and error norms.
+:func:`error_norms_level_by_level` is the error pass of one coarse field
+as it ran once per study level before the levels shared one pass.
 :func:`factor_input` forms the single-precision pencil A - tau M as a shifted
 CSC copy of A, the matrix the sparse LU must be given.
 :func:`dense_lambda` is lambda_1 of a pencil from one LAPACK solve of the
@@ -29,9 +31,10 @@ import scipy.sparse as sp
 
 from hpdg._kernels import legendre_l2_norms_sq
 from hpdg.eigsolve import dense_result
-from hpdg.hpspace import DiscreteField, _modes, basis_matrices, basis_matrix, containing_map
+from hpdg.hpspace import (DiscreteField, _modes, basis_matrices, basis_matrix, containing_map,
+                          evaluate_grid)
 from hpdg.mesh import Faces, GradedMesh, MeshError, build_faces, build_graded_mesh
-from hpdg.quadrature import element_rule
+from hpdg.quadrature import element_rule, element_rules, face_rules
 
 
 def _gauss(n):
@@ -152,6 +155,40 @@ def error_norms_per_element(coarse, reference):
     c = fine_mesh.copies
     return {"l2": math.sqrt(c * l2_sq), "dg": math.sqrt(c * (l2_sq + h1_sq + jump_sq)),
             "linf": linf}
+
+
+def error_norms_level_by_level(coarse, reference):
+    """``hpdg.analysis.error_norms`` of one coarse field by the batched pass
+    that measured each study level on its own: each field evaluated in its
+    own batches, on each group's own rule."""
+    space, mesh = reference.space, reference.space.mesh
+    cmap = containing_map(coarse.space.mesh, mesh)
+    p_c = coarse.space.degrees[cmap]
+
+    def diff(eids, axes, grads=False):
+        (cv, cg), (rv, rg) = (evaluate_grid(coarse, cmap[eids], axes, grads),
+                              evaluate_grid(reference, eids, axes, grads))
+        return cv - rv, (cg - rg if grads else None)
+
+    l2_sq, h1_sq = np.zeros(mesh.n_elements), np.zeros(mesh.n_elements)
+    corners = [np.column_stack([mesh.lo[:, m], mesh.hi[:, m]]) for m in range(mesh.d)]
+    linf = float(np.max(np.abs(diff(np.arange(mesh.n_elements), corners)[0])))
+    for ids, axes, weights in element_rules(mesh.lo, mesh.lengths,
+                                            np.maximum(space.degrees, p_c) + 2):
+        dv, dg = diff(ids, axes, grads=True)
+        l2_sq[ids] = np.einsum("eq,eq->e", weights, dv * dv)
+        h1_sq[ids] = np.einsum("eq,meq->e", weights, dg * dg)
+        linf = max(linf, float(np.max(np.abs(dv))))
+    faces = mesh.faces[mesh.faces.interior]
+    a, b = faces.owners.T
+    p_e = space.face_degree[mesh.faces.interior]
+    jump_sq = np.zeros(len(faces))
+    for idx, axes, weights in face_rules(faces, np.maximum(p_e, np.maximum(p_c[a], p_c[b])) + 2):
+        jump = diff(a[idx], axes)[0] - diff(b[idx], axes)[0]
+        jump_sq[idx] = np.einsum("eq,eq->e", weights, jump * jump)
+    jump_sq *= p_e**2 / faces.h_e
+    l2_sq, h1_sq, jump_sq = (mesh.copies * float(np.sum(x)) for x in (l2_sq, h1_sq, jump_sq))
+    return {"l2": math.sqrt(l2_sq), "dg": math.sqrt(l2_sq + h1_sq + jump_sq), "linf": linf}
 
 
 def plane_rule(lo, lengths, axis, n):

@@ -145,6 +145,20 @@ def test_sip_coercivity_with_zero_potential(ell, p0, slope):
     assert dense_lambda(a, m) > 0
 
 
+@pytest.mark.parametrize("d,ell,p0,slope", [(2, 3, 2, 0.5), (3, 2, 1, 0.5)])
+def test_zero_potential_integrates_no_potential_grams(d, ell, p0, slope):
+    """Potential(None) skips the plain-rule and corner potential Grams, and
+    A_sip is bitwise the one that integrates the zero potential 0 * r^-1
+    through them."""
+    space = build_space(build_graded_mesh(d, 0.5, ell), p0, slope)
+    misses = _corner_gram.cache_info().misses
+    a = SipAssembler(space, Potential(None), PenaltyConfig()).sip()
+    assert _corner_gram.cache_info().misses == misses
+    b = SipAssembler(space, Potential(1.0, sign=0.0), PenaltyConfig()).sip()
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
 def test_consistency_terms_vanish_for_continuous_fields():
     """Face terms contribute nothing to v^T A v when v is continuous, zero on
     the boundary: compare against the volume-only gradient energy, counted

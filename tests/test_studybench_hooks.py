@@ -69,8 +69,9 @@ def test_layer_hooks_see_the_sparse_factorization(layers):
 
 
 def test_layer_hooks_see_error_norms_and_injection(layers, tmp_path):
-    """A tiny2d-sized study: one error_norms span per recorded level and one
-    inject span per warm-started level: the study chain and the reference."""
+    """A tiny2d-sized study: one error_norms span for all its recorded levels
+    and one inject span per warm-started level: the study chain and the
+    reference."""
     cfg = StudyConfig(dim=2, ell_min=1, ell_max=2, p0=2, slope=0.125, alpha=1.0, pot_sign=-1,
                       delta=3, tol=1e-10, ref_extra_levels=2, ref_extra_degree=1, out=str(tmp_path))
     tracer = layers.Tracer()
@@ -80,6 +81,6 @@ def test_layer_hooks_see_error_norms_and_injection(layers, tmp_path):
     finally:
         uninstall()
     warm_started = (cfg.ell_max - 1) + 1
-    assert len(records) == cfg.ell_max - cfg.ell_min + 1
-    assert tracer.calls["analysis.error_norms"] == len(records)
+    assert len(records) == cfg.ell_max - cfg.ell_min + 1 > 1
+    assert tracer.calls["analysis.error_norms"] == 1
     assert tracer.calls["hpspace.inject"] == warm_started
