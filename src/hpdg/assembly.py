@@ -17,28 +17,38 @@ rule's per-box tensor grids, and cached read-only.  The nonlinear
 coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
 controlled variational crime, see README).  The mesh is arrays, so the
 per-element blocks are batched per degree, the gradient blocks as scaled
-reference Grams, and every face gets its own block, batched per face group
-with the arithmetic of one face at a time, so the result is bitwise the same
-(see :class:`SipAssembler`); A_sip's blocks are added into per-pair views of
-its element-graph CSR data.  N(u) is block-diagonal, and its blocks are returned
-per degree group with the positions of the matching blocks of A_sip's data, so
-A_sip + N(u) can be written in place; :meth:`SipAssembler.nonlinear_mass` lays
-them out as a CSR of their own.
+reference Grams.  The face blocks are batched per pair of owner degrees, each
+one a Kronecker product of d small matrices, one per axis: a trace matrix on
+the normal axis and a 1D Gram of the owners' Legendre polynomials on each
+tangential one, the diagonal 1D mass matrix where the face's interval is both
+owners' own (see :meth:`SipAssembler._face_blocks`).  Those Grams' orthogonal
+entries are exact zeros, and A_sip stores them: its pattern is its element
+graph, whatever the values.  A_sip's blocks are added into per-pair views of
+its element-graph CSR data.  N(u) is block-diagonal, and its blocks are
+returned per degree group with the positions of the matching blocks of
+A_sip's data, so A_sip + N(u) can be written in place;
+:meth:`SipAssembler.nonlinear_mass` lays them out as a CSR of their own.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .hpspace import (DiscreteField, HpSpace, _basis_tables, _local_mass_diag, basis_matrix,
-                      reference_table)
-from .quadrature import _face_grid, plain_order, volume_rule
+from ._kernels import legendre_table
+from .hpspace import DiscreteField, HpSpace, _local_mass_diag, basis_matrix, reference_table
+from .quadrature import _box_grid, plain_order, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
+
+
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number, a bool not counted as one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and np.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -53,10 +63,11 @@ class Potential:
     sign: float = -1.0
 
     def __post_init__(self):
-        if self.alpha is not None and not np.isfinite(self.alpha):
-            raise ValueError(f"potential exponent alpha must be finite, got {self.alpha}")
-        if not np.isfinite(self.sign):
-            raise ValueError(f"potential sign must be finite, got {self.sign}")
+        if self.alpha is not None and not _finite_real(self.alpha):
+            raise ValueError(f"potential exponent alpha must be a finite number or None, "
+                             f"got {self.alpha!r}")
+        if not _finite_real(self.sign):
+            raise ValueError(f"potential sign must be a finite number, got {self.sign!r}")
         if self.alpha is not None and self.alpha >= 2:
             raise ValueError(
                 f"potential exponent must satisfy alpha < 2, got {self.alpha}"
@@ -115,8 +126,9 @@ class PenaltyConfig:
     alpha0: float = 10.0
 
     def __post_init__(self):
-        if not (0 < self.alpha0 < np.inf):
-            raise ValueError(f"penalty constant must be finite and positive, got {self.alpha0}")
+        if not (_finite_real(self.alpha0) and self.alpha0 > 0):
+            raise ValueError(f"penalty constant alpha0 must be a finite positive number, "
+                             f"got {self.alpha0!r}")
 
 
 def _sym(b: np.ndarray) -> np.ndarray:
@@ -195,17 +207,16 @@ class SipAssembler:
     is the origin.  The Gram is keyed on the scaled box
     (lo / h, lengths / h), the degree and the potential.  On a graded mesh
     the corner is the cube (0, h)^d at every level, so a study integrates it
-    once per corner degree.  Every face gets its own block; the faces are
-    batched per group of equal normal axis and owner degrees: one stacked
-    face grid, each owner's value and normal-derivative tables on it, and
-    two batched matmuls for the consistency term and the penalty Gram.  Each
-    entry and each face's product is the arithmetic of the face's own Gauss
-    grid, :func:`hpdg.hpspace.basis_matrices` at its points and one face's
-    matmul, so the blocks are bitwise those of a per-face loop.  ``sip()``
-    adds the blocks, elements by id, then faces by id, into views of the CSR
+    once per corner degree.  Every face gets its own block, a Kronecker
+    product of one small matrix per axis (:meth:`_face_blocks`); the faces
+    are batched per pair of owner degrees across all normal axes, and no
+    (points, (p+1)^d) table is formed.  ``sip()`` adds the blocks, elements
+    by id, then faces by id, into views of the CSR
     data: one (nd[a], nd[b]) view per coupled pair of elements (a, b), the
     columns of b in a's rows, and records in ``slots`` where each element's
-    diagonal block (a, a) lies in the data.  ``nonlinear_blocks()`` gives the
+    diagonal block (a, a) lies in the data.  The pattern is the element
+    graph, so A_sip stores its exact zeros, the orthogonal entries of the
+    face blocks among them.  ``nonlinear_blocks()`` gives the
     blocks of N(u) per degree group, in the order of ``slots``: N(u)'s pattern
     lies inside A_sip's, so the SCF loop adds them into A_sip's own data.
     ``nonlinear_mass()`` writes them into a block-diagonal CSR: element e's
@@ -269,7 +280,7 @@ class SipAssembler:
                 elements[e] = b
         blocks = [None] * len(mesh.faces)
         for fids, group in self._face_blocks():
-            for f, b in zip(fids.tolist(), _sym(group)):
+            for f, b in zip(fids.tolist(), group):
                 blocks[f] = b
         return elements + blocks
 
@@ -281,28 +292,79 @@ class SipAssembler:
         return h ** (len(lo) - (self.potential.alpha or 0)) * gram
 
     def _face_blocks(self):
-        """The face blocks, unsymmetrized, batched per group of equal normal
-        axis and owner degrees.  Yields ``(fids, blocks)`` per group."""
+        """The face blocks, symmetric, batched per pair of owner degrees
+        across all normal axes.  Yields ``(fids, blocks)`` per group.
+
+        The basis is a tensor product and the face an axis-parallel box, so
+        the (s, t) quarter of a face block, s and t its owners, is the
+        Kronecker product of d matrices, one per axis, first axis slowest.
+        On the normal axis it is the trace matrix
+        gamma j_s j_t^T - (n_s j_t^T + j_s n_t^T): j the owner's Legendre
+        values at the face plane, negated for the plus-side owner, n its
+        normal derivatives, halved on an interior face and signed on a
+        boundary one.  On each tangential axis it is the Gram of the two
+        owners' Legendre polynomials on the face's interval.  Where that
+        interval is both owners' own, compared exactly, the Legendre
+        polynomials are orthogonal on it and the Gram is the diagonal 1D mass
+        matrix, as :meth:`mass` computes it; elsewhere it is integrated with
+        the :func:`hpdg.quadrature.plain_order` Gauss rule of p_e.  The
+        (b, a) quarter is the transpose of the (a, b) one, and the factors
+        of the diagonal quarters are symmetric, so every block is bitwise
+        symmetric.  No (points, (p+1)^d) table is formed.
+        """
         space, mesh = self.space, self.space.mesh
-        faces, owners = mesh.faces, mesh.faces.owners
-        keys = np.column_stack([faces.axis, np.where(owners >= 0, space.degrees[owners], -1)])
-        for key in np.unique(keys, axis=0):
-            axis, *degs = key.tolist()
-            interior, p_e = degs[1] >= 0, max(degs)
-            f = np.flatnonzero(np.all(keys == key, axis=1))
-            grid, weights = _face_grid(faces.lo[f], faces.lengths[f], axis, plain_order(p_e))
-            tabs = [_basis_tables(mesh.lo[o], mesh.lengths[o], degs[s], grid, (axis,))
-                    for s, o in zip(range(2 if interior else 1), owners[f].T)]
-            if interior:
-                jmp = np.concatenate([tabs[0][0], -tabs[1][0]], axis=2)
-                dn = np.concatenate([0.5 * tabs[0][1][0], 0.5 * tabs[1][1][0]], axis=2)
-            else:
-                jmp, dn = tabs[0][0], faces.sign[f][:, None, None] * tabs[0][1][0]
-            w = weights[:, :, None]
-            c = np.matmul(np.swapaxes(dn * w, 1, 2), jmp)
-            gamma = self.penalty.alpha0 * p_e**2 / faces.h_e[f]
-            gram = np.matmul(np.swapaxes(jmp * (gamma[:, None, None] * w), 1, 2), jmp)
-            yield f, -c - np.swapaxes(c, 1, 2) + gram
+        faces, d = mesh.faces, mesh.d
+        degs = np.where(faces.owners >= 0, space.degrees[faces.owners], -1)
+        tangential = np.array([[m for m in range(d) if m != a] for a in range(d)])
+        for key in np.unique(degs, axis=0):
+            f = np.flatnonzero(np.all(degs == key, axis=1))
+            ps = [p for p in key.tolist() if p >= 0]
+            p_e, axis, rows = max(ps), faces.axis[f], np.arange(len(f))
+            tang = tangential[axis]  # (F, d-1)
+            flo, flen = faces.lo[f[:, None], tang], faces.lengths[f[:, None], tang]
+            (x,), w = _box_grid(flo[..., None], flen[..., None], plain_order(p_e))
+            scale = 0.5 if len(ps) == 2 else faces.sign[f][:, None]
+            tabs = []  # per owner: j, n (F, k), tangential values (F, d-1, nq, k), own interval
+            for s, (o, p) in enumerate(zip(faces.owners[f].T, ps)):
+                lo, lengths = mesh.lo[o], mesh.lengths[o]
+                h = lengths[rows, axis]
+                j, dj = legendre_table(2.0 * (faces.lo[f, axis] - lo[rows, axis]) / h - 1.0, p)
+                lo, lengths = lo[rows[:, None], tang], lengths[rows[:, None], tang]
+                xi = 2.0 * (x - lo[..., None]) / lengths[..., None] - 1.0
+                v = legendre_table(xi.ravel(), p, False)[0].reshape(*x.shape, p + 1)
+                tabs.append(((-1) ** s * j, scale * dj * (2.0 / h)[:, None], v,
+                             (lo == flo) & (lengths == flen)))
+            gamma = (self.penalty.alpha0 * p_e**2 / faces.h_e[f])[:, None, None]
+            mass_diag = _local_mass_diag(flen[..., None], p_e)  # (F, d-1, p_e+1)
+
+            def quarter(s, t):
+                (js, ns, vs, own_s), (jt, nt, vt, own_t) = tabs[s], tabs[t]
+                factors = np.empty((len(f), d, js.shape[1], jt.shape[1]))
+                factors[rows, axis] = gamma * (js[:, :, None] * jt[:, None, :]) - (
+                    ns[:, :, None] * jt[:, None, :] + js[:, :, None] * nt[:, None, :])
+                gram = np.matmul(np.swapaxes(vs * w[..., None], -1, -2), vt)
+                gram = _sym(gram) if s == t else gram
+                fm, am = np.nonzero(own_s & own_t)  # orthogonal: the diagonal 1D mass matrix
+                i = np.arange(min(gram.shape[-2:]))
+                gram[fm, am] = 0.0
+                gram[fm[:, None], am[:, None], i, i] = mass_diag[fm, am, :len(i)]
+                factors[rows[:, None], tang] = gram
+                block = factors[:, 0]
+                for m in range(1, d):
+                    k = factors[:, m]
+                    block = (block[:, :, None, :, None] * k[:, None, :, None, :]).reshape(
+                        len(f), block.shape[1] * k.shape[1], block.shape[2] * k.shape[2])
+                return block
+
+            aa = quarter(0, 0)
+            if len(ps) == 1:
+                yield f, aa
+                continue
+            ab, na = quarter(0, 1), aa.shape[1]
+            blocks = np.empty((len(f), na + ab.shape[2], na + ab.shape[2]))
+            blocks[:, :na, :na], blocks[:, :na, na:] = aa, ab
+            blocks[:, na:, :na], blocks[:, na:, na:] = np.swapaxes(ab, 1, 2), quarter(1, 1)
+            yield f, blocks
 
     def nonlinear_blocks(self, u: DiscreteField, delta: int, scale: float = 1.0) -> list:
         """Per degree group, the (k, n, n) diagonal blocks of N(u): the

@@ -26,8 +26,10 @@ the arrays of its CSR are those of its CSC: A - tau M is formed as one float32
 array of values, shifted on the diagonal while cast, next to A's own index
 arrays, and A is never copied: the traced peak of a factorization is about
 5 bytes per stored entry of A, where forming ``(A - diags(tau d)).tocsc()``
-took 24.  SuperLU gets bitwise the values and the pattern of that shifted copy,
-cast the same way.
+took 24.  SuperLU gets A's own pattern, the exact zeros that A stores (A_sip
+stores its face blocks' orthogonal entries) and the shifted diagonal included,
+even where the shift cancels: the ordering follows A's stored pattern, not
+which of its entries happen to be zero.
 
 The preconditioner is symmetric positive definite, and the descent to the
 ground state guaranteed, only when tau lies below lambda_1 of the factored
@@ -110,7 +112,9 @@ def _factor(a, d, tau):
     A is symmetric, so the arrays of its canonical CSR are those of its CSC:
     SuperLU gets A's own index arrays and one float32 array of the values,
     shifted on the diagonal and scaled as :func:`_single` scales them.  The
-    values and the pattern are those of ``(A - diags(tau d)).tocsc()``.
+    pattern is A's, with every diagonal entry stored: its explicit zeros,
+    and a shifted diagonal entry that cancels, stay in it.  Dropping A_sip's
+    exact zeros would change the minimum-degree ordering and slow the LU.
     """
     if not a.has_canonical_format:
         a = a.copy()
@@ -137,12 +141,9 @@ def _factor(a, d, tau):
         raise EigenSolveError(
             f"A - tau M at tau={tau!r} has entries of magnitude {mags.min():.3e} "
             f"to {mags.max():.3e}, beyond the range of a float32 factorization")
-    lhs = sp.csc_matrix((data, a.indices, a.indptr), shape=a.shape)
-    if nonzero < a.nnz:  # a sparse difference stores no zeros; drop them, not from A's arrays
-        lhs = lhs.copy()
-        lhs.eliminate_zeros()
     try:
-        return sla.splu(lhs, permc_spec="MMD_AT_PLUS_A")
+        return sla.splu(sp.csc_matrix((data, a.indices, a.indptr), shape=a.shape),
+                        permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise EigenSolveError(f"A - tau M is singular at tau={tau!r}: {exc}") from exc
 

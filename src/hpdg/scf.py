@@ -12,11 +12,13 @@ converges on the first sweep.
 A solve keeps one N x N operator.  A_sip is assembled once, and each sweep
 writes A_sip + N(u_k) into A_sip's own data: N(u) is block-diagonal, so only
 the elements' diagonal blocks (``SipAssembler.slots``) change, each to A_sip's
-saved values there plus N(u_k)'s block.  That is bitwise the sparse sum
-``sip() + nonlinear_mass(u_k)``, since A_sip stores no zeros and N(u)'s pattern
-lies inside A_sip's.  The matrix handed to a sweep's eigensolve is overwritten
-by the next sweep, so a caller that keeps a sweep's A must copy it.  The linear
-problem hands A_sip over unmodified.
+saved values there plus N(u_k)'s block.  N(u)'s pattern lies inside A_sip's,
+so the values are bitwise those of the sparse sum
+``sip() + nonlinear_mass(u_k)`` on A_sip's pattern: the sum drops A_sip's exact
+zeros, the operator keeps them stored, and the LU factors that pattern.  The
+matrix handed to a sweep's eigensolve is overwritten by the next sweep, so a
+caller that keeps a sweep's A must copy it.  The linear problem hands A_sip
+over unmodified.
 
 Each sweep's eigensolve is asked only for the accuracy the SCF residual can
 use: sweep 1 for eig_tol = min(1e-10, eps_tol / 10), and sweep k >= 2 for
@@ -44,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import NONLINEAR_EXPONENTS, PenaltyConfig, Potential, SipAssembler
+from .assembly import (NONLINEAR_EXPONENTS, PenaltyConfig, Potential, SipAssembler,
+                       _finite_real)
 from .eigsolve import dense_ground_state, dense_result, smallest_eigenpair
 from .hpspace import DiscreteField, HpSpace, _modes, constant_field
 
@@ -60,8 +63,11 @@ class ScfConfig:
     nonlinear_scale: float = 1.0  # test hook scaling the nonlinear coupling
 
     def __post_init__(self):
-        if not (0 < self.eps_tol < np.inf):
-            raise ValueError(f"eps_tol must be finite and positive, got {self.eps_tol}")
+        for key in ("eps_tol", "theta", "nonlinear_scale"):
+            if not _finite_real(getattr(self, key)):
+                raise ValueError(f"{key} must be a finite number, got {getattr(self, key)!r}")
+        if not self.eps_tol > 0:
+            raise ValueError(f"eps_tol must be positive, got {self.eps_tol}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:

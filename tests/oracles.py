@@ -16,8 +16,8 @@ build replaced.  :func:`plane_rule` is one face's Gauss rule as points, the
 reference for the face grids of the batched face blocks and error norms.
 :func:`error_norms_level_by_level` is the error pass of one coarse field
 as it ran once per study level before the levels shared one pass.
-:func:`factor_input` forms the single-precision pencil A - tau M as a shifted
-CSC copy of A, the matrix the sparse LU must be given.
+:func:`factor_input` forms the single-precision pencil A - tau M on A's
+stored pattern and diagonal, the matrix the sparse LU must be given.
 :func:`dense_lambda` is lambda_1 of a pencil from one LAPACK solve of the
 generalized problem.
 """
@@ -323,13 +323,22 @@ def enumerate_faces_of(lo, hi):
 
 
 def factor_input(a, d, tau):
-    """The float32 CSC of A - tau diag(d) that the LU factors:
-    ``(a - diags(tau d)).tocsc()``, scaled by the power of two that puts its
-    largest magnitude in [1/2, 1), then cast."""
-    lhs = (a - sp.diags(tau * d)).tocsc()
-    exp = np.frexp(np.max(np.abs(lhs.data), initial=0.0))[1]
-    return sp.csc_matrix((np.ldexp(lhs.data, -exp).astype(np.float32), lhs.indices, lhs.indptr),
-                         shape=lhs.shape)
+    """The float32 CSC of A - tau diag(d) that the LU factors, on A's own
+    pattern: every entry A stores, explicit zeros included, and every
+    diagonal entry, stored even where the shift cancels it; scaled by the
+    power of two that puts its largest magnitude in [1/2, 1), then cast."""
+    a = a.tocsr(copy=True)
+    a.sum_duplicates()
+    marks = a.copy()
+    marks.data[:] = 1.0
+    pattern = (marks + sp.identity(a.shape[0], format="csr")).tocsc()  # no entry cancels
+    rows = pattern.indices
+    cols = np.repeat(np.arange(a.shape[1]), np.diff(pattern.indptr))
+    vals = np.asarray(a[rows, cols]).ravel()
+    vals = np.where(rows == cols, vals - tau * d[rows], vals)
+    exp = np.frexp(np.max(np.abs(vals), initial=0.0))[1]
+    return sp.csc_matrix((np.ldexp(vals, -exp).astype(np.float32), pattern.indices,
+                          pattern.indptr), shape=a.shape)
 
 
 def dense_lambda(a, m):

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpdg import quadrature
+from hpdg import hpspace, quadrature
 from hpdg._kernels import weighted_gram
 from hpdg.assembly import (PenaltyConfig, Potential, SipAssembler, _corner_gram, _sym,
                            assemble_mass)
@@ -60,6 +61,21 @@ def test_rejects_non_finite_potential(alpha, sign, name):
     with pytest.raises(ValueError, match=name):
         Potential(alpha, sign)
     assert np.array_equal(Potential(None)(np.ones((3, 2))), np.zeros(3))
+
+
+@pytest.mark.parametrize("kwargs,name", [({"alpha": True}, "alpha"), ({"alpha": "1"}, "alpha"),
+                                         ({"alpha": 1.0, "sign": True}, "sign"),
+                                         ({"sign": "-1"}, "sign"), ({"sign": None}, "sign")])
+def test_potential_refuses_a_non_number_by_name(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        Potential(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [True, "10", None, 0.0, -1.0, np.nan, np.inf])
+def test_penalty_refuses_a_bad_constant_by_name(bad):
+    with pytest.raises(ValueError, match="alpha0"):
+        PenaltyConfig(bad)
+    assert PenaltyConfig(np.float64(5.0)).alpha0 == 5.0
 
 
 def test_sparsity_is_face_local():
@@ -331,7 +347,9 @@ def _check_against_fresh_blocks(space, alpha, seed):
 def test_every_face_block_equals_fresh_integration(d, sigma, ell, p0, slope):
     """Every element's and every face's block equals its freshly integrated
     one (non-cubic elements, hanging sub-faces and degree jumps included), on
-    the octant and on the whole cube (2^d corner elements)."""
+    the octant and on the whole cube (2^d corner elements).  A face block is
+    a Kronecker product of symmetric factors on its diagonal quarters and
+    (a, b), (a, b)^T off them, so it is bitwise symmetric as assembled."""
     pot, pen = Potential(1.0, -1.0), PenaltyConfig(10.0)
     for mesh in (full_cube_mesh(d, sigma, ell), build_graded_mesh(d, sigma, ell)):
         space = build_space(mesh, p0, slope)
@@ -340,6 +358,34 @@ def test_every_face_block_equals_fresh_integration(d, sigma, ell, p0, slope):
             _close(blk, _sym(_fresh_element_block(space, pot, e)))
         for f, blk in enumerate(blocks[n_el:]):
             _close(blk, _sym(_fresh_face_block(space, f, pen.alpha0)))
+            assert np.array_equal(blk, blk.T)
+
+
+@pytest.mark.parametrize("d,sigma,ell,slope", [(2, 0.5, 3, 0.5), (3, 0.5, 2, 0.5),
+                                               (3, 0.3, 2, 0.0)])
+def test_matched_face_intervals_give_exact_orthogonality(d, sigma, ell, slope):
+    """On a tangential axis where the face's interval is both owners' own,
+    the Legendre polynomials are orthogonal: every entry of the face block
+    whose two modes differ on such an axis is exactly zero, and A_sip stores
+    it.  Hanging faces are checked on their matched axes only."""
+    mesh = build_graded_mesh(d, sigma, ell)
+    space = build_space(mesh, 1, slope)
+    asm = SipAssembler(space, Potential(1.0, -1.0), PenaltyConfig())
+    faces, blocks = mesh.faces, asm._sip_blocks()[mesh.n_elements:]
+    checked = 0
+    for f, blk in enumerate(blocks):
+        own = [o for o in faces.owners[f].tolist() if o >= 0]
+        tang = [m for m in range(d) if m != faces.axis[f]
+                and all(mesh.lo[o, m] == faces.lo[f, m]
+                        and mesh.lengths[o, m] == faces.lengths[f, m] for o in own)]
+        modes = np.vstack([_modes(int(space.degrees[o]), d) for o in own])
+        differ = np.zeros(blk.shape, dtype=bool)
+        for m in tang:
+            differ |= modes[:, None, m] != modes[None, :, m]
+        assert not blk[differ].any(), f
+        checked += int(differ.sum())
+    a = asm.sip()
+    assert checked > 0 and a.nnz - np.count_nonzero(a.data) > 0
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -434,6 +480,28 @@ def test_corner_gram_never_forms_the_point_table():
     finally:
         tracemalloc.stop()
     assert peak < nq * (p + 1) ** 3 * 8 / 3
+
+
+@pytest.mark.parametrize("d,p0", [(2, 2), (3, 1)])
+def test_sip_forms_no_point_tables(monkeypatch, d, p0):
+    """With the corner Grams cached, ``sip()`` integrates every block from
+    per-axis tables: it calls neither ``hpspace._basis_tables``, the
+    (points x (p+1)^d) basis table, nor ``quadrature._face_grid``, the
+    stacked face grid, under any name an hpdg module binds them to."""
+    space = build_space(build_graded_mesh(d, 0.5, 3), p0, 0.5)
+    asm = SipAssembler(space, Potential(1.0, -1), PenaltyConfig())
+    want = asm.sip()  # warms the corner Grams' cache
+    for fn in (hpspace._basis_tables, quadrature._face_grid):
+        def forbidden(*args, name=fn.__name__, **kwargs):
+            raise AssertionError(f"sip() called {name}")
+        for mod in [m for n, m in sys.modules.items() if n == "hpdg" or n.startswith("hpdg.")]:
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, forbidden)
+    got = asm.sip()
+    monkeypatch.undo()
+    assert len(set(space.degrees.tolist())) > 1
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
 def test_corner_gram_is_cached_read_only():

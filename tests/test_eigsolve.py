@@ -347,20 +347,24 @@ def test_reported_residual_holds_for_a_fresh_product():
 
 
 def scf_pencil(dim, ell, p0, slope, alpha, build=build_graded_mesh):
-    """A_sip + N(u) at the constant state, M's diagonal, and tau = rho(u) - 10,
-    on the mesh that ``build`` makes."""
+    """A_sip + N(u) at the constant state, written into A_sip's data as the
+    SCF loop writes it (A_sip's pattern, its exact zeros kept), M's diagonal,
+    and tau = rho(u) - 10, on the mesh that ``build`` makes."""
     space = build_space(build(dim, 0.5, ell), p0, slope)
     asm = SipAssembler(space, Potential(alpha, -1), PenaltyConfig())
     u = constant_field(space)
-    a = asm.sip() + asm.nonlinear_mass(u, 3)
+    a = asm.sip()
+    for s, g in zip(asm.slots, asm.nonlinear_blocks(u, 3)):
+        a.data[s] += g
     d = asm.mass().diagonal()
     x = u.coeffs / np.sqrt(u.coeffs @ (d * u.coeffs))
     return a, d, float(x @ (a @ x)) - 10.0
 
 
 def factor_pencils():
-    """(A, d, tau): the SCF operators of both dimensions and pencils whose
-    shifted copy differs from A's pattern or needs the scaled cast."""
+    """(A, d, tau): the SCF operators of both dimensions, which store exact
+    zeros, and pencils whose diagonal cancels, is not all stored, is stored
+    twice or needs the scaled cast."""
     yield pytest.param(*scf_pencil(2, 4, 2, 0.125, 1.0), id="scf2d")
     yield pytest.param(*scf_pencil(3, 2, 1, 0.25, 0.5), id="scf3d")
     a, _, m = perturbed_pencils()
@@ -368,7 +372,7 @@ def factor_pencils():
     for scale in (1e45, 1e-45):
         yield pytest.param(tridiag(3000, scale=scale), np.full(3000, scale), -10.0,
                            id=f"scaled{scale:g}")
-    # the diagonal cancels: the shifted copy stores none of it
+    # the diagonal cancels: SuperLU still gets it, stored as zeros
     yield pytest.param(tridiag(600), np.ones(600), 2.0, id="zero_after_shift")
     gap = tridiag(600)
     gap.data[gap.indices == np.repeat(np.arange(600), np.diff(gap.indptr))] *= np.arange(600) % 3
@@ -383,8 +387,9 @@ def factor_pencils():
 
 @pytest.mark.parametrize("a,d,tau", factor_pencils())
 def test_factor_hands_superlu_the_shifted_copy_bitwise(monkeypatch, a, d, tau):
-    """SuperLU gets the float32 values and the index arrays of the shifted CSC
-    copy, and A itself is left as it was."""
+    """SuperLU gets bitwise the float32 values of A - tau M on A's own
+    pattern, its explicit zeros and every diagonal entry stored, and A itself
+    is left as it was."""
     given = []
     monkeypatch.setattr(eigsolve.sla, "splu", lambda lhs, **kwargs: given.append(lhs))
     before = a.copy()
@@ -400,9 +405,11 @@ def test_factor_hands_superlu_the_shifted_copy_bitwise(monkeypatch, a, d, tau):
 def test_factor_peak_memory_per_stored_entry():
     """The float32 pencil is cast straight from A's storage: the traced peak
     of a 3D factorization stays within 12 bytes per stored entry of A (a
-    shifted CSC copy alone takes 12, its float32 values 4 more)."""
+    shifted CSC copy alone takes 12, its float32 values 4 more).  The pencil
+    is the SCF's operator, which stores A_sip's exact zeros, so no copy
+    drops them either."""
     a, d, tau = scf_pencil(3, 4, 1, 0.25, 0.5, full_cube_mesh)
-    assert (a.shape[0], a.nnz) == (3984, 630240)
+    assert (a.shape[0], a.nnz) == (3984, 630240) and np.count_nonzero(a.data) < a.nnz
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

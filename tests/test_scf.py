@@ -156,6 +156,15 @@ def test_config_validation():
             PenaltyConfig(bad)
 
 
+@pytest.mark.parametrize("key,bad", [("eps_tol", "1e-10"), ("eps_tol", None), ("eps_tol", True),
+                                     ("theta", "0.5"), ("theta", None),
+                                     ("nonlinear_scale", float("nan")),
+                                     ("nonlinear_scale", "1")])
+def test_config_refuses_a_non_number_by_name(key, bad):
+    with pytest.raises(ValueError, match=key):
+        ScfConfig(**{key: bad})
+
+
 def test_energy_identity_at_ground_state():
     """E = lambda/2 - (1/2 - 1/(delta+1)) * int |u|^(delta+1), the integral
     over the cube: copies times the one over the octant."""
@@ -359,9 +368,11 @@ def test_readme_library_example_runs_in_3d():
 def test_sweep_operator_is_sip_plus_nonlinear_mass_bitwise(monkeypatch, dim, ell, p0, slope,
                                                           alpha, delta):
     """Every sweep writes A_sip + N(u) into the storage of one A_sip; after
-    each update it is bitwise the sum of the two assembled matrices at the
-    iterate it is linearized at (the ``orient`` vector), and bitwise
-    symmetric, so its CSR arrays are its CSC arrays."""
+    each update it keeps A_sip's pattern, its values are bitwise those of the
+    sum of the two assembled matrices at the iterate it is linearized at (the
+    ``orient`` vector), and it is bitwise symmetric, so its CSR arrays are
+    its CSC arrays.  The sum drops A_sip's exact zeros; the operator keeps
+    them as stored zeros."""
     space = build_space(build_graded_mesh(dim, 0.5, ell), p0, slope)
     pot, scale = Potential(alpha, -1), 2.5
     ops, solve = [], scf.smallest_eigenpair
@@ -376,10 +387,14 @@ def test_sweep_operator_is_sip_plus_nonlinear_mass_bitwise(monkeypatch, dim, ell
     assert rep.converged and len(ops) >= 3
     assert all(a is ops[0][0] for a, *_ in ops)  # one operator, updated in place
     asm = SipAssembler(space, pot, PEN)
+    sip = asm.sip()
+    rows = np.repeat(np.arange(space.N), np.diff(sip.indptr))
     for _, a, u in ops:
-        want = asm.sip() + asm.nonlinear_mass(DiscreteField(space, u), delta, scale)
-        assert np.array_equal(a.indptr, want.indptr) and np.array_equal(a.indices, want.indices)
-        assert np.array_equal(a.data.view(np.int64), want.data.view(np.int64))
+        want = sip + asm.nonlinear_mass(DiscreteField(space, u), delta, scale)
+        assert np.array_equal(a.indptr, sip.indptr) and np.array_equal(a.indices, sip.indices)
+        values = np.asarray(want[rows, sip.indices]).ravel()
+        assert np.array_equal(a.data.view(np.int64), values.view(np.int64))
+        assert want.nnz == np.count_nonzero(a.data) < a.nnz  # nothing outside A_sip's pattern
         assert (a != a.T).nnz == 0
 
 
