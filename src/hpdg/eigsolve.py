@@ -2,18 +2,16 @@
 
 The Legendre basis is L2-orthogonal on each box, so an hp space's mass matrix
 is M = diag(d), and every product with M is d * v; any other M raises
-ValueError.  A solve with a start vector x0, at any size, factors A - tau M
-once (sparse LU), tau = rho(x0) - 10, and uses it to precondition a
+ValueError.  Every solve, at any size, starts from a given vector x0, factors
+A - tau M once (sparse LU), tau = rho(x0) - 10, and uses it to precondition a
 single-vector LOBPCG (Knyazev 2001, SIAM J. Sci. Comput. 23:517) from x0.
 Each step is a Rayleigh-Ritz projection onto the M-orthonormal span Q of the
 iterate, its preconditioned residual and the previous direction, and
 multiplies by A once, as A Q: the new iterate's A x, Rayleigh quotient and
-residual all come from (A Q) c.  The factorization comes back on the result
-and may be passed in again, so the SCF loop factors once per solve and reuses
-the LU on every later sweep, where the operator has moved only a little.
-A problem of at most DENSE_ALWAYS unknowns solved without x0, or to a
-tolerance below LOBPCG's residual floor SPARSE_TOL_MIN, is one LAPACK eigh of
-the standard problem D^-1/2 A D^-1/2 y = lambda y, with x = D^-1/2 y.
+residual all come from (A Q) c.  A pair is returned only once its residual
+meets the tolerance.  The factorization comes back on the result and may be
+passed in again, so the SCF loop factors once per solve and reuses the LU on
+every later sweep, where the operator has moved only a little.
 
 The LU is computed and applied in single precision: a preconditioner's
 accuracy sets how fast LOBPCG converges, not the accuracy it reaches.  The
@@ -37,9 +35,8 @@ pencil.  tau = rho(x0) - 10 meets this for start vectors close to the ground
 state: the SCF iterates, the injected coarse-to-fine starts and the
 coarse-subspace start of a cold SCF solve.  A start far above the ground state
 stalls the iteration, which raises EigenSolveError rather than return an
-excited pair.  Without x0, a problem too large for the dense path raises
-ValueError before anything is solved.  Both paths are deterministic given the
-start vector.
+excited pair; so does a tolerance below the residual's roundoff floor, which
+the error message estimates.  A solve is deterministic given the start vector.
 """
 
 from __future__ import annotations
@@ -51,8 +48,6 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
-DENSE_ALWAYS = 400  # largest size solved densely: without x0, or below SPARSE_TOL_MIN
-SPARSE_TOL_MIN = 1e-12  # LOBPCG's residual floor; a tighter tol needs the dense path
 DEFAULT_TOL = 1e-10
 MAX_ITER = 200  # LOBPCG steps before EigenSolveError
 
@@ -71,7 +66,7 @@ class EigResult:
     x: np.ndarray  # M-normalized eigenvector
     residual: float  # ||Ax - lam Mx|| / (||Ax|| + |lam| ||Mx||)
     iterations: int
-    precond: object = None  # float32 LU of A - tau M (sparse path), None when dense
+    precond: object = None  # float32 LU of A - tau M; None on an EigenSolveError's best iterate
 
 
 def _m_norm(d, x):
@@ -162,53 +157,29 @@ def dense_ground_state(a, d):
     return s * dla.eigh(ad, subset_by_index=[0, 0], overwrite_a=True)[1][:, 0]
 
 
-def dense_result(a, d, v, orient=None) -> EigResult:
-    """The pair of an eigenvector ``v`` of (A, diag(d)) from a dense solve:
-    M-normalized, its sign fixed by ``orient``.
-
-    It reports the Rayleigh quotient of the returned vector, not LAPACK's
-    eigenvalue: the two differ at the eps * ||M^-1 A|| level, which the
-    self-consistency residual of the SCF loop would otherwise inherit.
-    """
-    x = _orient(v / _m_norm(d, v), d, orient)
-    ax = a @ x
-    lam = float(x @ ax)
-    return EigResult(lam, x, _residual(ax, d * x, lam), 1)
-
-
-def smallest_eigenpair(a, m, tol: float = DEFAULT_TOL, x0=None,
+def smallest_eigenpair(a, m, x0, tol: float = DEFAULT_TOL,
                        orient=None, precond=None) -> EigResult:
-    """Minimal eigenvalue and M-normalized eigenvector of (A, M).
+    """Minimal eigenvalue and M-normalized eigenvector of (A, M): LOBPCG from
+    ``x0``, preconditioned by the LU of A - tau M with tau = rho(x0) - 10,
+    for at most MAX_ITER steps, returned once its residual is <= ``tol``.
 
-    M must be diagonal and positive, and a given ``x0`` finite of shape (n,)
-    (else ValueError).  A solve given ``x0`` takes the sparse path: LOBPCG
-    from ``x0``, preconditioned by the LU of A - tau M with
-    tau = rho(x0) - 10, for at most MAX_ITER steps.  The dense path serves
-    n <= DENSE_ALWAYS when ``x0`` is None or ``tol`` < SPARSE_TOL_MIN; a
-    larger problem without ``x0`` raises ValueError.  ``precond`` is the
-    factorization returned by an earlier sparse solve of a nearby pencil of
-    the same size; when given, nothing is factored.  ``orient`` fixes the
-    sign so x.M.orient >= 0.
+    M must be diagonal and positive, and ``x0`` finite of shape (n,) (else
+    ValueError).  ``precond`` is the factorization returned by an earlier
+    solve of a nearby pencil of the same size; when given, nothing is
+    factored.  ``orient`` fixes the sign so x.M.orient >= 0.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     n = a.shape[0]
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (n,):
-            raise ValueError(f"start vector x0 has shape {x0.shape}, the pencil has size {n}")
-        if not np.isfinite(x0).all():
-            raise ValueError("start vector x0 has a non-finite entry")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"start vector x0 has shape {x0.shape}, the pencil has size {n}")
+    if not np.isfinite(x0).all():
+        raise ValueError("start vector x0 has a non-finite entry")
     d = np.asarray(m.diagonal(), dtype=float)
     nnz = m.count_nonzero() if sp.issparse(m) else np.count_nonzero(m)
     if nnz > np.count_nonzero(d) or not np.all(d > 0):
         raise ValueError("mass matrix M must be diagonal and positive definite")
-
-    if n <= DENSE_ALWAYS and (x0 is None or tol < SPARSE_TOL_MIN):
-        return dense_result(a, d, dense_ground_state(a, d), orient)
-    if x0 is None:
-        raise ValueError(f"a pencil of size {n} > DENSE_ALWAYS={DENSE_ALWAYS} "
-                         "needs a start vector x0")
 
     a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)
     nrm = _m_norm(d, x0)
@@ -267,4 +238,13 @@ def _lobpcg(a, d, x, ax, lu, tol, orient) -> EigResult:
         if res <= tol:
             return EigResult(rho, _orient(x, d, orient), res, it, lu)
     raise EigenSolveError(f"no convergence to tol={tol} after {MAX_ITER} iterations "
-                          f"(best residual {best.residual:.3e})", best)
+                          f"(best residual {best.residual:.3e}, roundoff floor about "
+                          f"{_roundoff_floor(a, d, best):.3e})", best)
+
+
+def _roundoff_floor(a, d, pair):
+    """eps ||A| |x|| / (||Ax|| + |lam| ||Mx||) at ``pair``: the size of the
+    rounding error in one product A x, relative to the residual's scale."""
+    x = pair.x
+    scale = float(np.linalg.norm(a @ x) + abs(pair.lam) * np.linalg.norm(d * x))
+    return float(np.finfo(float).eps * np.linalg.norm(abs(a) @ np.abs(x))) / max(scale, 1e-300)

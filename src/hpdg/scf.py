@@ -29,14 +29,11 @@ The loop stops, and reports convergence, only on a sweep whose eigensolve was
 asked for eig_tol and whose residual is <= eps_tol; a residual below eps_tol
 after a looser solve takes one more sweep.
 
-Every eigensolve is started, so each is LOBPCG at any size, except one asked
-for less than SPARSE_TOL_MIN on at most DENSE_ALWAYS unknowns, which is
-dense.  The first LOBPCG sweep factors; that LU preconditions every later
-sweep of the solve.  A cold solve (no ``u0``) starts the first sweep's
-eigensolve from the ground state of the coarse Galerkin subspace spanned by
-the modes of degree <= 1 per axis; the SCF iterate itself starts as the
-normalized constant field.  When every element has degree 1 that subspace is
-the whole space, and its dense ground state is the first sweep's eigenpair.
+Every sweep's eigensolve is LOBPCG from a start vector.  The first sweep
+factors; that LU preconditions every later sweep of the solve.  A cold solve
+(no ``u0``) starts the first sweep's eigensolve from the ground state of the
+coarse Galerkin subspace spanned by the modes of degree <= 1 per axis, solved
+densely; the SCF iterate itself starts as the normalized constant field.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ import numpy as np
 
 from .assembly import (NONLINEAR_EXPONENTS, PenaltyConfig, Potential, SipAssembler,
                        _finite_real)
-from .eigsolve import dense_ground_state, dense_result, smallest_eigenpair
+from .eigsolve import dense_ground_state, smallest_eigenpair
 from .hpspace import DiscreteField, HpSpace, _modes, constant_field
 
 INNER_RATIO = 1e-2  # a sweep's eigensolve tolerance relative to the last SCF residual
@@ -103,7 +100,7 @@ def discrete_energy(space: HpSpace, potential: Potential, penalty: PenaltyConfig
 
 def _coarse_start(space: HpSpace, a, d):
     """Ground state of (A, diag(d)) on the modes whose indices are all <= 1,
-    zero-padded, and whether those modes are all of the space's.
+    zero-padded.
 
     The Legendre basis is hierarchical, so these modes span a Galerkin subspace
     whose pencil is a principal submatrix of (A, M), M diagonal.
@@ -113,7 +110,7 @@ def _coarse_start(space: HpSpace, a, d):
     keep = np.flatnonzero(np.concatenate([low[p] for p in space.degrees.tolist()]))
     x0 = np.zeros(space.N)
     x0[keep] = dense_ground_state(a[keep][:, keep], d[keep])
-    return x0, len(keep) == space.N
+    return x0
 
 
 def solve_ground_state(space: HpSpace, potential: Potential,
@@ -151,11 +148,7 @@ def solve_ground_state(space: HpSpace, potential: Potential,
 
     u = DiscreteField(space, m_normalize((constant_field(space) if u0 is None else u0).coeffs))
     a_u = linearized(u)
-    start, eig = u.coeffs, None
-    if u0 is None:
-        start, whole = _coarse_start(space, a_u, d)
-        if whole:
-            eig = dense_result(a_u, d, start, u.coeffs)
+    start = _coarse_start(space, a_u, d) if u0 is None else u.coeffs
     precond, residuals = None, []
     for k in range(1, cfg.max_iter + 1):
         if not residuals:
@@ -164,9 +157,7 @@ def solve_ground_state(space: HpSpace, potential: Potential,
             tol = eig_tol  # r_{k-1}^2 / r_{k-2} <= eps_tol: this sweep is predicted to converge
         else:
             tol = max(eig_tol, INNER_RATIO * residuals[-1])
-        if k > 1 or eig is None:
-            eig = smallest_eigenpair(a_u, m, tol=tol, x0=start, orient=u.coeffs,
-                                     precond=precond)
+        eig = smallest_eigenpair(a_u, m, x0=start, tol=tol, orient=u.coeffs, precond=precond)
         precond = eig.precond
         new = m_normalize((1.0 - theta) * u.coeffs + theta * eig.x)
         u = DiscreteField(space, new)

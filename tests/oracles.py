@@ -30,7 +30,6 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 
 from hpdg._kernels import legendre_l2_norms_sq
-from hpdg.eigsolve import dense_result
 from hpdg.hpspace import (DiscreteField, _modes, basis_matrices, basis_matrix, containing_map,
                           evaluate_grid)
 from hpdg.mesh import Faces, GradedMesh, MeshError, build_faces, build_graded_mesh
@@ -343,8 +342,13 @@ def factor_input(a, d, tau):
 
 def dense_lambda(a, m):
     """lambda_1 of the pencil (A, M), M diagonal: the Rayleigh quotient of
-    LAPACK's generalized eigenvector, through :func:`hpdg.eigsolve.dense_result`
-    as the solver reports it.  LAPACK's own eigenvalue loses accuracy where
-    M's diagonal spans many decades; the quotient of its vector does not."""
+    LAPACK's generalized eigenvector.  LAPACK's own eigenvalue loses accuracy
+    where M's diagonal spans many decades; the quotient of its vector loses
+    less, but the solve has a backward error of about
+    eps * ||D^-1/2 A D^-1/2||, D = M, and on a graded hp mesh that norm grows
+    like 4^ell.  Against LOBPCG at tol 1e-13, on 2D degree-1 linear pencils,
+    the quotient is off by 1.6e-14 at ell 8, 2.5e-12 at ell 16 and 4.2e-8 at
+    ell 20; on every pencil the suite compares it on (ell <= 6, tolerances
+    of 1e-10 absolute or looser) by at most 2.7e-13."""
     v = dla.eigh(a.toarray(), m.toarray(), subset_by_index=[0, 0])[1][:, 0]
-    return dense_result(a, m.diagonal(), v).lam
+    return float(v @ (a @ v)) / float(v @ (m @ v))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,10 @@ import scipy.sparse as sp
 
 from hpdg import eigsolve
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler
-from hpdg.eigsolve import DENSE_ALWAYS, EigenSolveError, smallest_eigenpair
+from hpdg.eigsolve import EigenSolveError, smallest_eigenpair
 from hpdg.hpspace import build_space, constant_field
 from hpdg.mesh import build_graded_mesh
+from hpdg.scf import _coarse_start
 from oracles import factor_input, full_cube_mesh
 
 
@@ -22,14 +24,14 @@ def tridiag(n, scale=1.0):
 def test_diagonal_example():
     a = sp.diags([3.0, 1.0, 2.0]).tocsr()
     m = sp.identity(3, format="csr")
-    res = smallest_eigenpair(a, m)
+    res = smallest_eigenpair(a, m, x0=np.ones(3))
     assert res.lam == pytest.approx(1.0, abs=1e-12)
     assert np.abs(res.x) == pytest.approx([0, 1, 0], abs=1e-8)
 
 
 def test_identity_pencil():
     m = sp.diags(np.random.default_rng(1).uniform(0.5, 6.0, 6)).tocsr()
-    res = smallest_eigenpair(m, m)
+    res = smallest_eigenpair(m, m, x0=np.ones(6))
     assert res.lam == pytest.approx(1.0, abs=1e-12)
 
 
@@ -39,7 +41,7 @@ def test_non_diagonal_mass_is_refused():
     m = b @ b.T + 6 * np.eye(6)
     for mass in (sp.csr_matrix(m), m):
         with pytest.raises(ValueError, match="mass matrix M must be diagonal"):
-            smallest_eigenpair(sp.identity(6, format="csr"), mass)
+            smallest_eigenpair(sp.identity(6, format="csr"), mass, x0=np.ones(6))
 
 
 def graded_pencil(n, seed, graded):
@@ -57,11 +59,18 @@ def graded_pencil(n, seed, graded):
     return a, d
 
 
+def near(v, rel=1e-3):
+    """``v`` with every entry off by about ``rel`` relative: a start near the
+    ground state at every scale of a graded pencil, as the SCF loop's are."""
+    return v * (1.0 + rel * np.random.default_rng(0).standard_normal(v.shape))
+
+
 @pytest.mark.parametrize("n,seed", [(40, 0), (300, 1)])
 def test_dense_path_matches_the_generalized_solve_on_a_graded_pencil(n, seed):
+    """LOBPCG on a dense graded pencil agrees with LAPACK's generalized solve."""
     a, d = graded_pencil(n, seed, graded=True)
-    res = smallest_eigenpair(sp.csr_matrix(a), sp.diags(d))
     vals, vecs = dla.eigh(a, np.diag(d), subset_by_index=[0, 0])
+    res = smallest_eigenpair(sp.csr_matrix(a), sp.diags(d), x0=near(vecs[:, 0]))
     assert res.lam == pytest.approx(vals[0], rel=1e-12)
     assert abs(res.x @ (d * vecs[:, 0])) == pytest.approx(1.0, abs=1e-10)
 
@@ -69,11 +78,13 @@ def test_dense_path_matches_the_generalized_solve_on_a_graded_pencil(n, seed):
 def test_dense_path_is_accurate_on_an_ungraded_pencil():
     # A unscaled: D^-1/2 A D^-1/2 has a condition number near 1e12, so any
     # LAPACK eigenvalue is off by about eps * ||D^-1/2 A D^-1/2|| (the
-    # generalized eigh's by 9e-5 relative here); the Rayleigh quotient of
-    # the scaled solve's vector is checked against 40-digit arithmetic
+    # generalized eigh's by 9e-5 relative here); LOBPCG, started near that
+    # eigh's vector, never forms the scaled operator, and its eigenvalue is
+    # checked against 40-digit arithmetic
     mpmath = pytest.importorskip("mpmath")
     a, d = graded_pencil(40, 1, graded=False)
-    res = smallest_eigenpair(sp.csr_matrix(a), sp.diags(d))
+    start = dla.eigh(a, np.diag(d), subset_by_index=[0, 0])[1][:, 0]
+    res = smallest_eigenpair(sp.csr_matrix(a), sp.diags(d), x0=near(start))
     with mpmath.workdps(40):
         s = [1 / mpmath.sqrt(mpmath.mpf(v)) for v in d]
         scaled = mpmath.matrix([[s[i] * mpmath.mpf(a[i, j]) * s[j] for j in range(40)]
@@ -94,7 +105,7 @@ def test_rayleigh_consistency_and_normalization():
 
 
 def test_sparse_path_matches_analytic():
-    n = 3000  # above DENSE_ALWAYS: the sparse path
+    n = 3000
     a = tridiag(n)
     m = sp.identity(n, format="csr")
     i = np.arange(1, n + 1)
@@ -144,13 +155,13 @@ def test_mass_must_be_positive_definite():
     a = sp.identity(4, format="csr")
     m = sp.diags([1.0, -1.0, 1.0, 1.0]).tocsr()
     with pytest.raises(ValueError):
-        smallest_eigenpair(a, m)
+        smallest_eigenpair(a, m, x0=np.ones(4))
 
 
 def test_rejects_bad_tolerance():
     a = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
-        smallest_eigenpair(a, a, tol=0.0)
+        smallest_eigenpair(a, a, x0=np.ones(3), tol=0.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
@@ -159,7 +170,7 @@ def test_bad_tolerance_is_refused_before_anything_is_factored(monkeypatch, tol):
         raise AssertionError("factored")
 
     monkeypatch.setattr(eigsolve.sla, "splu", splu)
-    n = DENSE_ALWAYS + 1
+    n = 400
     with pytest.raises(ValueError, match="tolerance"):
         smallest_eigenpair(tridiag(n), sp.identity(n, format="csr"), tol=tol, x0=sine(n))
 
@@ -170,7 +181,7 @@ def test_bad_start_vector_is_refused_before_anything_is_factored(monkeypatch, ba
         raise AssertionError("factored")
 
     monkeypatch.setattr(eigsolve.sla, "splu", splu)
-    n = DENSE_ALWAYS + 1
+    n = 400
     x0 = sine(n)
     x0 = {"nan": np.where(np.arange(n) == 7, np.nan, x0),
           "inf": np.where(np.arange(n) == 7, np.inf, x0),
@@ -182,15 +193,12 @@ def test_bad_start_vector_is_refused_before_anything_is_factored(monkeypatch, ba
 def test_cold_sparse_start_never_returns_an_excited_state():
     # the smallest eigenvalue is pi^2 up to O(h^2); random starts have their
     # Rayleigh quotients deep inside the spectrum, so the shift lies far above
-    # lambda_1 and the preconditioner is indefinite; with no start at all the
-    # solve is refused
+    # lambda_1 and the preconditioner is indefinite
     n = 3000
     a = tridiag(n, scale=(n + 1) ** 2)
     m = sp.identity(n, format="csr")
     lam1 = 2.0 * (n + 1) ** 2 * (1.0 - np.cos(np.pi / (n + 1)))
     assert lam1 == pytest.approx(np.pi**2, rel=1e-6)
-    with pytest.raises(ValueError, match="x0"):
-        smallest_eigenpair(a, m)
     rng = np.random.default_rng(0)
     for x0 in [rng.standard_normal(n) for _ in range(3)]:
         try:
@@ -198,16 +206,6 @@ def test_cold_sparse_start_never_returns_an_excited_state():
         except EigenSolveError:
             continue
         assert res.lam == pytest.approx(lam1, rel=1e-8)
-
-
-def test_large_pencil_without_start_is_refused_before_any_dense_solve(monkeypatch):
-    def eigh(*args, **kwargs):
-        raise AssertionError("dense solve ran")
-
-    monkeypatch.setattr(eigsolve.dla, "eigh", eigh)
-    n = DENSE_ALWAYS + 1
-    with pytest.raises(ValueError, match="x0"):
-        smallest_eigenpair(tridiag(n), sp.identity(n, format="csr"))
 
 
 def sine(n):
@@ -231,11 +229,6 @@ def test_factorization_reused_on_perturbed_pencil():
     assert res.lam == pytest.approx(vals[0], rel=1e-10)
     assert res.residual <= 1e-10
     assert abs(res.x @ (m @ vecs[:, 0])) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_dense_path_returns_no_factorization():
-    a, _, m = perturbed_pencils(n=300)
-    assert smallest_eigenpair(a, m).precond is None
 
 
 def test_rejects_factorization_of_another_size():
@@ -326,7 +319,7 @@ def fresh_residual(a, m, res):
     return np.linalg.norm(ax - res.lam * mx) / (np.linalg.norm(ax) + abs(res.lam) * np.linalg.norm(mx))
 
 
-def sparse_path_pencils():
+def lobpcg_pencils():
     n = 3000
     a, m = tridiag(n), sp.identity(n, format="csr")
     yield a, m, sine(n)
@@ -340,10 +333,53 @@ def sparse_path_pencils():
 def test_reported_residual_holds_for_a_fresh_product():
     # the residual is computed from (A Q) c, not from A x; the residual of a
     # fresh product must still meet the tolerance
-    for a, m, x0 in sparse_path_pencils():
+    for a, m, x0 in lobpcg_pencils():
         res = smallest_eigenpair(a, m, x0=x0)
         assert res.precond is not None and res.residual <= eigsolve.DEFAULT_TOL
         assert fresh_residual(a, m, res) <= eigsolve.DEFAULT_TOL
+
+
+def linear_pencil(ell, p0, slope):
+    """The linear SCF pencil (A_sip, M) of a 2D octant, alpha = 1 attractive,
+    and the cold solve's coarse start on it."""
+    space = build_space(build_graded_mesh(2, 0.5, ell), p0, slope)
+    asm = SipAssembler(space, Potential(1.0, -1), PenaltyConfig())
+    a, m = asm.sip(), asm.mass()
+    return a, m, _coarse_start(space, a, m.diagonal())
+
+
+def test_returned_pair_meets_a_tolerance_below_1e_12():
+    """On a graded pencil of 148 unknowns, 12 levels deep, LOBPCG reaches
+    1e-13 (a LAPACK eigh of D^-1/2 A D^-1/2 there has a residual of 9e-9):
+    the pair returned meets the tolerance as reported and for a fresh product."""
+    a, m, x0 = linear_pencil(12, 1, 0.0)
+    assert a.shape == (148, 148)
+    res = smallest_eigenpair(a, m, x0=x0, tol=1e-13)
+    assert res.residual <= 1e-13
+    assert fresh_residual(a, m, res) <= 1e-13
+
+
+def roundoff_floor(a, m, pair):
+    """eps ||A| |x|| / (||Ax|| + |lam| ||Mx||): one product's rounding error
+    relative to the residual's scale, recomputed from the dense arrays."""
+    ad, x = a.toarray(), pair.x
+    scale = np.linalg.norm(ad @ x) + abs(pair.lam) * np.linalg.norm(m @ x)
+    return np.finfo(float).eps * np.linalg.norm(np.abs(ad) @ np.abs(x)) / scale
+
+
+def test_nonconvergence_names_the_roundoff_floor():
+    """A tolerance below the residual's roundoff floor stalls; the error
+    gives the best residual and the floor estimated at the best iterate."""
+    a, m, x0 = linear_pencil(8, 2, 0.125)
+    with pytest.raises(EigenSolveError) as err:
+        smallest_eigenpair(a, m, x0=x0, tol=1e-13)
+    best = err.value.best
+    floor = roundoff_floor(a, m, best)
+    assert 1e-13 < best.residual < floor
+    said = re.search(r"best residual (\S+), roundoff floor about (\S+)\)", str(err.value))
+    assert said is not None, str(err.value)
+    assert float(said[1]) == pytest.approx(best.residual, rel=1e-3)
+    assert float(said[2]) == pytest.approx(floor, rel=1e-3)
 
 
 def scf_pencil(dim, ell, p0, slope, alpha, build=build_graded_mesh):

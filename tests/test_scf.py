@@ -5,7 +5,7 @@ import scipy.sparse.linalg as sla
 
 from hpdg import scf
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler, assemble_mass
-from hpdg.eigsolve import DENSE_ALWAYS, SPARSE_TOL_MIN, smallest_eigenpair
+from hpdg.eigsolve import smallest_eigenpair
 from hpdg.hpspace import DiscreteField, build_space, constant_field, inject
 from hpdg.mesh import build_graded_mesh
 from hpdg.scf import ScfConfig, ScfReport, solve_ground_state
@@ -25,7 +25,8 @@ def test_linear_mode_matches_plain_eigensolve():
     u, rep = solve_ground_state(space, POT, PEN, cfg)
     a = SipAssembler(space, POT, PEN).sip()
     m = assemble_mass(space)
-    direct = smallest_eigenpair(a, m, orient=constant_field(space, 1.0).coeffs)
+    direct = smallest_eigenpair(a, m, x0=scf._coarse_start(space, a, m.diagonal()),
+                                orient=constant_field(space, 1.0).coeffs)
     assert rep.iterations == 1
     assert rep.converged and rep.residuals[-1] <= 1e-12
     assert rep.lam == pytest.approx(direct.lam, abs=1e-12)
@@ -113,7 +114,7 @@ def test_linear_limit_of_weak_coupling():
 
 def test_nonconvergence_reported_not_raised():
     space = space_2d(3)
-    cfg = ScfConfig(eps_tol=1e-13, max_iter=2, delta=3)
+    cfg = ScfConfig(eps_tol=1e-10, max_iter=2, delta=3)
     u, rep = solve_ground_state(space, POT, PEN, cfg)
     assert isinstance(rep, ScfReport)
     assert not rep.converged
@@ -204,7 +205,6 @@ def test_warm_sparse_solve_factors_once(monkeypatch):
     coarse = build_space(build_graded_mesh(3, 0.5, 3), 1, 0.25)
     u1, _ = solve_ground_state(coarse, pot, PEN, cfg)
     space = build_space(build_graded_mesh(3, 0.5, 4), 1, 0.25)
-    assert space.N > DENSE_ALWAYS
     factorizations = []
     splu = sla.splu
     monkeypatch.setattr(sla, "splu", lambda *a, **k: factorizations.append(1) or splu(*a, **k))
@@ -236,7 +236,7 @@ def recording_solves(monkeypatch):
 
 
 def test_sparse_sweeps_report_the_residual_of_a_fresh_product(monkeypatch):
-    """Each sparse eigensolve of an SCF level meets the tolerance its sweep
+    """Each eigensolve of an SCF level meets the tolerance its sweep
     asked for when its residual is recomputed from a fresh A x, not the one
     LOBPCG kept; the last sweep asked for, and meets, eig_tol = eps_tol / 10."""
     pot = Potential(0.5, -1)
@@ -254,37 +254,16 @@ def test_sparse_sweeps_report_the_residual_of_a_fresh_product(monkeypatch):
 
 
 def test_cold_small_solve_iterates_from_the_coarse_start(monkeypatch):
-    """Below DENSE_ALWAYS a started solve is LOBPCG too: the only dense eigh
-    of a cold solve is the coarse start's."""
+    """A small cold solve is LOBPCG on every sweep: its only dense eigh is
+    the coarse start's."""
     space = space_2d(3)
-    assert space.N <= DENSE_ALWAYS
     eighs, eigh = [], dla.eigh
     monkeypatch.setattr(dla, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
     solves = recording_solves(monkeypatch)
     _, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-10, delta=3))
     assert rep.converged and len(solves) == rep.iterations > 1
-    assert len(eighs) <= 1
+    assert len(eighs) == 1
     assert all(res.precond is not None for *_, res in solves)
-
-
-def test_tolerance_below_the_lobpcg_floor_is_solved_densely(monkeypatch):
-    """A sweep asking for less than SPARSE_TOL_MIN gets the dense pair; the
-    looser sweeps in between iterate on one LU."""
-    space = space_2d(3)
-    factorizations, splu = [], sla.splu
-    monkeypatch.setattr(sla, "splu", lambda *a, **k: factorizations.append(1) or splu(*a, **k))
-    solves = recording_solves(monkeypatch)
-    u, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-13, delta=3))
-    assert rep.converged and rep.residuals[-1] <= 1e-13
-    assert [tol < SPARSE_TOL_MIN for *_, tol, _ in solves] == \
-        [res.precond is None for *_, res in solves]
-    assert solves[0][2] == solves[-1][2] == pytest.approx(1e-14, rel=1e-15)
-    assert any(res.precond is not None for *_, res in solves)
-    assert len(factorizations) == 1
-    asm = SipAssembler(space, POT, PEN)
-    a = asm.sip() + asm.nonlinear_mass(u, 3)
-    lam = dense_lambda(a, assemble_mass(space))
-    assert rep.lam == pytest.approx(lam, rel=1e-12)
 
 
 @pytest.mark.parametrize("dim,ell,p0,slope,alpha,eps_tol", [(2, 3, 2, 0.125, 1.0, 1e-10),
@@ -314,7 +293,7 @@ def test_warm_solve_converges_on_a_sweep_solved_at_eig_tol(monkeypatch, dim, ell
 
 @pytest.mark.parametrize("ell,p0,slope,delta", [(3, 1, 0.25, 3), (2, 2, 0.0, None)])
 def test_cold_3d_solve_reaches_the_ground_state(ell, p0, slope, delta):
-    """A cold sparse solve starts from the p <= 1 subspace and finds lambda_1
+    """A cold solve starts from the p <= 1 subspace and finds lambda_1
     (on the oracle's whole-cube mesh, where N > 2000 at these levels)."""
     space = build_space(full_cube_mesh(3, 0.5, ell), p0, slope)
     assert space.N > 2000
@@ -328,19 +307,11 @@ def test_cold_3d_solve_reaches_the_ground_state(ell, p0, slope, delta):
     assert rep.lam == pytest.approx(lam, rel=1e-8)
 
 
-@pytest.mark.parametrize("delta,lam,cutoff", [(3, 32.4337448841267, None),
-                                               (None, 29.12325064308372, None),
-                                               (3, 32.4337448841267, 100)])
-def test_cold_degree_one_solve_solves_the_first_pencil_once(monkeypatch, delta, lam, cutoff):
+@pytest.mark.parametrize("delta,lam", [(3, 32.4337448841267), (None, 29.12325064308372)])
+def test_cold_degree_one_solve_solves_the_first_pencil_once(monkeypatch, delta, lam):
     """When every element has degree 1 the p <= 1 subspace is the whole space:
-    its one dense eigh is the first sweep's eigenpair, and no sweep factors or
-    iterates on that pencil again.  The eigenvalue is the one recorded when
-    the first sweep still did (a sparse solve from the coarse start).  Above
-    DENSE_ALWAYS (patched down to 100 here) no solve starts from all-ones."""
-    from hpdg import eigsolve, scf
-
-    if cutoff is not None:
-        monkeypatch.setattr(eigsolve, "DENSE_ALWAYS", cutoff)
+    its one dense eigh is only the first sweep's start, which LOBPCG iterates
+    from on one LU, and every sweep calls the eigensolver with a start."""
     calls = {"eigh": 0, "splu": 0}
     eigh, splu, solve = dla.eigh, sla.splu, scf.smallest_eigenpair
     monkeypatch.setattr(dla, "eigh", lambda *a, **k: calls.update(eigh=calls["eigh"] + 1) or eigh(*a, **k))
@@ -348,12 +319,28 @@ def test_cold_degree_one_solve_solves_the_first_pencil_once(monkeypatch, delta, 
     starts = []
     monkeypatch.setattr(scf, "smallest_eigenpair", lambda *a, **k: starts.append(k["x0"]) or solve(*a, **k))
     space = build_space(full_cube_mesh(3, 0.5, 1), 1, 0.0)
-    assert space.N == 512 > DENSE_ALWAYS
+    assert space.N == 512
     _, rep = solve_ground_state(space, Potential(0.5, -1), PEN, ScfConfig(eps_tol=1e-10, delta=delta))
     assert rep.converged
     assert rep.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
-    assert calls == {"eigh": 1, "splu": 0 if delta is None else 1}
-    assert len(starts) == rep.iterations - 1 and all(x is not None for x in starts)
+    assert calls == {"eigh": 1, "splu": 1}
+    assert len(starts) == rep.iterations
+
+
+def test_cold_linear_degree_one_solve_meets_its_residual():
+    """A cold linear solve on a 20-level mesh of degree-1 elements: the
+    coarse start spans the whole space and is LAPACK's pair of
+    D^-1/2 A D^-1/2, whose residual there is 6e-4; the returned u is
+    LOBPCG's, an eigenvector to the eigensolver's tolerance."""
+    space = build_space(build_graded_mesh(2, 0.5, 20), 1, 0.0)
+    u, rep = solve_ground_state(space, POT, PEN, ScfConfig(eps_tol=1e-10, delta=None))
+    assert rep.converged
+    asm = SipAssembler(space, POT, PEN)
+    a, d = asm.sip(), asm.mass().diagonal()
+    au, mu = a @ u.coeffs, d * u.coeffs
+    residual = np.linalg.norm(au - rep.lam * mu) / (np.linalg.norm(au)
+                                                    + abs(rep.lam) * np.linalg.norm(mu))
+    assert residual <= 1e-11
 
 
 def test_readme_library_example_runs_in_3d():

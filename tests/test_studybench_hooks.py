@@ -55,7 +55,7 @@ def test_layer_hooks_see_assembly_calls(layers):
 
 
 def test_layer_hooks_see_the_sparse_factorization(layers):
-    n = 600  # above eigsolve.DENSE_ALWAYS: the sparse path
+    n = 600
     a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
     tracer = layers.Tracer()
     uninstall = layers.install(tracer)
