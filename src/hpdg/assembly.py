@@ -1,8 +1,9 @@
 """Assembly of the SIP dG operator, mass matrix and nonlinear mass matrix.
 
 All matrices are scipy CSR in canonical format, symmetric by construction.
-Contributions are accumulated in a fixed global ordering (elements by id, then
-faces by id), so the assembled matrices are bitwise reproducible.
+Contributions are accumulated in a fixed order (the element blocks, then the
+face groups in a fixed order, faces by id inside each), so the assembled
+matrices are bitwise reproducible.
 
 Volume and face terms use the plain rule, :func:`hpdg.quadrature.plain_order`
 Gauss points per axis.  On elements touching the singular point the potential
@@ -23,10 +24,10 @@ the normal axis and a 1D Gram of the owners' Legendre polynomials on each
 tangential one, the diagonal 1D mass matrix where the face's interval is both
 owners' own (see :meth:`SipAssembler._face_blocks`).  Those Grams' orthogonal
 entries are exact zeros, and A_sip stores them: its pattern is its element
-graph, whatever the values.  A_sip's blocks are added into per-pair views of
-its element-graph CSR data.  N(u) is block-diagonal, and its blocks are
-returned per degree group with the positions of the matching blocks of
-A_sip's data, so A_sip + N(u) can be written in place;
+graph, whatever the values.  A_sip is that CSR, zero at first and filled
+as the blocks are built: no list of blocks is kept.  N(u) is block-diagonal,
+and its blocks are returned per degree group with the positions of the
+matching blocks of A_sip's data, so A_sip + N(u) can be written in place;
 :meth:`SipAssembler.nonlinear_mass` lays them out as a CSR of their own.
 """
 
@@ -140,18 +141,12 @@ def _grams(phi: np.ndarray, wq: np.ndarray) -> np.ndarray:
     return np.matmul(phi.T * wq[:, None, :], phi)
 
 
-def _csr_from_blocks(space: HpSpace, blocks: list):
-    """Add symmetric blocks into an N x N CSR matrix whose rows of element a
-    hold the dofs of a and of its face neighbours, in id order; returns it and,
-    per element a, the column in a's rows where its diagonal block (a, a) begins.
-
-    ``blocks`` holds the element blocks by element id, then the face blocks
-    by face id: element e's couples its local dofs with themselves, face f's
-    the local dofs of its owners, in owner order.  Each coupled pair (a, b)
-    is a view of ``data``, the (nd[a], nd[b]) columns of b in a's rows, and
-    the blocks are added into the views in that order: a boundary face's into
-    (a, a), an interior face's by quarters into (a, a), (a, b), (b, a), (b, b).
-    """
+def _element_graph(space: HpSpace):
+    """The N x N CSR of zeros on the element graph: the rows of element a
+    hold the dofs of a and of its face neighbours, in id order.  Also returns,
+    per coupled pair (a, b), the (nd[a], nd[b]) view of its data that holds
+    the columns of b in a's rows, and per element a the column in a's rows
+    where its diagonal block (a, a) begins."""
     mesh, nd, off = space.mesh, space.ndofs_el, space.offsets
     n_el = mesh.n_elements
     # Coupled pairs (a, b), sorted: a row of element a holds the dofs of its b in id order.
@@ -164,30 +159,16 @@ def _csr_from_blocks(space: HpSpace, blocks: list):
     indptr = np.concatenate([[0], np.cumsum(np.repeat(row_len, nd))])
     itype = np.int32 if indptr[-1] < 2**31 else np.int64
     cols = np.repeat(off[pairs[:, 1]] - cum[:-1], np.diff(cum)) + np.arange(cum[-1])
-    data, indices = np.zeros(indptr[-1]), np.empty(indptr[-1], dtype=itype)
-    rows = []  # element a's rows of data, (nd[a], row_len[a])
-    for a in range(n_el):
-        span = slice(indptr[off[a]], indptr[off[a] + nd[a]])
-        indices[span].reshape(nd[a], -1)[:] = cols[cum[bounds[a]]:cum[bounds[a + 1]]]
-        rows.append(data[span].reshape(nd[a], -1))
-    col = cum[:-1] - cum[bounds[pairs[:, 0]]]  # where b begins in a row of a
-    view = {(a, b): rows[a][:, c:c + nd[b]] for (a, b), c in zip(pairs.tolist(), col.tolist())}
-
+    a = sp.csr_matrix((np.zeros(indptr[-1]), np.empty(indptr[-1], dtype=itype),
+                       indptr.astype(itype)), shape=(space.N, space.N))
+    rows = []  # element e's rows of data, (nd[e], row_len[e])
     for e in range(n_el):
-        view[e, e] += blocks[e]
-    for (a, b), blk in zip(mesh.faces.owners.tolist(), blocks[n_el:]):
-        if b < 0:
-            view[a, a] += blk
-            continue
-        n = nd[a]
-        view[a, a] += blk[:n, :n]
-        view[a, b] += blk[:n, n:]
-        view[b, a] += blk[n:, :n]
-        view[b, b] += blk[n:, n:]
-    if not np.isfinite(data).all():
-        raise ValueError("assembled SIP matrix contains non-finite entries")
-    a = sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
-    return a, col[pairs[:, 0] == pairs[:, 1]]
+        span = slice(indptr[off[e]], indptr[off[e] + nd[e]])
+        a.indices[span].reshape(nd[e], -1)[:] = cols[cum[bounds[e]]:cum[bounds[e + 1]]]
+        rows.append(a.data[span].reshape(nd[e], -1))
+    col = cum[:-1] - cum[bounds[pairs[:, 0]]]  # where b begins in a row of a
+    view = {(s, t): rows[s][:, c:c + nd[t]] for (s, t), c in zip(pairs.tolist(), col.tolist())}
+    return a, view, col[pairs[:, 0] == pairs[:, 1]]
 
 
 class SipAssembler:
@@ -195,28 +176,30 @@ class SipAssembler:
     the unit-size corner Grams are kept, in a cache shared by the process.
 
     An element of degree p with lengths L has the gradient block
-    sum_m prod(L / 2) (2 / L_m)^2 G_m, G_m the Gram of the axis-m derivative
-    table of :func:`hpdg.hpspace.reference_table`: one ``einsum`` per degree
+    sum_m prod(L / 2) (2 / L_m)^2 G_m, G_m the axis-m reference gradient Gram
+    of :func:`hpdg.hpspace.reference_table`: one ``einsum`` per degree
     group.  Its potential and |u|^(delta-1) Grams are one batched matmul per
-    degree group on the same table.  A corner element's potential block is
-    h^(d - alpha) times :func:`_corner_gram` of its box scaled by 1/h, h its
-    longest edge: the Gram integrated on the tensor grids of the composite
-    rule of :func:`hpdg.quadrature.volume_rule` by sum factorization, from
-    one (boxes, points, p+1) table per axis, never a (points, (p+1)^d) one;
-    the rule reflects the graded rule onto whichever of the box's vertices
-    is the origin.  The Gram is keyed on the scaled box
-    (lo / h, lengths / h), the degree and the potential.  On a graded mesh
+    degree group on the basis table there.  A corner element's potential
+    block is h^(d - alpha) times :func:`_corner_gram` of its box scaled by
+    1/h, h its longest edge: the Gram integrated on the tensor grids of the
+    composite rule of :func:`hpdg.quadrature.volume_rule` by sum
+    factorization, from one (boxes, points, p+1) table per axis, never a
+    (points, (p+1)^d) one; the rule reflects the graded rule onto whichever
+    of the box's vertices is the origin.  The Gram is keyed on the scaled
+    box (lo / h, lengths / h), the degree and the potential.  On a graded mesh
     the corner is the cube (0, h)^d at every level, so a study integrates it
     once per corner degree.  Every face gets its own block, a Kronecker
     product of one small matrix per axis (:meth:`_face_blocks`); the faces
     are batched per pair of owner degrees across all normal axes, and no
-    (points, (p+1)^d) table is formed.  ``sip()`` adds the blocks, elements
-    by id, then faces by id, into views of the CSR
-    data: one (nd[a], nd[b]) view per coupled pair of elements (a, b), the
-    columns of b in a's rows, and records in ``slots`` where each element's
-    diagonal block (a, a) lies in the data.  The pattern is the element
-    graph, so A_sip stores its exact zeros, the orthogonal entries of the
-    face blocks among them.  ``nonlinear_blocks()`` gives the
+    (points, (p+1)^d) table is formed.  ``sip()`` starts from the zero CSR
+    of the element graph (:func:`_element_graph`) and fills it as the blocks
+    are built: it records in ``slots`` where each element's diagonal block
+    (a, a) lies in the data, writes each degree group's element blocks there
+    in one assignment, then adds each face group's quarters, face by face,
+    into the views of the data, one (nd[a], nd[b]) view per coupled pair of
+    elements (a, b), the columns of b in a's rows.  The pattern is the
+    element graph, so A_sip stores its exact zeros, the orthogonal entries
+    of the face blocks among them.  ``nonlinear_blocks()`` gives the
     blocks of N(u) per degree group, in the order of ``slots``: N(u)'s pattern
     lies inside A_sip's, so the SCF loop adds them into A_sip's own data.
     ``nonlinear_mass()`` writes them into a block-diagonal CSR: element e's
@@ -251,23 +234,33 @@ class SipAssembler:
         positions in A_sip's data of its elements' diagonal blocks, row-major,
         where N(u) adds its blocks.  Non-finite entries (elements too small
         for float64) raise one ValueError, not numpy warnings."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            a, diag = _csr_from_blocks(self.space, self._sip_blocks())
-        a.data *= self.space.mesh.copies
+        a, view, diag = _element_graph(self.space)
+        owners = self.space.mesh.faces.owners
         self.slots = [a.indptr[cols][..., None] + diag[ids][:, None, None]
                       + np.arange(cols.shape[1]) for _, ids, _, _, cols in self._groups]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for slots, blocks in zip(self.slots, self._element_blocks()):
+                a.data[slots] = blocks
+            for f, aa, ab, bb in self._face_blocks():
+                for i, (s, t) in enumerate(owners[f].tolist()):
+                    view[s, s] += aa[i]
+                    if t >= 0:
+                        view[s, t] += ab[i]
+                        view[t, s] += ab[i].T
+                        view[t, t] += bb[i]
+                del aa, ab, bb  # not held while the next group is built
+        if not np.isfinite(a.data).all():
+            raise ValueError("assembled SIP matrix contains non-finite entries")
+        a.data *= self.space.mesh.copies
         return a
 
-    def _sip_blocks(self) -> list:
-        """The symmetrized blocks of A_sip, element blocks by element id, then
-        face blocks by face id."""
-        space, pot = self.space, self.potential
-        mesh = space.mesh
-        elements = [None] * mesh.n_elements
+    def _element_blocks(self):
+        """The symmetrized element blocks of A_sip, (k, n, n) per degree
+        group, in the order of ``slots``."""
+        mesh, pot = self.space.mesh, self.potential
         for p, ids, w, phi, _ in self._groups:
-            pts, ref_w, _, dphi = reference_table(p, mesh.d)
+            pts, _, _, grams = reference_table(p, mesh.d)
             half = mesh.lengths[ids] / 2.0
-            grams = np.matmul(np.swapaxes(dphi, 1, 2) * ref_w, dphi)  # (d, n, n) on [0, 2]^d
             grad = np.einsum("km,mij->kij", np.prod(half, axis=1)[:, None] / half**2, grams)
             block = grad
             if pot.alpha is not None:  # V = 0 adds nothing: no potential Grams
@@ -276,13 +269,7 @@ class SipAssembler:
                 block = grad + _grams(phi, w * vq)
                 for c in np.flatnonzero(mesh.corner[ids]).tolist():
                     block[c] = grad[c] + self._corner_block(ids[c], p)
-            for e, b in zip(ids.tolist(), _sym(block)):
-                elements[e] = b
-        blocks = [None] * len(mesh.faces)
-        for fids, group in self._face_blocks():
-            for f, b in zip(fids.tolist(), group):
-                blocks[f] = b
-        return elements + blocks
+            yield _sym(block)
 
     def _corner_block(self, e: int, p: int) -> np.ndarray:
         lo, lengths = self.space.mesh.lo[e], self.space.mesh.lengths[e]
@@ -292,8 +279,11 @@ class SipAssembler:
         return h ** (len(lo) - (self.potential.alpha or 0)) * gram
 
     def _face_blocks(self):
-        """The face blocks, symmetric, batched per pair of owner degrees
-        across all normal axes.  Yields ``(fids, blocks)`` per group.
+        """The quarters of the face blocks, batched per pair of owner degrees
+        across all normal axes.  Yields ``(fids, aa, ab, bb)`` per group: the
+        (a, a), (a, b) and (b, b) quarters of its faces with owners (a, b),
+        (F, n_a, n_a), (F, n_a, n_b) and (F, n_b, n_b); ``ab`` and ``bb`` are
+        None on the boundary, where a face has one owner.
 
         The basis is a tensor product and the face an axis-parallel box, so
         the (s, t) quarter of a face block, s and t its owners, is the
@@ -308,8 +298,8 @@ class SipAssembler:
         polynomials are orthogonal on it and the Gram is the diagonal 1D mass
         matrix, as :meth:`mass` computes it; elsewhere it is integrated with
         the :func:`hpdg.quadrature.plain_order` Gauss rule of p_e.  The
-        (b, a) quarter is the transpose of the (a, b) one, and the factors
-        of the diagonal quarters are symmetric, so every block is bitwise
+        (b, a) quarter is the transpose of ``ab``, and the factors of the
+        diagonal quarters are symmetric, so every face block is bitwise
         symmetric.  No (points, (p+1)^d) table is formed.
         """
         space, mesh = self.space, self.space.mesh
@@ -356,15 +346,10 @@ class SipAssembler:
                         len(f), block.shape[1] * k.shape[1], block.shape[2] * k.shape[2])
                 return block
 
-            aa = quarter(0, 0)
             if len(ps) == 1:
-                yield f, aa
-                continue
-            ab, na = quarter(0, 1), aa.shape[1]
-            blocks = np.empty((len(f), na + ab.shape[2], na + ab.shape[2]))
-            blocks[:, :na, :na], blocks[:, :na, na:] = aa, ab
-            blocks[:, na:, :na], blocks[:, na:, na:] = np.swapaxes(ab, 1, 2), quarter(1, 1)
-            yield f, blocks
+                yield f, quarter(0, 0), None, None
+            else:
+                yield f, quarter(0, 0), quarter(0, 1), quarter(1, 1)
 
     def nonlinear_blocks(self, u: DiscreteField, delta: int, scale: float = 1.0) -> list:
         """Per degree group, the (k, n, n) diagonal blocks of N(u): the

@@ -23,11 +23,10 @@ entries span more than about 1e45 raises EigenSolveError.  A is symmetric, so
 the arrays of its CSR are those of its CSC: A - tau M is formed as one float32
 array of values, shifted on the diagonal while cast, next to A's own index
 arrays, and A is never copied: the traced peak of a factorization is about
-5 bytes per stored entry of A, where forming ``(A - diags(tau d)).tocsc()``
-took 24.  SuperLU gets A's own pattern, the exact zeros that A stores (A_sip
-stores its face blocks' orthogonal entries) and the shifted diagonal included,
-even where the shift cancels: the ordering follows A's stored pattern, not
-which of its entries happen to be zero.
+5 bytes per stored entry of A.  SuperLU gets A's own pattern, the exact zeros
+that A stores (A_sip stores its face blocks' orthogonal entries) and the
+shifted diagonal included, even where the shift cancels: the ordering follows
+A's stored pattern, not which of its entries happen to be zero.
 
 The preconditioner is symmetric positive definite, and the descent to the
 ground state guaranteed, only when tau lies below lambda_1 of the factored

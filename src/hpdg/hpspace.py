@@ -174,17 +174,21 @@ def _evaluate(lo, lengths, degrees, offsets, coeffs, eids, axes, grads=False):
 
 @functools.lru_cache(maxsize=None)
 def reference_table(p: int, d: int):
-    """Points (nq, d), weights (nq,), basis values (nq, (p+1)^d) and derivative
-    tables (d, nq, (p+1)^d) of the :func:`~hpdg.quadrature.plain_order` tensor
-    Gauss rule on [0, 2]^d, in the order of ``element_rule`` and
-    :func:`basis_matrix`: the basis of every element of degree p at its
-    plain-rule points, shared and read-only.  An element's points are
-    lo + pts * lengths / 2, its derivatives along m 2 / lengths[m] times dphi[m]."""
+    """The degree-p tables on [0, 2]^d, shared and read-only: the points
+    (nq, d) and weights (nq,) of the :func:`~hpdg.quadrature.plain_order`
+    tensor Gauss rule, in the order of ``element_rule``; the basis values
+    there (nq, (p+1)^d), in the order of :func:`basis_matrix`; and the d
+    gradient Grams (d, (p+1)^d, (p+1)^d), G_m = sum_q w_q dphi_m dphi_m^T
+    with dphi_m the basis's derivatives along axis m.  An element's points
+    are lo + pts * lengths / 2, and its gradient block is
+    sum_m prod(lengths / 2) (2 / lengths[m])^2 G_m."""
     n = plain_order(p)
     rule = element_rule(np.zeros(d), np.full(d, 2.0), n)
     v, dv = legendre_table(gauss_rule(n).points, p)
-    dphi = [functools.reduce(np.kron, [dv if k == m else v for k in range(d)]) for m in range(d)]
-    tables = rule.points, rule.weights, functools.reduce(np.kron, [v] * d), np.stack(dphi)
+    dphi = np.stack([functools.reduce(np.kron, [dv if k == m else v for k in range(d)])
+                     for m in range(d)])
+    grams = np.matmul(np.swapaxes(dphi, 1, 2) * rule.weights, dphi)
+    tables = rule.points, rule.weights, functools.reduce(np.kron, [v] * d), grams
     for a in tables:
         a.flags.writeable = False
     return tables

@@ -14,6 +14,8 @@ octant mesh replaced, and :func:`singular_rule_per_box` the composite
 singular rule as the loop of one tensor Gauss rule per box that its stacked
 build replaced.  :func:`plane_rule` is one face's Gauss rule as points, the
 reference for the face grids of the batched face blocks and error norms.
+:func:`sip_blocks` gives the element and face blocks that ``sip()`` adds
+into A_sip, each face's block composed whole from its quarters.
 :func:`error_norms_level_by_level` is the error pass of one coarse field
 as it ran once per study level before the levels shared one pass.
 :func:`factor_input` forms the single-precision pencil A - tau M on A's
@@ -197,6 +199,23 @@ def plane_rule(lo, lengths, axis, n):
     t = np.arange(len(lo)) != axis
     rule = element_rule(lo[t], lengths[t], n)
     return np.insert(rule.points, axis, lo[axis], axis=1), rule.weights
+
+
+def sip_blocks(asm):
+    """The symmetrized blocks of A_sip that ``asm.sip()`` adds up, times no
+    copies: the element blocks as a list by element id, and the face blocks
+    as ``(f, block)`` in the order ``sip()`` adds them (face groups in the
+    order of ``SipAssembler._face_blocks``, faces by id inside each).  A face
+    block spans the dofs of its owners, in owner order, and is composed from
+    the quarters the generator yields: [[aa, ab], [ab^T, bb]], or aa alone
+    on the boundary."""
+    elements = [None] * asm.space.mesh.n_elements
+    for (_, ids, *_), blocks in zip(asm._groups, asm._element_blocks()):
+        for e, blk in zip(ids.tolist(), blocks):
+            elements[e] = blk
+    faces = [(f, aa[i] if ab is None else np.block([[aa[i], ab[i]], [ab[i].T, bb[i]]]))
+             for fids, aa, ab, bb in asm._face_blocks() for i, f in enumerate(fids.tolist())]
+    return elements, faces
 
 
 def project_per_element(space, values):

@@ -16,7 +16,8 @@ from hpdg.cli import StudyConfig, run_study
 from hpdg.hpspace import _modes, basis_matrices, basis_matrix, build_space, constant_field
 from hpdg.mesh import build_graded_mesh
 from hpdg.quadrature import element_rule, volume_rule
-from oracles import dense_lambda, element_dofs, full_cube_mesh, plane_rule, projected
+from oracles import (dense_lambda, element_dofs, full_cube_mesh, plane_rule, projected,
+                     sip_blocks)
 
 
 def bubble(pts):
@@ -206,9 +207,9 @@ def test_refining_keeps_energy_of_continuous_field():
 
 
 def test_assembly_deterministic_under_face_order_and_rerun():
-    """Contributions are accumulated in a fixed global ordering (elements by
-    id, then faces by id), so the result is bitwise identical across reruns,
-    and so is the hand-built CSR pattern."""
+    """Contributions are accumulated in a fixed order (element blocks, then
+    face groups, faces by id inside each), so the result is bitwise identical
+    across reruns, and so is the hand-built CSR pattern."""
     for d in (2, 3):
         space, a = make(2, alpha=1.0, d=d)
         b = SipAssembler(space, Potential(1.0, -1), PenaltyConfig(10.0)).sip()
@@ -220,16 +221,19 @@ def test_assembly_deterministic_under_face_order_and_rerun():
 @pytest.mark.parametrize("d,sigma,ell", [(2, 0.5, 3), (2, 0.3, 3), (3, 0.5, 2), (3, 0.3, 2)])
 def test_sip_sums_blocks_in_element_then_face_order(d, sigma, ell):
     """Every entry of A_sip is 0 plus its element block, then its face blocks
-    in face-id order, times the mesh's copies: bitwise the dense sum of
-    ``_sip_blocks()`` in that order, on the octant and on the whole cube.
-    sigma < 1/2 gives non-cubic elements and their sub-faces, slope > 0 mixed
-    degrees, alpha on the whole cube a corner block at each of its 2^d corners."""
+    in the order ``sip()`` adds them (face groups in the order of
+    ``_face_blocks()``, faces by id inside each), times the mesh's copies:
+    bitwise the dense sum of ``sip_blocks`` in that order, on the octant and
+    on the whole cube.  sigma < 1/2 gives non-cubic elements and their
+    sub-faces, slope > 0 mixed degrees, alpha on the whole cube a corner block
+    at each of its 2^d corners."""
     for mesh in (build_graded_mesh(d, sigma, ell), full_cube_mesh(d, sigma, ell)):
         space = build_space(mesh, 1, 0.5)
         asm = SipAssembler(space, Potential(1.0, -1), PenaltyConfig())
-        owners = [[e, -1] for e in range(mesh.n_elements)] + mesh.faces.owners.tolist()
+        elements, faces = sip_blocks(asm)
+        owners = [[e] for e in range(mesh.n_elements)] + [mesh.faces.owners[f] for f, _ in faces]
         dense = np.zeros((space.N, space.N))
-        for own, blk in zip(owners, asm._sip_blocks()):
+        for own, blk in zip(owners, elements + [b for _, b in faces]):
             dofs = np.concatenate([space.offsets[o] + np.arange(space.ndofs_el[o])
                                    for o in own if o >= 0])
             dense[np.ix_(dofs, dofs)] += blk
@@ -353,10 +357,11 @@ def test_every_face_block_equals_fresh_integration(d, sigma, ell, p0, slope):
     pot, pen = Potential(1.0, -1.0), PenaltyConfig(10.0)
     for mesh in (full_cube_mesh(d, sigma, ell), build_graded_mesh(d, sigma, ell)):
         space = build_space(mesh, p0, slope)
-        blocks, n_el = SipAssembler(space, pot, pen)._sip_blocks(), mesh.n_elements
-        for e, blk in enumerate(blocks[:n_el]):
+        elements, faces = sip_blocks(SipAssembler(space, pot, pen))
+        assert sorted(f for f, _ in faces) == list(range(len(mesh.faces)))
+        for e, blk in enumerate(elements):
             _close(blk, _sym(_fresh_element_block(space, pot, e)))
-        for f, blk in enumerate(blocks[n_el:]):
+        for f, blk in faces:
             _close(blk, _sym(_fresh_face_block(space, f, pen.alpha0)))
             assert np.array_equal(blk, blk.T)
 
@@ -371,9 +376,8 @@ def test_matched_face_intervals_give_exact_orthogonality(d, sigma, ell, slope):
     mesh = build_graded_mesh(d, sigma, ell)
     space = build_space(mesh, 1, slope)
     asm = SipAssembler(space, Potential(1.0, -1.0), PenaltyConfig())
-    faces, blocks = mesh.faces, asm._sip_blocks()[mesh.n_elements:]
-    checked = 0
-    for f, blk in enumerate(blocks):
+    faces, checked = mesh.faces, 0
+    for f, blk in sip_blocks(asm)[1]:
         own = [o for o in faces.owners[f].tolist() if o >= 0]
         tang = [m for m in range(d) if m != faces.axis[f]
                 and all(mesh.lo[o, m] == faces.lo[f, m]
@@ -480,6 +484,24 @@ def test_corner_gram_never_forms_the_point_table():
     finally:
         tracemalloc.stop()
     assert peak < nq * (p + 1) ** 3 * 8 / 3
+
+
+def test_sip_peaks_below_three_times_its_data():
+    """``sip()`` adds A_sip's blocks into its CSR as they are built and keeps
+    no list of them: on the 3D octant (ell 5, p0 2, slope 1/2, alpha 1/2) a
+    warm call's traced peak stays below 3 x the returned data, of which the
+    CSR itself (float64 data, int32 indices) is 1.5 x.  A build that
+    collects every block before adding them in peaks at 3.6 x."""
+    space = build_space(build_graded_mesh(3, 0.5, 5), 2, 0.5)
+    asm = SipAssembler(space, Potential(0.5, -1), PenaltyConfig())
+    asm.sip()  # warms the reference tables and the corner Grams
+    tracemalloc.start()
+    try:
+        a = asm.sip()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * a.data.nbytes
 
 
 @pytest.mark.parametrize("d,p0", [(2, 2), (3, 1)])
