@@ -12,8 +12,6 @@ from .assembly import PenaltyConfig, Potential, assemble_mass
 from .eigsolve import EigenSolveError, EigResult, smallest_eigenpair
 from .hpspace import DiscreteField, HpSpace, build_space, constant_field, inject
 from .mesh import GradedMesh, build_graded_mesh
-from .quadrature import (ElementRule, QuadRule1D, element_rule, gauss_rule,
-                         singular_rule, volume_rule)
 from .scf import ScfConfig, ScfReport, discrete_energy, solve_ground_state
 
 __version__ = "0.1.0"

@@ -5,44 +5,38 @@ Contributions are accumulated in a fixed order (the element blocks, then the
 face groups in a fixed order, faces by id inside each), so the assembled
 matrices are bitwise reproducible.
 
-Volume and face terms use the plain rule, :func:`hpdg.quadrature.plain_order`
-Gauss points per axis.  On elements touching the singular point the potential
-term is integrated with the composite graded rule of
-:func:`hpdg.quadrature.singular_rule`; gradient and mass terms are polynomial
-and therefore already exact with the plain rule.  V = sign * r^(-alpha) is
-homogeneous and the modal basis does not change with the element's size, so
-a corner element with longest edge h has the potential block h^(d - alpha) G,
-G the Gram of its box scaled by 1/h; G is integrated once per process and
-per (scaled box, degree, potential), by sum factorization on the composite
-rule's per-box tensor grids, and cached read-only.  The nonlinear
-coefficient |u|^(delta-1) is evaluated pointwise at the plain-rule points (a
-controlled variational crime, see README).  The mesh is arrays, so the
-per-element blocks are batched per degree, the gradient blocks as scaled
-reference Grams.  The face blocks are batched per pair of owner degrees, each
-one a Kronecker product of d small matrices, one per axis: a trace matrix on
-the normal axis and a 1D Gram of the owners' Legendre polynomials on each
-tangential one, the diagonal 1D mass matrix where the face's interval is both
-owners' own (see :meth:`SipAssembler._face_blocks`).  Those Grams' orthogonal
-entries are exact zeros, and A_sip stores them: its pattern is its element
-graph, whatever the values.  A_sip is that CSR, zero at first and filled
-as the blocks are built: no list of blocks is kept.  N(u) is block-diagonal,
-and its blocks are returned per degree group with the positions of the
-matching blocks of A_sip's data, so A_sip + N(u) can be written in place;
-:meth:`SipAssembler.nonlinear_mass` lays them out as a CSR of their own.
+The basis is a tensor product and every rule a union of tensor grids, so
+every weighted Gram on an element is one kernel, :func:`_tensor_gram`, which
+sums over the points one axis at a time (sum factorization).  Volume terms
+use the plain rule, :func:`hpdg.quadrature.plain_order` Gauss points per
+axis; the gradient Grams are exact Kronecker products, from no rule.  On the
+elements touching the singular point the potential is integrated with the
+composite graded rule of :func:`hpdg.quadrature.volume_rule`.  V = sign *
+r^(-alpha) is homogeneous, so a corner element with longest edge h has the
+potential block h^(d - alpha) G, G the Gram of its box scaled by 1/h, cached
+read-only per (scaled box, degree, potential).  The nonlinear coefficient
+|u|^(delta-1) is evaluated pointwise at the plain-rule points (a controlled
+variational crime, see README).  Each face block is a Kronecker product of d
+small matrices, one per axis (:meth:`SipAssembler._face_blocks`).  The
+orthogonal entries of these Grams are exact zeros, and A_sip stores them: its
+pattern is its element graph, filled as the blocks are built.  N(u) is
+block-diagonal; its blocks come per degree group with the positions of the
+matching blocks of A_sip's data, so A_sip + N(u) can be written in place.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import legendre_table
-from .hpspace import DiscreteField, HpSpace, _local_mass_diag, basis_matrix, reference_table
-from .quadrature import _box_grid, plain_order, volume_rule
+from ._kernels import legendre_l2_norms_sq, legendre_table
+from .hpspace import DiscreteField, HpSpace, _local_mass_diag, basis_matrix
+from .quadrature import _box_grid, gauss_rule, plain_order, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
 
@@ -84,40 +78,82 @@ class Potential:
         return self.sign * np.sqrt(r2) ** (-self.alpha)
 
 
+def _on_grid(potential: Potential, axes) -> np.ndarray:
+    """V on B tensor grids of per-axis coordinates ``axes[m]`` (B, n), as (B, n^d)."""
+    nb, n = axes[0].shape
+    r2 = axes[0] * axes[0]
+    for m, x in enumerate(axes[1:], 1):
+        r2 = r2[..., None] + (x * x).reshape(nb, *(1,) * m, n)
+    return potential.radial(r2).reshape(nb, -1)
+
+
+def _pairs(t: np.ndarray) -> np.ndarray:
+    """The products t[..., q, i] t[..., q, j] of a (..., n, k) table, as (..., n, k^2)."""
+    return (t[..., :, None] * t[..., None, :]).reshape(*t.shape[:-1], -1)
+
+
+def _tensor_gram(pairs, w: np.ndarray, total: bool = False) -> np.ndarray:
+    """The Grams G_b[I, J] = sum_q w[b, q] prod_m T_m[q_m, i_m] T_m[q_m, j_m]
+    on B tensor grids of n points per axis, first axis slowest, summed one
+    axis at a time (sum factorization), the last axis per grid first:
+    ``pairs[m]`` is :func:`_pairs` of axis m's table, (B, n, k^2) or shared
+    (n, k^2), and ``w`` (B, n^d) the weights times the integrand.  Returns
+    the (B, k^d, k^d) Grams in the mode order of
+    :func:`hpdg.hpspace.basis_matrix`, or with ``total`` (per-grid pairs)
+    their sum, taken together with the sum over axis 0."""
+    d, nb = len(pairs), len(w)
+    n, kk = pairs[0].shape[-2:]
+    g = w.reshape(nb, -1, n) @ pairs[-1]
+    for m in range(d - 2, 0, -1):  # (B, n^(m+1), K) -> (B, n^m, k^2 K)
+        g = np.matmul(np.swapaxes(pairs[m], -1, -2)[..., None, :, :],
+                      g.reshape(nb, -1, n, g.shape[-1]))
+        g = g.reshape(nb, n**m, -1)
+    if total:
+        g = pairs[0].reshape(-1, kk).T @ g.reshape(nb * n, -1)
+    else:
+        g = np.swapaxes(pairs[0], -1, -2) @ g.reshape(nb, n, -1)
+    k = math.isqrt(kk)
+    gram = g.reshape(-1, *(k, k) * d).transpose(0, *range(1, 2 * d, 2), *range(2, 2 * d + 1, 2))
+    gram = gram.reshape(-1, k**d, k**d)
+    return gram[0] if total else gram
+
+
 @functools.lru_cache(maxsize=None)
 def _corner_gram(lo: tuple, lengths: tuple, p: int, potential: Potential) -> np.ndarray:
     """The potential Gram of the degree-p basis on the corner box
-    lo + [0, lengths], integrated with :func:`hpdg.quadrature.volume_rule`
-    by sum factorization; cached read-only, like
-    :func:`hpdg.quadrature._unit_singular_rule`.
-
-    The rule is B tensor grids of n points per axis, and the basis is a
-    tensor product, so G[I, J] = sum_b sum_q w_bq V_bq prod_m T_m[b, q_m, i_m]
-    T_m[b, q_m, j_m], T_m the (B, n, p+1) table of axis m.  The sum is taken
-    axis by axis: the last axis per box first, then axis 0 together with the
-    sum over the boxes, in (i_0 j_0, i_1 j_1, ...) order, and reordered to
-    (I, J) at the end.  No (points, (p+1)^d) table is formed.
-    """
+    lo + [0, lengths]: :func:`_tensor_gram` summed over the B grids of
+    :func:`hpdg.quadrature.volume_rule`, from one (B, n, p+1) table per
+    axis; cached read-only."""
     lo, lengths = np.array(lo), np.array(lengths)
     rule = volume_rule(lo, lengths, p)
-    axes, d, k = rule.axes, len(lo), p + 1
-    (nb, n), w = axes[0].shape, rule.grid_weights
-    r2 = axes[0] * axes[0]
-    pairs = []  # per axis, T_m[b, q, i] T_m[b, q, j] as (B, n, k^2)
-    for m, x in enumerate(axes):
-        if m:
-            r2 = r2[..., None] + (x * x).reshape(nb, *(1,) * m, n)
-        t = basis_matrix(lo[m:m + 1], lengths[m:m + 1], p, x.reshape(-1, 1)).reshape(nb, n, k)
-        pairs.append((t[..., :, None] * t[..., None, :]).reshape(nb, n, k * k))
-    g = (w * potential.radial(r2).reshape(nb, -1)).reshape(nb, -1, n) @ pairs[-1]
-    for m in range(d - 2, 0, -1):  # (B, n^(m+1), K) -> (B, n^m, k^2 K)
-        g = np.matmul(np.swapaxes(pairs[m], 1, 2)[:, None], g.reshape(nb, -1, n, g.shape[-1]))
-        g = g.reshape(nb, n**m, -1)
-    g = pairs[0].reshape(-1, k * k).T @ g.reshape(nb * n, -1)
-    gram = g.reshape((k, k) * d).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
-    gram = gram.reshape(k**d, k**d)
+    nb, n = rule.axes[0].shape
+    pairs = [_pairs(basis_matrix(lo[m:m + 1], lengths[m:m + 1], p, x.reshape(-1, 1))
+                    .reshape(nb, n, p + 1)) for m, x in enumerate(rule.axes)]
+    gram = _tensor_gram(pairs, rule.grid_weights * _on_grid(potential, rule.axes), total=True)
     gram.flags.writeable = False
     return gram
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_tables(p: int, d: int):
+    """What the degree-p elements in d dimensions share, read-only: the
+    :func:`_pairs` (n, (p+1)^2) of the Legendre table at the n =
+    plain_order(p) Gauss nodes; the basis there, (n^d, (p+1)^d) in the order
+    of :func:`hpdg.hpspace.basis_matrix`; and the d gradient Grams on
+    [-1, 1]^d, G_m the Kronecker product of the 1D stiffness
+    int P_i' P_j' = min(i, j) (min(i, j) + 1) (i + j even, else 0) on axis m
+    and the diagonal 1D mass on the others."""
+    v = legendre_table(gauss_rule(plain_order(p)).points, p, False)[0]
+    i = np.arange(p + 1)
+    low = np.minimum.outer(i, i)
+    stiff = np.where((i[:, None] + i) % 2 == 0, low * (low + 1), 0).astype(float)
+    mass = np.diag(legendre_l2_norms_sq(p))
+    grams = np.stack([functools.reduce(np.kron, [stiff if a == m else mass for a in range(d)])
+                      for m in range(d)])
+    tables = _pairs(v), functools.reduce(np.kron, [v] * d), grams
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
@@ -134,11 +170,6 @@ class PenaltyConfig:
 
 def _sym(b: np.ndarray) -> np.ndarray:
     return 0.5 * (b + np.swapaxes(b, -1, -2))
-
-
-def _grams(phi: np.ndarray, wq: np.ndarray) -> np.ndarray:
-    """phi^T diag(wq[k]) phi for every row k of ``wq``, as one batched matmul."""
-    return np.matmul(phi.T * wq[:, None, :], phi)
 
 
 def _element_graph(space: HpSpace):
@@ -173,59 +204,52 @@ def _element_graph(space: HpSpace):
 
 class SipAssembler:
     """Builds A_sip, M and N(u) from reference data, anew on every call; only
-    the unit-size corner Grams are kept, in a cache shared by the process.
+    the corner Grams and the tables of :func:`_plain_tables` are kept, in
+    read-only caches shared by the process.
 
     An element of degree p with lengths L has the gradient block
-    sum_m prod(L / 2) (2 / L_m)^2 G_m, G_m the axis-m reference gradient Gram
-    of :func:`hpdg.hpspace.reference_table`: one ``einsum`` per degree
-    group.  Its potential and |u|^(delta-1) Grams are one batched matmul per
-    degree group on the basis table there.  A corner element's potential
-    block is h^(d - alpha) times :func:`_corner_gram` of its box scaled by
-    1/h, h its longest edge: the Gram integrated on the tensor grids of the
-    composite rule of :func:`hpdg.quadrature.volume_rule` by sum
-    factorization, from one (boxes, points, p+1) table per axis, never a
-    (points, (p+1)^d) one; the rule reflects the graded rule onto whichever
-    of the box's vertices is the origin.  The Gram is keyed on the scaled
-    box (lo / h, lengths / h), the degree and the potential.  On a graded mesh
-    the corner is the cube (0, h)^d at every level, so a study integrates it
-    once per corner degree.  Every face gets its own block, a Kronecker
-    product of one small matrix per axis (:meth:`_face_blocks`); the faces
-    are batched per pair of owner degrees across all normal axes, and no
-    (points, (p+1)^d) table is formed.  ``sip()`` starts from the zero CSR
-    of the element graph (:func:`_element_graph`) and fills it as the blocks
-    are built: it records in ``slots`` where each element's diagonal block
-    (a, a) lies in the data, writes each degree group's element blocks there
-    in one assignment, then adds each face group's quarters, face by face,
-    into the views of the data, one (nd[a], nd[b]) view per coupled pair of
-    elements (a, b), the columns of b in a's rows.  The pattern is the
-    element graph, so A_sip stores its exact zeros, the orthogonal entries
-    of the face blocks among them.  ``nonlinear_blocks()`` gives the
-    blocks of N(u) per degree group, in the order of ``slots``: N(u)'s pattern
-    lies inside A_sip's, so the SCF loop adds them into A_sip's own data.
-    ``nonlinear_mass()`` writes them into a block-diagonal CSR: element e's
-    block, row-major, where the CSR row of its first dof starts.  ``sip()``,
-    ``mass()`` and ``nonlinear_blocks()`` count each integral
+    sum_m prod(L / 2) (2 / L_m)^2 G_m, G_m the exact reference gradient Grams
+    of :func:`_plain_tables`: one ``einsum`` per degree group.  Its potential
+    and |u|^(delta-1) Grams are one :func:`_tensor_gram` per degree group on
+    the shared per-axis table, the weights those of the group's
+    :func:`hpdg.quadrature._box_grid` times V or |u|^(delta-1) there; u at
+    the points is one matmul with the shared value table.  A corner element's
+    potential block is h^(d - alpha) times :func:`_corner_gram` of its box
+    scaled by 1/h, keyed on (lo / h, lengths / h), the degree and the
+    potential; on a graded mesh the corner is (0, h)^d at every level, so a
+    study integrates it once per corner degree.  Every face gets its own
+    block (:meth:`_face_blocks`).  ``sip()`` starts from the zero CSR of the
+    element graph (:func:`_element_graph`) and fills it as the blocks are
+    built: it records in ``slots`` where each element's diagonal block lies
+    in the data, writes each degree group's element blocks there in one
+    assignment, then adds each face group's quarters, face by face, into the
+    (nd[a], nd[b]) views of the data of the coupled pairs (a, b).
+    ``nonlinear_blocks()`` gives the blocks of N(u) per degree group, in the
+    order of ``slots``, which the SCF loop adds into A_sip's own data;
+    ``nonlinear_mass()`` writes them into a block-diagonal CSR of their own.
+    ``sip()``, ``mass()`` and ``nonlinear_blocks()`` count each integral
     ``mesh.copies`` times, once per mirror image of the mesh in the cube.
-    With no potential (``alpha=None``) no potential Gram is formed, on the
-    plain rule or at the corner.
+    With no potential (``alpha=None``) no potential Gram is formed.
     """
 
     def __init__(self, space: HpSpace, potential: Potential, penalty: PenaltyConfig):
         self.space = space
         self.potential = potential
         self.penalty = penalty
-        # per degree: p, element ids, plain-rule weights (k, nq), shared table, dofs (k, n)
-        self._groups = []
+        self._groups = []  # per degree: p, element ids, dofs (k, n)
         for p in np.unique(space.degrees).tolist():
             ids = np.flatnonzero(space.degrees == p)
-            _, ref_w, phi, _ = reference_table(p, space.mesh.d)
-            w = ref_w * np.prod(space.mesh.lengths[ids][:, None, :] / 2.0, axis=2)
-            cols = space.offsets[ids][:, None] + np.arange(phi.shape[1])
-            self._groups.append((p, ids, w, phi, cols))
+            cols = space.offsets[ids][:, None] + np.arange((p + 1) ** space.mesh.d)
+            self._groups.append((p, ids, cols))
+
+    @functools.cached_property
+    def _grids(self) -> list:  # per degree group, its elements' plain-rule grids
+        lo, lengths = self.space.mesh.lo, self.space.mesh.lengths
+        return [_box_grid(lo[ids], lengths[ids], plain_order(p)) for p, ids, _ in self._groups]
 
     def mass(self) -> sp.csr_matrix:
         diag = np.empty(self.space.N)
-        for p, ids, _, _, cols in self._groups:
+        for p, ids, cols in self._groups:
             diag[cols] = _local_mass_diag(self.space.mesh.lengths[ids], p)
         return sp.diags(self.space.mesh.copies * diag, format="csr")
 
@@ -237,7 +261,7 @@ class SipAssembler:
         a, view, diag = _element_graph(self.space)
         owners = self.space.mesh.faces.owners
         self.slots = [a.indptr[cols][..., None] + diag[ids][:, None, None]
-                      + np.arange(cols.shape[1]) for _, ids, _, _, cols in self._groups]
+                      + np.arange(cols.shape[1]) for _, ids, cols in self._groups]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for slots, blocks in zip(self.slots, self._element_blocks()):
                 a.data[slots] = blocks
@@ -258,15 +282,13 @@ class SipAssembler:
         """The symmetrized element blocks of A_sip, (k, n, n) per degree
         group, in the order of ``slots``."""
         mesh, pot = self.space.mesh, self.potential
-        for p, ids, w, phi, _ in self._groups:
-            pts, _, _, grams = reference_table(p, mesh.d)
+        for (p, ids, _), (axes, w) in zip(self._groups, self._grids):
+            pairs, _, grams = _plain_tables(p, mesh.d)
             half = mesh.lengths[ids] / 2.0
             grad = np.einsum("km,mij->kij", np.prod(half, axis=1)[:, None] / half**2, grams)
             block = grad
             if pot.alpha is not None:  # V = 0 adds nothing: no potential Grams
-                vq = pot((mesh.lo[ids][:, None, :] + pts * half[:, None, :])
-                         .reshape(-1, mesh.d)).reshape(w.shape)
-                block = grad + _grams(phi, w * vq)
+                block = grad + _tensor_gram([pairs] * mesh.d, w * _on_grid(pot, axes))
                 for c in np.flatnonzero(mesh.corner[ids]).tolist():
                     block[c] = grad[c] + self._corner_block(ids[c], p)
             yield _sym(block)
@@ -285,22 +307,19 @@ class SipAssembler:
         (F, n_a, n_a), (F, n_a, n_b) and (F, n_b, n_b); ``ab`` and ``bb`` are
         None on the boundary, where a face has one owner.
 
-        The basis is a tensor product and the face an axis-parallel box, so
-        the (s, t) quarter of a face block, s and t its owners, is the
+        The (s, t) quarter of a face block, s and t its owners, is the
         Kronecker product of d matrices, one per axis, first axis slowest.
         On the normal axis it is the trace matrix
         gamma j_s j_t^T - (n_s j_t^T + j_s n_t^T): j the owner's Legendre
         values at the face plane, negated for the plus-side owner, n its
         normal derivatives, halved on an interior face and signed on a
         boundary one.  On each tangential axis it is the Gram of the two
-        owners' Legendre polynomials on the face's interval.  Where that
-        interval is both owners' own, compared exactly, the Legendre
-        polynomials are orthogonal on it and the Gram is the diagonal 1D mass
-        matrix, as :meth:`mass` computes it; elsewhere it is integrated with
-        the :func:`hpdg.quadrature.plain_order` Gauss rule of p_e.  The
-        (b, a) quarter is the transpose of ``ab``, and the factors of the
-        diagonal quarters are symmetric, so every face block is bitwise
-        symmetric.  No (points, (p+1)^d) table is formed.
+        owners' Legendre polynomials on the face's interval: where that
+        interval is both owners' own, compared exactly, the diagonal 1D mass
+        matrix of :meth:`mass`; elsewhere integrated with the
+        :func:`hpdg.quadrature.plain_order` Gauss rule of p_e.  The (b, a)
+        quarter is the transpose of ``ab``, and the factors of the diagonal
+        quarters are symmetric, so every face block is bitwise symmetric.
         """
         space, mesh = self.space, self.space.mesh
         faces, d = mesh.faces, mesh.d
@@ -358,9 +377,12 @@ class SipAssembler:
             raise ValueError(f"delta must be one of {NONLINEAR_EXPONENTS}, got {delta}")
         if u.space is not self.space:
             raise ValueError("state field does not belong to the assembler's space")
-        scale = scale * self.space.mesh.copies
-        blocks = [_sym(_grams(phi, w * (scale * np.abs(u.coeffs[cols] @ phi.T) ** (delta - 1))))
-                  for _, _, w, phi, cols in self._groups]
+        scale, d = scale * self.space.mesh.copies, self.space.mesh.d
+        blocks = []
+        for (p, _, cols), (_, w) in zip(self._groups, self._grids):
+            pairs, phi, _ = _plain_tables(p, d)
+            uq = u.coeffs[cols] @ phi.T
+            blocks.append(_sym(_tensor_gram([pairs] * d, w * (scale * np.abs(uq) ** (delta - 1)))))
         if not all(np.isfinite(b).all() for b in blocks):
             raise ValueError("nonlinear mass matrix contains non-finite entries")
         return blocks
@@ -373,8 +395,8 @@ class SipAssembler:
         indptr = np.concatenate([[0], np.cumsum(np.repeat(nd, nd))])
         itype = np.int32 if indptr[-1] < 2**31 else np.int64
         data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=itype)
-        for (_, _, _, phi, cols), g in zip(self._groups, self.nonlinear_blocks(u, delta, scale)):
-            pos = indptr[cols][..., None] + np.arange(phi.shape[1])  # (k, n, n): row-major blocks
+        for (_, _, cols), g in zip(self._groups, self.nonlinear_blocks(u, delta, scale)):
+            pos = indptr[cols][..., None] + np.arange(cols.shape[1])  # (k, n, n): row-major blocks
             data[pos], indices[pos] = g, cols[:, None, :]
         return sp.csr_matrix((data, indices, indptr.astype(itype)), shape=(space.N, space.N))
 

@@ -167,8 +167,8 @@ def smallest_eigenpair(a, m, x0, tol: float = DEFAULT_TOL,
     solve of a nearby pencil of the same size; when given, nothing is
     factored.  ``orient`` fixes the sign so x.M.orient >= 0.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance tol must be finite and positive, got {tol}")
     n = a.shape[0]
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):

@@ -8,7 +8,7 @@ contiguously per element, in element-id order.  Fields are evaluated and
 injected on tensor grids of per-axis coordinates, the grouped rules of
 :mod:`hpdg.quadrature`: one dense basis table per degree group, one batched
 matmul, with every entry computed as :func:`basis_matrix` computes it at that
-point.
+point.  The Grams of :mod:`hpdg.assembly` need no such table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import mesh as meshmod
 from ._kernels import legendre_l2_norms_sq, legendre_table
-from .quadrature import element_rule, element_rules, gauss_rule, plain_order
+from .quadrature import element_rules, plain_order
 
 
 @dataclass
@@ -170,28 +170,6 @@ def _evaluate(lo, lengths, degrees, offsets, coeffs, eids, axes, grads=False):
         for m, g in enumerate(dphi):
             dvals[m, rows] = np.matmul(g, c)[..., 0]
     return vals, dvals
-
-
-@functools.lru_cache(maxsize=None)
-def reference_table(p: int, d: int):
-    """The degree-p tables on [0, 2]^d, shared and read-only: the points
-    (nq, d) and weights (nq,) of the :func:`~hpdg.quadrature.plain_order`
-    tensor Gauss rule, in the order of ``element_rule``; the basis values
-    there (nq, (p+1)^d), in the order of :func:`basis_matrix`; and the d
-    gradient Grams (d, (p+1)^d, (p+1)^d), G_m = sum_q w_q dphi_m dphi_m^T
-    with dphi_m the basis's derivatives along axis m.  An element's points
-    are lo + pts * lengths / 2, and its gradient block is
-    sum_m prod(lengths / 2) (2 / lengths[m])^2 G_m."""
-    n = plain_order(p)
-    rule = element_rule(np.zeros(d), np.full(d, 2.0), n)
-    v, dv = legendre_table(gauss_rule(n).points, p)
-    dphi = np.stack([functools.reduce(np.kron, [dv if k == m else v for k in range(d)])
-                     for m in range(d)])
-    grams = np.matmul(np.swapaxes(dphi, 1, 2) * rule.weights, dphi)
-    tables = rule.points, rule.weights, functools.reduce(np.kron, [v] * d), grams
-    for a in tables:
-        a.flags.writeable = False
-    return tables
 
 
 def _local_mass_diag(lengths: np.ndarray, p: int) -> np.ndarray:

@@ -164,7 +164,7 @@ def test_rejects_bad_tolerance():
         smallest_eigenpair(a, a, x0=np.ones(3), tol=0.0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
 def test_bad_tolerance_is_refused_before_anything_is_factored(monkeypatch, tol):
     def splu(*args, **kwargs):
         raise AssertionError("factored")
