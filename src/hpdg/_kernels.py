@@ -1,4 +1,6 @@
-"""Hot numeric kernels: Legendre tables, norms and Gram sums."""
+"""The pieces of the tensor basis: the Legendre tables and norms on [-1, 1]
+and :func:`_kron`, their one Kronecker product.  :func:`weighted_gram` is
+kept for the tests and ``studybench/layers.py``."""
 
 from __future__ import annotations
 
@@ -33,6 +35,16 @@ def legendre_table(x, p, derivatives=True):
 def legendre_l2_norms_sq(p: int) -> np.ndarray:
     """Squared L2([-1,1]) norms of P_0..P_p, i.e. 2/(2k+1)."""
     return 2.0 / (2.0 * np.arange(p + 1) + 1.0)
+
+
+def _kron(a, b):
+    """The Kronecker products of the trailing matrices of a (..., r, c) and
+    b (..., s, t), batched over the leading axes: (..., r s, c t), entry
+    (i s + k, j t + l) = a[..., i, j] * b[..., k, l].  The first factor is
+    the slowest, so tensor modes and grid points run first axis slowest."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, r, s, c, t = out.shape
+    return out.reshape(*lead, r * s, c * t)
 
 
 def weighted_gram(phi, w):

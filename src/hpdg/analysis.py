@@ -98,7 +98,8 @@ def error_norms(coarse, reference: DiscreteField):
     linf = np.max(np.abs(diff(every, cid.ravel(), every, corners)[0]).reshape(n_levels, -1), axis=1)
     # The rules are grouped over the (level, item) pairs, level-major.  Each
     # level's sums take its rows of the weights as an F-ordered copy: the
-    # layout of a lone level's rule, which einsum rounds alike.
+    # layout of a lone level's rule (quadrature._box_grid's weights are
+    # F-ordered), which einsum rounds alike; a C-ordered copy rounds apart.
     l2_sq, h1_sq = np.zeros((n_levels, n_el)), np.zeros((n_levels, n_el))
     boxes = np.tile(mesh.lo, (n_levels, 1)), np.tile(mesh.lengths, (n_levels, 1))
     for pairs, axes, weights in element_rules(*boxes, (np.maximum(space.degrees, p_c) + 2).ravel()):

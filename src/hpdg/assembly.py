@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import legendre_l2_norms_sq, legendre_table
-from .hpspace import DiscreteField, HpSpace, _local_mass_diag, basis_matrix
+from ._kernels import _kron, legendre_l2_norms_sq, legendre_table
+from .hpspace import DiscreteField, HpSpace, _axis_table, _local_mass_diag, basis_matrix
 from .quadrature import _box_grid, gauss_rule, plain_order, volume_rule
 
 NONLINEAR_EXPONENTS = (2, 3, 4)
@@ -94,12 +94,12 @@ def _pairs(t: np.ndarray) -> np.ndarray:
 
 def _tensor_gram(pairs, w: np.ndarray, total: bool = False) -> np.ndarray:
     """The Grams G_b[I, J] = sum_q w[b, q] prod_m T_m[q_m, i_m] T_m[q_m, j_m]
-    on B tensor grids of n points per axis, first axis slowest, summed one
-    axis at a time (sum factorization), the last axis per grid first:
+    on B tensor grids of n points per axis, summed one axis at a time (sum
+    factorization), the last axis per grid first:
     ``pairs[m]`` is :func:`_pairs` of axis m's table, (B, n, k^2) or shared
     (n, k^2), and ``w`` (B, n^d) the weights times the integrand.  Returns
-    the (B, k^d, k^d) Grams in the mode order of
-    :func:`hpdg.hpspace.basis_matrix`, or with ``total`` (per-grid pairs)
+    the (B, k^d, k^d) Grams in the mode and point order of
+    :func:`hpdg._kernels._kron`, or with ``total`` (per-grid pairs)
     their sum, taken together with the sum over axis 0."""
     d, nb = len(pairs), len(w)
     n, kk = pairs[0].shape[-2:]
@@ -138,19 +138,18 @@ def _corner_gram(lo: tuple, lengths: tuple, p: int, potential: Potential) -> np.
 def _plain_tables(p: int, d: int):
     """What the degree-p elements in d dimensions share, read-only: the
     :func:`_pairs` (n, (p+1)^2) of the Legendre table at the n =
-    plain_order(p) Gauss nodes; the basis there, (n^d, (p+1)^d) in the order
-    of :func:`hpdg.hpspace.basis_matrix`; and the d gradient Grams on
-    [-1, 1]^d, G_m the Kronecker product of the 1D stiffness
-    int P_i' P_j' = min(i, j) (min(i, j) + 1) (i + j even, else 0) on axis m
-    and the diagonal 1D mass on the others."""
+    plain_order(p) Gauss nodes; the basis there, (n^d, (p+1)^d); and the d
+    gradient Grams on [-1, 1]^d, G_m the :func:`hpdg._kernels._kron` product
+    of the 1D stiffness int P_i' P_j' = min(i, j) (min(i, j) + 1) (i + j even,
+    else 0) on axis m and the diagonal 1D mass on the others."""
     v = legendre_table(gauss_rule(plain_order(p)).points, p, False)[0]
     i = np.arange(p + 1)
     low = np.minimum.outer(i, i)
     stiff = np.where((i[:, None] + i) % 2 == 0, low * (low + 1), 0).astype(float)
     mass = np.diag(legendre_l2_norms_sq(p))
-    grams = np.stack([functools.reduce(np.kron, [stiff if a == m else mass for a in range(d)])
+    grams = np.stack([functools.reduce(_kron, [stiff if a == m else mass for a in range(d)])
                       for m in range(d)])
-    tables = _pairs(v), functools.reduce(np.kron, [v] * d), grams
+    tables = _pairs(v), functools.reduce(_kron, [v] * d), grams
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -308,7 +307,7 @@ class SipAssembler:
         None on the boundary, where a face has one owner.
 
         The (s, t) quarter of a face block, s and t its owners, is the
-        Kronecker product of d matrices, one per axis, first axis slowest.
+        :func:`hpdg._kernels._kron` product of d matrices, one per axis.
         On the normal axis it is the trace matrix
         gamma j_s j_t^T - (n_s j_t^T + j_s n_t^T): j the owner's Legendre
         values at the face plane, negated for the plus-side owner, n its
@@ -317,9 +316,11 @@ class SipAssembler:
         owners' Legendre polynomials on the face's interval: where that
         interval is both owners' own, compared exactly, the diagonal 1D mass
         matrix of :meth:`mass`; elsewhere integrated with the
-        :func:`hpdg.quadrature.plain_order` Gauss rule of p_e.  The (b, a)
-        quarter is the transpose of ``ab``, and the factors of the diagonal
-        quarters are symmetric, so every face block is bitwise symmetric.
+        :func:`hpdg.quadrature.plain_order` Gauss rule of p_e, and exactly
+        zero where P_i of s and P_j of t are orthogonal: for j > i where the
+        interval is t's own, for i > j where it is s's.  The (b, a) quarter
+        is the transpose of ``ab``, and the factors of the diagonal quarters
+        are symmetric, so every face block is bitwise symmetric.
         """
         space, mesh = self.space, self.space.mesh
         faces, d = mesh.faces, mesh.d
@@ -336,13 +337,10 @@ class SipAssembler:
             tabs = []  # per owner: j, n (F, k), tangential values (F, d-1, nq, k), own interval
             for s, (o, p) in enumerate(zip(faces.owners[f].T, ps)):
                 lo, lengths = mesh.lo[o], mesh.lengths[o]
-                h = lengths[rows, axis]
-                j, dj = legendre_table(2.0 * (faces.lo[f, axis] - lo[rows, axis]) / h - 1.0, p)
+                j, dj = _axis_table(lo[rows, axis], lengths[rows, axis], p, faces.lo[f, axis], True)
                 lo, lengths = lo[rows[:, None], tang], lengths[rows[:, None], tang]
-                xi = 2.0 * (x - lo[..., None]) / lengths[..., None] - 1.0
-                v = legendre_table(xi.ravel(), p, False)[0].reshape(*x.shape, p + 1)
-                tabs.append(((-1) ** s * j, scale * dj * (2.0 / h)[:, None], v,
-                             (lo == flo) & (lengths == flen)))
+                v = _axis_table(lo[..., None], lengths[..., None], p, x)[0]
+                tabs.append(((-1) ** s * j, scale * dj, v, (lo == flo) & (lengths == flen)))
             gamma = (self.penalty.alpha0 * p_e**2 / faces.h_e[f])[:, None, None]
             mass_diag = _local_mass_diag(flen[..., None], p_e)  # (F, d-1, p_e+1)
 
@@ -353,17 +351,13 @@ class SipAssembler:
                     ns[:, :, None] * jt[:, None, :] + js[:, :, None] * nt[:, None, :])
                 gram = np.matmul(np.swapaxes(vs * w[..., None], -1, -2), vt)
                 gram = _sym(gram) if s == t else gram
-                fm, am = np.nonzero(own_s & own_t)  # orthogonal: the diagonal 1D mass matrix
-                i = np.arange(min(gram.shape[-2:]))
-                gram[fm, am] = 0.0
-                gram[fm[:, None], am[:, None], i, i] = mass_diag[fm, am, :len(i)]
+                i, j = np.arange(gram.shape[-2])[:, None], np.arange(gram.shape[-1])
+                gram[(own_t[..., None, None] & (j > i)) | (own_s[..., None, None] & (i > j))] = 0.0
+                fm, am = np.nonzero(own_s & own_t)  # both own: the diagonal 1D mass matrix
+                k = np.arange(min(gram.shape[-2:]))
+                gram[fm[:, None], am[:, None], k, k] = mass_diag[fm, am, :len(k)]
                 factors[rows[:, None], tang] = gram
-                block = factors[:, 0]
-                for m in range(1, d):
-                    k = factors[:, m]
-                    block = (block[:, :, None, :, None] * k[:, None, :, None, :]).reshape(
-                        len(f), block.shape[1] * k.shape[1], block.shape[2] * k.shape[2])
-                return block
+                return functools.reduce(_kron, np.swapaxes(factors, 0, 1))
 
             if len(ps) == 1:
                 yield f, quarter(0, 0), None, None

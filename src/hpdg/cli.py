@@ -141,9 +141,8 @@ def _level_solve(cfg: StudyConfig, p0: int, ell: int, prev, outdir: Path):
                                     PenaltyConfig(cfg.penalty), scf_cfg,
                                     u0=u0, log=lines.append)
     except EigenSolveError as exc:
-        best = exc.best.residual if exc.best is not None else float("nan")
-        raise StudyError(f"eigensolve failed at {where} "
-                         f"(best residual {best:.3e}): {exc}") from exc
+        best = "" if exc.best is None else f" (best residual {exc.best.residual:.3e})"
+        raise StudyError(f"eigensolve failed at {where}{best}: {exc}") from exc
     except ValueError as exc:
         raise StudyError(f"level {where} failed: {exc}") from exc
     (outdir / f"iters_p{p0}_ell{ell}.log").write_text("\n".join(lines) + "\n")

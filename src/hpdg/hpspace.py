@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as meshmod
-from ._kernels import legendre_l2_norms_sq, legendre_table
+from ._kernels import _kron, legendre_l2_norms_sq, legendre_table
 from .quadrature import element_rules, plain_order
 
 
@@ -100,26 +100,25 @@ def containing_map(coarse_mesh: meshmod.GradedMesh, fine_mesh: meshmod.GradedMes
     return out
 
 
-def _basis_tables(lo, lengths, p: int, axes, derivs=()):
+def _axis_table(lo, length, p: int, x, derivatives=False):
+    """P_0..P_p of the intervals lo + [0, length] at the coordinates ``x``,
+    all three broadcast together: the values (..., p+1) and, with
+    ``derivatives``, the physical derivatives, scaled by 2/length, else None."""
+    xi = 2.0 * (x - lo) / length - 1.0
+    v, dv = legendre_table(xi.ravel(), p, derivatives)
+    v = v.reshape(*xi.shape, p + 1)
+    return v, None if dv is None else dv.reshape(v.shape) * (2.0 / np.asarray(length)[..., None])
+
+
+def _basis_tables(lo, lengths, p: int, axes, grads=False):
     """The (p+1)^d tensor-Legendre basis of the boxes lo + [0, lengths] (E, d)
-    on the tensor grids of per-axis physical coordinates ``axes[m]`` (E, n_m),
-    first axis slowest: values (E, nq, nd) and the physical-derivative tables
-    along the axes ``derivs``, the only axes whose derivatives are computed.
-    Every entry is the same product of per-axis Legendre values,
-    (t_0 * t_1) * t_2, whatever the grid."""
-    vals, ders = [], {}
-    for m, x in enumerate(axes):
-        v, dv = legendre_table((2.0 * (x - lo[:, m, None]) / lengths[:, m, None] - 1.0).ravel(), p,
-                               m in derivs)
-        vals.append(v.reshape(*x.shape, p + 1))
-        if dv is not None:
-            ders[m] = dv.reshape(*x.shape, p + 1) * (2.0 / lengths[:, m, None, None])
-
-    def product(tabs):
-        return functools.reduce(lambda a, t: (a[:, :, None, :, None] * t[:, None, :, None, :])
-                                .reshape(len(t), -1, a.shape[2] * t.shape[2]), tabs)
-
-    return product(vals), [product(vals[:m] + [ders[m]] + vals[m + 1:]) for m in derivs]
+    on the tensor grids of per-axis physical coordinates ``axes[m]`` (E, n_m):
+    values (E, nq, nd) and, with ``grads``, the d derivative tables, else [];
+    each entry the same :func:`hpdg._kernels._kron` product whatever the grid."""
+    vals, ders = zip(*[_axis_table(lo[:, m, None], lengths[:, m, None], p, x, grads)
+                       for m, x in enumerate(axes)])
+    return functools.reduce(_kron, vals), [functools.reduce(_kron, vals[:m] + (dv,) + vals[m + 1:])
+                                           for m, dv in enumerate(ders) if grads]
 
 
 def basis_matrix(lo, lengths, p: int, pts: np.ndarray):
@@ -135,7 +134,7 @@ def basis_matrices(lo, lengths, p: int, pts: np.ndarray):
     Returns (phi, grads) with phi of shape (npts, ndof) and grads a list of d
     arrays of the same shape (derivative along each physical axis).
     """
-    phi, grads = _basis_tables(lo[None], lengths[None], p, list(pts.T[:, :, None]), range(len(lo)))
+    phi, grads = _basis_tables(lo[None], lengths[None], p, list(pts.T[:, :, None]), True)
     return phi[:, 0], [g[:, 0] for g in grads]
 
 
@@ -163,8 +162,7 @@ def _evaluate(lo, lengths, degrees, offsets, coeffs, eids, axes, grads=False):
     for p in np.unique(degs).tolist():
         rows = np.flatnonzero(degs == p)
         el = eids[rows]
-        phi, dphi = _basis_tables(lo[el], lengths[el], p, [x[rows] for x in axes],
-                                  range(len(axes)) if grads else ())
+        phi, dphi = _basis_tables(lo[el], lengths[el], p, [x[rows] for x in axes], grads)
         c = coeffs[offsets[el][:, None] + np.arange(phi.shape[2])][..., None]
         vals[rows] = np.matmul(phi, c)[..., 0]
         for m, g in enumerate(dphi):
@@ -174,12 +172,10 @@ def _evaluate(lo, lengths, degrees, offsets, coeffs, eids, axes, grads=False):
 
 def _local_mass_diag(lengths: np.ndarray, p: int) -> np.ndarray:
     """Diagonal of the modal tensor-Legendre mass matrix on the elements with
-    edge lengths (d,) or (k, d)."""
-    norms, modes = legendre_l2_norms_sq(p), _modes(p, lengths.shape[-1])
-    diag = np.ones(lengths.shape[:-1] + modes.shape[:1])
-    for m, k in enumerate(modes.T):
-        diag *= norms[k] * (lengths[..., m, None] / 2.0)
-    return diag
+    edge lengths (d,) or (k, d): the Kronecker product of the per-axis
+    diagonals norms * L_m / 2."""
+    a = legendre_l2_norms_sq(p) * (lengths[..., None] / 2.0)  # per axis, (..., d, p+1)
+    return functools.reduce(_kron, [a[..., m, None, :] for m in range(a.shape[-2])])[..., 0, :]
 
 
 def inject(field: DiscreteField, fine_space: HpSpace) -> DiscreteField:

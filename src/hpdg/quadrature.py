@@ -107,7 +107,9 @@ def _box_grid(lo, lengths, n: int):
     """The n^k-point tensor Gauss rule on the box lo + [0, lengths] as a grid:
     the per-axis coordinates, a list of k arrays (n,), and the weights
     (n^k,), first axis slowest.  ``lo`` and ``lengths`` are (k,) for one box
-    or (E, k) for a stack of boxes, whose axes are (E, n) and weights (E, n^k).
+    or (E, k) for a stack of boxes, whose axes are (E, n) and weights (E, n^k),
+    F-ordered (strides (8, 8E)): :func:`hpdg.analysis.error_norms` copies a
+    level's rows to this layout so that its sums round as on a lone level's.
     """
     g = gauss_rule(n)
     half = np.asarray(lengths)[..., None] / 2.0  # (..., k, 1)

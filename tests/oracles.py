@@ -21,7 +21,8 @@ as it ran once per study level before the levels shared one pass.
 :func:`factor_input` forms the single-precision pencil A - tau M on A's
 stored pattern and diagonal, the matrix the sparse LU must be given.
 :func:`dense_lambda` is lambda_1 of a pencil from one LAPACK solve of the
-generalized problem.
+generalized problem.  :func:`same_bytes` is the bitwise comparison of two
+arrays.
 """
 
 import math
@@ -36,6 +37,11 @@ from hpdg.hpspace import (DiscreteField, _modes, basis_matrices, basis_matrix, c
                           evaluate_grid)
 from hpdg.mesh import Faces, GradedMesh, MeshError, build_faces, build_graded_mesh
 from hpdg.quadrature import element_rule, element_rules, face_rules
+
+
+def same_bytes(a, b) -> bool:
+    """Whether two arrays have the same shape, dtype and bytes."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _gauss(n):

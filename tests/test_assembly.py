@@ -393,6 +393,33 @@ def test_matched_face_intervals_give_exact_orthogonality(d, sigma, ell, slope):
     assert checked > 0 and a.nnz - np.count_nonzero(a.data) > 0
 
 
+@pytest.mark.parametrize("d,sigma,ell,p0,slope", [(2, 0.5, 4, 2, 0.5), (2, 0.15, 6, 1, 1.0),
+                                                    (3, 0.5, 3, 1, 0.25), (3, 0.3, 3, 2, 0.5)])
+def test_hanging_face_orthogonality_gives_exact_zeros(d, sigma, ell, p0, slope):
+    """On a tangential axis where the face's interval is the owner t's own,
+    s's P_i restricted to it has degree i and is orthogonal to t's P_j for
+    j > i; where it is s's own, t's P_j is orthogonal to s's P_i for i > j.
+    Every entry of an (s, t) quarter with such a pair of modes on some axis
+    is exactly zero, hanging faces included."""
+    mesh = build_graded_mesh(d, sigma, ell)
+    space = build_space(mesh, p0, slope)
+    asm = SipAssembler(space, Potential(1.0, -1.0), PenaltyConfig())
+    faces, hanging = mesh.faces, 0
+    for fids, _, ab, _ in asm._face_blocks():
+        for f, blk in zip(fids.tolist(), ab if ab is not None else []):
+            own = faces.owners[f].tolist()
+            ms, mt = (_modes(int(space.degrees[o]), d) for o in own)
+            zero = np.zeros(blk.shape, dtype=bool)
+            for m in set(range(d)) - {int(faces.axis[f])}:
+                own_s, own_t = (mesh.lo[o, m] == faces.lo[f, m]
+                                and mesh.lengths[o, m] == faces.lengths[f, m] for o in own)
+                i, j = ms[:, None, m], mt[None, :, m]
+                zero |= (own_t & (j > i)) | (own_s & (i > j))
+                hanging += own_s != own_t
+            assert not blk[zero].any(), f
+    assert hanging > 0
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_corner_blocks_of_the_cube_are_reflections(d):
     """V is radial and P_i(-x) = (-1)^i P_i(x), so the potential block of the

@@ -11,7 +11,7 @@ from hpdg import cli
 from hpdg.assembly import PenaltyConfig, Potential, SipAssembler, assemble_mass
 from hpdg.cli import (CSV_HEADER, ConfigError, StudyConfig, StudyError,
                       build_parser, load_config_file, main, run_study)
-from hpdg.eigsolve import EigenSolveError
+from hpdg.eigsolve import EigenSolveError, EigResult
 from hpdg.hpspace import DiscreteField
 from hpdg.scf import solve_ground_state
 
@@ -164,8 +164,10 @@ def _fail_the_reference(how):
     def solve(space, *args, **kwargs):
         if space.p0 != 3:
             return solve_ground_state(space, *args, **kwargs)
-        if how == "stall":
+        if how == "stall":  # no iterate to report, as in a refusal at factor time
             raise EigenSolveError("no convergence (best residual 4.300e-01)", None)
+        if how == "stall at its best iterate":
+            raise EigenSolveError("no convergence", EigResult(1.0, np.ones(1), 0.43, 7))
         u, rep = solve_ground_state(space, *args, **kwargs)
         if how == "no convergence":
             rep.converged = False
@@ -180,6 +182,8 @@ def _fail_the_reference(how):
 
 @pytest.mark.parametrize("how,message", [
     ("stall", "eigensolve failed at p0=3 ell=4 N=832"),
+    ("stall", "N=832: no convergence"),  # no "(best residual nan)" without an iterate
+    ("stall at its best iterate", r"N=832 \(best residual 4\.300e-01\): no convergence"),
     ("no convergence", "SCF did not converge at p0=3 ell=4 N=832"),
     ("excited", "excited state at p0=3 ell=4 N=832: M-overlap"),
 ])

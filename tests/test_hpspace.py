@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from hpdg.hpspace import (DiscreteField, MeshNestingError, _modes, build_space,
-                          constant_field, containing_map, evaluate_grid, inject)
+from hpdg._kernels import legendre_l2_norms_sq
+from hpdg.hpspace import (DiscreteField, MeshNestingError, _axis_table, _local_mass_diag, _modes,
+                          basis_matrices, build_space, constant_field, containing_map,
+                          evaluate_grid, inject)
 from hpdg.mesh import build_graded_mesh
-from oracles import evaluate_in_element, full_cube_mesh, projected
+from oracles import evaluate_in_element, full_cube_mesh, projected, same_bytes
 
 
 def test_degree_formula_with_slope():
@@ -47,6 +49,31 @@ def test_mode_tables_are_shared_and_read_only():
     assert modes.shape == (27, 3) and modes[5].tolist() == [0, 1, 2]
     with pytest.raises(ValueError, match="read-only"):
         modes[0, 0] = 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_mass_diagonal_is_the_product_over_the_modes(d, p):
+    """Bitwise the product over the modes of norms * L_m / 2, axis by axis,
+    on a stack of boxes and on one box."""
+    lengths = np.random.default_rng(10 * d + p).uniform(0.01, 2.0, (5, d))
+    norms, want = legendre_l2_norms_sq(p), np.ones((5, (p + 1) ** d))
+    for m, k in enumerate(_modes(p, d).T):
+        want *= norms[k] * (lengths[:, m, None] / 2.0)
+    assert same_bytes(_local_mass_diag(lengths, p), want)
+    assert same_bytes(_local_mass_diag(lengths[2], p), want[2])
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, 7])
+def test_axis_table_is_the_one_dimensional_basis(p):
+    """Values and derivatives bitwise those of ``basis_matrices`` in 1D, and
+    no derivatives unless asked."""
+    lo, length = np.array([0.3]), np.array([0.125])
+    x = lo + length * np.linspace(0.0, 1.0, 9)
+    phi, (dphi,) = basis_matrices(lo, length, p, x[:, None])
+    v, dv = _axis_table(lo, length, p, x, True)
+    assert same_bytes(v, phi) and same_bytes(dv, dphi)
+    assert _axis_table(lo, length, p, x)[1] is None
 
 
 def test_face_degree_is_the_larger_owner_degree():

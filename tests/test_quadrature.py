@@ -5,8 +5,9 @@ import pytest
 
 from hpdg import quadrature
 from hpdg.mesh import build_graded_mesh
-from hpdg.quadrature import element_rule, face_rules, singular_rule, volume_rule
-from oracles import checked_integral, full_cube_mesh, radial_power, singular_rule_per_box
+from hpdg.quadrature import _box_grid, element_rule, face_rules, singular_rule, volume_rule
+from oracles import (checked_integral, full_cube_mesh, radial_power, same_bytes,
+                     singular_rule_per_box)
 
 
 def unit_element(d=2):
@@ -55,6 +56,18 @@ def test_integrates_constant_to_measure():
         assert seen == {(False, False), (True, False), (True, True)}
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_box_grid_weights_are_fortran_ordered(d):
+    """The weights of a stack of boxes are F-ordered, box index fastest in
+    memory; ``analysis.error_norms`` takes each level's rows as an F-ordered
+    copy so that einsum rounds its sums as on a lone level's rule."""
+    _, w = _box_grid(*unit_element(d), 4)
+    assert w.shape == (4**d,) and w.flags.f_contiguous
+    rng = np.random.default_rng(d)
+    _, w = _box_grid(rng.uniform(size=(5, d)), rng.uniform(0.1, 1.0, (5, d)), 4)
+    assert w.shape == (5, 4**d) and w.flags.f_contiguous and not w.flags.c_contiguous
+
+
 def test_element_rule_points_are_the_expanded_grid():
     """element_rule's grid is _box_grid's, and its points are bitwise the
     per-axis coordinates expanded first axis slowest, box by box; for one box
@@ -63,17 +76,17 @@ def test_element_rule_points_are_the_expanded_grid():
     for n in (1, 2, 5):
         axes, w = quadrature._box_grid(m.lo, m.lengths, n)
         stacked = element_rule(m.lo, m.lengths, n)
-        assert _same_bytes(stacked.grid_weights, w) and _same_bytes(stacked.weights, w.ravel())
-        assert all(_same_bytes(a, x) for a, x in zip(stacked.axes, axes))
+        assert same_bytes(stacked.grid_weights, w) and same_bytes(stacked.weights, w.ravel())
+        assert all(same_bytes(a, x) for a, x in zip(stacked.axes, axes))
         for e, (lo, lengths) in enumerate(zip(m.lo, m.lengths)):
             grid = np.meshgrid(*[x[e] for x in axes], indexing="ij")
             want = np.stack([g.ravel() for g in grid], axis=1)
             one = element_rule(lo, lengths, n)
             one_axes, one_w = quadrature._box_grid(lo, lengths, n)
-            assert _same_bytes(stacked.points.reshape(len(m.lo), -1, 3)[e], want)
-            assert _same_bytes(one.points, want)
-            assert all(_same_bytes(a, x[e]) for a, x in zip(one_axes, axes))
-            assert _same_bytes(one.weights, one_w) and _same_bytes(one_w, w[e])
+            assert same_bytes(stacked.points.reshape(len(m.lo), -1, 3)[e], want)
+            assert same_bytes(one.points, want)
+            assert all(same_bytes(a, x[e]) for a, x in zip(one_axes, axes))
+            assert same_bytes(one.weights, one_w) and same_bytes(one_w, w[e])
 
 
 def test_integrates_x_squared():
@@ -154,10 +167,6 @@ def test_singular_rule_is_built_once_per_key(monkeypatch):
     assert np.array_equal(again.points, pts) and np.array_equal(again.weights, w)
 
 
-def _same_bytes(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("depth", [1, 7, 60])
 def test_unit_singular_rule_equals_per_box_loop(d, depth):
@@ -165,7 +174,7 @@ def test_unit_singular_rule_equals_per_box_loop(d, depth):
     for n in range(1, 8):
         got = quadrature._unit_singular_rule(d, n, depth)
         pts, w = singular_rule_per_box(d, n, depth)
-        assert _same_bytes(got.points, pts) and _same_bytes(got.weights, w), n
+        assert same_bytes(got.points, pts) and same_bytes(got.weights, w), n
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -180,8 +189,8 @@ def test_singular_rule_is_the_reflected_unit_rule(d):
     for lo, lengths in zip(m.lo[m.corner], m.lengths[m.corner]):
         r = singular_rule(lo, lengths, 4, 7)
         want = np.where(lo == 0, lo + f * lengths, (lo + lengths) - f * lengths)
-        assert _same_bytes(r.points, want), lo
-        assert _same_bytes(r.weights, w * float(np.prod(lengths))), lo
+        assert same_bytes(r.points, want), lo
+        assert same_bytes(r.weights, w * float(np.prod(lengths))), lo
         assert [x.shape for x in r.axes] == [(7 * (2**d - 1) + 1, 4)] * d
         assert r.grid_weights.shape == (7 * (2**d - 1) + 1, 4**d)
 
@@ -233,4 +242,4 @@ def test_volume_rule_dispatch():
         m = build_graded_mesh(d, 0.5, 1)
         for lo, lengths in zip(m.lo[m.corner], m.lengths[m.corner]):
             r, want = volume_rule(lo, lengths, 2), singular_rule(lo, lengths, 2 + 4, 60)
-            assert _same_bytes(r.points, want.points) and _same_bytes(r.weights, want.weights)
+            assert same_bytes(r.points, want.points) and same_bytes(r.weights, want.weights)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hpdg._kernels import legendre_l2_norms_sq, legendre_table
+from hpdg._kernels import _kron, legendre_l2_norms_sq, legendre_table
 from hpdg.quadrature import element_rule, gauss_rule, singular_rule
+from oracles import same_bytes
 
 
 def test_one_point_rule():
@@ -84,3 +85,15 @@ def test_derivative_matches_finite_differences(p):
     dn, _ = legendre_table(r.points - h, p)
     fd = (up - dn) / (2 * h)
     assert np.max(np.abs(ders - fd)) < 1e-6
+
+
+def test_kron_is_numpys_kron():
+    """Unbatched, on stacked factors and on a stack with a shared factor,
+    every entry is bitwise the one of ``np.kron``, first factor slowest."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((3, 4)), rng.standard_normal((2, 5))
+    assert same_bytes(_kron(a, b), np.kron(a, b))
+    sa, sb = rng.standard_normal((6, 3, 4)), rng.standard_normal((6, 2, 5))
+    assert same_bytes(_kron(sa, sb), np.stack([np.kron(x, y) for x, y in zip(sa, sb)]))
+    assert same_bytes(_kron(sa, b), np.stack([np.kron(x, b) for x in sa]))
+    assert same_bytes(_kron(a[:1], b[:1]), np.kron(a[0], b[0])[None])  # row vectors
