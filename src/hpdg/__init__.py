@@ -12,7 +12,7 @@ from .assembly import PenaltyConfig, Potential, assemble_mass
 from .eigsolve import EigenSolveError, EigResult, smallest_eigenpair
 from .hpspace import DiscreteField, HpSpace, build_space, constant_field, inject
 from .mesh import GradedMesh, build_graded_mesh
-from .scf import ScfConfig, ScfReport, discrete_energy, solve_ground_state
+from .scf import ScfConfig, ScfReport, solve_ground_state
 
 __version__ = "0.1.0"
 

@@ -55,7 +55,6 @@ class StudyConfig:
     penalty: float = 10.0
     tol: float | None = None  # SCF residual tolerance; default depends on dim
     max_iter: int = 100
-    theta: float = 1.0
     ref_extra_levels: int = 2
     ref_extra_degree: int = 1
     out: str = "study_out"
@@ -63,7 +62,7 @@ class StudyConfig:
     def validate(self):
         integers = ("dim", "ell_min", "ell_max", "p0", "pot_sign", "delta", "max_iter",
                     "ref_extra_levels", "ref_extra_degree")
-        for key in integers + ("sigma", "slope", "alpha", "penalty", "tol", "theta"):
+        for key in integers + ("sigma", "slope", "alpha", "penalty", "tol"):
             value = getattr(self, key)
             if value is None and key in ("delta", "alpha", "tol"):
                 continue
@@ -97,8 +96,6 @@ class StudyConfig:
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (0.0 < self.theta <= 1.0):
-            raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
         if self.ref_extra_levels < 1:
             raise ConfigError(f"ref_extra_levels must be >= 1, got {self.ref_extra_levels}")
         if self.ref_extra_degree < 0:
@@ -129,8 +126,7 @@ def _level_solve(cfg: StudyConfig, p0: int, ell: int, prev, outdir: Path):
     """Solve level ell at base degree p0, warm-started from ``prev`` injected
     into its space (cold when ``prev`` is None); return (u, report)."""
     t0 = time.perf_counter()
-    scf_cfg = ScfConfig(eps_tol=cfg.scf_tol, max_iter=cfg.max_iter,
-                        theta=cfg.theta, delta=cfg.delta)
+    scf_cfg = ScfConfig(eps_tol=cfg.scf_tol, max_iter=cfg.max_iter, delta=cfg.delta)
     where = f"p0={p0} ell={ell}"
     lines = []
     try:
@@ -243,7 +239,7 @@ def _parse_delta(text: str):
 _PARSERS = {
     "dim": int, "sigma": float, "ell_max": int, "ell_min": int, "p0": int,
     "slope": float, "alpha": _parse_alpha, "pot_sign": int, "delta": _parse_delta,
-    "penalty": float, "tol": float, "max_iter": int, "theta": float,
+    "penalty": float, "tol": float, "max_iter": int,
     "ref_extra_levels": int, "ref_extra_degree": int, "out": str,
 }
 

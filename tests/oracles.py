@@ -22,7 +22,8 @@ as it ran once per study level before the levels shared one pass.
 stored pattern and diagonal, the matrix the sparse LU must be given.
 :func:`dense_lambda` is lambda_1 of a pencil from one LAPACK solve of the
 generalized problem.  :func:`same_bytes` is the bitwise comparison of two
-arrays.
+arrays.  :func:`discrete_energy` is the discrete energy of a field, which no
+solver step uses.
 """
 
 import math
@@ -33,6 +34,7 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 
 from hpdg._kernels import legendre_l2_norms_sq
+from hpdg.assembly import SipAssembler
 from hpdg.hpspace import (DiscreteField, _modes, basis_matrices, basis_matrix, containing_map,
                           evaluate_grid)
 from hpdg.mesh import Faces, GradedMesh, MeshError, build_faces, build_graded_mesh
@@ -377,3 +379,16 @@ def dense_lambda(a, m):
     of 1e-10 absolute or looser) by at most 2.7e-13."""
     v = dla.eigh(a.toarray(), m.toarray(), subset_by_index=[0, 0])[1][:, 0]
     return float(v @ (a @ v)) / float(v @ (m @ v))
+
+
+def discrete_energy(space, potential, penalty, u, delta) -> float:
+    """The discrete energy 1/2 a(u,u) + 1/(delta+1) int |u|^(delta+1).
+
+    At the ground state this equals lambda/2 - (1/2 - 1/(delta+1)) times the
+    nonlinear integral.
+    """
+    asm = SipAssembler(space, potential, penalty)
+    val = 0.5 * float(u.coeffs @ (asm.sip() @ u.coeffs))
+    if delta is not None:  # u^T N(u) u is the integral of |u|^(delta+1)
+        val += float(u.coeffs @ (asm.nonlinear_mass(u, delta) @ u.coeffs)) / (delta + 1)
+    return val

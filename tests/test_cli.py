@@ -44,7 +44,6 @@ def test_sigma_validation_names_the_key():
     ("penalty", float("inf"), "penalty"),
     ("tol", float("nan"), "tol"),
     ("tol", float("inf"), "tol"),
-    ("theta", 0.0, "theta"),
     ("max_iter", 0, "max_iter"),
     # the integer keys refuse floats and bools
     ("dim", 2.0, "dim"),
@@ -67,14 +66,12 @@ def test_sigma_validation_names_the_key():
     ("alpha", True, "alpha"),
     ("penalty", True, "penalty"),
     ("tol", True, "tol"),
-    ("theta", True, "theta"),
     # nor a string or another non-number
     ("sigma", "0.5", "sigma"),
     ("slope", "0", "slope"),
     ("alpha", "1.0", "alpha"),
     ("penalty", "10", "penalty"),
     ("tol", "1e-7", "tol"),
-    ("theta", [1.0], "theta"),
     # a number means that number: alpha 0 is V = -1, not V = 0, and delta 0 is not linear
     ("alpha", 0.0, "alpha"),
     ("delta", 0, "delta"),
@@ -277,6 +274,17 @@ def test_config_file_rejects_unknown_keys(tmp_path):
             load_config_file(path)
 
 
+def test_config_file_refuses_theta(tmp_path, capsys):
+    """``theta``, the damping that the SCF's Anderson step replaced, is an
+    unknown key: the study stops before it solves, naming it."""
+    path = tmp_path / "study.cfg"
+    path.write_text("theta = 0.8\n")
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown key 'theta'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_rejects_repeated_keys(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text("ell_max = 2\n# finer\nell-max = 3\n")
@@ -421,7 +429,7 @@ def test_parser_flags_cover_spec():
         "--dim", "3", "--sigma", "0.5", "--levels", "4", "--p0", "1",
         "--slope", "0.25", "--alpha", "0.5", "--pot-sign", "-1",
         "--delta", "3", "--penalty", "10", "--tol", "1e-7",
-        "--max-iter", "50", "--theta", "0.8", "--ref-extra-levels", "2",
+        "--max-iter", "50", "--ref-extra-levels", "2",
         "--ref-extra-degree", "1", "--out", "x",
     ])
     assert args.dim == 3 and args.ell_max == 4 and args.pot_sign == -1
@@ -433,7 +441,7 @@ def test_every_config_key_has_a_flag():
     field: ``--levels`` for ell_max, ``--<key>`` with dashes otherwise."""
     raw = {"dim": "3", "sigma": "0.25", "ell_min": "2", "ell_max": "4", "p0": "1",
            "slope": "0.25", "alpha": "1.5", "pot_sign": "1", "delta": "2",
-           "penalty": "12", "tol": "1e-7", "max_iter": "50", "theta": "0.8",
+           "penalty": "12", "tol": "1e-7", "max_iter": "50",
            "ref_extra_levels": "3", "ref_extra_degree": "0", "out": "x"}
     assert set(raw) == set(cli._PARSERS)
     parser = build_parser()

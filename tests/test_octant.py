@@ -7,9 +7,6 @@ the octant, and compare what a study reports: lambda, and the errors of a
 level against a reference one level finer (in 2D also one degree higher).
 They also compare the coefficients of the octant's elements, which the
 copies scaling makes the whole cube's own.
-
-Left out: 2D alpha = 3/2 with delta = 4.  It does not converge at theta = 1
-even on the whole cube (ROADMAP item 5).
 """
 
 import numpy as np
@@ -25,8 +22,7 @@ from oracles import element_dofs, full_cube_mesh
 PEN = PenaltyConfig(10.0)
 LEVELS = {2: (3, 2, 1 / 8, 1), 3: (2, 1, 1 / 4, 0)}  # ell, p0, slope, reference's extra degree
 POTENTIALS = {"attractive1": (1.0, -1.0), "repulsive1/2": (0.5, 1.0), "attractive3/2": (1.5, -1.0)}
-CASES = [(dim, pot, delta) for dim in (2, 3) for pot in POTENTIALS for delta in (None, 2, 3, 4)
-         if (dim, pot, delta) != (2, "attractive3/2", 4)]
+CASES = [(dim, pot, delta) for dim in (2, 3) for pot in POTENTIALS for delta in (None, 2, 3, 4)]
 
 
 def _study(build, dim, pot, delta):

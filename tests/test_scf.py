@@ -49,7 +49,7 @@ def test_reproducible_across_iteration_budgets():
     space = space_2d(4)
     lams = []
     for max_iter in (50, 200):
-        cfg = ScfConfig(eps_tol=1e-10, max_iter=max_iter, theta=1.0, delta=3)
+        cfg = ScfConfig(eps_tol=1e-10, max_iter=max_iter, delta=3)
         _, rep = solve_ground_state(space, POT, PEN, cfg)
         assert rep.converged
         lams.append(rep.lam)
@@ -58,14 +58,31 @@ def test_reproducible_across_iteration_budgets():
 
 def test_monotone_residual_tail():
     space = space_2d(3)
-    cfg = ScfConfig(eps_tol=1e-10, theta=1.0, delta=3)
+    cfg = ScfConfig(eps_tol=1e-10, delta=3)
     _, rep = solve_ground_state(space, POT, PEN, cfg)
     tail = rep.residuals[-5:]
-    if not all(a >= b for a, b in zip(tail, tail[1:])):
-        cfg = ScfConfig(eps_tol=1e-10, theta=0.5, delta=3)
-        _, rep = solve_ground_state(space, POT, PEN, cfg)
-        tail = rep.residuals[-5:]
-        assert all(a >= b for a, b in zip(tail, tail[1:]))
+    assert all(a >= b for a, b in zip(tail, tail[1:]))
+
+
+@pytest.mark.parametrize("ell,alpha,delta,scale", [(4, 1.0, 4, 10.0), (4, 1.0, 2, 100.0),
+                                                   (4, 1.0, 3, 100.0), (4, 1.0, 4, 100.0),
+                                                   (3, 1.5, 4, 1.0)])
+def test_strong_coupling_converges_to_the_ground_state_of_its_linearization(ell, alpha, delta,
+                                                                            scale):
+    """The plain fixed point does not converge in 100 sweeps on these; the
+    Anderson step does, and its lambda is the smallest eigenvalue of the
+    dense pencil (A_sip + N(u), M) at the returned u, below the second."""
+    space = space_2d(ell)
+    pot = Potential(alpha, -1)
+    cfg = ScfConfig(eps_tol=1e-10, delta=delta, nonlinear_scale=scale)
+    u, rep = solve_ground_state(space, pot, PEN, cfg)
+    assert rep.converged
+    asm = SipAssembler(space, pot, PEN)
+    a = asm.sip() + asm.nonlinear_mass(u, delta, scale)
+    w = dla.eigh(a.toarray(), assemble_mass(space).toarray(), eigvals_only=True,
+                 subset_by_index=[0, 1])
+    assert rep.lam == pytest.approx(w[0], rel=1e-10, abs=0.0)
+    assert w[1] - w[0] > 1e-3 * abs(w[0])
 
 
 def test_rayleigh_identity_at_convergence():
@@ -80,7 +97,7 @@ def test_rayleigh_identity_at_convergence():
 
 def test_iterates_never_flip_sign(monkeypatch):
     """Every sweep's eigenvector has a nonnegative M-product with the iterate
-    it replaces, so damping never mixes in a sign-flipped state."""
+    it replaces, so the Anderson step never mixes in a sign-flipped state."""
     space = space_2d(4)
     cfg = ScfConfig(eps_tol=1e-10, delta=3)
     calls = []
@@ -138,10 +155,8 @@ def test_config_validation():
         ScfConfig(eps_tol=0.0)
     with pytest.raises(ValueError):
         ScfConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        ScfConfig(theta=0.0)
-    with pytest.raises(ValueError):
-        ScfConfig(theta=1.5)
+    with pytest.raises(TypeError, match="theta"):  # the Anderson step has no damping knob
+        ScfConfig(theta=0.5)
     for bad in (0, 1, 5):  # delta outside NONLINEAR_EXPONENTS, refused before any assembly
         with pytest.raises(ValueError, match="delta"):
             ScfConfig(delta=bad)
@@ -158,7 +173,6 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("key,bad", [("eps_tol", "1e-10"), ("eps_tol", None), ("eps_tol", True),
-                                     ("theta", "0.5"), ("theta", None),
                                      ("nonlinear_scale", float("nan")),
                                      ("nonlinear_scale", "1")])
 def test_config_refuses_a_non_number_by_name(key, bad):
@@ -169,7 +183,7 @@ def test_config_refuses_a_non_number_by_name(key, bad):
 def test_energy_identity_at_ground_state():
     """E = lambda/2 - (1/2 - 1/(delta+1)) * int |u|^(delta+1), the integral
     over the cube: copies times the one over the octant."""
-    from hpdg.scf import discrete_energy
+    from oracles import discrete_energy
     from hpdg.hpspace import basis_matrix
     from hpdg.quadrature import element_rule
 
